@@ -3,12 +3,18 @@
 #include <algorithm>
 #include <limits>
 #include <queue>
+#include <string>
+
+#include "util/logging.h"
 
 namespace vlq {
 
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/** Observable bits the 8-bit path-mask table can hold. */
+constexpr uint32_t kObservableMask = 0xFF;
 
 } // namespace
 
@@ -21,6 +27,20 @@ MatchingGraph::build(const DetectorErrorModel& dem)
 MatchingGraph
 MatchingGraph::build(const DecodingGraph& graph)
 {
+    // Path masks are XORs of edge masks, so checking the edges bounds
+    // every entry of the 8-bit table.
+    for (const DecodingEdge& e : graph.edges()) {
+        if ((e.observables & ~kObservableMask) != 0) {
+            std::string msg = "matching decoders store observable masks "
+                "in 8 bits (observables 0-7), but edge ("
+                + std::to_string(e.a) + ", " + std::to_string(e.b)
+                + ") flips mask " + std::to_string(e.observables)
+                + "; decode circuits with more observables with "
+                  "union-find";
+            VLQ_FATAL(msg.c_str());
+        }
+    }
+
     MatchingGraph g;
     g.numNodes_ = graph.numDetectors();
     g.edgeCount_ = graph.edges().size();

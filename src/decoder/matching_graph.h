@@ -16,7 +16,8 @@ namespace vlq {
  * The sparse edge structure comes from DecodingGraph (shared with the
  * union-find backend); on top of it this precomputes all-pairs shortest
  * paths (with the XOR of observable masks along each path) so per-trial
- * decoding only needs table lookups.
+ * decoding only needs table lookups. The masks are stored in 8 bits, so
+ * the matching decoders handle observables 0-7 only.
  */
 class MatchingGraph
 {
@@ -25,7 +26,11 @@ class MatchingGraph
 
     static MatchingGraph build(const DetectorErrorModel& dem);
 
-    /** Run all-pairs shortest paths over an existing sparse graph. */
+    /**
+     * Run all-pairs shortest paths over an existing sparse graph.
+     * Exits with a fatal error when an edge flips an observable above
+     * 7, which the 8-bit mask table cannot represent.
+     */
     static MatchingGraph build(const DecodingGraph& graph);
 
     /** Number of detector nodes (excludes the boundary). */

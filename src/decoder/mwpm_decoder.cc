@@ -1,10 +1,13 @@
 #include "decoder/mwpm_decoder.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "decoder/blossom.h"
+#include "decoder/exact_matching.h"
 #include "dem/shot_batch.h"
+#include "obs/obs.h"
 #include "util/logging.h"
 
 namespace vlq {
@@ -34,10 +37,59 @@ MwpmDecoder::decodeBatch(const ShotBatch& batch,
 uint32_t
 MwpmDecoder::decodeEvents(const std::vector<uint32_t>& events) const
 {
-    const int m = static_cast<int>(events.size());
+    const size_t m = events.size();
     if (m == 0)
         return 0;
+    if (m <= kExactMatchingMaxDefects) {
+        if (obs::metricsEnabled()) {
+            static const obs::Counter exact =
+                obs::Counter::get("mwpm.decode.exact");
+            exact.add(1);
+        }
+        return decodeExact(events);
+    }
+    if (obs::metricsEnabled()) {
+        static const obs::Counter blossom =
+            obs::Counter::get("mwpm.decode.blossom");
+        blossom.add(1);
+    }
+    return decodeBlossom(events);
+}
 
+uint32_t
+MwpmDecoder::decodeExact(const std::vector<uint32_t>& events) const
+{
+    constexpr size_t kMax = kExactMatchingMaxDefects;
+    const size_t k = events.size();
+    std::array<double, kMax * kMax> pairW{};
+    std::array<uint32_t, kMax * kMax> pairObs{};
+    std::array<double, kMax> bndW{};
+    std::array<uint32_t, kMax> bndObs{};
+    for (size_t i = 0; i < k; ++i) {
+        bndW[i] = graph_.boundaryDistance(events[i]);
+        bndObs[i] = graph_.boundaryObservables(events[i]);
+        for (size_t j = i + 1; j < k; ++j) {
+            pairW[i * k + j] = pairW[j * k + i] =
+                graph_.distance(events[i], events[j]);
+            pairObs[i * k + j] = pairObs[j * k + i] =
+                graph_.pathObservables(events[i], events[j]);
+        }
+    }
+    const ExactMatching match = matchDefectsExact(
+        std::span<const double>(pairW.data(), k * k),
+        std::span<const uint32_t>(pairObs.data(), k * k),
+        std::span<const double>(bndW.data(), k),
+        std::span<const uint32_t>(bndObs.data(), k));
+    // The Blossom path fails the same way on a syndrome no matching
+    // explains.
+    VLQ_ASSERT(match.found, "graph admits no perfect matching");
+    return match.observables;
+}
+
+uint32_t
+MwpmDecoder::decodeBlossom(const std::vector<uint32_t>& events) const
+{
+    const int m = static_cast<int>(events.size());
     // Nodes 0..m-1: events; m..2m-1: private boundary copies. The edge
     // buffer keeps its capacity across shots of a batch.
     static thread_local std::vector<MatchEdge> edges;

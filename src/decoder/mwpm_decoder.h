@@ -15,12 +15,20 @@ namespace vlq {
  * Minimum-weight perfect-matching decoder (the paper's "maximum
  * likelihood perfect matching").
  *
- * Detection events form a complete graph weighted by precomputed
- * shortest-path distances in the decoding graph; each event also gets a
- * private boundary copy, and boundary copies interconnect at zero
- * weight so unused ones pair off. The exact blossom algorithm finds the
- * minimum-weight perfect matching, and the XOR of the observable masks
- * along the matched paths is the correction's effect on the logicals.
+ * Every detection event is matched to another event or to the
+ * boundary, along precomputed shortest paths in the decoding graph, at
+ * minimum total weight; the XOR of the observable masks along the
+ * matched paths is the correction's effect on the logicals.
+ *
+ * Syndromes of at most kExactMatchingMaxDefects events -- nearly every
+ * shot below threshold -- are solved by matchDefectsExact, the
+ * branch-and-bound union-find's fast path also uses, on a table read
+ * from the all-pairs distances. Larger syndromes go to the exact
+ * blossom algorithm: the events form a complete graph, each event also
+ * gets a private boundary copy, and boundary copies interconnect at
+ * zero weight so unused ones pair off. Both solvers are exact, so the
+ * two paths differ only in which of several equal-weight matchings
+ * they return.
  */
 class MwpmDecoder : public Decoder
 {
@@ -31,9 +39,9 @@ class MwpmDecoder : public Decoder
 
     /**
      * Batched decode: event lists come from one sparse sweep over the
-     * batch and the edge-list buffer is reused across shots (the
-     * all-pairs distance table is precomputed, so per-shot setup is
-     * the only scratch left to amortize).
+     * batch and the blossom edge-list buffer is reused across shots
+     * (the all-pairs distance table is precomputed, so per-shot setup
+     * is the only scratch left to amortize).
      */
     void decodeBatch(const ShotBatch& batch,
                      std::span<uint32_t> predictions,
@@ -44,6 +52,8 @@ class MwpmDecoder : public Decoder
 
   private:
     uint32_t decodeEvents(const std::vector<uint32_t>& events) const;
+    uint32_t decodeExact(const std::vector<uint32_t>& events) const;
+    uint32_t decodeBlossom(const std::vector<uint32_t>& events) const;
 
     MatchingGraph graph_;
 };

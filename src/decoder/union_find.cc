@@ -7,6 +7,7 @@
 #include <queue>
 #include <unordered_map>
 
+#include "decoder/exact_matching.h"
 #include "dem/shot_batch.h"
 #include "obs/obs.h"
 #include "util/logging.h"
@@ -89,7 +90,6 @@ struct Scratch
     std::vector<uint32_t> pairObs;
     std::vector<double> bndW;
     std::vector<uint32_t> bndObs;
-    std::vector<double> defLB;
     std::priority_queue<std::pair<double, uint32_t>,
                         std::vector<std::pair<double, uint32_t>>,
                         std::greater<std::pair<double, uint32_t>>>
@@ -495,12 +495,13 @@ UnionFindDecoder::decodeEvents(const std::vector<uint32_t>& events,
     auto& pairObs = s.pairObs;
     auto& bndW = s.bndW;
     auto& bndObs = s.bndObs;
-    auto& defLB = s.defLB;
 
     /**
      * Exact minimum-weight matching of one defect set (boundary
      * optional) over global shortest-path distances. Used for whole
-     * small syndromes (fast path) and for small grown clusters.
+     * small syndromes (fast path) and for small grown clusters: this
+     * fills the pair and boundary tables that matchDefectsExact
+     * solves.
      *
      * Defect-pair shortest paths are globally exact and memoized
      * across shots (a global distance does not depend on the shot).
@@ -511,7 +512,7 @@ UnionFindDecoder::decodeEvents(const std::vector<uint32_t>& events,
      * route through the boundary node -- boundary pairing is a
      * separate option, exactly as in the blossom formulation.
      */
-    auto matchDefectsExact = [&](const std::vector<uint32_t>& defects) {
+    auto matchExact = [&](const std::vector<uint32_t>& defects) {
         const size_t k = defects.size();
         // Lone defect: the precomputed boundary chain is the matching.
         if (k == 1) {
@@ -621,106 +622,12 @@ UnionFindDecoder::decodeEvents(const std::vector<uint32_t>& events,
             }
         }
 
-        // Exact minimum-weight matching of the defects (boundary
-        // optional), by branch-and-bound over pairings. Each defect
-        // must pay at least min(boundary, cheapest pair / 2) in any
-        // completion; the sum of those per-defect floors over the
-        // unmatched set is an admissible bound that prunes most of
-        // the pairing tree at the larger defect counts.
-        defLB.resize(k);
-        for (size_t i = 0; i < k; ++i) {
-            double floor_i = bndW[i];
-            for (size_t j = 0; j < k; ++j)
-                if (j != i)
-                    floor_i = std::min(floor_i, 0.5 * pairW[i * k + j]);
-            defLB[i] = std::isfinite(floor_i) ? floor_i : 0.0;
-        }
-        // A greedy nearest-available pairing seeds the incumbent, so
-        // the branch-and-bound starts with a near-optimal bound and
-        // spends its time proving optimality, not finding it. When the
-        // greedy weight already equals the optimum, keeping its answer
-        // is a legitimate minimum-weight (degenerate) solution.
-        double bestW = kInf;
-        uint32_t bestObs = 0;
-        uint32_t bestPairs = 0;
-        uint32_t bestBnds = 0;
-        if (k >= 5) {
-            uint32_t gUsed = 0;
-            double gW = 0.0;
-            uint32_t gObs = 0;
-            uint32_t gPairs = 0;
-            uint32_t gBnds = 0;
-            bool feasible = true;
-            for (size_t i = 0; i < k && feasible; ++i) {
-                if ((gUsed >> i) & 1u)
-                    continue;
-                double best = bndW[i];
-                int bj = -1;
-                for (size_t j = i + 1; j < k; ++j)
-                    if (!((gUsed >> j) & 1u)
-                        && pairW[i * k + j] < best) {
-                        best = pairW[i * k + j];
-                        bj = static_cast<int>(j);
-                    }
-                if (!std::isfinite(best)) {
-                    feasible = false;
-                    break;
-                }
-                gUsed |= 1u << i;
-                if (bj >= 0) {
-                    gUsed |= 1u << bj;
-                    gObs ^= pairObs[i * k + static_cast<size_t>(bj)];
-                    ++gPairs;
-                } else {
-                    gObs ^= bndObs[i];
-                    ++gBnds;
-                }
-                gW += best;
-            }
-            if (feasible) {
-                bestW = gW;
-                bestObs = gObs;
-                bestPairs = gPairs;
-                bestBnds = gBnds;
-            }
-        }
-        auto search = [&](auto&& self, uint32_t used, double w,
-                          double lbRemaining, uint32_t o,
-                          uint32_t pairs, uint32_t bnds) -> void {
-            if (w + lbRemaining >= bestW)
-                return;
-            size_t i = 0;
-            while (i < k && ((used >> i) & 1u))
-                ++i;
-            if (i == k) {
-                bestW = w;
-                bestObs = o;
-                bestPairs = pairs;
-                bestBnds = bnds;
-                return;
-            }
-            uint32_t mi = used | (1u << i);
-            if (std::isfinite(bndW[i]))
-                self(self, mi, w + bndW[i], lbRemaining - defLB[i],
-                     o ^ bndObs[i], pairs, bnds + 1);
-            for (size_t j = i + 1; j < k; ++j) {
-                if ((used >> j) & 1u)
-                    continue;
-                double wij = pairW[i * k + j];
-                if (std::isfinite(wij))
-                    self(self, mi | (1u << j), w + wij,
-                         lbRemaining - defLB[i] - defLB[j],
-                         o ^ pairObs[i * k + j], pairs + 1, bnds);
-            }
-        };
-        double lb0 = 0.0;
-        for (size_t i = 0; i < k; ++i)
-            lb0 += defLB[i];
-        search(search, 0, 0.0, lb0, 0, 0, 0);
-        if (std::isfinite(bestW)) {
-            obs ^= bestObs;
-            matchedPairs += bestPairs;
-            boundaryMatches += bestBnds;
+        const ExactMatching m =
+            matchDefectsExact(pairW, pairObs, bndW, bndObs);
+        if (m.found) {
+            obs ^= m.observables;
+            matchedPairs += m.pairs;
+            boundaryMatches += m.boundaryMatches;
         }
     };
 
@@ -735,7 +642,7 @@ UnionFindDecoder::decodeEvents(const std::vector<uint32_t>& events,
                 obs::Counter::get("uf.decode.exact_fastpath");
             fastPath.add(1);
         }
-        matchDefectsExact(events);
+        matchExact(events);
         if (info) {
             info->initialClusters =
                 static_cast<uint32_t>(events.size());
@@ -1059,7 +966,7 @@ UnionFindDecoder::decodeEvents(const std::vector<uint32_t>& events,
         if (defects.size() > kExactMatching || erased || hasExit)
             peelForest(r, defects, hasExit, exitVertex, exitObs);
         else
-            matchDefectsExact(defects);
+            matchExact(defects);
         s.clusterEdges[r].clear();
         s.clusterDefects[r].clear();
     }

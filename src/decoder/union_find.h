@@ -6,6 +6,7 @@
 
 #include "decoder/decoder.h"
 #include "decoder/decoding_graph.h"
+#include "decoder/exact_matching.h"
 #include "dem/detector_model.h"
 
 namespace vlq {
@@ -24,13 +25,14 @@ struct UnionFindOptions
      * Syndromes with at most this many detection events skip cluster
      * growth entirely and get one exact minimum-weight matching of
      * all defects over global shortest-path distances -- the same
-     * formulation as the blossom decoder, solved by branch-and-bound,
-     * so small syndromes (the bulk of every below-threshold shot) are
+     * formulation as the blossom decoder, solved by matchDefectsExact
+     * (the solver MwpmDecoder uses below the same event count), so
+     * small syndromes (the bulk of every below-threshold shot) are
      * decoded MWPM-exactly at a fraction of the growth path's cost.
      * 0 disables the fast path (tests of the growth machinery do
      * this); values are clamped to 16 to bound the branch-and-bound.
      */
-    uint32_t exactSyndromeThreshold = 10;
+    uint32_t exactSyndromeThreshold = kExactMatchingMaxDefects;
 };
 
 /**

@@ -173,6 +173,16 @@ buildReportJson()
                              / static_cast<double>(exact + growth));
             first = false;
         }
+        uint64_t mwpmExact = snap.counter("mwpm.decode.exact");
+        uint64_t mwpmBlossom = snap.counter("mwpm.decode.blossom");
+        if (mwpmExact + mwpmBlossom > 0) {
+            out += std::string(first ? "\n" : ",\n")
+                + "\"mwpm_exact_hit_rate\":"
+                + jsonNumber(static_cast<double>(mwpmExact)
+                             / static_cast<double>(mwpmExact
+                                                   + mwpmBlossom));
+            first = false;
+        }
         uint64_t shots = snap.counter("sampler.shots");
         if (shots > 0 && wall > 0.0) {
             out += std::string(first ? "\n" : ",\n")

@@ -12,9 +12,9 @@ namespace obs {
  * Structured end-of-run report: everything a perf claim needs in one
  * JSON document -- per-point throughput, the merged metric registry
  * (stage latency histograms with quantiles, pipeline counters, the UF
- * fast-path hit rate), and the run's wall/CPU split. Written by the
- * --metrics-json / VLQ_METRICS_JSON knobs of the scan executables and
- * validated in CI by tools/check_metrics.py.
+ * fast-path and MWPM exact-path hit rates), and the run's wall/CPU
+ * split. Written by the --metrics-json / VLQ_METRICS_JSON knobs of the
+ * scan executables and validated in CI by tools/check_metrics.py.
  *
  * Schema (referenced by check_metrics.py and README):
  *
@@ -28,7 +28,8 @@ namespace obs {
  *    "gauges": {name: value},
  *    "histograms": {name: {"unit": "ns", "count", "sum", "mean",
  *                          "min", "max", "p50", "p90", "p99"}},
- *    "derived": {"uf_fastpath_hit_rate"?, "total_shots_per_sec"?}}
+ *    "derived": {"uf_fastpath_hit_rate"?, "mwpm_exact_hit_rate"?,
+ *                "total_shots_per_sec"?, "trivial_shot_fraction"?}}
  */
 
 /** One Monte-Carlo data point's contribution to the report. */

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "decoder/blossom.h"
+#include "decoder/exact_matching.h"
 #include "util/rng.h"
 
 namespace vlq {
@@ -312,6 +314,142 @@ TEST(Blossom, LargeCompleteGraphRuns)
     auto mate = maxWeightMatching(n, edges, true);
     for (int v = 0; v < n; ++v)
         EXPECT_GE(mate[static_cast<size_t>(v)], 0);
+}
+
+/**
+ * Every matching of a k-defect instance (each defect paired or sent to
+ * the boundary over finite entries), as (weight, observable mask).
+ */
+void
+enumerateDefectMatchings(size_t k, const std::vector<double>& pairW,
+                         const std::vector<uint32_t>& pairObs,
+                         const std::vector<double>& bndW,
+                         const std::vector<uint32_t>& bndObs,
+                         std::vector<bool>& used, double w, uint32_t obs,
+                         std::vector<std::pair<double, uint32_t>>& out)
+{
+    size_t i = 0;
+    while (i < k && used[i])
+        ++i;
+    if (i == k) {
+        out.push_back({w, obs});
+        return;
+    }
+    used[i] = true;
+    if (std::isfinite(bndW[i]))
+        enumerateDefectMatchings(k, pairW, pairObs, bndW, bndObs, used,
+                                 w + bndW[i], obs ^ bndObs[i], out);
+    for (size_t j = i + 1; j < k; ++j) {
+        if (used[j] || !std::isfinite(pairW[i * k + j]))
+            continue;
+        used[j] = true;
+        enumerateDefectMatchings(k, pairW, pairObs, bndW, bndObs, used,
+                                 w + pairW[i * k + j],
+                                 obs ^ pairObs[i * k + j], out);
+        used[j] = false;
+    }
+    used[i] = false;
+}
+
+/**
+ * The decoders' shared exact matcher against brute force. A k-defect
+ * instance is a maximum-weight matching on k vertices: pairing i with
+ * j gains bnd_i + bnd_j - w_ij over sending both to the boundary. A
+ * forbidden boundary entry costs a huge finite weight there, so an
+ * instance with no finite matching shows up as a brute-force optimum
+ * that pays it.
+ */
+TEST(ExactMatching, MatchesBruteForceOnRandomInstances)
+{
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    constexpr double kForbidden = 1e6;
+    Rng rng(0xe8ac7);
+    int feasible = 0;
+    int infeasible = 0;
+    for (int trial = 0; trial < 600; ++trial) {
+        const size_t k = 1 + static_cast<size_t>(trial % 10);
+        // Half-integer weights make equal-weight matchings common;
+        // every third instance forbids about half of its entries.
+        const double pForbid = trial % 3 == 0 ? 0.5 : 0.1;
+        auto weight = [&] {
+            return rng.nextDouble() < pForbid
+                ? kInf
+                : std::round(rng.nextDouble() * 20.0) / 2.0;
+        };
+        std::vector<double> pairW(k * k, kInf);
+        std::vector<uint32_t> pairObs(k * k, 0);
+        std::vector<double> bndW(k);
+        std::vector<uint32_t> bndObs(k);
+        for (size_t i = 0; i < k; ++i) {
+            bndW[i] = weight();
+            bndObs[i] = static_cast<uint32_t>(rng.nextBelow(256));
+            for (size_t j = i + 1; j < k; ++j) {
+                pairW[i * k + j] = pairW[j * k + i] = weight();
+                pairObs[i * k + j] = pairObs[j * k + i] =
+                    static_cast<uint32_t>(rng.nextBelow(256));
+            }
+        }
+        ExactMatching got =
+            matchDefectsExact(pairW, pairObs, bndW, bndObs);
+
+        std::vector<double> bndCost(k);
+        double allBoundary = 0.0;
+        for (size_t i = 0; i < k; ++i) {
+            bndCost[i] = std::isfinite(bndW[i]) ? bndW[i] : kForbidden;
+            allBoundary += bndCost[i];
+        }
+        std::vector<MatchEdge> gains;
+        for (size_t i = 0; i < k; ++i)
+            for (size_t j = i + 1; j < k; ++j)
+                if (std::isfinite(pairW[i * k + j]))
+                    gains.push_back(MatchEdge{
+                        static_cast<int>(i), static_cast<int>(j),
+                        bndCost[i] + bndCost[j] - pairW[i * k + j]});
+        BruteForce bf(static_cast<int>(k), gains);
+        std::vector<bool> used(k, false);
+        const double best = allBoundary - bf.best(used, false).second;
+
+        if (best >= kForbidden / 2) {
+            ++infeasible;
+            EXPECT_FALSE(got.found) << "trial " << trial << " k=" << k;
+            continue;
+        }
+        ++feasible;
+        ASSERT_TRUE(got.found) << "trial " << trial << " k=" << k;
+        EXPECT_NEAR(got.weight, best, 1e-9)
+            << "trial " << trial << " k=" << k;
+        EXPECT_EQ(2 * got.pairs + got.boundaryMatches, k);
+        // The mask must be that of some minimum-weight matching.
+        std::vector<std::pair<double, uint32_t>> all;
+        std::vector<bool> mark(k, false);
+        enumerateDefectMatchings(k, pairW, pairObs, bndW, bndObs, mark,
+                                 0.0, 0, all);
+        bool fromMinimum = false;
+        for (const auto& [w, o] : all)
+            fromMinimum |= o == got.observables && w <= best + 1e-9;
+        EXPECT_TRUE(fromMinimum) << "trial " << trial << " k=" << k
+                                 << " mask " << got.observables;
+    }
+    EXPECT_GT(feasible, 400);
+    EXPECT_GT(infeasible, 10);
+}
+
+TEST(ExactMatching, TiesPreferTheBoundary)
+{
+    // Pairing the two defects costs exactly what two boundary chains
+    // cost; the solver branches boundary-first and keeps the first
+    // optimum it finds.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    std::vector<double> pairW{kInf, 2.0, 2.0, kInf};
+    std::vector<uint32_t> pairObs{0, 1, 1, 0};
+    std::vector<double> bndW{1.0, 1.0};
+    std::vector<uint32_t> bndObs{2, 4};
+    ExactMatching m = matchDefectsExact(pairW, pairObs, bndW, bndObs);
+    ASSERT_TRUE(m.found);
+    EXPECT_EQ(m.weight, 2.0);
+    EXPECT_EQ(m.observables, 6u);
+    EXPECT_EQ(m.boundaryMatches, 2u);
+    EXPECT_EQ(m.pairs, 0u);
 }
 
 } // namespace

@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "core/generator_common.h"
+#include "decoder/blossom.h"
+#include "decoder/exact_matching.h"
 #include "decoder/matching_graph.h"
 #include "decoder/mwpm_decoder.h"
 #include "dem/detector_model.h"
+#include "dem/sampler.h"
 #include "sim/frame.h"
+#include "util/rng.h"
 
 namespace vlq {
 namespace {
@@ -255,6 +260,225 @@ TEST(MatchingGraphTest, FewForcedPairings)
         EXPECT_EQ(g.stats().forcedPairings, 0u)
             << "embedding " << embInt;
     }
+}
+
+TEST(MatchingGraphDeathTest, RejectsObservablesAboveBitSeven)
+{
+    // The dense table keeps 8 mask bits per path; a 9th observable
+    // would decode wrong silently, so building must refuse it.
+    DecodingGraph g(2);
+    g.addContribution(0, 1, 0.01, 1u << 7);
+    g.addContribution(1, g.boundaryNode(), 0.01, 0);
+    g.addContribution(0, g.boundaryNode(), 0.02, 1u << 8);
+    g.finalize();
+    EXPECT_DEATH(MatchingGraph::build(g), "8 bits");
+
+    DecodingGraph ok(2);
+    ok.addContribution(0, 1, 0.01, 1u << 7);
+    ok.addContribution(1, ok.boundaryNode(), 0.01, 0);
+    ok.finalize();
+    MatchingGraph built = MatchingGraph::build(ok);
+    EXPECT_EQ(built.pathObservables(0, 1), 1u << 7);
+}
+
+/** A matching's total weight and the XOR of its observable masks. */
+struct MatchingAnswer
+{
+    double weight = 0.0;
+    uint32_t observables = 0;
+};
+
+/**
+ * Blossom reference: the complete-graph formulation over the decoder's
+ * own distance table (each event with a private boundary copy, copies
+ * joined at zero weight), solved by minWeightPerfectMatching.
+ */
+MatchingAnswer
+blossomReference(const MatchingGraph& g,
+                 const std::vector<uint32_t>& events)
+{
+    const int m = static_cast<int>(events.size());
+    std::vector<MatchEdge> edges;
+    for (int i = 0; i < m; ++i) {
+        const uint32_t ei = events[static_cast<size_t>(i)];
+        for (int j = i + 1; j < m; ++j) {
+            double w = g.distance(ei, events[static_cast<size_t>(j)]);
+            if (std::isfinite(w))
+                edges.push_back(MatchEdge{i, j, w});
+        }
+        if (std::isfinite(g.boundaryDistance(ei)))
+            edges.push_back(MatchEdge{i, m + i, g.boundaryDistance(ei)});
+        for (int j = i + 1; j < m; ++j)
+            edges.push_back(MatchEdge{m + i, m + j, 0.0});
+    }
+    std::vector<int> mate = minWeightPerfectMatching(2 * m, edges);
+    MatchingAnswer ref;
+    for (int i = 0; i < m; ++i) {
+        const uint32_t ei = events[static_cast<size_t>(i)];
+        const int j = mate[static_cast<size_t>(i)];
+        if (j == m + i) {
+            ref.weight += g.boundaryDistance(ei);
+            ref.observables ^= g.boundaryObservables(ei);
+        } else if (j > i && j < m) {
+            const uint32_t ej = events[static_cast<size_t>(j)];
+            ref.weight += g.distance(ei, ej);
+            ref.observables ^= g.pathObservables(ei, ej);
+        }
+    }
+    return ref;
+}
+
+/** Every event-pair / event-boundary matching, as (weight, mask). */
+void
+enumerateMatchings(const MatchingGraph& g,
+                   const std::vector<uint32_t>& events,
+                   std::vector<bool>& used, MatchingAnswer partial,
+                   std::vector<MatchingAnswer>& out)
+{
+    size_t i = 0;
+    while (i < events.size() && used[i])
+        ++i;
+    if (i == events.size()) {
+        out.push_back(partial);
+        return;
+    }
+    used[i] = true;
+    if (std::isfinite(g.boundaryDistance(events[i])))
+        enumerateMatchings(
+            g, events, used,
+            {partial.weight + g.boundaryDistance(events[i]),
+             partial.observables ^ g.boundaryObservables(events[i])},
+            out);
+    for (size_t j = i + 1; j < events.size(); ++j) {
+        const double w = g.distance(events[i], events[j]);
+        if (used[j] || !std::isfinite(w))
+            continue;
+        used[j] = true;
+        enumerateMatchings(
+            g, events, used,
+            {partial.weight + w,
+             partial.observables
+                 ^ g.pathObservables(events[i], events[j])},
+            out);
+        used[j] = false;
+    }
+    used[i] = false;
+}
+
+/**
+ * MwpmDecoder's prediction against the blossom reference: the same
+ * mask, or (on a small syndrome, where the exact matcher answers and
+ * may pick another of several optima) the mask of a matching whose
+ * weight equals the reference's up to blossom's 2^-20 weight scaling.
+ * Larger syndromes reach blossom itself and must agree exactly.
+ */
+::testing::AssertionResult
+agreesWithBlossom(const MwpmDecoder& mwpm, const BitVec& det)
+{
+    const std::vector<uint32_t> events = det.onesIndices();
+    const uint32_t got = mwpm.decode(det);
+    if (events.empty())
+        return got == 0 ? ::testing::AssertionSuccess()
+                        : ::testing::AssertionFailure()
+                              << "empty syndrome predicted " << got;
+    const MatchingAnswer ref = blossomReference(mwpm.graph(), events);
+    if (got == ref.observables)
+        return ::testing::AssertionSuccess();
+    if (events.size() > kExactMatchingMaxDefects)
+        return ::testing::AssertionFailure()
+            << events.size() << " events: predicted " << got
+            << ", blossom " << ref.observables;
+    std::vector<MatchingAnswer> all;
+    std::vector<bool> used(events.size(), false);
+    enumerateMatchings(mwpm.graph(), events, used, {}, all);
+    for (const MatchingAnswer& a : all)
+        if (a.observables == got && a.weight <= ref.weight + 1e-4)
+            return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+        << events.size() << " events: predicted " << got
+        << " is not a minimum-weight mask (blossom " << ref.observables
+        << ", weight " << ref.weight << ")";
+}
+
+TEST(MwpmDecoderTest, AgreesWithBlossomOnEveryFaultPairAtDistanceThree)
+{
+    GeneratorConfig cfg = configFor(3, 2e-3,
+                                    ExtractionSchedule::AllAtOnce);
+    GeneratedCircuit gen = generateBaselineMemory(cfg);
+    DetectorErrorModel dem = DetectorErrorModel::build(gen.circuit);
+    MwpmDecoder mwpm(dem);
+
+    int singles = 0;
+    for (const auto& ch : dem.channels()) {
+        for (const auto& o : ch.outcomes) {
+            BitVec det(dem.numDetectors());
+            for (uint32_t d : o.detectors)
+                det.flip(d);
+            ASSERT_TRUE(agreesWithBlossom(mwpm, det))
+                << "op " << ch.opIndex;
+            ++singles;
+        }
+    }
+    EXPECT_GT(singles, 100);
+
+    const auto& chs = dem.channels();
+    int pairs = 0;
+    for (size_t i = 0; i < chs.size(); ++i) {
+        for (size_t j = i + 1; j < chs.size(); ++j) {
+            BitVec det(dem.numDetectors());
+            for (uint32_t d : chs[i].outcomes.front().detectors)
+                det.flip(d);
+            for (uint32_t d : chs[j].outcomes.front().detectors)
+                det.flip(d);
+            ASSERT_TRUE(agreesWithBlossom(mwpm, det))
+                << "pair " << i << "," << j;
+            ++pairs;
+        }
+    }
+    EXPECT_GT(pairs, 30000);
+}
+
+/** Shots of a seeded sample that reach each MWPM solver. */
+struct SolverMix
+{
+    int exact = 0;   // 1..10 events
+    int blossom = 0; // more than 10 events
+};
+
+SolverMix
+checkSampledShots(int d, double p, int shots, uint64_t seed)
+{
+    GeneratorConfig cfg = configFor(d, p, ExtractionSchedule::AllAtOnce);
+    GeneratedCircuit gen = generateBaselineMemory(cfg);
+    DetectorErrorModel dem = DetectorErrorModel::build(gen.circuit);
+    FaultSampler sampler(dem);
+    MwpmDecoder mwpm(dem);
+    Rng root(seed);
+    BitVec det(dem.numDetectors());
+    uint32_t obsFlips = 0;
+    SolverMix mix;
+    for (int s = 0; s < shots; ++s) {
+        Rng rng = root.split(static_cast<uint64_t>(s));
+        sampler.sampleInto(rng, det, obsFlips);
+        EXPECT_TRUE(agreesWithBlossom(mwpm, det))
+            << "d=" << d << " p=" << p << " shot " << s;
+        const size_t events = det.onesIndices().size();
+        if (events > kExactMatchingMaxDefects)
+            ++mix.blossom;
+        else if (events > 0)
+            ++mix.exact;
+    }
+    return mix;
+}
+
+TEST(MwpmDecoderTest, AgreesWithBlossomOnSampledShots)
+{
+    // Below threshold the exact matcher answers; above it the shots
+    // outgrow the 10-event limit and blossom does.
+    SolverMix below = checkSampledShots(5, 1e-3, 2000, 0xb10550);
+    SolverMix above = checkSampledShots(7, 1e-2, 300, 0xb10551);
+    EXPECT_GT(below.exact, 500);
+    EXPECT_GT(above.blossom, 200);
 }
 
 } // namespace

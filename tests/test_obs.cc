@@ -282,6 +282,36 @@ TEST(ObsReport, EndOfRunReportIsValidJsonWithPipelineMetrics)
     EXPECT_NE(json.find("\"sampler.sample_batch\""), std::string::npos);
 }
 
+TEST(ObsReport, MwpmCountsExactAndBlossomShots)
+{
+    obs::MetricsSnapshot before = obs::snapshotMetrics();
+    obs::setMetricsEnabled(true);
+    McOptions options;
+    options.trials = 400;
+    options.seed = 22;
+    options.decoder = DecoderKind::Mwpm;
+    options.batchSize = 64;
+    estimateLogicalErrorBasis(EmbeddingKind::Baseline2D,
+                              obsConfig(3, 9e-3), options);
+    obs::setMetricsEnabled(false);
+
+    // Every non-trivial shot takes one of the two solvers. (A compute
+    // backend's lookup tables are filled through decode() as well,
+    // so the solver counts may exceed the batch counts.)
+    obs::MetricsSnapshot snap = obs::snapshotMetrics();
+    auto delta = [&](const char* name) {
+        return snap.counter(name) - before.counter(name);
+    };
+    EXPECT_GT(delta("mwpm.decode.exact"), 0u);
+    EXPECT_GE(delta("mwpm.decode.exact") + delta("mwpm.decode.blossom"),
+              delta("decode.shots") - delta("decode.trivial_shots"));
+
+    std::string json = obs::buildReportJson();
+    std::string err;
+    EXPECT_TRUE(obs::jsonLint(json, &err)) << err;
+    EXPECT_NE(json.find("\"mwpm_exact_hit_rate\""), std::string::npos);
+}
+
 TEST(ObsReport, MetricsOnDoesNotPerturbCounts)
 {
     GeneratorConfig cfg = obsConfig(3, 9e-3);

@@ -151,7 +151,8 @@ def check_report(ck, doc, args):
     derived = doc.get("derived")
     if ck.check(isinstance(derived, dict),
                 "derived: missing or not an object"):
-        for rate_key in ("uf_fastpath_hit_rate", "trivial_shot_fraction"):
+        for rate_key in ("uf_fastpath_hit_rate", "mwpm_exact_hit_rate",
+                         "trivial_shot_fraction"):
             if rate_key in derived:
                 rate = ck.number(derived, "derived", rate_key, minimum=0)
                 if rate is not None:
