@@ -147,8 +147,8 @@ decodeTimingTable(CsvWriter* csv)
             std::unique_ptr<Decoder> dec = makeDecoder(kind, dem);
             uint32_t sink = 0;
             // Warm-up pass: long Monte-Carlo scans run decoders in
-            // steady state (union-find memoizes pair distances across
-            // shots), so that is what gets timed.
+            // steady state (each decoder fills its shortest-path rows
+            // on first use), so that is what gets timed.
             for (const BitVec& det : dets)
                 sink ^= dec->decode(det);
             auto t0 = std::chrono::steady_clock::now();

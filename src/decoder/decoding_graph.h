@@ -31,8 +31,8 @@ struct DecodingEdge
  * log-likelihood ratios ln((1-p)/p).
  *
  * This is the shared substrate of all decoder backends: the matching
- * path runs all-pairs shortest paths over it, and the union-find path
- * grows clusters directly on the adjacency lists.
+ * path fills single-source shortest-path rows over it on demand, and
+ * the union-find path grows clusters directly on the adjacency lists.
  */
 class DecodingGraph
 {

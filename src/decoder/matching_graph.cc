@@ -1,10 +1,11 @@
 #include "decoder/matching_graph.h"
 
-#include <algorithm>
 #include <limits>
 #include <queue>
 #include <string>
+#include <vector>
 
+#include "obs/obs.h"
 #include "util/logging.h"
 
 namespace vlq {
@@ -13,7 +14,7 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/** Observable bits the 8-bit path-mask table can hold. */
+/** Observable bits the 8-bit path masks can hold. */
 constexpr uint32_t kObservableMask = 0xFF;
 
 } // namespace
@@ -25,10 +26,10 @@ MatchingGraph::build(const DetectorErrorModel& dem)
 }
 
 MatchingGraph
-MatchingGraph::build(const DecodingGraph& graph)
+MatchingGraph::build(DecodingGraph graph)
 {
     // Path masks are XORs of edge masks, so checking the edges bounds
-    // every entry of the 8-bit table.
+    // every entry of every 8-bit row.
     for (const DecodingEdge& e : graph.edges()) {
         if ((e.observables & ~kObservableMask) != 0) {
             std::string msg = "matching decoders store observable masks "
@@ -41,74 +42,68 @@ MatchingGraph::build(const DecodingGraph& graph)
         }
     }
 
-    MatchingGraph g;
-    g.numNodes_ = graph.numDetectors();
-    g.edgeCount_ = graph.edges().size();
-    g.stats_ = graph.stats();
+    return MatchingGraph(std::move(graph));
+}
 
-    const uint32_t n = g.stride();
-    g.dist_.assign(static_cast<size_t>(n) * n,
-                   std::numeric_limits<float>::infinity());
-    g.obs_.assign(static_cast<size_t>(n) * n, 0);
+MatchingGraph::MatchingGraph(DecodingGraph graph)
+    : graph_(std::move(graph)), rows_(graph_.numNodes(), graph_.numNodes())
+{
+}
 
-    std::vector<double> dist(n);
-    std::vector<uint32_t> pobs(n);
+MatchingGraph::Row
+MatchingGraph::row(uint32_t a) const
+{
+    return rows_.get(
+        a,
+        [this](uint32_t src, std::span<float> dist,
+               std::span<uint8_t> pathObs) {
+            fillRow(src, dist, pathObs);
+        },
+        [] {
+            if (obs::metricsEnabled()) {
+                static const obs::Counter filled =
+                    obs::Counter::get("matching.rows_filled");
+                filled.add(1);
+            }
+        });
+}
+
+void
+MatchingGraph::fillRow(uint32_t src, std::span<float> dist,
+                       std::span<uint8_t> pathObs) const
+{
+    // Plain Dijkstra in double precision over every node, boundary
+    // included, rounded into the row at the end.
+    const DecodingGraph::SoA& g = graph_.soa();
+    thread_local std::vector<double> d;
+    thread_local std::vector<uint32_t> pobs;
+    d.assign(dist.size(), kInf);
+    pobs.assign(dist.size(), 0);
+    d[src] = 0.0;
     using QItem = std::pair<double, uint32_t>;
-    for (uint32_t src = 0; src < n; ++src) {
-        std::fill(dist.begin(), dist.end(), kInf);
-        std::fill(pobs.begin(), pobs.end(), 0u);
-        dist[src] = 0.0;
-        std::priority_queue<QItem, std::vector<QItem>,
-                            std::greater<QItem>> pq;
-        pq.push({0.0, src});
-        while (!pq.empty()) {
-            auto [d, v] = pq.top();
-            pq.pop();
-            if (d > dist[v])
-                continue;
-            for (uint32_t ei : graph.incidentEdges(v)) {
-                const DecodingEdge& e = graph.edges()[ei];
-                uint32_t to = e.a == v ? e.b : e.a;
-                double nd = d + e.weight;
-                if (nd < dist[to]) {
-                    dist[to] = nd;
-                    pobs[to] = pobs[v] ^ e.observables;
-                    pq.push({nd, to});
-                }
+    std::priority_queue<QItem, std::vector<QItem>, std::greater<QItem>> pq;
+    pq.push({0.0, src});
+    while (!pq.empty()) {
+        auto [dv, v] = pq.top();
+        pq.pop();
+        if (dv > d[v])
+            continue;
+        for (uint32_t si = g.vertexBegin[v]; si < g.vertexBegin[v + 1];
+             ++si) {
+            const uint32_t e = g.slotEdge[si];
+            const uint32_t to = g.slotOther[si];
+            const double nd = dv + g.edgeWeight[e];
+            if (nd < d[to]) {
+                d[to] = nd;
+                pobs[to] = pobs[v] ^ g.edgeObs[e];
+                pq.push({nd, to});
             }
         }
-        for (uint32_t t = 0; t < n; ++t) {
-            g.dist_[static_cast<size_t>(src) * n + t] =
-                static_cast<float>(dist[t]);
-            g.obs_[static_cast<size_t>(src) * n + t] =
-                static_cast<uint8_t>(pobs[t]);
-        }
     }
-    return g;
-}
-
-double
-MatchingGraph::distance(uint32_t a, uint32_t b) const
-{
-    return dist_[static_cast<size_t>(a) * stride() + b];
-}
-
-uint32_t
-MatchingGraph::pathObservables(uint32_t a, uint32_t b) const
-{
-    return obs_[static_cast<size_t>(a) * stride() + b];
-}
-
-double
-MatchingGraph::boundaryDistance(uint32_t a) const
-{
-    return distance(a, numNodes_);
-}
-
-uint32_t
-MatchingGraph::boundaryObservables(uint32_t a) const
-{
-    return pathObservables(a, numNodes_);
+    for (size_t t = 0; t < dist.size(); ++t) {
+        dist[t] = static_cast<float>(d[t]);
+        pathObs[t] = static_cast<uint8_t>(pobs[t]);
+    }
 }
 
 } // namespace vlq

@@ -2,67 +2,92 @@
 #define VLQ_DECODER_MATCHING_GRAPH_H
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "decoder/decoding_graph.h"
+#include "decoder/shortest_path_rows.h"
 #include "dem/detector_model.h"
 
 namespace vlq {
 
 /**
- * Dense all-pairs view of the decoding graph used by the matching
- * decoders (exact blossom MWPM and the greedy ablation).
+ * Shortest-path view of the decoding graph used by the matching
+ * decoders (exact MWPM and the greedy ablation).
  *
- * The sparse edge structure comes from DecodingGraph (shared with the
- * union-find backend); on top of it this precomputes all-pairs shortest
- * paths (with the XOR of observable masks along each path) so per-trial
- * decoding only needs table lookups. The masks are stored in 8 bits, so
- * the matching decoders handle observables 0-7 only.
+ * Owns the sparse DecodingGraph (shared in structure with the
+ * union-find backend) and serves shortest paths from it as rows: row a
+ * holds the path weight and the XOR of observable masks along the
+ * shortest path from detector a to every node, the boundary included.
+ * Building fills no row; a row is filled by one Dijkstra when a thread
+ * first asks for it, published without blocking, and shared by every
+ * thread after that (ShortestPathRows), so a decoder pays only for the
+ * detectors its syndromes touch. Paths may route through the boundary
+ * node. Weights are stored as floats and masks in 8 bits, so the
+ * matching decoders handle observables 0-7 only.
  */
 class MatchingGraph
 {
   public:
     using BuildStats = DecodingGraph::BuildStats;
+    using Row = ShortestPathRows<float, uint8_t>::Row;
 
     static MatchingGraph build(const DetectorErrorModel& dem);
 
     /**
-     * Run all-pairs shortest paths over an existing sparse graph.
-     * Exits with a fatal error when an edge flips an observable above
-     * 7, which the 8-bit mask table cannot represent.
+     * Serve shortest paths over an existing sparse graph. Exits with a
+     * fatal error when an edge flips an observable above 7, which the
+     * 8-bit masks cannot represent.
      */
-    static MatchingGraph build(const DecodingGraph& graph);
+    static MatchingGraph build(DecodingGraph graph);
 
     /** Number of detector nodes (excludes the boundary). */
-    uint32_t numNodes() const { return numNodes_; }
+    uint32_t numNodes() const { return graph_.numDetectors(); }
 
-    /** Shortest-path weight between two detectors. */
-    double distance(uint32_t a, uint32_t b) const;
+    /** Row index of the boundary: numNodes(). */
+    uint32_t boundaryNode() const { return graph_.boundaryNode(); }
 
-    /** XOR of observable masks along the shortest a-b path. */
-    uint32_t pathObservables(uint32_t a, uint32_t b) const;
+    /**
+     * Shortest paths from node a: dist[b] and obs[b] for every node b,
+     * boundaryNode() included. Thread-safe and never blocks; a call
+     * that finds the row unpublished fills it, and the call whose copy
+     * is published bumps the `matching.rows_filled` counter.
+     */
+    Row row(uint32_t a) const;
+
+    /** Shortest-path weight between two detectors (row a). */
+    double distance(uint32_t a, uint32_t b) const { return row(a).dist[b]; }
+
+    /** XOR of observable masks along the shortest a-b path (row a). */
+    uint32_t pathObservables(uint32_t a, uint32_t b) const
+    {
+        return row(a).obs[b];
+    }
 
     /** Shortest-path weight from a detector to the boundary. */
-    double boundaryDistance(uint32_t a) const;
+    double boundaryDistance(uint32_t a) const
+    {
+        return distance(a, boundaryNode());
+    }
 
     /** Observable mask along the shortest path to the boundary. */
-    uint32_t boundaryObservables(uint32_t a) const;
+    uint32_t boundaryObservables(uint32_t a) const
+    {
+        return pathObservables(a, boundaryNode());
+    }
 
-    const BuildStats& stats() const { return stats_; }
+    const BuildStats& stats() const { return graph_.stats(); }
 
     /** Number of distinct (deduplicated) edges, boundary included. */
-    size_t numEdges() const { return edgeCount_; }
+    size_t numEdges() const { return graph_.edges().size(); }
 
   private:
-    uint32_t numNodes_ = 0;
-    size_t edgeCount_ = 0;
-    BuildStats stats_;
+    explicit MatchingGraph(DecodingGraph graph);
 
-    // Dense tables: index boundary as node numNodes_.
-    std::vector<float> dist_;     // (numNodes_+1)^2
-    std::vector<uint8_t> obs_;    // observable masks along paths
+    void fillRow(uint32_t src, std::span<float> dist,
+                 std::span<uint8_t> pathObs) const;
 
-    uint32_t stride() const { return numNodes_ + 1; }
+    DecodingGraph graph_;
+    ShortestPathRows<float, uint8_t> rows_;
 };
 
 } // namespace vlq

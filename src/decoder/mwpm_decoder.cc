@@ -61,18 +61,19 @@ MwpmDecoder::decodeExact(const std::vector<uint32_t>& events) const
 {
     constexpr size_t kMax = kExactMatchingMaxDefects;
     const size_t k = events.size();
+    const uint32_t boundary = graph_.boundaryNode();
     std::array<double, kMax * kMax> pairW{};
     std::array<uint32_t, kMax * kMax> pairObs{};
     std::array<double, kMax> bndW{};
     std::array<uint32_t, kMax> bndObs{};
+    // Events ascend, so each pair reads the smaller event's row.
     for (size_t i = 0; i < k; ++i) {
-        bndW[i] = graph_.boundaryDistance(events[i]);
-        bndObs[i] = graph_.boundaryObservables(events[i]);
+        const MatchingGraph::Row row = graph_.row(events[i]);
+        bndW[i] = row.dist[boundary];
+        bndObs[i] = row.obs[boundary];
         for (size_t j = i + 1; j < k; ++j) {
-            pairW[i * k + j] = pairW[j * k + i] =
-                graph_.distance(events[i], events[j]);
-            pairObs[i * k + j] = pairObs[j * k + i] =
-                graph_.pathObservables(events[i], events[j]);
+            pairW[i * k + j] = pairW[j * k + i] = row.dist[events[j]];
+            pairObs[i * k + j] = pairObs[j * k + i] = row.obs[events[j]];
         }
     }
     const ExactMatching match = matchDefectsExact(
@@ -90,20 +91,24 @@ uint32_t
 MwpmDecoder::decodeBlossom(const std::vector<uint32_t>& events) const
 {
     const int m = static_cast<int>(events.size());
-    // Nodes 0..m-1: events; m..2m-1: private boundary copies. The edge
-    // buffer keeps its capacity across shots of a batch.
+    const uint32_t boundary = graph_.boundaryNode();
+    // Nodes 0..m-1: events; m..2m-1: private boundary copies. The row
+    // and edge buffers keep their capacity across shots of a batch.
+    static thread_local std::vector<MatchingGraph::Row> rows;
     static thread_local std::vector<MatchEdge> edges;
+    rows.clear();
+    for (uint32_t e : events)
+        rows.push_back(graph_.row(e));
     edges.clear();
     edges.reserve(static_cast<size_t>(m) * m + m);
     for (int i = 0; i < m; ++i) {
+        const MatchingGraph::Row& row = rows[static_cast<size_t>(i)];
         for (int j = i + 1; j < m; ++j) {
-            double w = graph_.distance(events[static_cast<size_t>(i)],
-                                       events[static_cast<size_t>(j)]);
+            double w = row.dist[events[static_cast<size_t>(j)]];
             if (std::isfinite(w))
                 edges.push_back(MatchEdge{i, j, w});
         }
-        double wb =
-            graph_.boundaryDistance(events[static_cast<size_t>(i)]);
+        double wb = row.dist[boundary];
         if (std::isfinite(wb))
             edges.push_back(MatchEdge{i, m + i, wb});
         for (int j = i + 1; j < m; ++j)
@@ -115,13 +120,11 @@ MwpmDecoder::decodeBlossom(const std::vector<uint32_t>& events) const
     uint32_t obs = 0;
     for (int i = 0; i < m; ++i) {
         int j = mate[static_cast<size_t>(i)];
-        if (j == m + i) {
-            obs ^= graph_.boundaryObservables(
-                events[static_cast<size_t>(i)]);
-        } else if (j > i && j < m) {
-            obs ^= graph_.pathObservables(events[static_cast<size_t>(i)],
-                                          events[static_cast<size_t>(j)]);
-        }
+        const MatchingGraph::Row& row = rows[static_cast<size_t>(i)];
+        if (j == m + i)
+            obs ^= row.obs[boundary];
+        else if (j > i && j < m)
+            obs ^= row.obs[events[static_cast<size_t>(j)]];
     }
     return obs;
 }
@@ -154,6 +157,7 @@ GreedyDecoder::decodeEvents(const std::vector<uint32_t>& events) const
     const size_t m = events.size();
     if (m == 0)
         return 0;
+    const uint32_t boundary = graph_.boundaryNode();
 
     struct Cand
     {
@@ -161,15 +165,19 @@ GreedyDecoder::decodeEvents(const std::vector<uint32_t>& events) const
         uint32_t i;
         uint32_t j; // j == i means boundary
     };
+    static thread_local std::vector<MatchingGraph::Row> rows;
     static thread_local std::vector<Cand> cands;
+    rows.clear();
+    for (uint32_t e : events)
+        rows.push_back(graph_.row(e));
     cands.clear();
     for (uint32_t i = 0; i < m; ++i) {
         for (uint32_t j = i + 1; j < m; ++j) {
-            double w = graph_.distance(events[i], events[j]);
+            double w = rows[i].dist[events[j]];
             if (std::isfinite(w))
                 cands.push_back(Cand{w, i, j});
         }
-        double wb = graph_.boundaryDistance(events[i]);
+        double wb = rows[i].dist[boundary];
         if (std::isfinite(wb))
             cands.push_back(Cand{wb, i, i});
     }
@@ -184,10 +192,10 @@ GreedyDecoder::decodeEvents(const std::vector<uint32_t>& events) const
             continue;
         used[c.i] = 1;
         if (c.j == c.i) {
-            obs ^= graph_.boundaryObservables(events[c.i]);
+            obs ^= rows[c.i].obs[boundary];
         } else {
             used[c.j] = 1;
-            obs ^= graph_.pathObservables(events[c.i], events[c.j]);
+            obs ^= rows[c.i].obs[events[c.j]];
         }
     }
     return obs;

@@ -16,14 +16,16 @@ namespace vlq {
  * likelihood perfect matching").
  *
  * Every detection event is matched to another event or to the
- * boundary, along precomputed shortest paths in the decoding graph, at
- * minimum total weight; the XOR of the observable masks along the
- * matched paths is the correction's effect on the logicals.
+ * boundary, along shortest paths in the decoding graph, at minimum
+ * total weight; the XOR of the observable masks along the matched
+ * paths is the correction's effect on the logicals. Each event's
+ * shortest-path row comes from the MatchingGraph, which fills it on
+ * first use and shares it across threads.
  *
  * Syndromes of at most kExactMatchingMaxDefects events -- nearly every
  * shot below threshold -- are solved by matchDefectsExact, the
  * branch-and-bound union-find's fast path also uses, on a table read
- * from the all-pairs distances. Larger syndromes go to the exact
+ * from the events' rows. Larger syndromes go to the exact
  * blossom algorithm: the events form a complete graph, each event also
  * gets a private boundary copy, and boundary copies interconnect at
  * zero weight so unused ones pair off. Both solvers are exact, so the
@@ -39,9 +41,9 @@ class MwpmDecoder : public Decoder
 
     /**
      * Batched decode: event lists come from one sparse sweep over the
-     * batch and the blossom edge-list buffer is reused across shots
-     * (the all-pairs distance table is precomputed, so per-shot setup
-     * is the only scratch left to amortize).
+     * batch and the row and blossom edge-list buffers are reused
+     * across shots (distances live in the shared rows, so per-shot
+     * setup is the only scratch left to amortize).
      */
     void decodeBatch(const ShotBatch& batch,
                      std::span<uint32_t> predictions,

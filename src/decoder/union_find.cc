@@ -5,7 +5,6 @@
 #include <cmath>
 #include <limits>
 #include <queue>
-#include <unordered_map>
 
 #include "decoder/exact_matching.h"
 #include "dem/shot_batch.h"
@@ -22,12 +21,11 @@ namespace {
  * allocate) and shared safely across decoder instances because decode()
  * never yields mid-use.
  *
- * Stamps (stamp, edgeStamp) compare against a monotonically increasing
- * per-thread counter instead of being cleared per shot, and the
- * Dijkstra arrays (dist, pathObs, finalized) are restored through
- * `touched` by every user: the exact-matching fast path therefore
- * touches only O(events) scratch state per shot. Only the growth path
- * pays the full per-shot reset of the cluster arenas.
+ * Stamps (stamp, claimStamp) compare against a monotonically increasing
+ * per-thread counter instead of being cleared per shot, so the
+ * exact-matching fast path touches only O(events) scratch state per
+ * shot. Only the growth path pays the full per-shot reset of the
+ * cluster arenas.
  */
 struct Scratch
 {
@@ -69,18 +67,12 @@ struct Scratch
     std::vector<uint8_t> erasedEdge;
     std::vector<std::pair<uint32_t, uint32_t>> erasedBoundary;
 
-    // Peeling state. Dijkstra arrays are cleared through `touched` so
-    // each search pays only for what it explored; the pair cache holds
-    // global defect-pair distances, which are shot-independent, so it
-    // persists across shots (keyed to the owning decoder's epoch).
+    // Peeling state.
     std::vector<std::vector<uint32_t>> clusterDefects; // by root
     std::vector<std::vector<uint32_t>> clusterEdges;   // by root
     std::vector<uint32_t> roots;
-    std::vector<uint32_t> touched;
-    std::vector<double> dist;
-    std::vector<uint32_t> pathObs;
-    std::vector<uint8_t> finalized;
-    // Large-cluster forest peel.
+    // Large-cluster forest peel; `visited` is restored through `order`.
+    std::vector<uint8_t> visited;
     std::vector<std::vector<uint32_t>> treeAdj; // by vertex
     std::vector<uint32_t> bfsVerts;
     std::vector<uint32_t> order;
@@ -90,28 +82,12 @@ struct Scratch
     std::vector<uint32_t> pairObs;
     std::vector<double> bndW;
     std::vector<uint32_t> bndObs;
-    std::priority_queue<std::pair<double, uint32_t>,
-                        std::vector<std::pair<double, uint32_t>>,
-                        std::greater<std::pair<double, uint32_t>>>
-        pq;
     uint64_t counter = 0; // stamp source; never reset
-    uint64_t cacheEpoch = 0;
-    std::unordered_map<uint64_t, std::pair<double, uint32_t>> pairCache;
-    // For small graphs the pair cache is a flat lazy matrix instead:
-    // O(1) array reads beat hash lookups ~10x, and the gather phase of
-    // the exact matcher is lookup-bound once the cache is warm.
-    uint32_t flatN = 0; // matrix side, 0 = use the hash map
-    std::vector<uint8_t> pairKnownFlat;
-    std::vector<double> pairDistFlat;
-    std::vector<uint32_t> pairObsFlat;
-    // Sources whose full distance row is already cached: the first
-    // cache miss from a defect vertex runs one full single-source
-    // Dijkstra and stores every reachable pair, so a warm steady state
-    // does no priority-queue work at all.
-    std::vector<uint8_t> srcDone;
+    uint64_t epoch = 0;   // decoder whose capacities `edge` carries
 
     /** Size arrays for a graph; clears nothing (fast-path entry). */
-    void ensure(uint32_t numNodes, uint32_t numEdges, uint64_t epoch,
+    void ensure(uint32_t numNodes, uint32_t numEdges,
+                uint64_t decoderEpoch,
                 const std::vector<uint16_t>& capacity)
     {
         if (parent.size() < numNodes) {
@@ -129,74 +105,25 @@ struct Scratch
             clusterEdges.resize(numNodes);
             treeAdj.resize(numNodes);
             parentEdge.resize(numNodes);
-            dist.resize(numNodes,
-                        std::numeric_limits<double>::infinity());
-            pathObs.resize(numNodes, 0);
-            finalized.resize(numNodes, 0);
+            visited.resize(numNodes, 0);
         }
         if (edge.size() < numEdges) {
             edge.resize(numEdges);
             erasedEdge.resize(numEdges, 0);
         }
-        if (cacheEpoch != epoch) {
-            cacheEpoch = epoch;
+        if (epoch != decoderEpoch) {
+            epoch = decoderEpoch;
             // The capacity copy rides in the consolidated edge record;
             // refresh it whenever the owning decoder changes.
             for (uint32_t e = 0; e < numEdges; ++e)
                 edge[e].capacity = capacity[e];
-            pairCache.clear();
-            // Covers d=11 surface-code DEMs (721 nodes, ~6.8 MB of
-            // flat matrix per thread); beyond that the quadratic
-            // footprint stops paying for itself and the hash map wins.
-            constexpr uint32_t kFlatCacheMaxNodes = 1024;
-            flatN = numNodes <= kFlatCacheMaxNodes ? numNodes : 0;
-            size_t cells = static_cast<size_t>(flatN) * flatN;
-            pairKnownFlat.assign(cells, 0);
-            pairDistFlat.resize(cells);
-            pairObsFlat.resize(cells);
-            srcDone.assign(numNodes, 0);
         }
-    }
-
-    bool cacheFind(uint32_t u, uint32_t v, double& w, uint32_t& o)
-    {
-        if (flatN) {
-            size_t idx = static_cast<size_t>(u) * flatN + v;
-            if (!pairKnownFlat[idx])
-                return false;
-            w = pairDistFlat[idx];
-            o = pairObsFlat[idx];
-            return true;
-        }
-        uint64_t key = (static_cast<uint64_t>(std::min(u, v)) << 32)
-            | std::max(u, v);
-        auto it = pairCache.find(key);
-        if (it == pairCache.end())
-            return false;
-        w = it->second.first;
-        o = it->second.second;
-        return true;
-    }
-
-    void cacheStore(uint32_t u, uint32_t v, double w, uint32_t o)
-    {
-        if (flatN) {
-            size_t a = static_cast<size_t>(u) * flatN + v;
-            size_t b = static_cast<size_t>(v) * flatN + u;
-            pairKnownFlat[a] = pairKnownFlat[b] = 1;
-            pairDistFlat[a] = pairDistFlat[b] = w;
-            pairObsFlat[a] = pairObsFlat[b] = o;
-            return;
-        }
-        uint64_t key = (static_cast<uint64_t>(std::min(u, v)) << 32)
-            | std::max(u, v);
-        pairCache.emplace(key, std::make_pair(w, o));
     }
 
     /** Per-shot reset of the node-side cluster arenas (growth-path
-     *  entry). The stamp, Dijkstra, and edge-growth arrays are
+     *  entry). The stamp, visited, and edge-growth arrays are
      *  deliberately left alone -- they are maintained by the
-     *  monotonic-counter / touched-list / claimStamp protocols. */
+     *  monotonic-counter / BFS-order / claimStamp protocols. */
     void reset(uint32_t numNodes)
     {
         for (uint32_t i = 0; i < numNodes; ++i)
@@ -215,7 +142,6 @@ struct Scratch
         roots.clear();
         bfsVerts.clear();
         order.clear();
-        touched.clear();
     }
 
     uint32_t find(uint32_t x)
@@ -274,10 +200,11 @@ UnionFindDecoder::UnionFindDecoder(DecodingGraph graph,
                                    UnionFindOptions options)
     : graph_(std::move(graph)),
       exactSyndromeThreshold_(
-          std::min<uint32_t>(options.exactSyndromeThreshold, 16))
+          std::min<uint32_t>(options.exactSyndromeThreshold, 16)),
+      pairRows_(graph_.numNodes(), graph_.numNodes())
 {
     static std::atomic<uint64_t> nextEpoch{1};
-    cacheEpoch_ = nextEpoch.fetch_add(1, std::memory_order_relaxed);
+    scratchEpoch_ = nextEpoch.fetch_add(1, std::memory_order_relaxed);
     uint32_t granularity = std::max<uint32_t>(options.granularity, 1);
     const double minW = graph_.minWeight();
     capacity_.resize(graph_.edges().size());
@@ -318,6 +245,61 @@ UnionFindDecoder::UnionFindDecoder(DecodingGraph graph,
                 boundaryDist_[to] = nd;
                 boundaryObs_[to] =
                     boundaryObs_[v] ^ soa.edgeObs[e];
+                pq.push({nd, to});
+            }
+        }
+    }
+}
+
+UnionFindDecoder::Rows::Row
+UnionFindDecoder::pairRow(uint32_t src) const
+{
+    return pairRows_.get(
+        src,
+        [this](uint32_t s, std::span<double> dist,
+               std::span<uint32_t> pathObs) {
+            fillPairRow(s, dist, pathObs);
+        },
+        [] {
+            if (obs::metricsEnabled()) {
+                static const obs::Counter filled =
+                    obs::Counter::get("uf.rows_filled");
+                filled.add(1);
+            }
+        });
+}
+
+void
+UnionFindDecoder::fillPairRow(uint32_t src, std::span<double> dist,
+                              std::span<uint32_t> pathObs) const
+{
+    const uint32_t boundary = graph_.boundaryNode();
+    const DecodingGraph::SoA& g = graph_.soa();
+    std::fill(dist.begin(), dist.end(),
+              std::numeric_limits<double>::infinity());
+    std::fill(pathObs.begin(), pathObs.end(), 0u);
+    thread_local std::vector<uint8_t> finalized;
+    finalized.assign(dist.size(), 0);
+    using QItem = std::pair<double, uint32_t>;
+    std::priority_queue<QItem, std::vector<QItem>, std::greater<QItem>> pq;
+    dist[src] = 0.0;
+    pq.push({0.0, src});
+    while (!pq.empty()) {
+        auto [d, x] = pq.top();
+        pq.pop();
+        if (finalized[x])
+            continue;
+        finalized[x] = 1;
+        for (uint32_t si = g.vertexBegin[x]; si < g.vertexBegin[x + 1];
+             ++si) {
+            uint32_t to = g.slotOther[si];
+            if (to == boundary)
+                continue;
+            uint32_t e = g.slotEdge[si];
+            double nd = d + g.edgeWeight[e];
+            if (nd < dist[to]) {
+                dist[to] = nd;
+                pathObs[to] = pathObs[x] ^ g.edgeObs[e];
                 pq.push({nd, to});
             }
         }
@@ -484,13 +466,12 @@ UnionFindDecoder::decodeEvents(const std::vector<uint32_t>& events,
     const DecodingGraph::SoA& g = graph_.soa();
 
     Scratch& s = scratch();
-    s.ensure(n, numEdges, cacheEpoch_, capacity_);
+    s.ensure(n, numEdges, scratchEpoch_, capacity_);
 
     constexpr double kInf = std::numeric_limits<double>::infinity();
     uint32_t obs = 0;
     uint32_t matchedPairs = 0;
     uint32_t boundaryMatches = 0;
-    auto& pq = s.pq;
     auto& pairW = s.pairW;
     auto& pairObs = s.pairObs;
     auto& bndW = s.bndW;
@@ -503,14 +484,12 @@ UnionFindDecoder::decodeEvents(const std::vector<uint32_t>& events,
      * fills the pair and boundary tables that matchDefectsExact
      * solves.
      *
-     * Defect-pair shortest paths are globally exact and memoized
-     * across shots (a global distance does not depend on the shot).
-     * The first cache miss from a source defect runs one full
-     * single-source Dijkstra and stores the entire row, so after the
-     * first few batches every query is a pure cache lookup and the
-     * steady-state decode does no priority-queue work. Paths never
-     * route through the boundary node -- boundary pairing is a
-     * separate option, exactly as in the blossom formulation.
+     * Defect-pair distances come from the decoder's shared rows, which
+     * never route through the boundary node -- boundary pairing is a
+     * separate option, exactly as in the blossom formulation. Defects
+     * ascend (events are extracted in index order and clusters collect
+     * them in that order), so each pair reads the smaller defect's row
+     * and the answer cannot depend on which thread filled which row.
      */
     auto matchExact = [&](const std::vector<uint32_t>& defects) {
         const size_t k = defects.size();
@@ -522,27 +501,24 @@ UnionFindDecoder::decodeEvents(const std::vector<uint32_t>& events,
             }
             return;
         }
-        // Defect pair with a warm cache: one compare, no arrays. Ties
-        // prefer the boundary, matching the branch-and-bound's order.
+        // Defect pair: one compare, no arrays. Ties prefer the
+        // boundary, matching the branch-and-bound's order.
         if (k == 2) {
-            double w;
-            uint32_t o;
-            if (s.cacheFind(defects[0], defects[1], w, o)) {
-                double b = boundaryDist_[defects[0]]
-                    + boundaryDist_[defects[1]];
-                if (w < b) {
-                    obs ^= o;
-                    ++matchedPairs;
-                } else if (std::isfinite(b)) {
-                    obs ^= boundaryObs_[defects[0]]
-                        ^ boundaryObs_[defects[1]];
-                    boundaryMatches += 2;
-                } else if (std::isfinite(w)) {
-                    obs ^= o;
-                    ++matchedPairs;
-                }
-                return;
+            const Rows::Row row = pairRow(defects[0]);
+            const double w = row.dist[defects[1]];
+            const uint32_t o = row.obs[defects[1]];
+            double b = boundaryDist_[defects[0]] + boundaryDist_[defects[1]];
+            if (w < b) {
+                obs ^= o;
+                ++matchedPairs;
+            } else if (std::isfinite(b)) {
+                obs ^= boundaryObs_[defects[0]] ^ boundaryObs_[defects[1]];
+                boundaryMatches += 2;
+            } else if (std::isfinite(w)) {
+                obs ^= o;
+                ++matchedPairs;
             }
+            return;
         }
         pairW.assign(k * k, kInf);
         pairObs.assign(k * k, 0);
@@ -552,73 +528,12 @@ UnionFindDecoder::decodeEvents(const std::vector<uint32_t>& events,
             bndW[i] = boundaryDist_[defects[i]];
             bndObs[i] = boundaryObs_[defects[i]];
         }
-
         for (size_t i = 0; i + 1 < k; ++i) {
-            uint32_t src = defects[i];
-            bool missing = false;
+            const Rows::Row row = pairRow(defects[i]);
             for (size_t j = i + 1; j < k; ++j) {
-                double w;
-                uint32_t o;
-                if (s.cacheFind(src, defects[j], w, o)) {
-                    pairW[i * k + j] = pairW[j * k + i] = w;
-                    pairObs[i * k + j] = pairObs[j * k + i] = o;
-                } else {
-                    missing = true;
-                }
-            }
-            if (!missing || s.srcDone[src])
-                continue; // leftover misses are unreachable pairs
-            // One full single-source Dijkstra (boundary excluded, as
-            // always for pair paths) fills src's whole row of the pair
-            // cache, so every later query against src -- from any
-            // shot -- is a pure lookup. Distances are unique and the
-            // observable mask of a shortest path is path-choice
-            // independent for bulk paths (a bulk cycle flips no
-            // logical), so filling the row eagerly is bit-identical
-            // to the old on-demand pruned searches.
-            s.srcDone[src] = 1;
-            s.dist[src] = 0.0;
-            s.touched.push_back(src);
-            pq.push({0.0, src});
-            while (!pq.empty()) {
-                auto [d, x] = pq.top();
-                pq.pop();
-                if (s.finalized[x])
-                    continue;
-                s.finalized[x] = 1;
-                if (x != src)
-                    s.cacheStore(src, x, d, s.pathObs[x]);
-                for (uint32_t si = g.vertexBegin[x];
-                     si < g.vertexBegin[x + 1]; ++si) {
-                    uint32_t to = g.slotOther[si];
-                    if (to == boundary)
-                        continue;
-                    uint32_t e = g.slotEdge[si];
-                    double nd = d + g.edgeWeight[e];
-                    if (nd < s.dist[to]) {
-                        if (s.dist[to] == kInf)
-                            s.touched.push_back(to);
-                        s.dist[to] = nd;
-                        s.pathObs[to] = s.pathObs[x] ^ g.edgeObs[e];
-                        pq.push({nd, to});
-                    }
-                }
-            }
-            for (uint32_t x : s.touched) {
-                s.dist[x] = kInf;
-                s.pathObs[x] = 0;
-                s.finalized[x] = 0;
-            }
-            s.touched.clear();
-            for (size_t j = i + 1; j < k; ++j) {
-                if (pairW[i * k + j] != kInf)
-                    continue;
-                double w;
-                uint32_t o;
-                if (s.cacheFind(src, defects[j], w, o)) {
-                    pairW[i * k + j] = pairW[j * k + i] = w;
-                    pairObs[i * k + j] = pairObs[j * k + i] = o;
-                }
+                pairW[i * k + j] = pairW[j * k + i] = row.dist[defects[j]];
+                pairObs[i * k + j] = pairObs[j * k + i] =
+                    row.obs[defects[j]];
             }
         }
 
@@ -897,13 +812,13 @@ UnionFindDecoder::decodeEvents(const std::vector<uint32_t>& events,
         uint32_t root = hasExit ? exitVertex : defects[0];
         s.order.clear();
         s.order.push_back(root);
-        s.finalized[root] = 1;
+        s.visited[root] = 1;
         for (size_t qi = 0; qi < s.order.size(); ++qi) {
             uint32_t v = s.order[qi];
             for (uint32_t e : s.treeAdj[v]) {
                 uint32_t to = g.edgeA[e] == v ? g.edgeB[e] : g.edgeA[e];
-                if (!s.finalized[to]) {
-                    s.finalized[to] = 1;
+                if (!s.visited[to]) {
+                    s.visited[to] = 1;
                     s.parentEdge[to] = e;
                     s.order.push_back(to);
                 }
@@ -931,7 +846,7 @@ UnionFindDecoder::decodeEvents(const std::vector<uint32_t>& events,
             }
         }
         for (uint32_t v : s.order)
-            s.finalized[v] = 0;
+            s.visited[v] = 0;
         for (uint32_t v : s.bfsVerts)
             s.treeAdj[v].clear();
         s.bfsVerts.clear();

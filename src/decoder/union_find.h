@@ -2,11 +2,13 @@
 #define VLQ_DECODER_UNION_FIND_H
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "decoder/decoder.h"
 #include "decoder/decoding_graph.h"
 #include "decoder/exact_matching.h"
+#include "decoder/shortest_path_rows.h"
 #include "dem/detector_model.h"
 
 namespace vlq {
@@ -57,16 +59,17 @@ struct UnionFindOptions
  * -- the bulk of the work below threshold -- get an exact
  * minimum-weight matching of their defects over global shortest-path
  * distances: the defect-to-boundary option comes from a table built by
- * one Dijkstra at construction, and defect-pair distances from lazy
- * target-directed Dijkstras memoized across shots (global distances do
- * not depend on the shot, so the cache preserves reproducibility; a
- * pair costing more than its two boundary chains combined is provably
- * never matched, which bounds each search). Large clusters fall back
- * to the classic linear peel of a spanning forest of their grown
- * edges. The XOR of observable masks along the chosen paths is the
- * correction. No all-pairs tables and no global blossom search: the
- * fast backend for large-distance Monte-Carlo scans, agreeing with
- * MWPM on small syndromes up to genuine weight degeneracy.
+ * one Dijkstra at construction, and defect-pair distances from the
+ * decoder's shortest-path rows (ShortestPathRows), each filled by one
+ * boundary-excluded Dijkstra when a thread first needs it, published
+ * without blocking, and shared by every thread after that. Every pair
+ * is read from the smaller defect's row, so no answer depends on which
+ * thread filled which row. Large clusters fall back to the classic
+ * linear peel of a spanning forest of their grown edges. The XOR of
+ * observable masks along the chosen paths is the correction. No global
+ * blossom search: the fast backend for large-distance Monte-Carlo
+ * scans, agreeing with MWPM on small syndromes up to genuine weight
+ * degeneracy.
  *
  * Syndromes below UnionFindOptions::exactSyndromeThreshold events
  * short-circuit growth altogether (see the option's doc): the scratch
@@ -97,11 +100,10 @@ class UnionFindDecoder : public Decoder
 
     /**
      * Batched decode: per-shot event lists are gathered with one
-     * sparse sweep over the transposed batch, and the cluster arenas
-     * and the memoized pair-distance cache stay hot across the whole
-     * batch (they are thread-local, so cross-shot reuse is free).
-     * When the batch carries heralded-erasure rows, each shot's
-     * erased edges are seeded at zero weight (see decodeWithErasures).
+     * sparse sweep over the transposed batch, and the thread-local
+     * cluster arenas stay hot across the whole batch. When the batch
+     * carries heralded-erasure rows, each shot's erased edges are
+     * seeded at zero weight (see decodeWithErasures).
      */
     void decodeBatch(const ShotBatch& batch,
                      std::span<uint32_t> predictions,
@@ -158,6 +160,18 @@ class UnionFindDecoder : public Decoder
     void mapErasureSites(const std::vector<uint32_t>& sites,
                          std::vector<uint32_t>& edges) const;
 
+    using Rows = ShortestPathRows<double, uint32_t>;
+
+    /** Defect-pair shortest paths from src; filled on first use. */
+    Rows::Row pairRow(uint32_t src) const;
+
+    /**
+     * One Dijkstra from src that never routes through the boundary
+     * node (boundary pairing is the matching's separate option).
+     */
+    void fillPairRow(uint32_t src, std::span<double> dist,
+                     std::span<uint32_t> pathObs) const;
+
     DecodingGraph graph_;
     /** Edge indices seeded by each heralded-erasure site. */
     std::vector<std::vector<uint32_t>> erasureSiteEdges_;
@@ -167,9 +181,10 @@ class UnionFindDecoder : public Decoder
     // at construction) -- the boundary option of the cluster matching.
     std::vector<double> boundaryDist_;
     std::vector<uint32_t> boundaryObs_;
-    // Distinguishes this instance in the per-thread pair-distance
-    // cache (distances are per-graph, the cache per thread).
-    uint64_t cacheEpoch_ = 0;
+    Rows pairRows_;
+    // Distinguishes this instance in the per-thread scratch, whose
+    // edge records carry a copy of capacity_.
+    uint64_t scratchEpoch_ = 0;
 };
 
 } // namespace vlq

@@ -1,15 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "core/generator_common.h"
 #include "decoder/blossom.h"
+#include "decoder/decoder_factory.h"
 #include "decoder/exact_matching.h"
 #include "decoder/matching_graph.h"
 #include "decoder/mwpm_decoder.h"
 #include "dem/detector_model.h"
 #include "dem/sampler.h"
+#include "obs/metrics.h"
 #include "sim/frame.h"
 #include "util/rng.h"
 
@@ -264,8 +267,9 @@ TEST(MatchingGraphTest, FewForcedPairings)
 
 TEST(MatchingGraphDeathTest, RejectsObservablesAboveBitSeven)
 {
-    // The dense table keeps 8 mask bits per path; a 9th observable
-    // would decode wrong silently, so building must refuse it.
+    // Rows keep 8 mask bits per path; a 9th observable would decode
+    // wrong silently, so building -- which fills no row -- must
+    // refuse it.
     DecodingGraph g(2);
     g.addContribution(0, 1, 0.01, 1u << 7);
     g.addContribution(1, g.boundaryNode(), 0.01, 0);
@@ -279,6 +283,48 @@ TEST(MatchingGraphDeathTest, RejectsObservablesAboveBitSeven)
     ok.finalize();
     MatchingGraph built = MatchingGraph::build(ok);
     EXPECT_EQ(built.pathObservables(0, 1), 1u << 7);
+}
+
+/**
+ * Rows are filled on first use, not at build: building a d=13 MWPM
+ * decoder fills none, and on a d=3 graph every row agrees with the
+ * point API and is filled exactly once however often it is read.
+ */
+TEST(MatchingGraphTest, BuildFillsNoRowAndRowsMatchPointApi)
+{
+    const bool wasEnabled = obs::metricsEnabled();
+    obs::setMetricsEnabled(true);
+    auto rowsFilled = [] {
+        return obs::snapshotMetrics().counter("matching.rows_filled");
+    };
+
+    const DetectorErrorModel large = DetectorErrorModel::build(
+        generateBaselineMemory(
+            configFor(13, 3e-3, ExtractionSchedule::AllAtOnce))
+            .circuit);
+    uint64_t before = rowsFilled();
+    const std::unique_ptr<Decoder> mwpm =
+        makeDecoder(DecoderKind::Mwpm, large);
+    EXPECT_EQ(rowsFilled() - before, 0u);
+
+    const DetectorErrorModel dem = DetectorErrorModel::build(
+        generateBaselineMemory(
+            configFor(3, 2e-3, ExtractionSchedule::AllAtOnce))
+            .circuit);
+    const MatchingGraph g = MatchingGraph::build(dem);
+    before = rowsFilled();
+    for (uint32_t a = 0; a < g.numNodes(); ++a) {
+        const MatchingGraph::Row row = g.row(a);
+        for (uint32_t b = 0; b < g.numNodes(); ++b) {
+            EXPECT_EQ(row.dist[b], g.distance(a, b)) << a << "-" << b;
+            EXPECT_EQ(row.obs[b], g.pathObservables(a, b)) << a << "-" << b;
+        }
+        EXPECT_EQ(row.dist[g.boundaryNode()], g.boundaryDistance(a)) << a;
+        EXPECT_EQ(row.obs[g.boundaryNode()], g.boundaryObservables(a))
+            << a;
+    }
+    EXPECT_EQ(rowsFilled() - before, g.numNodes());
+    obs::setMetricsEnabled(wasEnabled);
 }
 
 /** A matching's total weight and the XOR of its observable masks. */

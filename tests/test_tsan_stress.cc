@@ -1,18 +1,31 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
+#include <chrono>
 #include <cstdio>
+#include <latch>
+#include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/generator_common.h"
+#include "decoder/decoder_factory.h"
+#include "decoder/shortest_path_rows.h"
+#include "dem/detector_model.h"
+#include "dem/sampler.h"
+#include "dem/shot_batch.h"
+#include "mc/memory_experiment.h"
 #include "mc/monte_carlo.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "service/events.h"
 #include "service/job.h"
 #include "service/job_service.h"
+#include "util/rng.h"
 #include "util/threadpool.h"
 
 /**
@@ -20,12 +33,13 @@
  * they exist to give ThreadSanitizer short racy windows to inspect:
  * control-plane requests (submit/cancel/requeue/shutdown) hammered
  * against a service mid-drain, metrics-shard churn from short-lived
- * threads racing snapshotMetrics(), and batch commits + checkpoint
- * saves issued from pool worker threads. CI runs the tier-1 suite --
- * including this file -- under -fsanitize=thread with both compute
- * backends (the `tsan` preset); a data race here is a bug, never a
- * suppression (see docs/ARCHITECTURE.md, "Static analysis &
- * sanitizers").
+ * threads racing snapshotMetrics(), batch commits + checkpoint saves
+ * issued from pool worker threads, and decoder workers racing to fill
+ * the same shortest-path rows without waiting for one another. CI runs
+ * the tier-1 suite -- including this file -- under -fsanitize=thread
+ * with both compute backends (the `tsan` preset); a data race here is
+ * a bug, never a suppression (see docs/ARCHITECTURE.md, "Static
+ * analysis & sanitizers").
  */
 
 namespace vlq {
@@ -258,6 +272,160 @@ TEST(TsanStress, CrossThreadCheckpointCommitsResumeBitIdentically)
         << "preempt/resume across worker threads changed the counts";
     std::remove(path.c_str());
     std::remove((path + ".tmp").c_str());
+}
+
+/**
+ * Shared decoder rows (docs/ARCHITECTURE.md invariant 9): one fresh
+ * decoder decodes seeded batches on one thread; a second fresh decoder
+ * decodes the same batches on four workers that a barrier releases
+ * together, so they race to fill the same shortest-path rows. Every
+ * worker's predictions must equal the one-thread ones shot for shot,
+ * and both decoders must publish the same number of rows -- each row
+ * once, by whichever worker's copy won, and never more rows than the
+ * graph has detectors.
+ */
+TEST(TsanStress, DecoderRowsAreSharedAndFillerIndependent)
+{
+    const bool wasEnabled = obs::metricsEnabled();
+    obs::setMetricsEnabled(true);
+    constexpr uint32_t kBatches = 3;
+    constexpr uint32_t kShots = 128;
+    constexpr unsigned kWorkers = 4;
+    const std::vector<EvaluationSetup> setups = paperSetups();
+    for (const EvaluationSetup& setup : {setups[0], setups[4]}) {
+        GeneratorConfig cfg;
+        cfg.distance = 5;
+        cfg.cavityDepth = 10;
+        cfg.schedule = setup.schedule;
+        cfg.noise = NoiseModel::atPhysicalRate(
+            1e-2, HardwareParams::transmonsWithMemory());
+        const DetectorErrorModel dem = DetectorErrorModel::build(
+            generateMemoryCircuit(setup.embedding, cfg).circuit);
+        FaultSampler sampler(dem);
+        std::vector<ShotBatch> batches(kBatches);
+        for (uint32_t b = 0; b < kBatches; ++b) {
+            batches[b].reset(dem.numDetectors(), dem.numObservables(),
+                             kShots, 0);
+            sampler.sampleBatchInto(Rng(41 + b), batches[b]);
+        }
+
+        for (DecoderKind kind : {DecoderKind::UnionFind, DecoderKind::Mwpm,
+                                 DecoderKind::Greedy}) {
+            SCOPED_TRACE(setup.name() + " " + decoderKindName(kind));
+            const char* counter = kind == DecoderKind::UnionFind
+                ? "uf.rows_filled" : "matching.rows_filled";
+            auto rowsFilled = [counter] {
+                return obs::snapshotMetrics().counter(counter);
+            };
+            using Predictions = std::vector<std::vector<uint32_t>>;
+
+            uint64_t before = rowsFilled();
+            const std::unique_ptr<Decoder> solo = makeDecoder(kind, dem);
+            Predictions expected(kBatches, std::vector<uint32_t>(kShots));
+            for (uint32_t b = 0; b < kBatches; ++b)
+                solo->decodeBatch(batches[b],
+                                  std::span<uint32_t>(expected[b]));
+            const uint64_t soloRows = rowsFilled() - before;
+
+            before = rowsFilled();
+            const std::unique_ptr<Decoder> shared = makeDecoder(kind, dem);
+            std::vector<Predictions> got(
+                kWorkers,
+                Predictions(kBatches,
+                            std::vector<uint32_t>(kShots, UINT32_MAX)));
+            std::barrier start(kWorkers);
+            std::vector<std::thread> workers;
+            workers.reserve(kWorkers);
+            for (unsigned t = 0; t < kWorkers; ++t) {
+                workers.emplace_back([&, t] {
+                    start.arrive_and_wait();
+                    for (uint32_t i = 0; i < kBatches; ++i) {
+                        const uint32_t b = (t + i) % kBatches;
+                        shared->decodeBatch(batches[b],
+                                            std::span<uint32_t>(got[t][b]));
+                    }
+                });
+            }
+            for (std::thread& worker : workers)
+                worker.join();
+            const uint64_t sharedRows = rowsFilled() - before;
+
+            for (unsigned t = 0; t < kWorkers; ++t)
+                EXPECT_EQ(got[t], expected) << "worker " << t;
+            EXPECT_GT(soloRows, 0u);
+            EXPECT_LE(soloRows, dem.numDetectors());
+            EXPECT_EQ(sharedRows, soloRows)
+                << "racing workers published a row twice or skipped one";
+        }
+    }
+    obs::setMetricsEnabled(wasEnabled);
+}
+
+/**
+ * No thread waits for another's row: four threads ask for the same
+ * unpublished row, and each fill blocks until all four are inside a
+ * fill at once (or ten seconds pass). A table that made later callers
+ * wait for the first filler would let only one thread in. Exactly one
+ * copy is published, every caller reads that copy, and a published
+ * row is served without another fill.
+ */
+TEST(TsanStress, RowTableNeverMakesAThreadWait)
+{
+    constexpr unsigned kThreads = 4;
+    constexpr uint32_t kLength = 16;
+    constexpr uint32_t kSrc = 3;
+    using Rows = ShortestPathRows<double, uint32_t>;
+    const Rows rows(8, kLength);
+    std::latch allFilling(kThreads);
+    std::atomic<unsigned> fills{0};
+    std::atomic<unsigned> published{0};
+    std::atomic<bool> timedOut{false};
+    auto fill = [&](uint32_t src, std::span<double> dist,
+                    std::span<uint32_t> obs) {
+        fills.fetch_add(1);
+        allFilling.count_down();
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (!allFilling.try_wait()) {
+            if (std::chrono::steady_clock::now() >= deadline) {
+                timedOut = true;
+                break;
+            }
+            std::this_thread::yield();
+        }
+        for (uint32_t t = 0; t < dist.size(); ++t) {
+            dist[t] = src + 0.5 * t;
+            obs[t] = src ^ t;
+        }
+    };
+    auto onPublish = [&] { published.fetch_add(1); };
+
+    std::vector<Rows::Row> got(kThreads);
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; ++t)
+        threads.emplace_back(
+            [&, t] { got[t] = rows.get(kSrc, fill, onPublish); });
+    for (std::thread& thread : threads)
+        thread.join();
+
+    EXPECT_FALSE(timedOut.load()) << "a caller waited for the filler";
+    EXPECT_EQ(fills.load(), kThreads);
+    EXPECT_EQ(published.load(), 1u);
+    for (unsigned t = 0; t < kThreads; ++t) {
+        EXPECT_EQ(got[t].dist, got[0].dist) << "thread " << t;
+        EXPECT_EQ(got[t].obs, got[0].obs) << "thread " << t;
+    }
+    for (uint32_t i = 0; i < kLength; ++i) {
+        EXPECT_EQ(got[0].dist[i], kSrc + 0.5 * i);
+        EXPECT_EQ(got[0].obs[i], kSrc ^ i);
+    }
+    const Rows::Row again = rows.get(
+        kSrc,
+        [](uint32_t, std::span<double>, std::span<uint32_t>) {
+            ADD_FAILURE() << "published row filled again";
+        },
+        [] { ADD_FAILURE() << "published row published again"; });
+    EXPECT_EQ(again.dist, got[0].dist);
 }
 
 } // namespace
