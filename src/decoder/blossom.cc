@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/logging.h"
 
@@ -65,6 +66,53 @@ class Matcher
         for (int v = 0; v < n_; ++v)
             dualvar_[v] = maxw;
         allowedge_.assign(m, false);
+    }
+
+    /**
+     * Greedy initialization for perfect matching, of the kind Blossom
+     * V uses: start from per-vertex duals and a matching of tight edges
+     * instead of uniform duals and the empty matching. Every dual stays
+     * feasible and even (so S-S slacks stay even) and every matched
+     * edge starts tight. Only valid under maxCardinality on a graph
+     * with a perfect matching: the stop rule of delta 1 needs the free
+     * vertices' duals equal, which this gives up.
+     */
+    void
+    warmStart()
+    {
+        // Pass 1: a vertex's dual is its heaviest incident edge, so no
+        // slack is negative; an edge heaviest at both ends is tight.
+        std::fill(dualvar_.begin(), dualvar_.begin() + n_, 0);
+        for (const Edge& e : edges_) {
+            dualvar_[e.u] = std::max(dualvar_[e.u], e.w);
+            dualvar_[e.v] = std::max(dualvar_[e.v], e.w);
+        }
+        const int m = static_cast<int>(edges_.size());
+        for (int k = 0; k < m; ++k) {
+            const Edge& e = edges_[k];
+            if (mate_[e.u] == -1 && mate_[e.v] == -1 && slack(k) == 0) {
+                mate_[e.u] = 2 * k + 1;
+                mate_[e.v] = 2 * k;
+            }
+        }
+        // Pass 2: lower each free vertex's dual until an edge goes
+        // tight, and match that edge if its other end is free too.
+        for (int u = 0; u < n_; ++u) {
+            if (mate_[u] != -1 || neighbend_[u].empty())
+                continue;
+            int64_t lowest = std::numeric_limits<int64_t>::min();
+            for (int p : neighbend_[u])
+                lowest = std::max(lowest, 2 * edges_[p / 2].w
+                                              - dualvar_[endpoint_[p]]);
+            dualvar_[u] = lowest;
+            for (int p : neighbend_[u]) {
+                if (mate_[endpoint_[p]] == -1 && slack(p / 2) == 0) {
+                    mate_[u] = p;
+                    mate_[endpoint_[p]] = p ^ 1;
+                    break;
+                }
+            }
+        }
     }
 
     std::vector<int>
@@ -681,7 +729,12 @@ minWeightPerfectMatching(int numVertices, const std::vector<MatchEdge>& edges)
     std::vector<MatchEdge> flipped = edges;
     for (auto& e : flipped)
         e.weight = maxw + 1.0 - e.weight;
-    std::vector<int> mate = maxWeightMatching(numVertices, flipped, true);
+    std::vector<int> mate(static_cast<size_t>(numVertices), -1);
+    if (numVertices > 0 && !flipped.empty()) {
+        Matcher matcher(numVertices, flipped, true);
+        matcher.warmStart();
+        mate = matcher.run();
+    }
     for (int v = 0; v < numVertices; ++v)
         VLQ_ASSERT(mate[static_cast<size_t>(v)] >= 0,
                    "graph admits no perfect matching");

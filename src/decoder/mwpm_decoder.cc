@@ -92,15 +92,17 @@ MwpmDecoder::decodeBlossom(const std::vector<uint32_t>& events) const
 {
     const int m = static_cast<int>(events.size());
     const uint32_t boundary = graph_.boundaryNode();
-    // Nodes 0..m-1: events; m..2m-1: private boundary copies. The row
-    // and edge buffers keep their capacity across shots of a batch.
+    // Nodes 0..m-1: events; node m: the boundary, present only when m is
+    // odd (see the class comment). The row and edge buffers keep their
+    // capacity across shots of a batch.
+    const bool odd = (m & 1) != 0;
     static thread_local std::vector<MatchingGraph::Row> rows;
     static thread_local std::vector<MatchEdge> edges;
     rows.clear();
     for (uint32_t e : events)
         rows.push_back(graph_.row(e));
     edges.clear();
-    edges.reserve(static_cast<size_t>(m) * m + m);
+    edges.reserve(static_cast<size_t>(m) * (m + 1) / 2);
     for (int i = 0; i < m; ++i) {
         const MatchingGraph::Row& row = rows[static_cast<size_t>(i)];
         for (int j = i + 1; j < m; ++j) {
@@ -109,21 +111,19 @@ MwpmDecoder::decodeBlossom(const std::vector<uint32_t>& events) const
                 edges.push_back(MatchEdge{i, j, w});
         }
         double wb = row.dist[boundary];
-        if (std::isfinite(wb))
-            edges.push_back(MatchEdge{i, m + i, wb});
-        for (int j = i + 1; j < m; ++j)
-            edges.push_back(MatchEdge{m + i, m + j, 0.0});
+        if (odd && std::isfinite(wb))
+            edges.push_back(MatchEdge{i, m, wb});
     }
 
-    std::vector<int> mate = minWeightPerfectMatching(2 * m, edges);
+    std::vector<int> mate = minWeightPerfectMatching(odd ? m + 1 : m, edges);
 
     uint32_t obs = 0;
     for (int i = 0; i < m; ++i) {
         int j = mate[static_cast<size_t>(i)];
         const MatchingGraph::Row& row = rows[static_cast<size_t>(i)];
-        if (j == m + i)
+        if (j == m)
             obs ^= row.obs[boundary];
-        else if (j > i && j < m)
+        else if (j > i)
             obs ^= row.obs[events[static_cast<size_t>(j)]];
     }
     return obs;

@@ -26,11 +26,14 @@ namespace vlq {
  * shot below threshold -- are solved by matchDefectsExact, the
  * branch-and-bound union-find's fast path also uses, on a table read
  * from the events' rows. Larger syndromes go to the exact
- * blossom algorithm: the events form a complete graph, each event also
- * gets a private boundary copy, and boundary copies interconnect at
- * zero weight so unused ones pair off. Both solvers are exact, so the
- * two paths differ only in which of several equal-weight matchings
- * they return.
+ * blossom algorithm as a perfect matching on the events' complete
+ * graph, plus one boundary vertex joined to every event when the event
+ * count is odd. That is exact because rows may route through the
+ * boundary: no pair of events costs more than both of them exiting
+ * there, so some minimum-weight matching sends at most one event to
+ * the boundary, and parity says whether it sends one. Both solvers are
+ * exact, so the two paths differ only in which of several equal-weight
+ * matchings they return.
  */
 class MwpmDecoder : public Decoder
 {

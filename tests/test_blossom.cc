@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -213,6 +214,7 @@ class BlossomRandom : public ::testing::TestWithParam<uint64_t>
 TEST_P(BlossomRandom, MatchesBruteForceWeight)
 {
     Rng rng(GetParam());
+    int perfect = 0;
     for (int trial = 0; trial < 40; ++trial) {
         int n = 4 + static_cast<int>(rng.nextBelow(5)); // 4..8
         std::vector<MatchEdge> edges;
@@ -244,17 +246,77 @@ TEST_P(BlossomRandom, MatchesBruteForceWeight)
                     << "n=" << n << " trial=" << trial;
             }
         }
+
+        // The warm-started perfect matcher against the brute-force
+        // minimum, found as the heaviest max-cardinality matching on
+        // complemented weights.
+        double maxw = 0.0;
+        for (const auto& e : edges)
+            maxw = std::max(maxw, e.weight);
+        std::vector<MatchEdge> complemented = edges;
+        for (auto& e : complemented)
+            e.weight = maxw + 1.0 - e.weight;
+        BruteForce bf(n, complemented);
+        std::vector<bool> used(static_cast<size_t>(n), false);
+        auto [bestCard, bestC] = bf.best(used, true);
+        if (2 * bestCard != n)
+            continue;
+        ++perfect;
+        auto mate = minWeightPerfectMatching(n, edges);
+        int card = 0;
+        double got = matchingWeight(mate, edges, &card);
+        EXPECT_EQ(2 * card, n) << "n=" << n << " trial=" << trial;
+        EXPECT_NEAR(got, bestCard * (maxw + 1.0) - bestC, 1e-6)
+            << "n=" << n << " trial=" << trial;
     }
+    EXPECT_GT(perfect, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BlossomRandom,
                          ::testing::Values(101, 202, 303, 404, 505, 606,
                                            707, 808, 909, 1010));
 
+/**
+ * The warm start is exact on complete graphs of decoder scale: half-
+ * integer weights make many equal-weight matchings, so greedy passes
+ * see many tight edges, and the weight must still equal the uniform
+ * start's on the same complemented problem.
+ */
+TEST(MinWeightPerfect, WarmStartMatchesUniformStartOnTiedCompleteGraphs)
+{
+    Rng rng(0x3a7b10);
+    for (int trial = 0; trial < 200; ++trial) {
+        const int n = 20 + 2 * static_cast<int>(rng.nextBelow(31));
+        std::vector<MatchEdge> edges;
+        double maxw = 0.0;
+        for (int u = 0; u < n; ++u) {
+            for (int v = u + 1; v < n; ++v) {
+                const double w = std::round(rng.nextDouble() * 20.0) / 2.0;
+                edges.push_back(MatchEdge{u, v, w});
+                maxw = std::max(maxw, w);
+            }
+        }
+        std::vector<MatchEdge> complemented = edges;
+        for (auto& e : complemented)
+            e.weight = maxw + 1.0 - e.weight;
+
+        int warmCard = 0;
+        int coldCard = 0;
+        const double warm =
+            matchingWeight(minWeightPerfectMatching(n, edges), edges,
+                           &warmCard);
+        const double cold = matchingWeight(
+            maxWeightMatching(n, complemented, true), edges, &coldCard);
+        ASSERT_EQ(2 * warmCard, n) << "trial " << trial;
+        ASSERT_EQ(2 * coldCard, n) << "trial " << trial;
+        EXPECT_NEAR(warm, cold, 1e-6) << "trial " << trial << " n=" << n;
+    }
+}
+
 TEST(Blossom, ZeroWeightEdgesMatchUnderMaxCardinality)
 {
-    // The decoder relies on zero-weight boundary-boundary edges being
-    // usable under max cardinality.
+    // The decoder tests' boundary-copy reference relies on zero-weight
+    // boundary-boundary edges being usable under max cardinality.
     std::vector<MatchEdge> edges{
         {0, 1, 4.0}, {2, 3, 0.0}, {0, 2, 0.0}, {1, 3, 0.0}};
     auto mate = maxWeightMatching(4, edges, true);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <vector>
@@ -286,9 +287,31 @@ TEST(MatchingGraphDeathTest, RejectsObservablesAboveBitSeven)
 }
 
 /**
+ * Rows may route through the boundary, so no detector pair is dearer
+ * than both detectors exiting there (up to float rounding). MWPM's
+ * blossom path relies on this to give the boundary a single vertex; a
+ * Dijkstra that excluded the boundary, as union-find's does, would
+ * break it.
+ */
+void
+expectPairsNoDearerThanBoundary(const MatchingGraph& g)
+{
+    const uint32_t boundary = g.boundaryNode();
+    for (uint32_t a = 0; a < g.numNodes(); ++a) {
+        const MatchingGraph::Row row = g.row(a);
+        for (uint32_t b = 0; b < g.numNodes(); ++b)
+            EXPECT_LE(row.dist[b], row.dist[boundary]
+                                       + g.boundaryDistance(b) + 1e-4)
+                << a << "-" << b;
+    }
+}
+
+/**
  * Rows are filled on first use, not at build: building a d=13 MWPM
  * decoder fills none, and on a d=3 graph every row agrees with the
- * point API and is filled exactly once however often it is read.
+ * point API and is filled exactly once however often it is read. Rows
+ * of Baseline and Compact-Interleaved graphs never price a pair above
+ * two boundary exits.
  */
 TEST(MatchingGraphTest, BuildFillsNoRowAndRowsMatchPointApi)
 {
@@ -323,8 +346,15 @@ TEST(MatchingGraphTest, BuildFillsNoRowAndRowsMatchPointApi)
         EXPECT_EQ(row.obs[g.boundaryNode()], g.boundaryObservables(a))
             << a;
     }
+    expectPairsNoDearerThanBoundary(g);
     EXPECT_EQ(rowsFilled() - before, g.numNodes());
     obs::setMetricsEnabled(wasEnabled);
+
+    expectPairsNoDearerThanBoundary(
+        MatchingGraph::build(DetectorErrorModel::build(
+            generateCompactMemory(
+                configFor(3, 2e-3, ExtractionSchedule::Interleaved))
+                .circuit)));
 }
 
 /** A matching's total weight and the XOR of its observable masks. */
@@ -335,9 +365,12 @@ struct MatchingAnswer
 };
 
 /**
- * Blossom reference: the complete-graph formulation over the decoder's
- * own distance table (each event with a private boundary copy, copies
- * joined at zero weight), solved by minWeightPerfectMatching.
+ * Blossom reference, independent of both of the decoder's shortcuts:
+ * the complete-graph formulation over the decoder's own distance table
+ * with a private boundary copy per event (copies joined at zero
+ * weight), solved with the uniform-start maxWeightMatching on
+ * complemented weights rather than the warm-started
+ * minWeightPerfectMatching.
  */
 MatchingAnswer
 blossomReference(const MatchingGraph& g,
@@ -357,7 +390,14 @@ blossomReference(const MatchingGraph& g,
         for (int j = i + 1; j < m; ++j)
             edges.push_back(MatchEdge{m + i, m + j, 0.0});
     }
-    std::vector<int> mate = minWeightPerfectMatching(2 * m, edges);
+    double maxw = 0.0;
+    for (const MatchEdge& e : edges)
+        maxw = std::max(maxw, e.weight);
+    for (MatchEdge& e : edges)
+        e.weight = maxw + 1.0 - e.weight;
+    std::vector<int> mate = maxWeightMatching(2 * m, edges, true);
+    for (int v = 0; v < 2 * m; ++v)
+        EXPECT_GE(mate[static_cast<size_t>(v)], 0) << "unmatched " << v;
     MatchingAnswer ref;
     for (int i = 0; i < m; ++i) {
         const uint32_t ei = events[static_cast<size_t>(i)];
@@ -416,7 +456,10 @@ enumerateMatchings(const MatchingGraph& g,
  * mask, or (on a small syndrome, where the exact matcher answers and
  * may pick another of several optima) the mask of a matching whose
  * weight equals the reference's up to blossom's 2^-20 weight scaling.
- * Larger syndromes reach blossom itself and must agree exactly.
+ * Larger syndromes reach the decoder's own blossom problem, which can
+ * differ from the reference only in the choice among equal-weight
+ * matchings; no seeded shot here hits such a tie, so they must agree
+ * exactly.
  */
 ::testing::AssertionResult
 agreesWithBlossom(const MwpmDecoder& mwpm, const BitVec& det)
