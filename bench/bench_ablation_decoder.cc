@@ -23,8 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "compute/compute_backend.h"
-#include "compute/compute_registry.h"
 #include "decoder/decoder_factory.h"
 #include "dem/detector_model.h"
 #include "dem/sampler.h"
@@ -317,129 +315,6 @@ batchedThroughputTable(CsvWriter* csv)
         "vanishes and the fast decoders expose the full gain.\n";
 }
 
-/**
- * Per-compute-backend pipeline throughput: the full ComputeBackend
- * hot path (sampleBatch + decodeBatch + countFailures over 256-shot
- * batches) timed once per registered backend on identical work. The
- * `simd speedup` column is scalar us / simd us; `lookup%` is the
- * fraction of shots the simd classifier answered from its
- * trivial/single/pair tables instead of the general decoder -- the
- * mechanism behind the speedup, concentrated where syndromes are
- * sparse (small d, low p). CSV records: pipeline_<backend>_us and
- * pipeline_simd_speedup (machine-dependent, absent from the reference
- * CSV; CI pins speedup floors via check_bench.py --floor).
- */
-void
-computeBackendTable(CsvWriter* csv)
-{
-    const uint64_t shots = envU64("VLQ_TIMING_SHOTS", 2000);
-    const uint64_t seed = envU64("VLQ_SEED", 0x5eed);
-    const bool full = envInt("VLQ_FULL", 0) != 0;
-    const uint32_t batchSize = 256;
-
-    std::cout << "\n=== Compute-backend pipeline, baseline memory ("
-              << shots << " shots, sample+decode+count, batch = "
-              << batchSize << ") ===\n\n";
-    TablePrinter t({"d", "p", "decoder", "scalar us/shot",
-                    "simd us/shot", "simd speedup", "lookup%"});
-
-    std::vector<int> distances{3, 5};
-    if (full) {
-        distances.push_back(9);
-        distances.push_back(11);
-    }
-    for (int d : distances) {
-      for (double p : {3.5e-3, 5e-3}) {
-        GeneratorConfig cfg;
-        cfg.distance = d;
-        cfg.cavityDepth = 10;
-        cfg.schedule = ExtractionSchedule::AllAtOnce;
-        cfg.noise = NoiseModel::atPhysicalRate(
-            p, HardwareParams::transmonsWithMemory());
-        GeneratedCircuit gen =
-            generateMemoryCircuit(EmbeddingKind::Baseline2D, cfg);
-        DetectorErrorModel dem = DetectorErrorModel::build(gen.circuit);
-        FaultSampler sampler(dem);
-        const Rng root(seed);
-
-        for (DecoderKind kind : kKinds) {
-            std::unique_ptr<Decoder> dec = makeDecoder(kind, dem);
-            uint32_t sink = 0;
-            auto runPipeline = [&](ComputeBackend& backend) {
-                ShotBatch batch;
-                std::vector<uint32_t> predictions;
-                std::vector<uint64_t> failing;
-                for (uint64_t begin = 0; begin < shots;
-                     begin += batchSize) {
-                    uint32_t count = static_cast<uint32_t>(
-                        std::min<uint64_t>(batchSize, shots - begin));
-                    batch.reset(dem.numDetectors(),
-                                dem.numObservables(), count, begin,
-                                dem.numErasureSites());
-                    backend.sampleBatch(root, batch);
-                    predictions.resize(count);
-                    backend.decodeBatch(
-                        batch, std::span<uint32_t>(predictions));
-                    backend.countFailures(batch, predictions, failing);
-                    sink ^= static_cast<uint32_t>(failing.size());
-                }
-            };
-            // Same methodology as the batched table: each backend is
-            // timed right after its own warm-up pass, steady-state.
-            double us[2] = {0.0, 0.0};
-            double lookupPct = 0.0;
-            int slot = 0;
-            for (ComputeKind ck :
-                 {ComputeKind::Scalar, ComputeKind::Simd}) {
-                std::unique_ptr<ComputeBackend> backend =
-                    makeComputeBackend(ck, dem, sampler, *dec);
-                runPipeline(*backend);
-                auto t0 = std::chrono::steady_clock::now();
-                runPipeline(*backend);
-                auto t1 = std::chrono::steady_clock::now();
-                us[slot++] = std::chrono::duration<double, std::micro>(
-                                 t1 - t0).count()
-                    / static_cast<double>(shots);
-                if (ck == ComputeKind::Simd) {
-                    ComputeBackend::Stats st = backend->stats();
-                    if (st.shots > 0)
-                        lookupPct = 100.0
-                            * static_cast<double>(st.trivial + st.single
-                                                  + st.pair)
-                            / static_cast<double>(st.shots);
-                }
-                if (csv)
-                    csv->addRow({std::string("pipeline_")
-                                     + computeKindName(ck) + "_us",
-                                 "Baseline", std::to_string(d),
-                                 TablePrinter::sci(p, 1),
-                                 decoderKindName(kind),
-                                 std::to_string(us[slot - 1])});
-            }
-            volatile uint32_t guard = sink;
-            (void)guard;
-            double speedup = us[1] > 0.0 ? us[0] / us[1] : 0.0;
-            t.addRow({std::to_string(d), TablePrinter::sci(p, 1),
-                      decoderKindName(kind),
-                      TablePrinter::num(us[0], 2),
-                      TablePrinter::num(us[1], 2),
-                      TablePrinter::num(speedup, 2) + "x",
-                      TablePrinter::num(lookupPct, 1)});
-            if (csv)
-                csv->addRow({"pipeline_simd_speedup", "Baseline",
-                             std::to_string(d), TablePrinter::sci(p, 1),
-                             decoderKindName(kind),
-                             std::to_string(speedup)});
-        }
-      }
-    }
-    t.print(std::cout);
-    std::cout <<
-        "\nBoth backends produce bit-identical counts (the fuzz suite\n"
-        "enforces it); the simd win is the classifier short-circuiting\n"
-        "sparse syndromes, so it concentrates at small d and low p.\n";
-}
-
 } // namespace
 
 int
@@ -461,7 +336,6 @@ main(int argc, char** argv)
     logicalErrorTable(csvp);
     decodeTimingTable(csvp);
     batchedThroughputTable(csvp);
-    computeBackendTable(csvp);
 
     if (csvp && !csv.writeFile(csvPath)) {
         std::cerr << "failed to write " << csvPath << "\n";

@@ -6,12 +6,9 @@
  */
 #include <benchmark/benchmark.h>
 
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "compute/compute_backend.h"
-#include "compute/compute_registry.h"
 #include "core/generator_common.h"
 #include "decoder/mwpm_decoder.h"
 #include "decoder/union_find.h"
@@ -127,47 +124,6 @@ BM_DecodeBatchUf(benchmark::State& state)
                             * shots);
 }
 BENCHMARK(BM_DecodeBatchUf)->Arg(3)->Arg(5)->Arg(7);
-
-/**
- * Full compute-backend pipeline (sampleBatch + decodeBatch +
- * countFailures over one 256-shot batch) per registered backend, on
- * the union-find decoder the Monte-Carlo engine defaults to for big
- * scans. The scalar/simd pair benchmarks the ComputeBackend seam
- * itself: identical work, bit-identical counts, different hot loops.
- */
-void
-BM_ComputePipeline(benchmark::State& state, ComputeKind kind)
-{
-    GeneratorConfig cfg = benchConfig(static_cast<int>(state.range(0)),
-                                      3.5e-3);
-    GeneratedCircuit gen = generateBaselineMemory(cfg);
-    DetectorErrorModel dem = DetectorErrorModel::build(gen.circuit);
-    FaultSampler sampler(dem);
-    UnionFindDecoder decoder(dem);
-    std::unique_ptr<ComputeBackend> backend =
-        makeComputeBackend(kind, dem, sampler, decoder);
-    const uint32_t shots = 256;
-    const Rng root(1);
-    ShotBatch batch;
-    std::vector<uint32_t> predictions(shots);
-    std::vector<uint64_t> failing;
-    uint64_t begin = 0;
-    for (auto _ : state) {
-        batch.reset(dem.numDetectors(), dem.numObservables(), shots,
-                    begin, dem.numErasureSites());
-        backend->sampleBatch(root, batch);
-        backend->decodeBatch(batch, std::span<uint32_t>(predictions));
-        backend->countFailures(batch, predictions, failing);
-        benchmark::DoNotOptimize(failing.size());
-        begin += shots;
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations())
-                            * shots);
-}
-BENCHMARK_CAPTURE(BM_ComputePipeline, scalar, ComputeKind::Scalar)
-    ->Arg(3)->Arg(5)->Arg(7);
-BENCHMARK_CAPTURE(BM_ComputePipeline, simd, ComputeKind::Simd)
-    ->Arg(3)->Arg(5)->Arg(7);
 
 void
 BM_BuildMatchingGraph(benchmark::State& state)

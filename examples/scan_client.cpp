@@ -10,7 +10,7 @@
  *     [--priority <-100..100>] [--setup <0..4>] [--embedding <name>]
  *     [--schedule aao|interleaved] [--distances 3,5,7]
  *     [--ps 3e-3,...] [--trials <n>] [--seed <n>] [--decoder <name>]
- *     [--batch <n>] [--target <n>] [--compute <name>] [--dry-run]
+ *     [--batch <n>] [--target <n>] [--dry-run]
  *   scan_client cancel --requests <path|-> --id <id>
  *   scan_client requeue --requests <path|-> --id <id>
  *   scan_client shutdown --requests <path|->
@@ -52,7 +52,7 @@ usage(std::ostream& os, const char* argv0)
           " [--ps 3e-3,...]\n"
           "    [--trials <n>] [--seed <n>] [--decoder <name>]"
           " [--batch <n>]\n"
-          "    [--target <n>] [--compute <name>] [--dry-run]\n"
+          "    [--target <n>] [--dry-run]\n"
           "  cancel --requests <path|-> --id <id>\n"
           "  requeue --requests <path|-> --id <id>\n"
           "  shutdown --requests <path|->\n"
@@ -130,7 +130,6 @@ runSubmit(const std::vector<std::pair<std::string, std::string>>& flags,
         {"--ps", "ps"},           {"--trials", "trials"},
         {"--seed", "seed"},       {"--decoder", "decoder"},
         {"--batch", "batch"},     {"--target", "target"},
-        {"--compute", "compute"},
     };
     std::string requestsPath;
     std::ostringstream line;

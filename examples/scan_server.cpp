@@ -56,7 +56,6 @@ usage(std::ostream& os, const char* argv0)
           "    [embedding=<name>] [schedule=aao|interleaved]\n"
           "    [distances=3,5,7] [ps=3e-3,...] [trials=<n>] [seed=<n>]\n"
           "    [decoder=<name>] [batch=<n>] [target=<n>]\n"
-          "    [compute=<name>]\n"
           "  cancel id=<id>\n"
           "  requeue id=<id>\n"
           "  shutdown\n";

@@ -5,7 +5,7 @@
  * the paper's Fig. 11.
  *
  * Usage: threshold_scan [setup 0..4] [trials] [decoder] [target]
- *                       [--checkpoint <path>] [--compute <backend>]
+ *                       [--checkpoint <path>]
  *   0 Baseline, 1 Natural-AAO, 2 Natural-Interleaved,
  *   3 Compact-AAO, 4 Compact-Interleaved
  *   decoder: mwpm (default), union-find/uf, greedy; the VLQ_DECODER
@@ -15,10 +15,6 @@
  *   VLQ_EMBEDDING overrides the setup's embedding with any registered
  *   generator backend (baseline, natural, compact, compact-rect), so
  *   new backends can be scanned without a new setup index.
- *   --compute selects the compute backend running the batch pipeline
- *   (scalar, simd); the VLQ_COMPUTE environment variable sets the
- *   default. Backends are bit-identical -- this is a throughput knob
- *   that can never change counts.
  *
  * VLQ_SEED sets the RNG seed (default 0x5eed): split-seed cluster
  * shards run the same scan under different seeds and their checkpoint
@@ -52,10 +48,8 @@
  * any thread count or batch size.
  */
 #include <iostream>
-#include <optional>
 #include <vector>
 
-#include "compute/compute_registry.h"
 #include "core/generator_registry.h"
 #include "decoder/decoder_factory.h"
 #include "mc/threshold.h"
@@ -74,10 +68,8 @@ usage(const char* argv0, const std::string& problem)
               << "usage: " << argv0
               << " [setup 0..4] [trials >= 1] [decoder] [target >= 0]"
                  " [--checkpoint <path>]\n"
-                 "  [--compute <backend>] [--metrics-json <path>]"
-                 " [--trace-json <path>]\n"
+                 "  [--metrics-json <path>] [--trace-json <path>]\n"
               << "  decoders: " << decoderKindList() << "\n"
-              << "  compute backends: " << computeKindList() << "\n"
               << "  VLQ_EMBEDDING overrides the embedding ("
               << embeddingKindList() << ")\n";
     return 1;
@@ -95,7 +87,6 @@ main(int argc, char** argv)
     // ignored.
     obs::initFromEnv();
     std::string checkpointPath = envString("VLQ_CHECKPOINT", "");
-    std::optional<ComputeKind> computeOverride;
     std::string metricsJsonPath;
     std::string traceJsonPath;
     std::vector<const char*> positional;
@@ -105,15 +96,6 @@ main(int argc, char** argv)
             if (i + 1 >= argc)
                 return usage(argv[0], "--checkpoint needs a value");
             checkpointPath = argv[++i];
-        } else if (arg == "--compute") {
-            if (i + 1 >= argc)
-                return usage(argv[0], "--compute needs a value");
-            auto kind = parseComputeKind(argv[++i]);
-            if (!kind) {
-                return usage(argv[0], "unknown compute backend '"
-                             + std::string(argv[i]) + "'");
-            }
-            computeOverride = kind;
         } else if (arg == "--metrics-json") {
             if (i + 1 >= argc)
                 return usage(argv[0], "--metrics-json needs a value");
@@ -168,8 +150,6 @@ main(int argc, char** argv)
     cfg.mc.targetFailures = envU64("VLQ_TARGET_FAILURES", 0);
     cfg.mc.checkpointPath = checkpointPath;
     cfg.mc.checkpointEveryTrials = envU64("VLQ_CHECKPOINT_EVERY", 0);
-    if (computeOverride) // else the McOptions VLQ_COMPUTE default holds
-        cfg.mc.compute = *computeOverride;
     if (positional.size() > 2) {
         auto kind = parseDecoderKind(positional[2]);
         if (!kind) {
@@ -216,8 +196,7 @@ main(int argc, char** argv)
     std::cout << "Scanning " << setup.name() << " with " << trials
               << " trials/point using the "
               << decoderKindName(cfg.mc.decoder) << " decoder (batch "
-              << cfg.mc.batchSize << ", compute "
-              << computeKindName(cfg.mc.compute);
+              << cfg.mc.batchSize;
     if (cfg.mc.targetFailures > 0)
         std::cout << ", early-stop at " << cfg.mc.targetFailures
                   << " failures";

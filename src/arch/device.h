@@ -35,8 +35,8 @@ enum class ExtractionSchedule : uint8_t {
 
 /**
  * Human-readable names for reports. embeddingName resolves to the
- * generator registry's display name, so backends added via
- * registerGenerator() are covered without a switch to extend.
+ * generator registry's display name, so a backend added to the
+ * registry table is covered without a switch to extend.
  */
 const char* embeddingName(EmbeddingKind kind);
 const char* scheduleName(ExtractionSchedule schedule);

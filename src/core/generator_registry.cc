@@ -40,26 +40,21 @@ compactCost(int dx, int dz)
     return cost;
 }
 
-std::vector<GeneratorBackend>&
-mutableRegistry()
-{
-    static std::vector<GeneratorBackend> registry{
-        {EmbeddingKind::Baseline2D, "baseline", "baseline2d 2d",
-         "Baseline", false, generateBaselineMemory, baselineCost,
-         squarePatchShape},
-        {EmbeddingKind::Natural, "natural", "nat",
-         "Natural", true, generateNaturalMemory, naturalCost,
-         squarePatchShape},
-        {EmbeddingKind::Compact, "compact", "",
-         "Compact", true, generateCompactMemory, compactCost,
-         squarePatchShape},
-        {EmbeddingKind::CompactRect, "compact-rect",
-         "compactrect rect rectangular",
-         "Compact-Rect", true, generateCompactRectMemory, compactCost,
-         compactRectPatchShape},
-    };
-    return registry;
-}
+constexpr GeneratorBackend kRegistry[] = {
+    {EmbeddingKind::Baseline2D, "baseline", "baseline2d 2d",
+     "Baseline", false, generateBaselineMemory, baselineCost,
+     squarePatchShape},
+    {EmbeddingKind::Natural, "natural", "nat",
+     "Natural", true, generateNaturalMemory, naturalCost,
+     squarePatchShape},
+    {EmbeddingKind::Compact, "compact", "",
+     "Compact", true, generateCompactMemory, compactCost,
+     squarePatchShape},
+    {EmbeddingKind::CompactRect, "compact-rect",
+     "compactrect rect rectangular",
+     "Compact-Rect", true, generateCompactRectMemory, compactCost,
+     compactRectPatchShape},
+};
 
 } // namespace
 
@@ -70,27 +65,10 @@ squarePatchShape(int distance, int distanceX, int distanceZ)
             distanceZ > 0 ? distanceZ : distance};
 }
 
-const std::vector<GeneratorBackend>&
+std::span<const GeneratorBackend>
 generatorRegistry()
 {
-    return mutableRegistry();
-}
-
-void
-registerGenerator(const GeneratorBackend& registration)
-{
-    VLQ_ASSERT(registration.generate != nullptr
-                   && registration.cost != nullptr
-                   && registration.shape != nullptr,
-               "generator registration needs generate, cost and shape "
-               "hooks");
-    for (GeneratorBackend& entry : mutableRegistry()) {
-        if (entry.kind == registration.kind) {
-            entry = registration;
-            return;
-        }
-    }
-    mutableRegistry().push_back(registration);
+    return kRegistry;
 }
 
 const GeneratorBackend&

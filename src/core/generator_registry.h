@@ -2,10 +2,10 @@
 #define VLQ_CORE_GENERATOR_REGISTRY_H
 
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
-#include <vector>
 
 #include "arch/device.h"
 #include "core/generator_common.h"
@@ -37,7 +37,7 @@ using PatchShapeFn = std::pair<int, int> (*)(int distance, int distanceX,
  * through this table (via makeGenerator / generateMemoryCircuit /
  * patchCost), so a new hardware layout -- another cavity depth
  * trade-off, a biased-noise patch shape, a non-square grid -- is one
- * registration, with no scheduler or call-site churn.
+ * table entry, with no scheduler or call-site churn.
  */
 struct GeneratorBackend
 {
@@ -71,23 +71,16 @@ struct GeneratorBackend
 
 /**
  * The default shape policy: explicit overrides win, unset axes fall
- * back to the square `distance` patch. Reusable by registrations.
+ * back to the square `distance` patch. Shared by several table entries.
  */
 std::pair<int, int> squarePatchShape(int distance, int distanceX,
                                      int distanceZ);
 
 /**
- * The generator registry: the paper's three embeddings, the
- * rectangular Compact variant, plus anything added via
- * registerGenerator().
+ * The generator registry: a fixed table of the paper's three
+ * embeddings plus the rectangular Compact variant.
  */
-const std::vector<GeneratorBackend>& generatorRegistry();
-
-/**
- * Register (or, for an existing kind, replace) a backend. Not
- * thread-safe; call during startup before generating circuits.
- */
-void registerGenerator(const GeneratorBackend& registration);
+std::span<const GeneratorBackend> generatorRegistry();
 
 /** Look up a registered backend; panics when `kind` is unregistered. */
 const GeneratorBackend& generatorBackend(EmbeddingKind kind);

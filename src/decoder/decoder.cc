@@ -27,43 +27,8 @@ countBatchShots(uint32_t shots, uint32_t trivial)
 } // namespace
 
 void
-Decoder::decodeBatch(const ShotBatch& batch,
-                     std::span<uint32_t> predictions,
-                     std::span<const uint64_t> laneMask) const
-{
-    VLQ_ASSERT(predictions.size() >= batch.numShots(),
-               "decodeBatch predictions span too small");
-    obs::StageTimer obsTimer("decode.batch");
-    uint32_t selected = 0;
-    uint32_t trivial = 0;
-    BitVec detectors(batch.numDetectors());
-    for (uint32_t wi = 0; wi < batch.wordsPerRow(); ++wi) {
-        uint64_t nonTrivial = batch.nonTrivialMask(wi);
-        uint64_t mask = laneMask.empty() ? ~0ULL : laneMask[wi];
-        uint32_t base = wi * ShotBatch::kWordBits;
-        uint32_t lanes = std::min<uint32_t>(ShotBatch::kWordBits,
-                                            batch.numShots() - base);
-        for (uint32_t lane = 0; lane < lanes; ++lane) {
-            uint32_t s = base + lane;
-            if (!((mask >> lane) & 1))
-                continue;
-            ++selected;
-            if (!((nonTrivial >> lane) & 1)) {
-                predictions[s] = 0;
-                ++trivial;
-                continue;
-            }
-            batch.extractShot(s, detectors);
-            predictions[s] = decode(detectors);
-        }
-    }
-    countBatchShots(selected, trivial);
-}
-
-void
 Decoder::decodeBatchEvents(
     const ShotBatch& batch, std::span<uint32_t> predictions,
-    std::span<const uint64_t> laneMask,
     const std::function<uint32_t(const std::vector<uint32_t>&)>&
         decodeEvents) const
 {
@@ -75,17 +40,13 @@ Decoder::decodeBatchEvents(
         obs::StageTimer gatherTimer("decode.gather");
         batch.gatherEvents(events);
     }
-    uint32_t selected = 0;
     uint32_t trivial = 0;
     for (uint32_t s = 0; s < batch.numShots(); ++s) {
-        if (!laneSelected(laneMask, s))
-            continue;
-        ++selected;
         if (events[s].empty())
             ++trivial;
         predictions[s] = decodeEvents(events[s]);
     }
-    countBatchShots(selected, trivial);
+    countBatchShots(batch.numShots(), trivial);
 }
 
 } // namespace vlq

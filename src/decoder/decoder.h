@@ -28,57 +28,27 @@ class Decoder
     /**
      * Decode every shot of a batch: predictions[s] receives the
      * predicted observable bitmask for shot s. `predictions` must
-     * hold at least batch.numShots() entries. Forwards to the masked
-     * overload with every lane selected.
-     */
-    void decodeBatch(const ShotBatch& batch,
-                     std::span<uint32_t> predictions) const
-    {
-        decodeBatch(batch, predictions, {});
-    }
-
-    /**
-     * Masked batch decode: `laneMask` holds one bit per shot in the
-     * batch's transposed lane layout (laneMask[s / 64] bit s % 64;
-     * word count batch.wordsPerRow()). Only shots with a set bit are
-     * decoded; cleared lanes are skipped entirely and their
-     * `predictions` entries are left untouched -- compute backends
-     * use this to route trivial/near-trivial syndromes through a
-     * classifier lookup and hand the general decoder the rest. An
-     * empty span selects every lane.
+     * hold at least batch.numShots() entries.
      *
-     * The base implementation skips event-free shots word-parallel
-     * and falls back to scalar decode() for the rest; backends
-     * override it to reuse per-shot scratch (event lists, cluster
-     * arenas, edge buffers) across the whole batch. Overrides must
-     * agree with decode() shot-for-shot on every selected lane -- the
-     * batched Monte-Carlo engine's reproducibility contract depends
-     * on it, and the test suite checks it for every registered
-     * backend.
+     * Backends reuse per-shot scratch (event lists, cluster arenas,
+     * edge buffers) across the whole batch. They must agree with
+     * decode() shot-for-shot -- the batched Monte-Carlo engine's
+     * reproducibility contract depends on it, and the test suite
+     * checks it for every registered backend.
      */
     virtual void decodeBatch(const ShotBatch& batch,
-                             std::span<uint32_t> predictions,
-                             std::span<const uint64_t> laneMask) const;
+                             std::span<uint32_t> predictions) const = 0;
 
   protected:
-    /** True when `laneMask` (empty = all) selects shot s. */
-    static bool laneSelected(std::span<const uint64_t> laneMask,
-                             uint32_t s)
-    {
-        return laneMask.empty()
-               || ((laneMask[s / 64] >> (s % 64)) & 1) != 0;
-    }
-
     /**
      * Shared decodeBatch core for event-list backends: gathers
      * per-shot event lists with one sparse sweep (reusing a
-     * per-thread scratch) and calls `decodeEvents` per selected shot
-     * (see decodeBatch for laneMask semantics). The per-shot
-     * std::function indirection is noise next to any real decode.
+     * per-thread scratch) and calls `decodeEvents` per shot. The
+     * per-shot std::function indirection is noise next to any real
+     * decode.
      */
     void decodeBatchEvents(
         const ShotBatch& batch, std::span<uint32_t> predictions,
-        std::span<const uint64_t> laneMask,
         const std::function<uint32_t(const std::vector<uint32_t>&)>&
             decodeEvents) const;
 };

@@ -29,36 +29,19 @@ makeUnionFind(const DetectorErrorModel& dem)
     return std::make_unique<UnionFindDecoder>(dem);
 }
 
-std::vector<DecoderRegistration>&
-mutableRegistry()
-{
-    static std::vector<DecoderRegistration> registry{
-        {DecoderKind::Mwpm, "mwpm", "blossom matching", makeMwpm},
-        {DecoderKind::Greedy, "greedy", "", makeGreedy},
-        {DecoderKind::UnionFind, "union-find", "unionfind uf",
-         makeUnionFind},
-    };
-    return registry;
-}
+constexpr DecoderRegistration kRegistry[] = {
+    {DecoderKind::Mwpm, "mwpm", "blossom matching", makeMwpm},
+    {DecoderKind::Greedy, "greedy", "", makeGreedy},
+    {DecoderKind::UnionFind, "union-find", "unionfind uf",
+     makeUnionFind},
+};
 
 } // namespace
 
-const std::vector<DecoderRegistration>&
+std::span<const DecoderRegistration>
 decoderRegistry()
 {
-    return mutableRegistry();
-}
-
-void
-registerDecoder(const DecoderRegistration& registration)
-{
-    for (DecoderRegistration& entry : mutableRegistry()) {
-        if (entry.kind == registration.kind) {
-            entry = registration;
-            return;
-        }
-    }
-    mutableRegistry().push_back(registration);
+    return kRegistry;
 }
 
 std::unique_ptr<Decoder>

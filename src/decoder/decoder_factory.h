@@ -4,9 +4,9 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "decoder/decoder.h"
 
@@ -31,18 +31,12 @@ struct DecoderRegistration
 };
 
 /**
- * The decoder registry: the built-in backends plus anything added via
- * registerDecoder(). Monte-Carlo, the benches, and the examples all
- * instantiate decoders through makeDecoder(), so a new backend only
- * needs a registry entry -- no switch statements to chase.
+ * The decoder registry: a fixed table of the built-in backends.
+ * Monte-Carlo, the benches, and the examples all instantiate decoders
+ * through makeDecoder(), so a new backend only needs a table entry --
+ * no switch statements to chase.
  */
-const std::vector<DecoderRegistration>& decoderRegistry();
-
-/**
- * Register (or, for an existing kind, replace) a backend. Not
- * thread-safe; call during startup before decoding begins.
- */
-void registerDecoder(const DecoderRegistration& registration);
+std::span<const DecoderRegistration> decoderRegistry();
 
 /** Instantiate the registered backend for `kind`. */
 std::unique_ptr<Decoder> makeDecoder(DecoderKind kind,

@@ -25,10 +25,9 @@ MwpmDecoder::decode(const BitVec& detectorFlips) const
 
 void
 MwpmDecoder::decodeBatch(const ShotBatch& batch,
-                         std::span<uint32_t> predictions,
-                         std::span<const uint64_t> laneMask) const
+                         std::span<uint32_t> predictions) const
 {
-    decodeBatchEvents(batch, predictions, laneMask,
+    decodeBatchEvents(batch, predictions,
                       [this](const std::vector<uint32_t>& events) {
                           return decodeEvents(events);
                       });
@@ -142,10 +141,9 @@ GreedyDecoder::decode(const BitVec& detectorFlips) const
 
 void
 GreedyDecoder::decodeBatch(const ShotBatch& batch,
-                           std::span<uint32_t> predictions,
-                           std::span<const uint64_t> laneMask) const
+                           std::span<uint32_t> predictions) const
 {
-    decodeBatchEvents(batch, predictions, laneMask,
+    decodeBatchEvents(batch, predictions,
                       [this](const std::vector<uint32_t>& events) {
                           return decodeEvents(events);
                       });

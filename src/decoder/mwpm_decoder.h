@@ -49,9 +49,7 @@ class MwpmDecoder : public Decoder
      * setup is the only scratch left to amortize).
      */
     void decodeBatch(const ShotBatch& batch,
-                     std::span<uint32_t> predictions,
-                     std::span<const uint64_t> laneMask) const override;
-    using Decoder::decodeBatch;
+                     std::span<uint32_t> predictions) const override;
 
     const MatchingGraph& graph() const { return graph_; }
 
@@ -77,9 +75,7 @@ class GreedyDecoder : public Decoder
 
     /** Batched decode reusing the candidate-pair buffer per shot. */
     void decodeBatch(const ShotBatch& batch,
-                     std::span<uint32_t> predictions,
-                     std::span<const uint64_t> laneMask) const override;
-    using Decoder::decodeBatch;
+                     std::span<uint32_t> predictions) const override;
 
     const MatchingGraph& graph() const { return graph_; }
 

@@ -376,13 +376,12 @@ traceDecodeMix()
 
 void
 UnionFindDecoder::decodeBatch(const ShotBatch& batch,
-                              std::span<uint32_t> predictions,
-                              std::span<const uint64_t> laneMask) const
+                              std::span<uint32_t> predictions) const
 {
     if (batch.numErasureSites() == 0 || erasureSiteEdges_.empty()) {
         const bool tracing = obs::traceEnabled();
         decodeBatchEvents(
-            batch, predictions, laneMask,
+            batch, predictions,
             [this, tracing](const std::vector<uint32_t>& events) {
                 if (tracing && !events.empty()) {
                     if (events.size() <= exactSyndromeThreshold_)
@@ -411,12 +410,8 @@ UnionFindDecoder::decodeBatch(const ShotBatch& batch,
         batch.gatherErasures(sites);
     }
     const bool tracing = obs::traceEnabled();
-    uint32_t selected = 0;
     uint32_t trivial = 0;
     for (uint32_t s = 0; s < batch.numShots(); ++s) {
-        if (!laneSelected(laneMask, s))
-            continue;
-        ++selected;
         obs::StageTimer seedTimer(
             !sites[s].empty() ? "uf.erasure_seed" : nullptr);
         mapErasureSites(sites[s], edges);
@@ -442,7 +437,7 @@ UnionFindDecoder::decodeBatch(const ShotBatch& batch,
         static const obs::Counter trivialShots =
             obs::Counter::get("decode.trivial_shots");
         batches.add(1);
-        decoded.add(selected);
+        decoded.add(batch.numShots());
         trivialShots.add(trivial);
     }
 }

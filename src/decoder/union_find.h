@@ -106,9 +106,7 @@ class UnionFindDecoder : public Decoder
      * seeded at zero weight (see decodeWithErasures).
      */
     void decodeBatch(const ShotBatch& batch,
-                     std::span<uint32_t> predictions,
-                     std::span<const uint64_t> laneMask) const override;
-    using Decoder::decodeBatch;
+                     std::span<uint32_t> predictions) const override;
 
     /** decode() variant that also reports diagnostics. */
     uint32_t decode(const BitVec& detectorFlips, DecodeInfo* info) const;

@@ -200,72 +200,4 @@ FaultSampler::sampleBatchInto(const Rng& root, ShotBatch& batch) const
     }
 }
 
-void
-FaultSampler::sampleBatchIntoBlocked(const Rng& root,
-                                     ShotBatch& batch) const
-{
-    VLQ_ASSERT(batch.numDetectors() == numDetectors_
-                   && batch.numObservables() == numObservables_,
-               "ShotBatch not reset for this sampler's model");
-    VLQ_ASSERT(batch.numErasureSites() == numErasureSites_,
-               "ShotBatch erasure rows not sized for this model");
-    obs::StageTimer obsTimer("sampler.sample_batch");
-    // Uniforms are drawn kBlock at a time into a stack buffer. A trial
-    // may generate a few more values than it consumes; that is
-    // harmless because every trial owns a private split stream, and
-    // within the trial the buffered values are consumed in generation
-    // order -- the exact sequence sampleBatchInto() would draw.
-    constexpr uint32_t kBlock = 32;
-    double u[kBlock];
-    const uint32_t shots = batch.numShots();
-    for (uint32_t s = 0; s < shots; ++s) {
-        Rng rng = root.split(batch.firstTrial() + s);
-        uint32_t at = kBlock;
-        auto nextU = [&]() {
-            if (at == kBlock) {
-                rng.fillDoubles(u, kBlock);
-                at = 0;
-            }
-            return u[at++];
-        };
-        const uint32_t laneWord = s / ShotBatch::kWordBits;
-        const uint64_t laneBit = uint64_t{1}
-            << (s % ShotBatch::kWordBits);
-        for (const ChannelGroup& g : groups_) {
-            if (g.alwaysFires) {
-                for (uint32_t i = g.begin; i < g.end; ++i) {
-                    const FlatChannel& ch =
-                        channels_[groupChannels_[i]];
-                    fireChannel(ch, nextU() * ch.total, laneBit,
-                                laneWord, batch);
-                }
-                continue;
-            }
-            uint32_t i = g.begin;
-            while (i < g.end) {
-                double v = nextU();
-                if (i == g.begin && v >= g.fullExitU)
-                    break;
-                double k = std::floor(std::log1p(-v)
-                                      * g.invLogOneMinusP);
-                if (!(k < static_cast<double>(g.end - i)))
-                    break;
-                i += static_cast<uint32_t>(k);
-                const FlatChannel& ch = channels_[groupChannels_[i]];
-                fireChannel(ch, nextU() * ch.total, laneBit, laneWord,
-                            batch);
-                ++i;
-            }
-        }
-    }
-    if (obs::metricsEnabled()) {
-        static const obs::Counter batches =
-            obs::Counter::get("sampler.batches");
-        static const obs::Counter shotsSampled =
-            obs::Counter::get("sampler.shots");
-        batches.add(1);
-        shotsSampled.add(shots);
-    }
-}
-
 } // namespace vlq

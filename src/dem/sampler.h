@@ -72,20 +72,6 @@ class FaultSampler
      */
     void sampleBatchInto(const Rng& root, ShotBatch& batch) const;
 
-    /**
-     * Blocked-RNG variant of sampleBatchInto() for the simd compute
-     * backend: each trial's uniforms are generated in fixed-size
-     * blocks (Rng::fillDoubles keeps the generator state in registers
-     * for a whole block) and the skip-sampling loop consumes them
-     * from the buffer. Every trial still draws its own split stream
-     * in the same order, so the sampled batch is bit-identical to
-     * sampleBatchInto() -- the cross-backend fuzz tests check this.
-     * Logs for the geometric skips stay on-demand: the common case
-     * exits a group on the plain u >= fullExitU compare and never
-     * pays the log1p.
-     */
-    void sampleBatchIntoBlocked(const Rng& root, ShotBatch& batch) const;
-
     uint32_t numDetectors() const { return numDetectors_; }
     uint32_t numObservables() const { return numObservables_; }
     uint32_t numErasureSites() const { return numErasureSites_; }

@@ -141,7 +141,6 @@ McCheckpoint::open(const std::string& path, const std::string& summary)
 {
     path_.clear();
     entries_.clear();
-    meta_.clear();
     summary_ = summary;
     fingerprint_ = fnv1a64(summary);
 
@@ -204,8 +203,8 @@ McCheckpoint::open(const std::string& path, const std::string& summary)
         }
     }
 
-    // Body: optional meta lines, then point lines, closed by the end
-    // marker.
+    // Body: point lines, closed by the end marker. Meta lines from
+    // older builds are checked for shape and dropped.
     size_t i = 3;
     for (; i < lines.size(); ++i) {
         std::istringstream ps(lines[i]);
@@ -224,7 +223,6 @@ McCheckpoint::open(const std::string& path, const std::string& summary)
             if (eq == 0 || eq == std::string::npos)
                 return reject("malformed meta line "
                               + std::to_string(i + 1));
-            meta_[kv.substr(0, eq)] = kv.substr(eq + 1);
             continue;
         }
         if (tag != "point")
@@ -274,19 +272,6 @@ McCheckpoint::open(const std::string& path, const std::string& summary)
     return "";
 }
 
-void
-McCheckpoint::setMeta(const std::string& key, const std::string& value)
-{
-    meta_[key] = value;
-}
-
-std::string
-McCheckpoint::meta(const std::string& key) const
-{
-    auto it = meta_.find(key);
-    return it == meta_.end() ? "" : it->second;
-}
-
 const CheckpointEntry*
 McCheckpoint::find(uint64_t pointKey) const
 {
@@ -315,8 +300,6 @@ McCheckpoint::save() const
     os << kMagic << ' ' << kFormatVersion << '\n'
        << "fingerprint " << hex16(fingerprint_) << '\n'
        << "config " << summary_ << '\n';
-    for (const auto& [key, value] : meta_)
-        os << "meta " << key << '=' << value << '\n';
     for (const auto& [key, entry] : entries_) {
         os << "point " << hex16(key) << " trials=" << entry.trialsDone
            << " failures=" << entry.failures << " done="

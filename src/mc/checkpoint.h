@@ -30,19 +30,14 @@ namespace vlq {
  *     vlq-mc-checkpoint 1
  *     fingerprint <16 hex digits>
  *     config <canonical key=value summary of the run configuration>
- *     meta <key>=<value>
- *     ...
  *     point <16 hex key> trials=<N> failures=<M> done=<0|1>
  *     ...
  *     end <point count>
  *
- * `meta` lines are optional, fingerprint-exempt annotations (written
- * sorted by key): provenance that may legally differ between two
- * resumable runs of the same configuration. The engine records the
- * compute backend here (`meta compute=simd`) because backends are
- * bit-identical by contract -- a run checkpointed under one backend
- * may resume under another, so the backend must not gate resume the
- * way the fingerprint does.
+ * Older builds also wrote fingerprint-exempt `meta <key>=<value>`
+ * lines between the config line and the points (`meta compute=simd`
+ * named the compute backend of the run). The loader still accepts and
+ * ignores them, so those files resume; save() never writes them.
  *
  * The fingerprint is a hash of the canonical config summary (seed,
  * trial budget, batch size, decoder, early-stop target, and -- for grid
@@ -142,17 +137,6 @@ class McCheckpoint
     /** Fingerprint hash of the bound run configuration. */
     uint64_t fingerprint() const { return fingerprint_; }
 
-    /**
-     * Set a fingerprint-exempt metadata annotation (in memory; save()
-     * persists). Keys and values must be single space-free tokens.
-     * Setting an existing key overwrites it -- meta records the last
-     * run's provenance, not history.
-     */
-    void setMeta(const std::string& key, const std::string& value);
-
-    /** Look up a metadata value ("" when absent). */
-    std::string meta(const std::string& key) const;
-
     /** Look up a point's committed frontier (nullptr when absent). */
     const CheckpointEntry* find(uint64_t pointKey) const;
 
@@ -174,7 +158,6 @@ class McCheckpoint
     std::string path_;
     uint64_t fingerprint_ = 0;
     std::string summary_;
-    std::map<std::string, std::string> meta_;
     std::map<uint64_t, CheckpointEntry> entries_;
 };
 

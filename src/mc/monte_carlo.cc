@@ -11,8 +11,6 @@
 #include <sstream>
 #include <vector>
 
-#include "compute/compute_backend.h"
-#include "compute/compute_registry.h"
 #include "core/generator_registry.h"
 #include "decoder/decoder_factory.h"
 #include "dem/detector_model.h"
@@ -274,15 +272,6 @@ estimateLogicalErrorBasis(EmbeddingKind embedding,
     FaultSampler sampler(dem);
 
     std::unique_ptr<Decoder> decoder = makeDecoder(options.decoder, dem);
-    std::unique_ptr<ComputeBackend> compute =
-        makeComputeBackend(options.compute, dem, sampler, *decoder);
-    if (checkpoint.enabled()) {
-        // Record the backend in the checkpoint's fingerprint-exempt
-        // metadata: backends are bit-identical, so a run may legally
-        // resume under a different one -- the recorded name is
-        // provenance, not a compatibility gate.
-        checkpoint.setMeta("compute", compute->name());
-    }
 
     // Distinguish the two bases in the trial RNG stream.
     uint64_t baseSeed = options.seed
@@ -350,11 +339,13 @@ estimateLogicalErrorBasis(EmbeddingKind embedding,
                 std::min<uint64_t>(batchSize, trials - begin));
             batch.reset(dem.numDetectors(), dem.numObservables(), count,
                         begin, dem.numErasureSites());
-            compute->sampleBatch(root, batch);
+            sampler.sampleBatchInto(root, batch);
             predictions.resize(count);
-            compute->decodeBatch(batch,
-                                 std::span<uint32_t>(predictions));
-            compute->countFailures(batch, predictions, failingTrials);
+            decoder->decodeBatch(batch, std::span<uint32_t>(predictions));
+            failingTrials.clear();
+            for (uint32_t s = 0; s < count; ++s)
+                if (predictions[s] != batch.observables(s))
+                    failingTrials.push_back(begin + s);
             sequencer.submit(b, failingTrials);
         }
     });

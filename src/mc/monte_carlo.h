@@ -5,7 +5,6 @@
 #include <functional>
 #include <string>
 
-#include "compute/compute_registry.h"
 #include "core/generator_common.h"
 #include "decoder/decoder_factory.h"
 #include "util/stats.h"
@@ -58,16 +57,6 @@ struct McOptions
     uint64_t seed = 0x5eed;
     unsigned threads = 0; // 0 = hardware concurrency
     DecoderKind decoder = DecoderKind::Mwpm;
-
-    /**
-     * Compute backend running the batch pipeline (sample -> classify
-     * -> decode -> count failures); see compute/compute_backend.h.
-     * Defaults through VLQ_COMPUTE so the selection is ambient for
-     * every driver; `scalar` (the bit-exact reference) when unset.
-     * Backends are bit-identical by contract, so this is a pure
-     * throughput knob -- like batchSize, it can never change counts.
-     */
-    ComputeKind compute = computeKindFromEnv(ComputeKind::Scalar);
 
     /**
      * Shots per work unit: each batch is sampled into a transposed

@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <sstream>
 
-#include "compute/compute_registry.h"
 #include "core/generator_registry.h"
 #include "decoder/decoder_factory.h"
 #include "mc/checkpoint.h"
@@ -301,12 +300,6 @@ jobScanConfig(const ScanJob& job)
     cfg.mc.decoder = *decoder;
     cfg.mc.batchSize = job.batchSize;
     cfg.mc.targetFailures = job.targetFailures;
-    if (!job.compute.empty()) {
-        auto compute = parseComputeKind(job.compute);
-        if (!compute)
-            VLQ_FATAL("jobScanConfig on unvalidated job: bad compute");
-        cfg.mc.compute = *compute;
-    } // else keep the McOptions default (VLQ_COMPUTE ambient)
     return cfg;
 }
 

@@ -64,12 +64,10 @@ struct ScanJob
     uint64_t targetFailures = 0;
 
     /**
-     * Compute backend name ("scalar", "simd"), or empty to inherit
-     * the server's ambient default (the VLQ_COMPUTE environment
-     * variable via McOptions). Backends are bit-identical by
-     * contract, so this is a throughput knob, not part of the job's
-     * checkpoint fingerprint -- a job checkpointed under one backend
-     * resumes under another.
+     * The retired compute-backend key: "scalar" or "simd" validate and
+     * change nothing, so request lines written for older servers still
+     * run. Kept only so requestLine() echoes it and such lines
+     * round-trip byte-identically; empty when absent.
      */
     std::string compute;
 

@@ -3,7 +3,6 @@
 #include <set>
 #include <sstream>
 
-#include "compute/compute_registry.h"
 #include "core/generator_common.h"
 #include "core/generator_registry.h"
 #include "decoder/decoder_factory.h"
@@ -121,11 +120,12 @@ validateJob(const ScanJob& job)
     if (!parseDecoderKind(job.decoder))
         bad("unknown decoder '" + job.decoder
             + "'; registered decoders: " + decoderKindList());
-    // Empty means "inherit the server's ambient default" -- only an
-    // explicit name must resolve.
-    if (!job.compute.empty() && !parseComputeKind(job.compute))
+    // The retired compute key is a no-op, but it is still outside
+    // input: only the two names older servers accepted pass.
+    if (!job.compute.empty() && job.compute != "scalar"
+        && job.compute != "simd")
         bad("unknown compute backend '" + job.compute
-            + "'; registered backends: " + computeKindList());
+            + "'; accepted values (both no-ops): scalar, simd");
 
     return problems;
 }

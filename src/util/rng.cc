@@ -52,30 +52,6 @@ Rng::nextDouble()
     return static_cast<double>(nextU64() >> 11) * 0x1.0p-53;
 }
 
-void
-Rng::fillDoubles(double* out, uint32_t n)
-{
-    uint64_t s0 = state_[0];
-    uint64_t s1 = state_[1];
-    uint64_t s2 = state_[2];
-    uint64_t s3 = state_[3];
-    for (uint32_t i = 0; i < n; ++i) {
-        const uint64_t result = rotl(s1 * 5, 7) * 9;
-        const uint64_t t = s1 << 17;
-        s2 ^= s0;
-        s3 ^= s1;
-        s1 ^= s2;
-        s0 ^= s3;
-        s2 ^= t;
-        s3 = rotl(s3, 45);
-        out[i] = static_cast<double>(result >> 11) * 0x1.0p-53;
-    }
-    state_[0] = s0;
-    state_[1] = s1;
-    state_[2] = s2;
-    state_[3] = s3;
-}
-
 uint64_t
 Rng::nextBelow(uint64_t bound)
 {

@@ -26,15 +26,6 @@ class Rng
     /** Uniform double in [0, 1). */
     double nextDouble();
 
-    /**
-     * Fill `out[0..n)` with the next n uniform doubles, bit-identical
-     * to n sequential nextDouble() calls. The generator state lives in
-     * registers for the whole block, so bulk consumers (the blocked
-     * batch sampler) pay the state load/store once per block instead
-     * of once per draw.
-     */
-    void fillDoubles(double* out, uint32_t n);
-
     /** Uniform integer in [0, bound). bound must be > 0. */
     uint64_t nextBelow(uint64_t bound);
 

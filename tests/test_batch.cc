@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
 #include <span>
 #include <vector>
 
@@ -376,6 +377,118 @@ TEST(BatchedMcTest, ProgressStreamsInOrder)
     EXPECT_EQ(lastFailures, est.successes);
     // One commit per batch, in order.
     EXPECT_EQ(seen.size(), (700 + 63) / 64u);
+}
+
+// ---------------------------------------------------------------------------
+// Randomized pipelines through the batched engine
+// ---------------------------------------------------------------------------
+
+/** One randomly drawn pipeline configuration. */
+struct PipelineDraw
+{
+    GeneratorConfig config;
+    EmbeddingKind embedding = EmbeddingKind::Baseline2D;
+    DecoderKind decoder = DecoderKind::Mwpm;
+    uint64_t seed = 0;
+};
+
+/**
+ * Draw a random but valid pipeline configuration: small distances
+ * (lots of trivial and near-trivial syndromes), Baseline, Compact and
+ * Compact-Rect embeddings under either schedule, every registered
+ * decoder, and sometimes biased or heralded-erasure noise.
+ */
+PipelineDraw
+drawPipeline(Rng& rng)
+{
+    PipelineDraw draw;
+    draw.config.distance = rng.nextBelow(2) == 0 ? 3 : 5;
+    double p = 2e-3 * (1.0 + 9.0 * rng.nextDouble());
+    draw.config.noise = NoiseModel::atPhysicalRate(
+        p, HardwareParams::transmonsWithMemory());
+    switch (rng.nextBelow(3)) {
+    case 0:
+        draw.embedding = EmbeddingKind::Baseline2D;
+        break;
+    case 1:
+        draw.embedding = EmbeddingKind::Compact;
+        break;
+    default:
+        draw.embedding = EmbeddingKind::CompactRect;
+        break;
+    }
+    if (rng.nextBelow(2) == 1)
+        draw.config.schedule = ExtractionSchedule::Interleaved;
+    if (rng.nextBelow(3) == 0)
+        draw.config.noise.bias = BiasedPauliSource{1.0, 1.0, 4.0};
+    if (rng.nextBelow(3) == 0) {
+        draw.config.noise.erasure.fraction = 0.3;
+        draw.config.noise.erasure.heralded = true;
+    }
+    const auto decoders = decoderRegistry();
+    draw.decoder = decoders[rng.nextBelow(decoders.size())].kind;
+    draw.seed = rng.nextU64();
+    return draw;
+}
+
+TEST(BatchedMcTest, RandomPipelinesInvariantUnderThreadsAndBatchSize)
+{
+    Rng rng(0xf022ed5eed);
+    std::set<EmbeddingKind> embeddings;
+    std::set<ExtractionSchedule> schedules;
+    std::set<DecoderKind> decoders;
+    int biased = 0;
+    int erased = 0;
+    // Batch sizes around the 64-shot word boundary, three random
+    // pipelines each.
+    for (uint32_t drawnBatch : {1u, 7u, 63u, 64u, 65u, 130u, 256u}) {
+        for (int k = 0; k < 3; ++k) {
+            PipelineDraw draw = drawPipeline(rng);
+            embeddings.insert(draw.embedding);
+            schedules.insert(draw.config.schedule);
+            decoders.insert(draw.decoder);
+            biased += draw.config.noise.bias.enabled() ? 1 : 0;
+            erased += draw.config.noise.erasure.heralded ? 1 : 0;
+
+            McOptions base;
+            base.trials = 150;
+            base.seed = draw.seed;
+            base.decoder = draw.decoder;
+            McOptions first = base;
+            first.threads = 1;
+            first.batchSize = drawnBatch;
+            BinomialEstimate ref = estimateLogicalErrorBasis(
+                draw.embedding, draw.config, first);
+            EXPECT_EQ(ref.trials, base.trials)
+                << "batch " << drawnBatch << " draw " << k;
+
+            for (unsigned threads : {1u, 4u}) {
+                for (uint32_t batchSize : {drawnBatch, 256u}) {
+                    if (threads == 1 && batchSize == drawnBatch)
+                        continue; // the reference run itself
+                    McOptions opt = base;
+                    opt.threads = threads;
+                    opt.batchSize = batchSize;
+                    BinomialEstimate est = estimateLogicalErrorBasis(
+                        draw.embedding, draw.config, opt);
+                    EXPECT_EQ(est.successes, ref.successes)
+                        << "batch " << drawnBatch << " draw " << k
+                        << ": " << threads << " threads, batch "
+                        << batchSize;
+                    EXPECT_EQ(est.trials, ref.trials)
+                        << "batch " << drawnBatch << " draw " << k
+                        << ": " << threads << " threads, batch "
+                        << batchSize;
+                }
+            }
+        }
+    }
+    // The fixed draw sequence must reach every regime listed above.
+    EXPECT_EQ(embeddings.size(), 3u);
+    EXPECT_EQ(schedules.size(), 2u);
+    EXPECT_EQ(decoders.size(), decoderRegistry().size());
+    EXPECT_GT(biased, 0);
+    EXPECT_GT(erased, 0);
 }
 
 } // namespace

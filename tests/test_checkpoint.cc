@@ -427,6 +427,52 @@ TEST(CheckpointResume, ResumeWithDifferentBatchSizeStillBitIdentical)
     removeFile(path);
 }
 
+TEST(CheckpointResume, OldFileWithMetaLineResumesAndDropsIt)
+{
+    // Older builds wrote `meta compute=<backend>` after the config
+    // line. Such a file must still load and resume to the counts of an
+    // uninterrupted run, and the file written back has no meta line.
+    GeneratorConfig cfg = ckptConfig(3, 9e-3);
+    McOptions options;
+    options.trials = 600;
+    options.seed = 2468;
+    options.batchSize = 64;
+    BinomialEstimate reference = estimateLogicalErrorBasis(
+        EmbeddingKind::Baseline2D, cfg, options);
+    EXPECT_GT(reference.successes, 0u);
+
+    // Save mid-run: preempt at the third batch commit.
+    std::string path = tmpPath("meta_line.ckpt");
+    removeFile(path);
+    McOptions cut = options;
+    cut.checkpointPath = path;
+    int commits = 0;
+    cut.preempt = [&commits] { return ++commits == 3; };
+    bool preempted = false;
+    cut.preempted = &preempted;
+    BinomialEstimate partial = estimateLogicalErrorBasis(
+        EmbeddingKind::Baseline2D, cfg, cut);
+    ASSERT_TRUE(preempted);
+    ASSERT_EQ(partial.trials, 3 * 64u);
+
+    std::string text = readFile(path);
+    EXPECT_EQ(text.find("\nmeta "), std::string::npos);
+    const size_t configLine = text.find("\nconfig ");
+    ASSERT_NE(configLine, std::string::npos);
+    text.insert(text.find('\n', configLine + 1) + 1,
+                "meta compute=simd\n");
+    writeFile(path, text);
+
+    McOptions resumed = options;
+    resumed.checkpointPath = path;
+    BinomialEstimate est = estimateLogicalErrorBasis(
+        EmbeddingKind::Baseline2D, cfg, resumed);
+    EXPECT_EQ(est.trials, reference.trials);
+    EXPECT_EQ(est.successes, reference.successes);
+    EXPECT_EQ(readFile(path).find("\nmeta "), std::string::npos);
+    removeFile(path);
+}
+
 TEST(CheckpointResume, DonePointSkipsSampling)
 {
     GeneratorConfig cfg = ckptConfig(3, 5e-3);

@@ -295,9 +295,7 @@ TEST(ObsReport, MwpmCountsExactAndBlossomShots)
                               obsConfig(3, 9e-3), options);
     obs::setMetricsEnabled(false);
 
-    // Every non-trivial shot takes one of the two solvers. (A compute
-    // backend's lookup tables are filled through decode() as well,
-    // so the solver counts may exceed the batch counts.)
+    // Every non-trivial shot takes one of the two solvers.
     obs::MetricsSnapshot snap = obs::snapshotMetrics();
     auto delta = [&](const char* name) {
         return snap.counter(name) - before.counter(name);

@@ -151,9 +151,8 @@ TEST(ServiceRequest, RequeueVerb)
 
 TEST(ServiceRequest, ComputeKeyRoundTripsOnlyWhenSet)
 {
-    // Default (inherit the server's ambient backend): the canonical
-    // line carries no compute= token, byte-compatible with older
-    // clients.
+    // Default: the canonical line carries no compute= token. A line
+    // that does carry the retired no-op key echoes it back unchanged.
     ScanJob job = smallJob("compute-rt");
     EXPECT_EQ(job.requestLine().find("compute="), std::string::npos);
 
@@ -217,10 +216,10 @@ TEST(ServiceValidation, RejectsBadComputeWithRegistryListing)
     ASSERT_FALSE(problems.empty());
     EXPECT_TRUE(
         anyProblemContains(problems, "unknown compute backend 'gpu'"));
-    EXPECT_TRUE(anyProblemContains(problems, "registered backends:"));
-    EXPECT_TRUE(anyProblemContains(problems, "scalar"));
+    EXPECT_TRUE(anyProblemContains(problems, "accepted values"));
+    EXPECT_TRUE(anyProblemContains(problems, "scalar, simd"));
 
-    job.compute = "simd"; // a registered name validates
+    job.compute = "simd"; // an accepted (no-op) name validates
     EXPECT_TRUE(service::validateJob(job).empty());
 }
 

@@ -37,7 +37,7 @@
  * issued from pool worker threads, and decoder workers racing to fill
  * the same shortest-path rows without waiting for one another. CI runs
  * the tier-1 suite -- including this file -- under -fsanitize=thread
- * with both compute backends (the `tsan` preset); a data race here is
+ * (the `tsan` preset); a data race here is
  * a bug, never a suppression (see docs/ARCHITECTURE.md, "Static
  * analysis & sanitizers").
  */

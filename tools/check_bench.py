@@ -13,26 +13,19 @@ machine-dependent records -- timings, speedups -- that references
 deliberately omit); rows present only in the reference fail, so a
 bench cannot silently stop reporting a tracked quantity.
 
-Machine-dependent records can still be gated with --floor: each
-`--floor REGEX=MIN` requires every *candidate* row whose joined key
-matches REGEX to carry a value >= MIN, and fails when no row matches
-at all (a floor that stops matching anything is itself rot). This is
-how CI pins the scalar-vs-simd compute-backend throughput ratios
-(`pipeline_simd_speedup` rows from bench_ablation_decoder) without
-checking machine-dependent timings into the reference.
-
 Besides pass/fail, every run ends with a per-record drift summary:
 for each record type (the first key column) the count of compared
 values, the mean and worst relative drift, and the row that drifted
-most. A bench can pass every tolerance while quietly walking toward
-the edge; the summary makes that visible in CI logs before it trips.
+most. Drift is scaled by max(|ref|, |cand|, abs_tol), the same max
+the tolerance uses, and is 0 when both values are 0. A bench can pass
+every tolerance while quietly walking toward the edge; the summary
+makes that visible in CI logs before it trips.
 
 Exit status: 0 when every reference row matches, 1 otherwise.
 
 Usage:
     check_bench.py reference.csv candidate.csv \
-        [--abs-tol A] [--rel-tol R] [--ignore REGEX] \
-        [--floor REGEX=MIN ...]
+        [--abs-tol A] [--rel-tol R] [--ignore REGEX]
 """
 
 import argparse
@@ -78,22 +71,7 @@ def main():
     ap.add_argument("--ignore", default=None, metavar="REGEX",
                     help="skip reference rows whose joined key "
                          "matches this regex")
-    ap.add_argument("--floor", action="append", default=[],
-                    metavar="REGEX=MIN",
-                    help="every candidate row whose joined key matches "
-                         "REGEX must have value >= MIN; fails when "
-                         "nothing matches (repeatable)")
     args = ap.parse_args()
-
-    floors = []
-    for spec in args.floor:
-        pattern, sep, minimum = spec.rpartition("=")
-        if not sep or not pattern:
-            sys.exit(f"--floor {spec!r}: expected REGEX=MIN")
-        try:
-            floors.append((re.compile(pattern), float(minimum)))
-        except (re.error, ValueError) as exc:
-            sys.exit(f"--floor {spec!r}: {exc}")
 
     ref_header, ref = load_rows(args.reference)
     cand_header, cand = load_rows(args.candidate)
@@ -126,9 +104,11 @@ def main():
         for r, c in zip(ref_values, cand_values):
             checked += 1
             tol = args.abs_tol + args.rel_tol * max(abs(r), abs(c))
-            # Relative drift against the tolerance scale, so zero-rate
-            # reference rows (r == 0) still report meaningfully.
-            drift = (c - r) / max(abs(r), args.abs_tol)
+            # Relative drift against the tolerance's scale, so zero-rate
+            # reference rows (r == 0) still report meaningfully; two
+            # zeros (possible under --abs-tol 0) have not drifted.
+            scale = max(abs(r), abs(c), args.abs_tol)
+            drift = (c - r) / scale if scale > 0 else 0.0
             stats = drift_by_record.setdefault(
                 record, [0, 0.0, -1.0, 0.0, ""])
             stats[0] += 1
@@ -143,31 +123,9 @@ def main():
                       f"tol {tol:g})")
                 failures += 1
 
-    # Floors run over the *candidate*: machine-dependent rows are
-    # absent from the reference by design, but a pinned ratio (e.g. a
-    # compute-backend speedup) must still never regress below its
-    # floor.
-    for pattern, minimum in floors:
-        matched = 0
-        for key, values in sorted(cand.items()):
-            label = ",".join(key)
-            if not pattern.search(label):
-                continue
-            matched += len(values)
-            for value in values:
-                checked += 1
-                if value < minimum:
-                    print(f"FAIL: [{label}] value {value:g} below "
-                          f"floor {minimum:g} "
-                          f"(--floor {pattern.pattern})")
-                    failures += 1
-        if matched == 0:
-            print(f"FAIL: --floor {pattern.pattern} matched no "
-                  f"candidate rows")
-            failures += 1
-
     if drift_by_record:
-        print("\nDrift summary (relative to max(|ref|, abs_tol)):")
+        print("\nDrift summary (relative to max(|ref|, |cand|, "
+              "abs_tol)):")
         print(f"  {'record':<20} {'n':>5} {'mean':>9} {'worst':>9} "
               f"  worst row")
         for record, (n, total, _, worst, worst_label) in sorted(

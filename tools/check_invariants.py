@@ -45,12 +45,12 @@ fires on its fixture corpus under tools/invariant_fixtures/):
                        src/util/env.cc (CLI usage/arg-error printing,
                        which is user dialogue, not library logging).
 
-  registry-docs        Every name registered in the decoder /
-                       embedding / compute registries must appear in
-                       README.md and docs/job-protocol.md, and -- when
+  registry-docs        Every name registered in the decoder and
+                       embedding registries must appear in README.md
+                       and docs/job-protocol.md, and -- when
                        --help-bin points at built binaries -- in some
                        binary's --help output. Registries grow by
-                       editing a .cc list; nothing else forces the
+                       editing a .cc table; nothing else forces the
                        docs to follow.
 
 Escape hatch: a `lint-allow: <rule> (<reason>)` comment on the
@@ -79,10 +79,9 @@ SOURCE_EXTENSIONS = (".h", ".cc", ".cpp")
 REGISTRY_SOURCES = (
     "src/decoder/decoder_factory.cc",
     "src/core/generator_registry.cc",
-    "src/compute/compute_registry.cc",
 )
 REGISTRY_NAME_RE = re.compile(
-    r"\{(?:DecoderKind|EmbeddingKind|ComputeKind)::\w+,\s*\n?\s*"
+    r"\{(?:DecoderKind|EmbeddingKind)::\w+,\s*\n?\s*"
     r"\"(?P<name>[^\"]+)\"")
 REGISTRY_DOC_TARGETS = ("README.md", "docs/job-protocol.md")
 

@@ -9,7 +9,9 @@ add. This tool merges such shards into one combined checkpoint (for
 reporting: summed trials and failures per point), after verifying that
 
   * every shard is a structurally valid `vlq-mc-checkpoint 1` file
-    (version, fingerprint, end-marker intact),
+    (version, fingerprint, end-marker intact; `meta key=value` lines
+    that older engines wrote are accepted and dropped, as the C++
+    loader does),
   * all shards record the *same* configuration apart from the seed
     (same trial budget, batch, decoder, target, grid, ...), and
   * no two shards overlap: two files with the same seed cover the same
@@ -85,6 +87,12 @@ def load_shard(path):
     i = 3
     while i < len(lines) and not lines[i].startswith("end"):
         tokens = lines[i].split()
+        if tokens and tokens[0] == "meta":
+            # An older engine's `meta key=value` line: check, then drop.
+            if len(tokens) != 2 or tokens[1].find("=") < 1:
+                reject(path, f"malformed meta line {i + 1}")
+            i += 1
+            continue
         if len(tokens) != 5 or tokens[0] != "point":
             reject(path, f"malformed line {i + 1}: {lines[i]!r}")
         key = tokens[1]
