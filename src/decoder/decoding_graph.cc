@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
+#include <utility>
 
 namespace vlq {
 
@@ -20,6 +20,20 @@ weightOf(double p)
 {
     double clamped = std::min(std::max(p, 1e-14), 0.499999);
     return std::log((1.0 - clamped) / clamped);
+}
+
+uint64_t
+pairKey(uint32_t a, uint32_t b)
+{
+    return (static_cast<uint64_t>(std::min(a, b)) << 32) | std::max(a, b);
+}
+
+template <typename T>
+void
+sortUnique(std::vector<T>& v)
+{
+    std::sort(v.begin(), v.end());
+    v.erase(std::unique(v.begin(), v.end()), v.end());
 }
 
 } // namespace
@@ -128,22 +142,31 @@ DecodingGraph::build(const DetectorErrorModel& dem)
     DecodingGraph g(dem.numDetectors());
     const uint32_t boundary = g.boundaryNode();
 
-    // Pass 1: note the pairs/boundary hits that known fault outcomes
-    // produce, so correlated (>2 detector) outcomes can be decomposed
+    // Pass 1, only when some outcome flips more than two detectors:
+    // note the pairs/boundary hits that known fault outcomes produce,
+    // as sorted arrays, so those correlated outcomes can be decomposed
     // into edges the graph already understands.
-    std::set<std::pair<uint32_t, uint32_t>> knownPairs;
-    std::set<uint32_t> knownBoundary;
-    for (const auto& ch : dem.channels()) {
-        for (const auto& o : ch.outcomes) {
-            if (o.detectors.size() == 1) {
-                knownBoundary.insert(o.detectors[0]);
-            } else if (o.detectors.size() == 2) {
-                uint32_t a = o.detectors[0];
-                uint32_t b = o.detectors[1];
-                knownPairs.insert({std::min(a, b), std::max(a, b)});
-            }
+    std::vector<uint64_t> knownPairs; // (a << 32) | b, a < b
+    std::vector<uint32_t> knownBoundary;
+    const auto outcomes = dem.outcomes();
+    if (std::any_of(outcomes.begin(), outcomes.end(),
+                    [](const FaultOutcome& o) {
+                        return o.detectors.size() > 2;
+                    })) {
+        for (const FaultOutcome& o : outcomes) {
+            if (o.detectors.size() == 1)
+                knownBoundary.push_back(o.detectors[0]);
+            else if (o.detectors.size() == 2)
+                knownPairs.push_back(pairKey(o.detectors[0],
+                                             o.detectors[1]));
         }
+        sortUnique(knownPairs);
+        sortUnique(knownBoundary);
     }
+    auto isKnownPair = [&](uint32_t a, uint32_t b) {
+        return std::binary_search(knownPairs.begin(), knownPairs.end(),
+                                  pairKey(a, b));
+    };
 
     // Pass 2: accumulate every outcome into edges. Outcomes of ONE
     // channel are mutually exclusive, so same-signature outcomes within
@@ -162,6 +185,8 @@ DecodingGraph::build(const DetectorErrorModel& dem)
         uint32_t observables;
     };
     std::vector<ExclusivePiece> pieces1and2;
+    std::vector<uint32_t> rest;
+    std::vector<std::pair<uint32_t, uint32_t>> pieces;
     for (const auto& ch : dem.channels()) {
         pieces1and2.clear();
         auto accumulate = [&](uint32_t a, uint32_t b, double p,
@@ -191,18 +216,15 @@ DecodingGraph::build(const DetectorErrorModel& dem)
                            o.probability, o.observables);
             } else {
                 // Decompose into known pairs; leftovers pair arbitrarily.
-                std::vector<uint32_t> rest(o.detectors.begin(),
-                                           o.detectors.end());
-                std::vector<std::pair<uint32_t, uint32_t>> pieces;
+                rest.assign(o.detectors.begin(), o.detectors.end());
+                pieces.clear();
                 bool usedKnown = false;
                 for (size_t i = 0; i < rest.size();) {
                     bool found = false;
                     for (size_t j = i + 1; j < rest.size(); ++j) {
-                        auto key = std::make_pair(
-                            std::min(rest[i], rest[j]),
-                            std::max(rest[i], rest[j]));
-                        if (knownPairs.count(key)) {
-                            pieces.push_back(key);
+                        if (isKnownPair(rest[i], rest[j])) {
+                            pieces.push_back({std::min(rest[i], rest[j]),
+                                              std::max(rest[i], rest[j])});
                             rest.erase(rest.begin()
                                        + static_cast<long>(j));
                             rest.erase(rest.begin()
@@ -216,6 +238,7 @@ DecodingGraph::build(const DetectorErrorModel& dem)
                         ++i;
                 }
                 // Leftovers: pair consecutively, odd one to boundary.
+                // Any arbitrary pair or unknown boundary hit forces.
                 bool forced = false;
                 for (size_t i = 0; i + 1 < rest.size(); i += 2) {
                     pieces.push_back({std::min(rest[i], rest[i + 1]),
@@ -224,7 +247,10 @@ DecodingGraph::build(const DetectorErrorModel& dem)
                 }
                 if (rest.size() % 2 == 1) {
                     pieces.push_back({rest.back(), boundary});
-                    forced = !knownBoundary.count(rest.back());
+                    if (!std::binary_search(knownBoundary.begin(),
+                                            knownBoundary.end(),
+                                            rest.back()))
+                        forced = true;
                 }
                 if (forced)
                     ++g.stats_.forcedPairings;

@@ -2,6 +2,7 @@
 #define VLQ_DEM_DETECTOR_MODEL_H
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "circuit/circuit.h"
@@ -10,13 +11,14 @@ namespace vlq {
 
 /**
  * One possible outcome of a fault channel: with `probability`, the
- * listed detectors and observables flip.
+ * listed detectors and observables flip. `detectors` views the owning
+ * model's detector pool (see DetectorErrorModel).
  */
 struct FaultOutcome
 {
     double probability = 0.0;
-    std::vector<uint32_t> detectors;   // sorted, deduplicated
-    uint32_t observables = 0;          // bitmask over observables
+    std::span<const uint32_t> detectors; // sorted, deduplicated
+    uint32_t observables = 0;            // bitmask over observables
 };
 
 /**
@@ -25,14 +27,15 @@ struct FaultOutcome
  * most 1 (the remainder is "no error"). Outcomes whose signature is
  * empty are dropped -- they are indistinguishable from no error --
  * except for heralded channels, which keep them so the herald fires
- * with the channel's full physical probability.
+ * with the channel's full physical probability. Every channel keeps at
+ * least one outcome. `outcomes` views the owning model's outcome array.
  */
 struct FaultChannel
 {
     /** Index of the originating operation in the source circuit. */
     uint32_t opIndex = 0;
 
-    std::vector<FaultOutcome> outcomes;
+    std::span<const FaultOutcome> outcomes;
 
     /** True for heralded-erasure channels: firing raises a herald. */
     bool heralded = false;
@@ -65,17 +68,37 @@ struct DetectorMeta
  * Detector error model: the complete map from physical fault mechanisms
  * to detector/observable flips for a given noisy circuit.
  *
+ * Storage is three flat arrays: the channels (in circuit order), every
+ * channel's outcomes (one contiguous run per channel), and one pool
+ * holding every outcome's detector indices back to back. A channel's
+ * `outcomes` and an outcome's `detectors` are spans into those arrays,
+ * so building a model allocates only as those arrays grow, never per
+ * outcome, and the sampler and decoding graph read it in place.
+ *
  * Built by backward sensitivity propagation: walking the circuit in
  * reverse while maintaining, per qubit, the set of detectors an X or Z
- * error at that point would flip. This is O(ops x detectors/64) -- far
- * cheaper than forward-propagating every fault -- and exact for
- * Clifford+Pauli circuits. The forward Pauli-frame simulator provides an
- * independent implementation used to cross-validate this builder in the
- * test suite.
+ * error at that point would flip. Each set is dense 64-bit words plus
+ * the range of words that may be non-zero; observables live in their
+ * own mask. A fault reaches only the detectors of the next round or
+ * two, so the range stays a few words wide and each gate, and each
+ * outcome appended to the pool, costs O(range) instead of
+ * O(detectors/64). Exact for Clifford+Pauli circuits. The forward
+ * Pauli-frame simulator provides an independent implementation used to
+ * cross-validate this builder in the test suite.
+ *
+ * A model is immutable once built. Copies re-point their spans at the
+ * copy's own arrays, and moves keep the arrays' buffers, so both are
+ * safe. The spans stay valid for the model's lifetime.
  */
 class DetectorErrorModel
 {
   public:
+    DetectorErrorModel() = default;
+    DetectorErrorModel(const DetectorErrorModel& other);
+    DetectorErrorModel& operator=(const DetectorErrorModel& other);
+    DetectorErrorModel(DetectorErrorModel&&) noexcept = default;
+    DetectorErrorModel& operator=(DetectorErrorModel&&) noexcept = default;
+
     /** Build the model for a circuit with detectors/observables. */
     static DetectorErrorModel build(const Circuit& circuit);
 
@@ -87,6 +110,13 @@ class DetectorErrorModel
 
     const std::vector<FaultChannel>& channels() const { return channels_; }
 
+    /** Every channel's outcomes, one contiguous run per channel (the
+     *  runs are not in channel order). */
+    std::span<const FaultOutcome> outcomes() const { return outcomes_; }
+
+    /** The pool every outcome's `detectors` points into. */
+    std::span<const uint32_t> detectorPool() const { return detectorPool_; }
+
     const std::vector<DetectorMeta>& detectorMeta() const { return meta_; }
 
     /** Sum over channels of their total probability (diagnostics). */
@@ -97,6 +127,8 @@ class DetectorErrorModel
     uint32_t numObservables_ = 0;
     uint32_t numErasureSites_ = 0;
     std::vector<FaultChannel> channels_;
+    std::vector<FaultOutcome> outcomes_;
+    std::vector<uint32_t> detectorPool_;
     std::vector<DetectorMeta> meta_;
 };
 

@@ -1,8 +1,9 @@
 #include "dem/sampler.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
-#include <map>
+#include <span>
 
 #include "obs/obs.h"
 #include "util/logging.h"
@@ -14,38 +15,47 @@ FaultSampler::FaultSampler(const DetectorErrorModel& dem)
       numObservables_(dem.numObservables()),
       numErasureSites_(dem.numErasureSites())
 {
+    // Outcomes keep their detector ranges: the pool is copied whole.
+    const std::span<const uint32_t> pool = dem.detectorPool();
+    detectorIndices_.assign(pool.begin(), pool.end());
     channels_.reserve(dem.channels().size());
-    for (const auto& ch : dem.channels()) {
+    outcomes_.reserve(dem.outcomes().size());
+    for (const FaultChannel& ch : dem.channels()) {
         FlatChannel fc;
         fc.erasureSite = ch.erasureSite;
         fc.begin = static_cast<uint32_t>(outcomes_.size());
         double cum = 0.0;
-        for (const auto& o : ch.outcomes) {
-            FlatOutcome fo;
+        for (const FaultOutcome& o : ch.outcomes) {
             cum += o.probability;
-            fo.cumulative = cum;
-            fo.begin = static_cast<uint32_t>(detectorIndices_.size());
-            detectorIndices_.insert(detectorIndices_.end(),
-                                    o.detectors.begin(), o.detectors.end());
-            fo.end = static_cast<uint32_t>(detectorIndices_.size());
-            fo.observables = o.observables;
-            outcomes_.push_back(fo);
+            const auto begin =
+                static_cast<uint32_t>(o.detectors.data() - pool.data());
+            outcomes_.push_back(FlatOutcome{
+                cum, begin,
+                begin + static_cast<uint32_t>(o.detectors.size()),
+                o.observables});
         }
         fc.end = static_cast<uint32_t>(outcomes_.size());
         fc.total = cum;
-        if (fc.end > fc.begin)
-            channels_.push_back(fc);
+        channels_.push_back(fc);
     }
 
-    // Group channels by firing probability for the skip-sampling path.
-    // Noise models use a handful of distinct rates, so the group count
-    // is small; std::map keeps group order (and therefore the sampled
-    // stream) deterministic for a given model.
-    std::map<double, std::vector<uint32_t>> byProb;
+    // Group channels by firing probability for the skip-sampling path:
+    // ascending probability, channel order within a group, which keeps
+    // the sampled stream deterministic for a given model. Noise models
+    // use a handful of distinct rates, so the group count is small.
     for (uint32_t c = 0; c < channels_.size(); ++c)
         if (channels_[c].total > 0.0)
-            byProb[channels_[c].total].push_back(c);
-    for (const auto& [p, chans] : byProb) {
+            groupChannels_.push_back(c);
+    std::stable_sort(groupChannels_.begin(), groupChannels_.end(),
+                     [this](uint32_t a, uint32_t b) {
+                         return channels_[a].total < channels_[b].total;
+                     });
+    for (uint32_t begin = 0; begin < groupChannels_.size();) {
+        const double p = channels_[groupChannels_[begin]].total;
+        uint32_t end = begin + 1;
+        while (end < groupChannels_.size()
+               && channels_[groupChannels_[end]].total == p)
+            ++end;
         ChannelGroup g;
         g.probability = p;
         g.alwaysFires = p >= 1.0;
@@ -53,13 +63,11 @@ FaultSampler::FaultSampler(const DetectorErrorModel& dem)
             g.alwaysFires ? 0.0 : 1.0 / std::log1p(-p);
         g.fullExitU = g.alwaysFires
             ? 1.0
-            : 1.0 - std::pow(1.0 - p,
-                             static_cast<double>(chans.size()));
-        g.begin = static_cast<uint32_t>(groupChannels_.size());
-        groupChannels_.insert(groupChannels_.end(), chans.begin(),
-                              chans.end());
-        g.end = static_cast<uint32_t>(groupChannels_.size());
+            : 1.0 - std::pow(1.0 - p, static_cast<double>(end - begin));
+        g.begin = begin;
+        g.end = end;
         groups_.push_back(g);
+        begin = end;
     }
 }
 

@@ -56,6 +56,15 @@ McProgress::heartbeatString() const
 
 namespace {
 
+/** `build()`, timed as obs stage `stage` (a string literal). */
+template <typename Build>
+auto
+timedStage(const char* stage, const Build& build)
+{
+    obs::StageTimer timer(stage);
+    return build();
+}
+
 /**
  * Commits batch results strictly in batch-index order, regardless of
  * which worker finished them first. This is what makes the running
@@ -267,11 +276,22 @@ estimateLogicalErrorBasis(EmbeddingKind embedding,
         }
     }
 
-    GeneratedCircuit gen = generateMemoryCircuit(embedding, config);
-    DetectorErrorModel dem = DetectorErrorModel::build(gen.circuit);
-    FaultSampler sampler(dem);
-
-    std::unique_ptr<Decoder> decoder = makeDecoder(options.decoder, dem);
+    // Set-up: everything the point builds before its first shot.
+    const auto setupStart = std::chrono::steady_clock::now();
+    const GeneratedCircuit gen = timedStage("point.generate", [&] {
+        return generateMemoryCircuit(embedding, config);
+    });
+    const DetectorErrorModel dem = timedStage("point.dem", [&] {
+        return DetectorErrorModel::build(gen.circuit);
+    });
+    const FaultSampler sampler =
+        timedStage("point.sampler", [&] { return FaultSampler(dem); });
+    const std::unique_ptr<Decoder> decoder =
+        timedStage("point.decoder", [&] {
+            return makeDecoder(options.decoder, dem);
+        });
+    const double setupSeconds = std::chrono::duration<double>(
+        std::chrono::steady_clock::now() - setupStart).count();
 
     // Distinguish the two bases in the trial RNG stream.
     uint64_t baseSeed = options.seed
@@ -384,6 +404,7 @@ estimateLogicalErrorBasis(EmbeddingKind embedding,
         pr.shotsPerSec = pr.wallSeconds > 0.0
             ? static_cast<double>(pr.sessionTrials) / pr.wallSeconds
             : 0.0;
+        pr.setupSeconds = setupSeconds;
         obs::reportPoint(pr);
     }
     if (checkpoint.enabled()) {

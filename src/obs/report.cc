@@ -121,7 +121,8 @@ buildReportJson()
                 + ",\"session_trials\":"
                 + std::to_string(p.sessionTrials) + ",\"wall_seconds\":"
                 + jsonNumber(p.wallSeconds) + ",\"shots_per_sec\":"
-                + jsonNumber(p.shotsPerSec) + "}";
+                + jsonNumber(p.shotsPerSec) + ",\"setup_seconds\":"
+                + jsonNumber(p.setupSeconds) + "}";
         }
     }
     out += "\n],\n";

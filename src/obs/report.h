@@ -23,7 +23,7 @@ namespace obs {
  *            "hardware_threads", "trace_dropped_events"},
  *    "points": [{"embedding", "distance", "p", "basis", "trials",
  *                "failures", "session_trials", "wall_seconds",
- *                "shots_per_sec"}],
+ *                "shots_per_sec", "setup_seconds"}],
  *    "counters": {name: value},
  *    "gauges": {name: value},
  *    "histograms": {name: {"unit": "ns", "count", "sum", "mean",
@@ -42,8 +42,12 @@ struct PointReport
     uint64_t trials = 0;        // global committed trials (with resume)
     uint64_t failures = 0;
     uint64_t sessionTrials = 0; // trials actually sampled this process
-    double wallSeconds = 0.0;
+    double wallSeconds = 0.0;   // sampling, after set-up
     double shotsPerSec = 0.0;   // sessionTrials / wallSeconds
+    /** Circuit, DEM, sampler and decoder build before the first shot
+     *  (stages point.generate, point.dem, point.sampler and
+     *  point.decoder). */
+    double setupSeconds = 0.0;
 };
 
 /**

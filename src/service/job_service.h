@@ -42,8 +42,11 @@ struct JobServiceConfig
 
 /**
  * The scan job service: multiplexes many interactive threshold scans
- * over one warm engine, one process-wide ThreadPool and one event
- * stream, instead of one process per CLI run.
+ * over one process and one event stream, instead of one process per
+ * CLI run. Nothing is kept warm between points: every point (and every
+ * resume of a preempted point) rebuilds its circuit, DEM, sampler and
+ * decoder, whose shortest-path rows then start cold, and runs on a
+ * ThreadPool of its own.
  *
  * Lifecycle of a job (full wire protocol: docs/job-protocol.md):
  * submit -> validateJob (reject with `error` before any engine work)
@@ -63,8 +66,9 @@ struct JobServiceConfig
  * the job was preempted, interleaved, or the server killed.
  *
  * Threading: runUntilDrained executes jobs sequentially on the
- * caller's thread (each job internally fans out over the engine
- * ThreadPool -- the pool, not the job count, is the parallelism);
+ * caller's thread (each point fans out over its own ThreadPool of
+ * `threads` workers -- the pool, not the job count, is the
+ * parallelism);
  * submit/submitLine/requestShutdown are safe to call concurrently
  * from other threads and take effect at the next batch boundary.
  */

@@ -1,9 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cinttypes>
+#include <cstdio>
+#include <functional>
+#include <memory>
+
 #include "core/generator_common.h"
 #include "decoder/decoding_graph.h"
 #include "dem/detector_model.h"
 #include "dem/sampler.h"
+#include "dem/shot_batch.h"
+#include "mc/memory_experiment.h"
 #include "sim/frame.h"
 #include "util/rng.h"
 
@@ -53,8 +62,8 @@ TEST(Dem, RepetitionToyCircuit)
     ASSERT_EQ(ch.outcomes.size(), 1u);
     // X on qubit 0 flips m0 and m1 and the data readout: detector 0
     // (m0) fires, detector 1 (m0 xor m1) stays quiet, observable flips.
-    EXPECT_EQ(ch.outcomes[0].detectors,
-              (std::vector<uint32_t>{0}));
+    ASSERT_EQ(ch.outcomes[0].detectors.size(), 1u);
+    EXPECT_EQ(ch.outcomes[0].detectors[0], 0u);
     EXPECT_EQ(ch.outcomes[0].observables, 1u);
     EXPECT_NEAR(ch.outcomes[0].probability, 0.1, 1e-12);
 }
@@ -69,8 +78,8 @@ TEST(Dem, MeasurementFlipChannel)
     c.addDetector(d);
     DetectorErrorModel dem = DetectorErrorModel::build(c);
     ASSERT_EQ(dem.channels().size(), 1u);
-    EXPECT_EQ(dem.channels()[0].outcomes[0].detectors,
-              (std::vector<uint32_t>{0}));
+    ASSERT_EQ(dem.channels()[0].outcomes[0].detectors.size(), 1u);
+    EXPECT_EQ(dem.channels()[0].outcomes[0].detectors[0], 0u);
     EXPECT_NEAR(dem.channels()[0].outcomes[0].probability, 0.2, 1e-12);
 }
 
@@ -149,7 +158,8 @@ TEST_P(DemForwardBackward, SignaturesMatchForwardInjection)
         for (const auto& o : ch.outcomes) {
             bool found = false;
             for (auto& e : expected) {
-                if (e.first == o.detectors && e.second == o.observables) {
+                if (std::ranges::equal(e.first, o.detectors)
+                    && e.second == o.observables) {
                     found = true;
                     e.second = 0xffffffff; // consume
                     e.first.clear();
@@ -323,6 +333,242 @@ TEST(Sampler, ZeroNoiseSamplesNothing)
     auto shot = sampler.sample(rng);
     EXPECT_TRUE(shot.detectors.none());
     EXPECT_EQ(shot.observables, 0u);
+}
+
+/** FNV-1a over 64-bit values: an order-sensitive fingerprint. */
+class Digest
+{
+  public:
+    void add(uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h_ ^= (v >> (8 * i)) & 0xff;
+            h_ *= 0x100000001b3ULL;
+        }
+    }
+    void addDouble(double v) { add(std::bit_cast<uint64_t>(v)); }
+    uint64_t value() const { return h_; }
+
+  private:
+    uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+/** Every channel field and every outcome's bits, in channel order. */
+uint64_t
+demDigest(const DetectorErrorModel& dem)
+{
+    Digest h;
+    h.add(dem.numDetectors());
+    h.add(dem.numObservables());
+    h.add(dem.numErasureSites());
+    h.add(dem.channels().size());
+    for (const auto& ch : dem.channels()) {
+        h.add(ch.opIndex);
+        h.add(ch.heralded ? 1 : 0);
+        h.add(static_cast<uint64_t>(static_cast<int64_t>(ch.erasureSite)));
+        h.add(ch.outcomes.size());
+        for (const auto& o : ch.outcomes) {
+            h.addDouble(o.probability);
+            h.add(o.detectors.size());
+            for (uint32_t d : o.detectors)
+                h.add(d);
+            h.add(o.observables);
+        }
+    }
+    return h.value();
+}
+
+/** Edges (endpoints, probability and weight bits, observables),
+ *  adjacency and build stats. */
+uint64_t
+graphDigest(const DecodingGraph& g)
+{
+    Digest h;
+    h.add(g.numDetectors());
+    h.add(g.edges().size());
+    for (const DecodingEdge& e : g.edges()) {
+        h.add(e.a);
+        h.add(e.b);
+        h.addDouble(e.probability);
+        h.addDouble(e.weight);
+        h.add(e.observables);
+    }
+    for (uint32_t v = 0; v < g.numNodes(); ++v) {
+        h.add(g.incidentEdges(v).size());
+        for (uint32_t e : g.incidentEdges(v))
+            h.add(e);
+    }
+    h.addDouble(g.minWeight());
+    h.add(g.stats().decomposed);
+    h.add(g.stats().forcedPairings);
+    h.add(g.stats().observableConflicts);
+    return h.value();
+}
+
+/** Every row of the first 4096 shots the batch sampler draws. */
+uint64_t
+shotDigest(const DetectorErrorModel& dem)
+{
+    constexpr uint32_t kShots = 4096;
+    FaultSampler sampler(dem);
+    ShotBatch batch;
+    batch.reset(dem.numDetectors(), dem.numObservables(), kShots, 0,
+                dem.numErasureSites());
+    sampler.sampleBatchInto(Rng(0x5eed), batch);
+    Digest h;
+    for (uint32_t d = 0; d < batch.numDetectors(); ++d)
+        for (uint32_t w = 0; w < batch.wordsPerRow(); ++w)
+            h.add(batch.detectorRow(d)[w]);
+    for (uint32_t o = 0; o < batch.numObservables(); ++o)
+        for (uint32_t w = 0; w < batch.wordsPerRow(); ++w)
+            h.add(batch.observableRow(o)[w]);
+    for (uint32_t s = 0; s < batch.numErasureSites(); ++s)
+        for (uint32_t w = 0; w < batch.wordsPerRow(); ++w)
+            h.add(batch.erasureRow(s)[w]);
+    return h.value();
+}
+
+TEST(Dem, CopiesAndMovesViewTheirOwnArrays)
+{
+    GeneratorConfig cfg = smallConfig(EmbeddingKind::Compact, 2e-3);
+    cfg.noise.erasure.fraction = 0.5;
+    auto original = std::make_unique<DetectorErrorModel>(
+        DetectorErrorModel::build(generateCompactMemory(cfg).circuit));
+    const uint64_t expected = demDigest(*original);
+    ASSERT_GT(original->numErasureSites(), 0u);
+
+    DetectorErrorModel copy(*original);
+    DetectorErrorModel assigned;
+    assigned = *original;
+    original.reset(); // a copy must not read the original's arrays
+    auto inside = [](auto part, auto whole) {
+        const std::less_equal<> le;
+        return le(whole.data(), part.data())
+            && le(part.data() + part.size(), whole.data() + whole.size());
+    };
+    for (const DetectorErrorModel* dem : {&copy, &assigned}) {
+        EXPECT_EQ(demDigest(*dem), expected);
+        for (const auto& ch : dem->channels()) {
+            EXPECT_TRUE(inside(ch.outcomes, dem->outcomes()));
+            for (const auto& o : ch.outcomes)
+                EXPECT_TRUE(inside(o.detectors, dem->detectorPool()));
+        }
+    }
+
+    DetectorErrorModel moved(std::move(copy));
+    EXPECT_EQ(demDigest(moved), expected);
+    assigned = std::move(moved);
+    EXPECT_EQ(demDigest(assigned), expected);
+}
+
+/** One pinned configuration and its committed fingerprints. */
+struct DigestCase
+{
+    int setup;      // paperSetups() index
+    int distance;
+    char basis;     // 'Z' or 'X'
+    int noise;      // 0 flat, 1 heralded erasure, 2 Z-biased
+    uint64_t dem;
+    uint64_t graph;
+    uint64_t shots;
+};
+
+/**
+ * Guards the fault model's bit-identity: any change to a channel, an
+ * outcome's probability bits or detector list, a decoding-graph edge or
+ * a sampled shot changes a digest. Regenerate the table only for an
+ * intentional change to the model; the failure message prints the new
+ * rows.
+ */
+TEST(DemDigest, FaultModelGraphAndShotsMatchCommittedDigests)
+{
+    const DigestCase cases[] = {
+        {0, 3, 'Z', 0, 0x7abd3d858607dd65ULL,
+         0xe8e33a84b17604ccULL, 0x5ae7e82382f92a49ULL},
+        {0, 3, 'X', 0, 0xccb593a2f98531c5ULL,
+         0x970082d4d43cbb7fULL, 0xbb87de2846b3c34eULL},
+        {0, 5, 'Z', 0, 0xb57cbc3e059d829dULL,
+         0xcb50062c2af6e874ULL, 0x46a94f9001665432ULL},
+        {0, 5, 'X', 0, 0x9e5e5a54246b27f5ULL,
+         0x8b52086d6df6d2a0ULL, 0xdcb5149404975a73ULL},
+        {1, 3, 'Z', 0, 0x4fb276d502e6d9bcULL,
+         0xa6d4f4a6bfc1d7beULL, 0x3bbd098bd568c758ULL},
+        {1, 3, 'X', 0, 0xd00dd54bb3fab11fULL,
+         0xf9cab8ceb0efba02ULL, 0x1a37c32622a31ef2ULL},
+        {1, 5, 'Z', 0, 0x522cd644602827d3ULL,
+         0x0bd7ab7d068d6409ULL, 0xf58197229199c3e7ULL},
+        {1, 5, 'X', 0, 0xe997700bd02a9e4cULL,
+         0xdda285b4b9168816ULL, 0xce2d14e50dc03dbdULL},
+        {2, 3, 'Z', 0, 0xb1e7b3873be8e5aeULL,
+         0x603e7632ba9b1b75ULL, 0xb61b574128023ff7ULL},
+        {2, 3, 'X', 0, 0x162591f798269461ULL,
+         0x7dd97ad2da0d618bULL, 0xeace4bc85838ff3aULL},
+        {2, 5, 'Z', 0, 0x9619695ff175cb27ULL,
+         0x013b393c903ee374ULL, 0x098b167204ab37a2ULL},
+        {2, 5, 'X', 0, 0x4ce537d42c70f935ULL,
+         0x27d8991e201c199dULL, 0x91bb5f35bfd3b101ULL},
+        {3, 3, 'Z', 0, 0x54d24046f37556a8ULL,
+         0x6ae561df595b5a57ULL, 0xc600d19078dbb6e8ULL},
+        {3, 3, 'X', 0, 0x8fff2a5ffe8e982fULL,
+         0xbe454d1fd8ae2f3dULL, 0x118959b1bf73ea67ULL},
+        {3, 5, 'Z', 0, 0xd8a3541005675606ULL,
+         0xde0a3edf879ed573ULL, 0xfcd7e600a14973beULL},
+        {3, 5, 'X', 0, 0xe0c2484ac14984eeULL,
+         0xe366e4c1cfbe0ea4ULL, 0x9ae4a975b4bc0ceaULL},
+        {4, 3, 'Z', 0, 0x94e56b627e6d6e2dULL,
+         0xe4eb07e4c0c1f397ULL, 0x31662e726f8f63aaULL},
+        {4, 3, 'X', 0, 0x83797a19dd2dbc54ULL,
+         0x0e27d0d6dc417dd4ULL, 0xe2123bf934422c29ULL},
+        {4, 5, 'Z', 0, 0xe4df3d994bb1d0e4ULL,
+         0x498d06ce5aaf3a49ULL, 0xf9e8b416b4f85abaULL},
+        {4, 5, 'X', 0, 0xc98d0947475ee8beULL,
+         0x01c4a67238f8f5ddULL, 0xf8fb61d6ec28ebabULL},
+        {0, 3, 'Z', 1, 0xc552e51b9bfa29c6ULL,
+         0xc7c23d6689017edcULL, 0x7a082a515f05fa7eULL},
+        {4, 3, 'X', 2, 0x7c9f9d49ad3bffd7ULL,
+         0xda6352e4069c6ebdULL, 0x98d8790b6cf24236ULL},
+    };
+    const std::vector<EvaluationSetup> setups = paperSetups();
+    std::string fresh;
+    for (const DigestCase& c : cases) {
+        GeneratorConfig cfg;
+        cfg.distance = c.distance;
+        cfg.memoryBasis = c.basis == 'X' ? CheckBasis::X : CheckBasis::Z;
+        cfg.schedule = setups[static_cast<size_t>(c.setup)].schedule;
+        cfg.noise = NoiseModel::atPhysicalRate(
+            3e-3, HardwareParams::transmonsWithMemory());
+        if (c.noise == 1)
+            cfg.noise.erasure.fraction = 0.5;
+        else if (c.noise == 2)
+            cfg.noise.bias.rZ = 10.0;
+        GeneratedCircuit gen = generateMemoryCircuit(
+            setups[static_cast<size_t>(c.setup)].embedding, cfg);
+        DetectorErrorModel dem = DetectorErrorModel::build(gen.circuit);
+        if (c.noise == 1) {
+            EXPECT_GT(dem.numErasureSites(), 0u);
+        } else if (c.noise == 2) {
+            EXPECT_GT(gen.circuit.countOps(OpCode::PAULI_CHANNEL_1), 0u);
+        }
+        const uint64_t got[3] = {demDigest(dem),
+                                 graphDigest(DecodingGraph::build(dem)),
+                                 shotDigest(dem)};
+        const std::string label = "setup " + std::to_string(c.setup)
+            + " d=" + std::to_string(c.distance) + " " + c.basis
+            + " noise " + std::to_string(c.noise);
+        EXPECT_EQ(got[0], c.dem) << label << ": DEM";
+        EXPECT_EQ(got[1], c.graph) << label << ": decoding graph";
+        EXPECT_EQ(got[2], c.shots) << label << ": sampled shots";
+        char row[160];
+        std::snprintf(row, sizeof(row),
+                      "        {%d, %d, '%c', %d, 0x%016" PRIx64
+                      "ULL,\n         0x%016" PRIx64 "ULL, 0x%016" PRIx64
+                      "ULL},\n",
+                      c.setup, c.distance, c.basis, c.noise, got[0],
+                      got[1], got[2]);
+        fresh += row;
+    }
+    if (HasFailure())
+        ADD_FAILURE() << "digest table for the current code:\n" << fresh;
 }
 
 } // namespace

@@ -261,6 +261,7 @@ TEST(ObsReport, EndOfRunReportIsValidJsonWithPipelineMetrics)
     EXPECT_EQ(p.failures, est.successes);
     EXPECT_EQ(p.sessionTrials, est.trials);
     EXPECT_GE(p.wallSeconds, 0.0);
+    EXPECT_GT(p.setupSeconds, 0.0);
 
     // Pipeline counters flowed end to end.
     obs::MetricsSnapshot snap = obs::snapshotMetrics();
@@ -272,6 +273,9 @@ TEST(ObsReport, EndOfRunReportIsValidJsonWithPipelineMetrics)
               0u);
     EXPECT_NE(snap.histogram("decode.batch"), nullptr);
     EXPECT_NE(snap.histogram("mc.batch"), nullptr);
+    for (const char* stage : {"point.generate", "point.dem",
+                              "point.sampler", "point.decoder"})
+        EXPECT_NE(snap.histogram(stage), nullptr) << stage;
 
     std::string json = obs::buildReportJson();
     std::string err;
@@ -280,6 +284,7 @@ TEST(ObsReport, EndOfRunReportIsValidJsonWithPipelineMetrics)
               std::string::npos);
     EXPECT_NE(json.find("\"uf_fastpath_hit_rate\""), std::string::npos);
     EXPECT_NE(json.find("\"sampler.sample_batch\""), std::string::npos);
+    EXPECT_NE(json.find("\"setup_seconds\""), std::string::npos);
 }
 
 TEST(ObsReport, MwpmCountsExactAndBlossomShots)

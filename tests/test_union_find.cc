@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "core/generator_common.h"
@@ -32,12 +34,20 @@ configFor(int d, double p, ExtractionSchedule sched,
 }
 
 BitVec
-syndromeOf(const std::vector<uint32_t>& detectors, uint32_t numDetectors)
+syndromeOf(std::span<const uint32_t> detectors, uint32_t numDetectors)
 {
     BitVec v(numDetectors);
     for (uint32_t d : detectors)
         v.flip(d);
     return v;
+}
+
+BitVec
+syndromeOf(std::initializer_list<uint32_t> detectors, uint32_t numDetectors)
+{
+    return syndromeOf(
+        std::span<const uint32_t>(detectors.begin(), detectors.size()),
+        numDetectors);
 }
 
 /**
@@ -174,6 +184,94 @@ TEST(DecodingGraphTest, DemBuildMatchesMatchingGraph)
         EXPECT_LE(d, e.weight + 1e-5);
         EXPECT_GT(d, 0.0);
     }
+}
+
+/**
+ * A circuit of fresh qubits, each measured once with the given flip
+ * probability, and detectors over those measurements: measurement m's
+ * flip is one fault channel whose signature is exactly the detectors
+ * listing m, so any detector pattern can be written down directly.
+ */
+Circuit
+measurementFlipCircuit(const std::vector<double>& flipP,
+                       const std::vector<std::vector<uint32_t>>& detectors)
+{
+    Circuit c(static_cast<uint32_t>(flipP.size()));
+    std::vector<uint32_t> meas;
+    for (uint32_t q = 0; q < flipP.size(); ++q)
+        meas.push_back(c.measureZ(q, flipP[q]));
+    for (const auto& ms : detectors) {
+        Detector d;
+        for (uint32_t m : ms)
+            d.measurements.push_back(meas[m]);
+        c.addDetector(d);
+    }
+    return c;
+}
+
+void
+expectEdge(const DecodingGraph& g, uint32_t index, uint32_t a, uint32_t b,
+           double probability)
+{
+    ASSERT_LT(index, g.edges().size());
+    const DecodingEdge& e = g.edges()[index];
+    EXPECT_EQ(e.a, a) << "edge " << index;
+    EXPECT_EQ(e.b, b) << "edge " << index;
+    EXPECT_DOUBLE_EQ(e.probability, probability) << "edge " << index;
+}
+
+double
+xorP(double a, double b)
+{
+    return a + b - 2.0 * a * b;
+}
+
+TEST(DecodingGraphTest, ThreeDetectorOutcomesSplitIntoKnownEdges)
+{
+    // m0 flips {0,1} and m1 flips {2}: a known pair and a known
+    // boundary hit. m2 flips {0,1,2} and decomposes onto both. m3 flips
+    // {3,4,5}, which no other fault explains: (3,4) is an arbitrary
+    // pairing and 5 an unknown boundary hit.
+    Circuit c = measurementFlipCircuit(
+        {0.01, 0.02, 0.03, 0.04},
+        {{0, 2}, {0, 2}, {1, 2}, {3}, {3}, {3}});
+    DetectorErrorModel dem = DetectorErrorModel::build(c);
+    ASSERT_EQ(dem.channels().size(), 4u);
+    ASSERT_EQ(dem.channels()[2].outcomes[0].detectors.size(), 3u);
+    ASSERT_EQ(dem.channels()[3].outcomes[0].detectors.size(), 3u);
+
+    DecodingGraph g = DecodingGraph::build(dem);
+    const uint32_t B = g.boundaryNode();
+    ASSERT_EQ(g.edges().size(), 4u);
+    expectEdge(g, 0, 0, 1, xorP(0.01, 0.03));
+    expectEdge(g, 1, 2, B, xorP(0.02, 0.03));
+    expectEdge(g, 2, 3, 4, 0.04);
+    expectEdge(g, 3, 5, B, 0.04);
+    EXPECT_EQ(g.stats().decomposed, 1u);
+    EXPECT_EQ(g.stats().forcedPairings, 1u);
+}
+
+TEST(DecodingGraphTest, FiveDetectorOutcomeWithArbitraryPairIsForced)
+{
+    // m0 flips {0,1}, m1 flips {4}; m2 flips {0,1,2,3,4}. Its
+    // decomposition uses the known pair (0,1) and the known boundary
+    // hit of 4, but (2,3) pairs arbitrarily: the outcome counts as a
+    // forced pairing even though its last piece was a known one.
+    Circuit c = measurementFlipCircuit(
+        {0.01, 0.02, 0.03},
+        {{0, 2}, {0, 2}, {2}, {2}, {1, 2}});
+    DetectorErrorModel dem = DetectorErrorModel::build(c);
+    ASSERT_EQ(dem.channels().size(), 3u);
+    ASSERT_EQ(dem.channels()[2].outcomes[0].detectors.size(), 5u);
+
+    DecodingGraph g = DecodingGraph::build(dem);
+    const uint32_t B = g.boundaryNode();
+    ASSERT_EQ(g.edges().size(), 3u);
+    expectEdge(g, 0, 0, 1, xorP(0.01, 0.03));
+    expectEdge(g, 1, 4, B, xorP(0.02, 0.03));
+    expectEdge(g, 2, 2, 3, 0.03);
+    EXPECT_EQ(g.stats().decomposed, 0u);
+    EXPECT_EQ(g.stats().forcedPairings, 1u);
 }
 
 // ---------------------------------------------------------------------------

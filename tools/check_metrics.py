@@ -12,7 +12,8 @@ downstream dashboard.
 
 Usage:
     check_metrics.py report.json [--trace trace.json]
-        [--require-counter NAME]...  [--require-points N]
+        [--require-counter NAME]...  [--require-histogram NAME]...
+        [--require-points N]
 
 Exit status: 0 when the report (and trace, if given) validates,
 1 otherwise with one line per problem.
@@ -90,6 +91,7 @@ def check_point(ck, i, pt):
     session = ck.number(pt, ctx, "session_trials", minimum=0)
     ck.number(pt, ctx, "wall_seconds", minimum=0)
     ck.number(pt, ctx, "shots_per_sec", minimum=0)
+    ck.number(pt, ctx, "setup_seconds", minimum=0)
     if trials is not None and failures is not None:
         ck.check(failures <= trials,
                  f"{ctx}: failures {failures} > trials {trials}")
@@ -147,6 +149,10 @@ def check_report(ck, doc, args):
                 "histograms: missing or not an object"):
         for name, h in histograms.items():
             check_histogram(ck, name, h)
+        for name in args.require_histogram:
+            h = histograms.get(name)
+            ck.check(isinstance(h, dict) and h.get("count", 0) > 0,
+                     f"histograms[{name}]: required with count > 0")
 
     derived = doc.get("derived")
     if ck.check(isinstance(derived, dict),
@@ -212,6 +218,10 @@ def main():
                     metavar="NAME",
                     help="fail unless this counter is present and > 0 "
                          "(repeatable)")
+    ap.add_argument("--require-histogram", action="append", default=[],
+                    metavar="NAME",
+                    help="fail unless this stage histogram is present "
+                         "with count > 0 (repeatable)")
     ap.add_argument("--require-points", type=int, default=1,
                     metavar="N",
                     help="minimum number of report points (default 1)")
