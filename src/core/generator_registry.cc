@@ -56,6 +56,9 @@ constexpr GeneratorBackend kRegistry[] = {
      compactRectPatchShape},
 };
 
+constexpr NameTable<GeneratorBackend> kNames{kRegistry,
+                                             "embedding backend"};
+
 } // namespace
 
 std::pair<int, int>
@@ -104,43 +107,19 @@ embeddingKindName(EmbeddingKind kind)
 std::optional<EmbeddingKind>
 parseEmbeddingKind(std::string_view name)
 {
-    std::string lowered = asciiLower(name);
-    if (lowered.empty())
-        return std::nullopt;
-    for (const GeneratorBackend& entry : generatorRegistry()) {
-        if (lowered == entry.name
-            || nameListContains(entry.aliases, lowered))
-            return entry.kind;
-    }
-    return std::nullopt;
+    return kNames.parse(name);
 }
 
 std::string
 embeddingKindList()
 {
-    std::string out;
-    for (const GeneratorBackend& entry : generatorRegistry()) {
-        if (!out.empty())
-            out += ", ";
-        out += entry.name;
-    }
-    return out;
+    return kNames.list();
 }
 
 EmbeddingKind
 embeddingKindFromEnv(EmbeddingKind fallback, const char* variable)
 {
-    std::string value = envLower(variable, "");
-    if (value.empty())
-        return fallback;
-    std::optional<EmbeddingKind> kind = parseEmbeddingKind(value);
-    if (!kind) {
-        const std::string msg = std::string(variable) + "=" + value
-            + " is not a registered embedding backend (valid: "
-            + embeddingKindList() + ")";
-        VLQ_FATAL(msg.c_str());
-    }
-    return *kind;
+    return kNames.fromEnv(fallback, variable);
 }
 
 GeneratedCircuit

@@ -2,9 +2,7 @@
 #define VLQ_DECODER_DECODER_H
 
 #include <cstdint>
-#include <functional>
 #include <span>
-#include <vector>
 
 #include "pauli/bitvec.h"
 
@@ -12,7 +10,11 @@ namespace vlq {
 
 class ShotBatch;
 
-/** Interface shared by the decoders (enables decoder ablations). */
+/**
+ * Interface shared by the decoders (enables decoder ablations). A
+ * decoder implements decodeShot(); decode() and the batch loop are
+ * shared by all of them.
+ */
 class Decoder
 {
   public:
@@ -23,34 +25,35 @@ class Decoder
      * @param detectorFlips one bit per detector.
      * @return predicted observable bitmask.
      */
-    virtual uint32_t decode(const BitVec& detectorFlips) const = 0;
+    uint32_t decode(const BitVec& detectorFlips) const;
 
     /**
      * Decode every shot of a batch: predictions[s] receives the
      * predicted observable bitmask for shot s. `predictions` must
      * hold at least batch.numShots() entries.
      *
-     * Backends reuse per-shot scratch (event lists, cluster arenas,
-     * edge buffers) across the whole batch. They must agree with
-     * decode() shot-for-shot -- the batched Monte-Carlo engine's
-     * reproducibility contract depends on it, and the test suite
-     * checks it for every registered backend.
+     * One sparse sweep gathers every shot's events, and its heralds
+     * when the batch has erasure rows; then decodeShot() runs once per
+     * shot. A batch without heralds agrees with decode() shot-for-shot
+     * -- the batched Monte-Carlo engine's reproducibility contract
+     * depends on it, and the test suite checks it for every registered
+     * decoder. With heralds, union-find agrees with
+     * UnionFindDecoder::decodeWithErasures instead, and the matching
+     * decoders, which ignore heralds, still agree with decode().
      */
     virtual void decodeBatch(const ShotBatch& batch,
-                             std::span<uint32_t> predictions) const = 0;
+                             std::span<uint32_t> predictions) const;
 
   protected:
     /**
-     * Shared decodeBatch core for event-list backends: gathers
-     * per-shot event lists with one sparse sweep (reusing a
-     * per-thread scratch) and calls `decodeEvents` per shot. The
-     * per-shot std::function indirection is noise next to any real
-     * decode.
+     * Decode one shot. `events` lists its flipped detectors and
+     * `erasureSites` its heralded-erasure sites, both ascending;
+     * `erasureSites` is empty when the shot has no heralds. Decoders
+     * that cannot use heralds ignore them.
      */
-    void decodeBatchEvents(
-        const ShotBatch& batch, std::span<uint32_t> predictions,
-        const std::function<uint32_t(const std::vector<uint32_t>&)>&
-            decodeEvents) const;
+    virtual uint32_t decodeShot(
+        std::span<const uint32_t> events,
+        std::span<const uint32_t> erasureSites) const = 0;
 };
 
 } // namespace vlq

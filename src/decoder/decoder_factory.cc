@@ -1,11 +1,8 @@
 #include "decoder/decoder_factory.h"
 
-#include <string>
-
 #include "decoder/mwpm_decoder.h"
 #include "decoder/union_find.h"
 #include "util/env.h"
-#include "util/logging.h"
 
 namespace vlq {
 
@@ -35,6 +32,8 @@ constexpr DecoderRegistration kRegistry[] = {
     {DecoderKind::UnionFind, "union-find", "unionfind uf",
      makeUnionFind},
 };
+
+constexpr NameTable<DecoderRegistration> kNames{kRegistry, "decoder"};
 
 } // namespace
 
@@ -76,43 +75,19 @@ decoderKindName(DecoderKind kind)
 std::optional<DecoderKind>
 parseDecoderKind(std::string_view name)
 {
-    std::string lowered = asciiLower(name);
-    if (lowered.empty())
-        return std::nullopt;
-    for (const DecoderRegistration& entry : decoderRegistry()) {
-        if (lowered == entry.name
-            || nameListContains(entry.aliases, lowered))
-            return entry.kind;
-    }
-    return std::nullopt;
+    return kNames.parse(name);
 }
 
 std::string
 decoderKindList()
 {
-    std::string out;
-    for (const DecoderRegistration& entry : decoderRegistry()) {
-        if (!out.empty())
-            out += ", ";
-        out += entry.name;
-    }
-    return out;
+    return kNames.list();
 }
 
 DecoderKind
 decoderKindFromEnv(DecoderKind fallback, const char* variable)
 {
-    std::string value = envLower(variable, "");
-    if (value.empty())
-        return fallback;
-    std::optional<DecoderKind> kind = parseDecoderKind(value);
-    if (!kind) {
-        const std::string msg = std::string(variable) + "=" + value
-            + " is not a registered decoder (valid: "
-            + decoderKindList() + ")";
-        VLQ_FATAL(msg.c_str());
-    }
-    return *kind;
+    return kNames.fromEnv(fallback, variable);
 }
 
 } // namespace vlq

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <queue>
 #include <utility>
 
 namespace vlq {
@@ -92,47 +95,76 @@ DecodingGraph::addContribution(uint32_t a, uint32_t b, double probability,
 void
 DecodingGraph::finalize()
 {
-    minWeight_ = 0.0;
-    adjacency_.assign(numNodes(), {});
-    for (uint32_t i = 0; i < edges_.size(); ++i) {
-        DecodingEdge& e = edges_[i];
-        e.weight = weightOf(e.probability);
-        adjacency_[e.a].push_back(i);
-        if (e.b != e.a)
-            adjacency_[e.b].push_back(i);
-        if (minWeight_ == 0.0 || e.weight < minWeight_)
-            minWeight_ = e.weight;
-    }
-
-    // Mirror into the structure-of-arrays view in identical order.
+    // Weights, then a counting sort of edge endpoints into CSR slots:
+    // each node lists its edges in ascending index order.
     const uint32_t n = numNodes();
     const uint32_t m = static_cast<uint32_t>(edges_.size());
+    minWeight_ = 0.0;
     soa_.vertexBegin.assign(n + 1, 0);
-    for (uint32_t v = 0; v < n; ++v)
-        soa_.vertexBegin[v + 1] =
-            soa_.vertexBegin[v]
-            + static_cast<uint32_t>(adjacency_[v].size());
-    const uint32_t slots = soa_.vertexBegin[n];
-    soa_.slotEdge.resize(slots);
-    soa_.slotOther.resize(slots);
-    for (uint32_t v = 0; v < n; ++v) {
-        uint32_t at = soa_.vertexBegin[v];
-        for (uint32_t e : adjacency_[v]) {
-            soa_.slotEdge[at] = e;
-            soa_.slotOther[at] =
-                edges_[e].a == v ? edges_[e].b : edges_[e].a;
-            ++at;
-        }
+    for (DecodingEdge& e : edges_) {
+        e.weight = weightOf(e.probability);
+        if (minWeight_ == 0.0 || e.weight < minWeight_)
+            minWeight_ = e.weight;
+        ++soa_.vertexBegin[e.a + 1];
+        if (e.b != e.a)
+            ++soa_.vertexBegin[e.b + 1];
     }
+    for (uint32_t v = 0; v < n; ++v)
+        soa_.vertexBegin[v + 1] += soa_.vertexBegin[v];
+    soa_.slotEdge.resize(soa_.vertexBegin[n]);
+    soa_.slotOther.resize(soa_.vertexBegin[n]);
+    std::vector<uint32_t> next(soa_.vertexBegin.begin(),
+                               soa_.vertexBegin.end() - 1);
     soa_.edgeA.resize(m);
     soa_.edgeB.resize(m);
     soa_.edgeWeight.resize(m);
     soa_.edgeObs.resize(m);
     for (uint32_t i = 0; i < m; ++i) {
-        soa_.edgeA[i] = edges_[i].a;
-        soa_.edgeB[i] = edges_[i].b;
-        soa_.edgeWeight[i] = edges_[i].weight;
-        soa_.edgeObs[i] = edges_[i].observables;
+        const DecodingEdge& e = edges_[i];
+        soa_.slotEdge[next[e.a]] = i;
+        soa_.slotOther[next[e.a]++] = e.b;
+        if (e.b != e.a) {
+            soa_.slotEdge[next[e.b]] = i;
+            soa_.slotOther[next[e.b]++] = e.a;
+        }
+        soa_.edgeA[i] = e.a;
+        soa_.edgeB[i] = e.b;
+        soa_.edgeWeight[i] = e.weight;
+        soa_.edgeObs[i] = e.observables;
+    }
+}
+
+void
+DecodingGraph::shortestPaths(uint32_t src, bool viaBoundary,
+                             std::span<double> dist,
+                             std::span<uint32_t> obs) const
+{
+    const uint32_t boundary = boundaryNode();
+    std::fill(dist.begin(), dist.end(),
+              std::numeric_limits<double>::infinity());
+    std::fill(obs.begin(), obs.end(), 0u);
+    dist[src] = 0.0;
+    using QItem = std::pair<double, uint32_t>;
+    std::priority_queue<QItem, std::vector<QItem>, std::greater<QItem>> pq;
+    pq.push({0.0, src});
+    while (!pq.empty()) {
+        const auto [d, v] = pq.top();
+        pq.pop();
+        if (d > dist[v])
+            continue; // stale entry: v settled at a shorter distance
+        for (uint32_t si = soa_.vertexBegin[v];
+             si < soa_.vertexBegin[v + 1]; ++si) {
+            const uint32_t to = soa_.slotOther[si];
+            if (!viaBoundary && to == boundary)
+                continue;
+            const uint32_t e = soa_.slotEdge[si];
+            const double nd = d + soa_.edgeWeight[e];
+            if (nd < dist[to]) {
+                dist[to] = nd;
+                obs[to] = obs[v] ^ soa_.edgeObs[e];
+                pq.push({nd, to});
+            }
+        }
     }
 }
 

@@ -2,6 +2,7 @@
 #define VLQ_DECODER_DECODING_GRAPH_H
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -31,8 +32,9 @@ struct DecodingEdge
  * log-likelihood ratios ln((1-p)/p).
  *
  * This is the shared substrate of all decoder backends: the matching
- * path fills single-source shortest-path rows over it on demand, and
- * the union-find path grows clusters directly on the adjacency lists.
+ * decoders and union-find fill their shortest-path rows with its one
+ * Dijkstra (shortestPaths), and union-find grows clusters directly on
+ * its CSR adjacency.
  */
 class DecodingGraph
 {
@@ -68,6 +70,20 @@ class DecodingGraph
     /** Recompute weights and adjacency after addContribution calls. */
     void finalize();
 
+    /**
+     * One Dijkstra from `src` over every node: dist[t] receives the
+     * shortest-path weight from src to t (infinity when unreachable)
+     * and obs[t] the XOR of observable masks along that path. With
+     * `viaBoundary` false no path enters the boundary node, so a
+     * detector source leaves dist[boundaryNode()] infinite. Both spans
+     * hold numNodes() entries. Nodes settle in (distance, index) order
+     * and only a strictly shorter path replaces a found one, so the
+     * result is a deterministic function of the graph.
+     */
+    void shortestPaths(uint32_t src, bool viaBoundary,
+                       std::span<double> dist,
+                       std::span<uint32_t> obs) const;
+
     /** Number of detector nodes (excludes the boundary). */
     uint32_t numDetectors() const { return numDetectors_; }
 
@@ -79,10 +95,12 @@ class DecodingGraph
 
     const std::vector<DecodingEdge>& edges() const { return edges_; }
 
-    /** Indices into edges() of the edges incident to node v. */
-    const std::vector<uint32_t>& incidentEdges(uint32_t v) const
+    /** Indices into edges() of the edges incident to node v, ascending. */
+    std::span<const uint32_t> incidentEdges(uint32_t v) const
     {
-        return adjacency_[v];
+        return std::span<const uint32_t>(soa_.slotEdge)
+            .subspan(soa_.vertexBegin[v],
+                     soa_.vertexBegin[v + 1] - soa_.vertexBegin[v]);
     }
 
     /** The endpoint of edge e that is not v. */
@@ -99,20 +117,17 @@ class DecodingGraph
     int32_t findEdge(uint32_t a, uint32_t b) const;
 
     /**
-     * Structure-of-arrays mirror of edges() + incidentEdges(), rebuilt
-     * by finalize(). Hot decoder loops (union-find growth, Dijkstra
-     * searches, forest peeling) walk these contiguous arrays instead of
-     * chasing vector<vector> adjacency lists and 40-byte edge structs.
-     * Slot order matches incidentEdges() exactly and the per-edge
-     * arrays are parallel to edges(), so iteration-order-dependent
-     * tie-breaks (and therefore decoder output) are unchanged.
+     * The graph's adjacency and a structure-of-arrays copy of edges(),
+     * built by finalize(). Hot decoder loops (union-find growth, the
+     * Dijkstra, forest peeling) walk these contiguous arrays instead of
+     * 40-byte edge structs.
      */
     struct SoA
     {
         /**
          * CSR adjacency over all nodes including the boundary: the
          * incident slots of node v are [vertexBegin[v],
-         * vertexBegin[v + 1]).
+         * vertexBegin[v + 1]), in ascending edge order.
          */
         std::vector<uint32_t> vertexBegin;
         std::vector<uint32_t> slotEdge;  // edge index at each slot
@@ -135,7 +150,6 @@ class DecodingGraph
   private:
     uint32_t numDetectors_ = 0;
     std::vector<DecodingEdge> edges_;
-    std::vector<std::vector<uint32_t>> adjacency_;
     SoA soa_;
     std::vector<double> bestContribution_; // per edge, for obs arbitration
     double minWeight_ = 0.0;

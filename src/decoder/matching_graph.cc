@@ -1,7 +1,5 @@
 #include "decoder/matching_graph.h"
 
-#include <limits>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -11,8 +9,6 @@
 namespace vlq {
 
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /** Observable bits the 8-bit path masks can hold. */
 constexpr uint32_t kObservableMask = 0xFF;
@@ -72,34 +68,12 @@ void
 MatchingGraph::fillRow(uint32_t src, std::span<float> dist,
                        std::span<uint8_t> pathObs) const
 {
-    // Plain Dijkstra in double precision over every node, boundary
-    // included, rounded into the row at the end.
-    const DecodingGraph::SoA& g = graph_.soa();
+    // The search runs in double precision; the row stores it rounded.
     thread_local std::vector<double> d;
     thread_local std::vector<uint32_t> pobs;
-    d.assign(dist.size(), kInf);
-    pobs.assign(dist.size(), 0);
-    d[src] = 0.0;
-    using QItem = std::pair<double, uint32_t>;
-    std::priority_queue<QItem, std::vector<QItem>, std::greater<QItem>> pq;
-    pq.push({0.0, src});
-    while (!pq.empty()) {
-        auto [dv, v] = pq.top();
-        pq.pop();
-        if (dv > d[v])
-            continue;
-        for (uint32_t si = g.vertexBegin[v]; si < g.vertexBegin[v + 1];
-             ++si) {
-            const uint32_t e = g.slotEdge[si];
-            const uint32_t to = g.slotOther[si];
-            const double nd = dv + g.edgeWeight[e];
-            if (nd < d[to]) {
-                d[to] = nd;
-                pobs[to] = pobs[v] ^ g.edgeObs[e];
-                pq.push({nd, to});
-            }
-        }
-    }
+    d.resize(dist.size());
+    pobs.resize(dist.size());
+    graph_.shortestPaths(src, /*viaBoundary=*/true, d, pobs);
     for (size_t t = 0; t < dist.size(); ++t) {
         dist[t] = static_cast<float>(d[t]);
         pathObs[t] = static_cast<uint8_t>(pobs[t]);

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <vector>
 
 #include "decoder/blossom.h"
 #include "decoder/exact_matching.h"
-#include "dem/shot_batch.h"
 #include "obs/obs.h"
 #include "util/logging.h"
 
@@ -18,23 +18,8 @@ MwpmDecoder::MwpmDecoder(const DetectorErrorModel& dem)
 }
 
 uint32_t
-MwpmDecoder::decode(const BitVec& detectorFlips) const
-{
-    return decodeEvents(detectorFlips.onesIndices());
-}
-
-void
-MwpmDecoder::decodeBatch(const ShotBatch& batch,
-                         std::span<uint32_t> predictions) const
-{
-    decodeBatchEvents(batch, predictions,
-                      [this](const std::vector<uint32_t>& events) {
-                          return decodeEvents(events);
-                      });
-}
-
-uint32_t
-MwpmDecoder::decodeEvents(const std::vector<uint32_t>& events) const
+MwpmDecoder::decodeShot(std::span<const uint32_t> events,
+                        std::span<const uint32_t> /*erasureSites*/) const
 {
     const size_t m = events.size();
     if (m == 0)
@@ -56,7 +41,7 @@ MwpmDecoder::decodeEvents(const std::vector<uint32_t>& events) const
 }
 
 uint32_t
-MwpmDecoder::decodeExact(const std::vector<uint32_t>& events) const
+MwpmDecoder::decodeExact(std::span<const uint32_t> events) const
 {
     constexpr size_t kMax = kExactMatchingMaxDefects;
     const size_t k = events.size();
@@ -87,7 +72,7 @@ MwpmDecoder::decodeExact(const std::vector<uint32_t>& events) const
 }
 
 uint32_t
-MwpmDecoder::decodeBlossom(const std::vector<uint32_t>& events) const
+MwpmDecoder::decodeBlossom(std::span<const uint32_t> events) const
 {
     const int m = static_cast<int>(events.size());
     const uint32_t boundary = graph_.boundaryNode();
@@ -134,23 +119,8 @@ GreedyDecoder::GreedyDecoder(const DetectorErrorModel& dem)
 }
 
 uint32_t
-GreedyDecoder::decode(const BitVec& detectorFlips) const
-{
-    return decodeEvents(detectorFlips.onesIndices());
-}
-
-void
-GreedyDecoder::decodeBatch(const ShotBatch& batch,
-                           std::span<uint32_t> predictions) const
-{
-    decodeBatchEvents(batch, predictions,
-                      [this](const std::vector<uint32_t>& events) {
-                          return decodeEvents(events);
-                      });
-}
-
-uint32_t
-GreedyDecoder::decodeEvents(const std::vector<uint32_t>& events) const
+GreedyDecoder::decodeShot(std::span<const uint32_t> events,
+                          std::span<const uint32_t> /*erasureSites*/) const
 {
     const size_t m = events.size();
     if (m == 0)

@@ -2,12 +2,11 @@
 #define VLQ_DECODER_MWPM_DECODER_H
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "decoder/decoder.h"
 #include "decoder/matching_graph.h"
 #include "dem/detector_model.h"
-#include "pauli/bitvec.h"
 
 namespace vlq {
 
@@ -40,23 +39,15 @@ class MwpmDecoder : public Decoder
   public:
     explicit MwpmDecoder(const DetectorErrorModel& dem);
 
-    uint32_t decode(const BitVec& detectorFlips) const override;
-
-    /**
-     * Batched decode: event lists come from one sparse sweep over the
-     * batch and the row and blossom edge-list buffers are reused
-     * across shots (distances live in the shared rows, so per-shot
-     * setup is the only scratch left to amortize).
-     */
-    void decodeBatch(const ShotBatch& batch,
-                     std::span<uint32_t> predictions) const override;
-
     const MatchingGraph& graph() const { return graph_; }
 
   private:
-    uint32_t decodeEvents(const std::vector<uint32_t>& events) const;
-    uint32_t decodeExact(const std::vector<uint32_t>& events) const;
-    uint32_t decodeBlossom(const std::vector<uint32_t>& events) const;
+    /** Heralds are ignored: they carry no weight in the matching. */
+    uint32_t decodeShot(std::span<const uint32_t> events,
+                        std::span<const uint32_t> erasureSites)
+        const override;
+    uint32_t decodeExact(std::span<const uint32_t> events) const;
+    uint32_t decodeBlossom(std::span<const uint32_t> events) const;
 
     MatchingGraph graph_;
 };
@@ -71,16 +62,13 @@ class GreedyDecoder : public Decoder
   public:
     explicit GreedyDecoder(const DetectorErrorModel& dem);
 
-    uint32_t decode(const BitVec& detectorFlips) const override;
-
-    /** Batched decode reusing the candidate-pair buffer per shot. */
-    void decodeBatch(const ShotBatch& batch,
-                     std::span<uint32_t> predictions) const override;
-
     const MatchingGraph& graph() const { return graph_; }
 
   private:
-    uint32_t decodeEvents(const std::vector<uint32_t>& events) const;
+    /** Heralds are ignored, as in MwpmDecoder. */
+    uint32_t decodeShot(std::span<const uint32_t> events,
+                        std::span<const uint32_t> erasureSites)
+        const override;
 
     MatchingGraph graph_;
 };

@@ -4,10 +4,8 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
-#include <queue>
 
 #include "decoder/exact_matching.h"
-#include "dem/shot_batch.h"
 #include "obs/obs.h"
 #include "util/logging.h"
 
@@ -161,8 +159,8 @@ scratch()
     return s;
 }
 
-/** Shared empty erased-edge list for the non-erasure entry points. */
-const std::vector<uint32_t> kNoErasedEdges;
+/** Growth ticks of the minimum-weight edge. */
+constexpr uint32_t kGranularity = 32;
 
 } // namespace
 
@@ -205,50 +203,24 @@ UnionFindDecoder::UnionFindDecoder(DecodingGraph graph,
 {
     static std::atomic<uint64_t> nextEpoch{1};
     scratchEpoch_ = nextEpoch.fetch_add(1, std::memory_order_relaxed);
-    uint32_t granularity = std::max<uint32_t>(options.granularity, 1);
     const double minW = graph_.minWeight();
     capacity_.resize(graph_.edges().size());
     for (size_t i = 0; i < capacity_.size(); ++i) {
         double ticks = minW > 0.0
             ? graph_.edges()[i].weight / minW
-                * static_cast<double>(granularity)
-            : static_cast<double>(granularity);
+                * static_cast<double>(kGranularity)
+            : static_cast<double>(kGranularity);
         capacity_[i] = static_cast<uint16_t>(
             std::clamp<long long>(std::llround(ticks), 1, 60000));
     }
 
-    // One Dijkstra from the boundary gives every detector's global
+    // One search from the boundary gives every detector's global
     // shortest boundary path (weight and observables) -- the matching's
     // defect-to-boundary option, for free at decode time.
-    const uint32_t n = graph_.numNodes();
-    boundaryDist_.assign(n, std::numeric_limits<double>::infinity());
-    boundaryObs_.assign(n, 0);
-    boundaryDist_[graph_.boundaryNode()] = 0.0;
-    using QItem = std::pair<double, uint32_t>;
-    std::priority_queue<QItem, std::vector<QItem>, std::greater<QItem>>
-        pq;
-    pq.push({0.0, graph_.boundaryNode()});
-    std::vector<uint8_t> done(n, 0);
-    const DecodingGraph::SoA& soa = graph_.soa();
-    while (!pq.empty()) {
-        auto [d, v] = pq.top();
-        pq.pop();
-        if (done[v])
-            continue;
-        done[v] = 1;
-        for (uint32_t si = soa.vertexBegin[v];
-             si < soa.vertexBegin[v + 1]; ++si) {
-            uint32_t e = soa.slotEdge[si];
-            uint32_t to = soa.slotOther[si];
-            double nd = d + soa.edgeWeight[e];
-            if (nd < boundaryDist_[to]) {
-                boundaryDist_[to] = nd;
-                boundaryObs_[to] =
-                    boundaryObs_[v] ^ soa.edgeObs[e];
-                pq.push({nd, to});
-            }
-        }
-    }
+    boundaryDist_.resize(graph_.numNodes());
+    boundaryObs_.resize(graph_.numNodes());
+    graph_.shortestPaths(graph_.boundaryNode(), /*viaBoundary=*/true,
+                         boundaryDist_, boundaryObs_);
 }
 
 UnionFindDecoder::Rows::Row
@@ -258,7 +230,7 @@ UnionFindDecoder::pairRow(uint32_t src) const
         src,
         [this](uint32_t s, std::span<double> dist,
                std::span<uint32_t> pathObs) {
-            fillPairRow(s, dist, pathObs);
+            graph_.shortestPaths(s, /*viaBoundary=*/false, dist, pathObs);
         },
         [] {
             if (obs::metricsEnabled()) {
@@ -269,56 +241,11 @@ UnionFindDecoder::pairRow(uint32_t src) const
         });
 }
 
-void
-UnionFindDecoder::fillPairRow(uint32_t src, std::span<double> dist,
-                              std::span<uint32_t> pathObs) const
-{
-    const uint32_t boundary = graph_.boundaryNode();
-    const DecodingGraph::SoA& g = graph_.soa();
-    std::fill(dist.begin(), dist.end(),
-              std::numeric_limits<double>::infinity());
-    std::fill(pathObs.begin(), pathObs.end(), 0u);
-    thread_local std::vector<uint8_t> finalized;
-    finalized.assign(dist.size(), 0);
-    using QItem = std::pair<double, uint32_t>;
-    std::priority_queue<QItem, std::vector<QItem>, std::greater<QItem>> pq;
-    dist[src] = 0.0;
-    pq.push({0.0, src});
-    while (!pq.empty()) {
-        auto [d, x] = pq.top();
-        pq.pop();
-        if (finalized[x])
-            continue;
-        finalized[x] = 1;
-        for (uint32_t si = g.vertexBegin[x]; si < g.vertexBegin[x + 1];
-             ++si) {
-            uint32_t to = g.slotOther[si];
-            if (to == boundary)
-                continue;
-            uint32_t e = g.slotEdge[si];
-            double nd = d + g.edgeWeight[e];
-            if (nd < dist[to]) {
-                dist[to] = nd;
-                pathObs[to] = pathObs[x] ^ g.edgeObs[e];
-                pq.push({nd, to});
-            }
-        }
-    }
-}
-
-uint32_t
-UnionFindDecoder::decode(const BitVec& detectorFlips) const
-{
-    return decodeEvents(detectorFlips.onesIndices(), kNoErasedEdges,
-                        nullptr);
-}
-
 uint32_t
 UnionFindDecoder::decode(const BitVec& detectorFlips,
                          DecodeInfo* info) const
 {
-    return decodeEvents(detectorFlips.onesIndices(), kNoErasedEdges,
-                        info);
+    return decodeEvents(detectorFlips.onesIndices(), {}, info);
 }
 
 uint32_t
@@ -340,7 +267,7 @@ UnionFindDecoder::decodeErasedEdges(
 }
 
 void
-UnionFindDecoder::mapErasureSites(const std::vector<uint32_t>& sites,
+UnionFindDecoder::mapErasureSites(std::span<const uint32_t> sites,
                                   std::vector<uint32_t>& edges) const
 {
     edges.clear();
@@ -363,88 +290,55 @@ thread_local uint64_t tUfExactShots = 0;
 thread_local uint64_t tUfGrowthShots = 0;
 thread_local uint64_t tUfErasureShots = 0;
 
+/** Tally one shot's decode path while tracing. */
 void
-traceDecodeMix()
+tallyDecodePath(size_t events, bool seeded, uint32_t exactThreshold)
 {
-    obs::traceCounter("uf.exact_fastpath", tUfExactShots);
-    obs::traceCounter("uf.growth", tUfGrowthShots);
-    if (tUfErasureShots > 0)
-        obs::traceCounter("uf.erasure_seeded", tUfErasureShots);
+    if (!obs::traceEnabled() || events == 0)
+        return;
+    if (seeded)
+        ++tUfErasureShots;
+    else if (events <= exactThreshold)
+        ++tUfExactShots;
+    else
+        ++tUfGrowthShots;
 }
 
 } // namespace
+
+uint32_t
+UnionFindDecoder::decodeShot(std::span<const uint32_t> events,
+                             std::span<const uint32_t> erasureSites) const
+{
+    // Graph-built decoders have no site map; their heralds are then
+    // decoded as ordinary syndromes.
+    if (erasureSites.empty() || erasureSiteEdges_.empty()) {
+        tallyDecodePath(events.size(), false, exactSyndromeThreshold_);
+        return decodeEvents(events, {}, nullptr);
+    }
+    obs::StageTimer seedTimer("uf.erasure_seed");
+    thread_local std::vector<uint32_t> edges;
+    mapErasureSites(erasureSites, edges);
+    tallyDecodePath(events.size(), !edges.empty(), exactSyndromeThreshold_);
+    return decodeEvents(events, edges, nullptr);
+}
 
 void
 UnionFindDecoder::decodeBatch(const ShotBatch& batch,
                               std::span<uint32_t> predictions) const
 {
-    if (batch.numErasureSites() == 0 || erasureSiteEdges_.empty()) {
-        const bool tracing = obs::traceEnabled();
-        decodeBatchEvents(
-            batch, predictions,
-            [this, tracing](const std::vector<uint32_t>& events) {
-                if (tracing && !events.empty()) {
-                    if (events.size() <= exactSyndromeThreshold_)
-                        ++tUfExactShots;
-                    else
-                        ++tUfGrowthShots;
-                }
-                return decodeEvents(events, kNoErasedEdges, nullptr);
-            });
-        if (tracing)
-            traceDecodeMix();
-        return;
-    }
-    // Erasure-aware batch: gather event and herald lists with one
-    // sparse sweep each, then decode per shot with the herald's edges
-    // seeded at zero weight.
-    VLQ_ASSERT(predictions.size() >= batch.numShots(),
-               "predictions span smaller than the batch");
-    obs::StageTimer obsTimer("decode.batch");
-    thread_local std::vector<std::vector<uint32_t>> events;
-    thread_local std::vector<std::vector<uint32_t>> sites;
-    thread_local std::vector<uint32_t> edges;
-    {
-        obs::StageTimer gatherTimer("decode.gather");
-        batch.gatherEvents(events);
-        batch.gatherErasures(sites);
-    }
-    const bool tracing = obs::traceEnabled();
-    uint32_t trivial = 0;
-    for (uint32_t s = 0; s < batch.numShots(); ++s) {
-        obs::StageTimer seedTimer(
-            !sites[s].empty() ? "uf.erasure_seed" : nullptr);
-        mapErasureSites(sites[s], edges);
-        if (tracing && !events[s].empty()) {
-            if (!edges.empty())
-                ++tUfErasureShots;
-            else if (events[s].size() <= exactSyndromeThreshold_)
-                ++tUfExactShots;
-            else
-                ++tUfGrowthShots;
-        }
-        if (events[s].empty())
-            ++trivial;
-        predictions[s] = decodeEvents(events[s], edges, nullptr);
-    }
-    if (tracing)
-        traceDecodeMix();
-    if (obs::metricsEnabled()) {
-        static const obs::Counter batches =
-            obs::Counter::get("decode.batches");
-        static const obs::Counter decoded =
-            obs::Counter::get("decode.shots");
-        static const obs::Counter trivialShots =
-            obs::Counter::get("decode.trivial_shots");
-        batches.add(1);
-        decoded.add(batch.numShots());
-        trivialShots.add(trivial);
+    Decoder::decodeBatch(batch, predictions);
+    if (obs::traceEnabled()) {
+        obs::traceCounter("uf.exact_fastpath", tUfExactShots);
+        obs::traceCounter("uf.growth", tUfGrowthShots);
+        if (tUfErasureShots > 0)
+            obs::traceCounter("uf.erasure_seeded", tUfErasureShots);
     }
 }
 
 uint32_t
-UnionFindDecoder::decodeEvents(const std::vector<uint32_t>& events,
-                               const std::vector<uint32_t>& erasedEdges,
+UnionFindDecoder::decodeEvents(std::span<const uint32_t> events,
+                               std::span<const uint32_t> erasedEdges,
                                DecodeInfo* info) const
 {
     if (info)
@@ -486,7 +380,7 @@ UnionFindDecoder::decodeEvents(const std::vector<uint32_t>& events,
      * them in that order), so each pair reads the smaller defect's row
      * and the answer cannot depend on which thread filled which row.
      */
-    auto matchExact = [&](const std::vector<uint32_t>& defects) {
+    auto matchExact = [&](std::span<const uint32_t> defects) {
         const size_t k = defects.size();
         // Lone defect: the precomputed boundary chain is the matching.
         if (k == 1) {

@@ -17,13 +17,6 @@ namespace vlq {
 struct UnionFindOptions
 {
     /**
-     * Ticks assigned to the minimum-weight edge; larger values track
-     * relative edge weights more faithfully at the cost of more
-     * (cheap) growth rounds.
-     */
-    uint32_t granularity = 32;
-
-    /**
      * Syndromes with at most this many detection events skip cluster
      * growth entirely and get one exact minimum-weight matching of
      * all defects over global shortest-path distances -- the same
@@ -40,8 +33,9 @@ struct UnionFindOptions
 /**
  * Weighted union-find decoder (Delfosse & Nickerson style).
  *
- * Edge weights are quantized into integer growth ticks. Every defect
- * (detection event) starts as its own cluster; growth is event-driven:
+ * Edge weights are quantized into integer growth ticks, 32 for the
+ * minimum-weight edge. Every defect (detection event) starts as its
+ * own cluster; growth is event-driven:
  * each round, every *active* cluster -- odd defect parity and no
  * boundary contact -- claims its frontier edges (an edge claimed from
  * both endpoints fills twice as fast) and time advances by the
@@ -59,9 +53,10 @@ struct UnionFindOptions
  * -- the bulk of the work below threshold -- get an exact
  * minimum-weight matching of their defects over global shortest-path
  * distances: the defect-to-boundary option comes from a table built by
- * one Dijkstra at construction, and defect-pair distances from the
- * decoder's shortest-path rows (ShortestPathRows), each filled by one
- * boundary-excluded Dijkstra when a thread first needs it, published
+ * one DecodingGraph::shortestPaths search from the boundary at
+ * construction, and defect-pair distances from the decoder's
+ * shortest-path rows (ShortestPathRows), each filled by one
+ * boundary-excluded search when a thread first needs it, published
  * without blocking, and shared by every thread after that. Every pair
  * is read from the smaller defect's row, so no answer depends on which
  * thread filled which row. Large clusters fall back to the classic
@@ -96,14 +91,13 @@ class UnionFindDecoder : public Decoder
     explicit UnionFindDecoder(DecodingGraph graph,
                               UnionFindOptions options = {});
 
-    uint32_t decode(const BitVec& detectorFlips) const override;
+    using Decoder::decode;
 
     /**
-     * Batched decode: per-shot event lists are gathered with one
-     * sparse sweep over the transposed batch, and the thread-local
-     * cluster arenas stay hot across the whole batch. When the batch
-     * carries heralded-erasure rows, each shot's erased edges are
-     * seeded at zero weight (see decodeWithErasures).
+     * The shared batch loop, then this thread's decode-path mix as
+     * trace counter tracks. When the batch carries heralded-erasure
+     * rows, each shot's erased edges are seeded at zero weight (see
+     * decodeWithErasures).
      */
     void decodeBatch(const ShotBatch& batch,
                      std::span<uint32_t> predictions) const override;
@@ -145,37 +139,39 @@ class UnionFindDecoder : public Decoder
     uint32_t edgeCapacity(uint32_t e) const { return capacity_[e]; }
 
   private:
+    /** Seeds the shot's heralded sites, as decodeWithErasures does. */
+    uint32_t decodeShot(std::span<const uint32_t> events,
+                        std::span<const uint32_t> erasureSites)
+        const override;
+
     /**
      * The decode core, on a pre-extracted ascending event list.
      * `erasedEdges` (possibly with duplicates) is pre-grown at zero
      * weight; pass an empty list for ordinary decoding.
      */
-    uint32_t decodeEvents(const std::vector<uint32_t>& events,
-                          const std::vector<uint32_t>& erasedEdges,
+    uint32_t decodeEvents(std::span<const uint32_t> events,
+                          std::span<const uint32_t> erasedEdges,
                           DecodeInfo* info) const;
 
     /** Flatten fired erasure-site indices into their edges. */
-    void mapErasureSites(const std::vector<uint32_t>& sites,
+    void mapErasureSites(std::span<const uint32_t> sites,
                          std::vector<uint32_t>& edges) const;
 
     using Rows = ShortestPathRows<double, uint32_t>;
 
-    /** Defect-pair shortest paths from src; filled on first use. */
-    Rows::Row pairRow(uint32_t src) const;
-
     /**
-     * One Dijkstra from src that never routes through the boundary
-     * node (boundary pairing is the matching's separate option).
+     * Defect-pair shortest paths from src, filled on first use by a
+     * search that never routes through the boundary node (boundary
+     * pairing is the matching's separate option).
      */
-    void fillPairRow(uint32_t src, std::span<double> dist,
-                     std::span<uint32_t> pathObs) const;
+    Rows::Row pairRow(uint32_t src) const;
 
     DecodingGraph graph_;
     /** Edge indices seeded by each heralded-erasure site. */
     std::vector<std::vector<uint32_t>> erasureSiteEdges_;
     uint32_t exactSyndromeThreshold_ = 0;
     std::vector<uint16_t> capacity_;
-    // Global shortest path to the boundary per detector (one Dijkstra
+    // Global shortest path to the boundary per detector (one search
     // at construction) -- the boundary option of the cluster matching.
     std::vector<double> boundaryDist_;
     std::vector<uint32_t> boundaryObs_;

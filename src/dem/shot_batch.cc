@@ -64,52 +64,31 @@ ShotBatch::nonTrivialMask(uint32_t wordIndex) const
     return acc;
 }
 
-uint64_t
-ShotBatch::erasedLanesMask(uint32_t wordIndex) const
-{
-    uint64_t acc = 0;
-    const uint64_t* words = erasureBits_.wordData() + wordIndex;
-    for (uint32_t e = 0; e < numErasureSites_; ++e)
-        acc |= words[static_cast<size_t>(e) * wordsPerRow_];
-    return acc;
-}
-
 void
 ShotBatch::gatherEvents(
     std::vector<std::vector<uint32_t>>& events) const
 {
-    if (events.size() < numShots_)
-        events.resize(numShots_);
-    for (uint32_t s = 0; s < numShots_; ++s)
-        events[s].clear();
-    // One sparse sweep: detectors ascending, so each shot's list comes
-    // out sorted for free.
-    for (uint32_t d = 0; d < numDetectors_; ++d) {
-        const uint64_t* row = detectorRow(d);
-        for (uint32_t wi = 0; wi < wordsPerRow_; ++wi) {
-            uint64_t w = row[wi];
-            while (w) {
-                uint32_t lane =
-                    static_cast<uint32_t>(std::countr_zero(w));
-                uint32_t shot = wi * kWordBits + lane;
-                if (shot < numShots_)
-                    events[shot].push_back(d);
-                w &= w - 1;
-            }
-        }
-    }
+    gatherRows(detectorBits_.wordData(), numDetectors_, events);
 }
 
 void
 ShotBatch::gatherErasures(
     std::vector<std::vector<uint32_t>>& sites) const
 {
-    if (sites.size() < numShots_)
-        sites.resize(numShots_);
+    gatherRows(erasureBits_.wordData(), numErasureSites_, sites);
+}
+
+void
+ShotBatch::gatherRows(const uint64_t* rows, uint32_t numRows,
+                      std::vector<std::vector<uint32_t>>& lists) const
+{
+    if (lists.size() < numShots_)
+        lists.resize(numShots_);
     for (uint32_t s = 0; s < numShots_; ++s)
-        sites[s].clear();
-    for (uint32_t e = 0; e < numErasureSites_; ++e) {
-        const uint64_t* row = erasureRow(e);
+        lists[s].clear();
+    // Rows ascending, so each shot's list comes out sorted for free.
+    for (uint32_t r = 0; r < numRows; ++r) {
+        const uint64_t* row = rows + static_cast<size_t>(r) * wordsPerRow_;
         for (uint32_t wi = 0; wi < wordsPerRow_; ++wi) {
             uint64_t w = row[wi];
             while (w) {
@@ -117,7 +96,7 @@ ShotBatch::gatherErasures(
                     static_cast<uint32_t>(std::countr_zero(w));
                 uint32_t shot = wi * kWordBits + lane;
                 if (shot < numShots_)
-                    sites[shot].push_back(e);
+                    lists[shot].push_back(r);
                 w &= w - 1;
             }
         }

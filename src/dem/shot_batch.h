@@ -123,13 +123,6 @@ class ShotBatch
     uint64_t nonTrivialMask(uint32_t wordIndex) const;
 
     /**
-     * Word of lanes with at least one heralded erasure: bit s of word
-     * `wordIndex` is set iff shot wordIndex*64+s saw any herald. Lets
-     * erasure-aware decoders keep the erasure-free fast path.
-     */
-    uint64_t erasedLanesMask(uint32_t wordIndex) const;
-
-    /**
      * Gather per-shot detection-event lists in one sparse sweep:
      * events[s] receives the flipped detector indices of shot s,
      * ascending (same order as BitVec::onesIndices). `events` is
@@ -144,6 +137,14 @@ class ShotBatch
     void gatherErasures(std::vector<std::vector<uint32_t>>& sites) const;
 
   private:
+    /**
+     * The sparse sweep behind gatherEvents and gatherErasures: lists[s]
+     * receives, ascending, the index of every one of the `numRows`
+     * packed rows starting at `rows` whose bit s is set.
+     */
+    void gatherRows(const uint64_t* rows, uint32_t numRows,
+                    std::vector<std::vector<uint32_t>>& lists) const;
+
     uint32_t numShots_ = 0;
     uint32_t numDetectors_ = 0;
     uint32_t numObservables_ = 0;

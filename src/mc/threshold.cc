@@ -9,6 +9,21 @@
 
 namespace vlq {
 
+GeneratorConfig
+thresholdPointConfig(const EvaluationSetup& setup,
+                     const ThresholdScanConfig& config, int distance,
+                     double physicalP)
+{
+    GeneratorConfig gc;
+    gc.distance = distance;
+    gc.cavityDepth = config.cavityDepth;
+    gc.schedule = setup.schedule;
+    gc.gapModel = config.gapModel;
+    gc.noise = NoiseModel::atPhysicalRate(physicalP, config.hardware,
+                                          config.scaleCoherence);
+    return gc;
+}
+
 std::string
 thresholdScanFingerprint(const EvaluationSetup& setup,
                          const ThresholdScanConfig& config)
@@ -31,14 +46,9 @@ thresholdScanFingerprint(const EvaluationSetup& setup,
     for (size_t i = 0; i < config.physicalPs.size(); ++i)
         os << (i ? "," : "") << canonicalDouble(config.physicalPs[i]);
     if (!config.distances.empty() && !config.physicalPs.empty()) {
-        GeneratorConfig gc;
-        gc.distance = config.distances.front();
-        gc.cavityDepth = config.cavityDepth;
-        gc.schedule = setup.schedule;
-        gc.gapModel = config.gapModel;
-        gc.noise = NoiseModel::atPhysicalRate(config.physicalPs.front(),
-                                              config.hardware,
-                                              config.scaleCoherence);
+        const GeneratorConfig gc = thresholdPointConfig(
+            setup, config, config.distances.front(),
+            config.physicalPs.front());
         os << " base=" << hex16(checkpointPointKey(setup.embedding, gc));
     }
     return os.str();
@@ -61,15 +71,9 @@ scanThreshold(const EvaluationSetup& setup, const ThresholdScanConfig& config)
         ThresholdCurve curve;
         curve.distance = d;
         for (double p : config.physicalPs) {
-            GeneratorConfig gc;
-            gc.distance = d;
-            gc.cavityDepth = config.cavityDepth;
-            gc.schedule = setup.schedule;
-            gc.gapModel = config.gapModel;
-            gc.noise = NoiseModel::atPhysicalRate(
-                p, config.hardware, config.scaleCoherence);
-            LogicalErrorPoint point =
-                estimateLogicalError(setup.embedding, gc, mc);
+            LogicalErrorPoint point = estimateLogicalError(
+                setup.embedding, thresholdPointConfig(setup, config, d, p),
+                mc);
             if (config.pointProgress)
                 config.pointProgress(point);
             curve.physicalPs.push_back(p);

@@ -52,6 +52,16 @@ struct ThresholdScanConfig
     std::function<void(const LogicalErrorPoint&)> pointProgress;
 };
 
+/**
+ * The GeneratorConfig of the scan point (distance, physicalP), with the
+ * memory basis left at its default. scanThreshold, its checkpoint
+ * fingerprint and the scan job service all build points here, so they
+ * key every point identically.
+ */
+GeneratorConfig thresholdPointConfig(const EvaluationSetup& setup,
+                                     const ThresholdScanConfig& config,
+                                     int distance, double physicalP);
+
 /** Run the scan (the engine behind the Fig. 11 benchmark). */
 ThresholdResult scanThreshold(const EvaluationSetup& setup,
                               const ThresholdScanConfig& config);

@@ -42,22 +42,6 @@ gridPoints(const ThresholdScanConfig& cfg)
     return points;
 }
 
-/** The GeneratorConfig scanThreshold builds for one grid point. */
-GeneratorConfig
-pointConfig(const EvaluationSetup& setup, const ThresholdScanConfig& cfg,
-            const GridPoint& point)
-{
-    GeneratorConfig gc;
-    gc.distance = point.distance;
-    gc.cavityDepth = cfg.cavityDepth;
-    gc.schedule = setup.schedule;
-    gc.gapModel = cfg.gapModel;
-    gc.noise = NoiseModel::atPhysicalRate(point.physicalP, cfg.hardware,
-                                          cfg.scaleCoherence);
-    gc.memoryBasis = point.basis;
-    return gc;
-}
-
 char
 basisChar(CheckBasis basis)
 {
@@ -302,7 +286,9 @@ JobService::runJob(const ScanJob& job)
     std::string preemptReason;
 
     for (const GridPoint& point : points) {
-        GeneratorConfig gc = pointConfig(setup, cfg, point);
+        GeneratorConfig gc = thresholdPointConfig(setup, cfg, point.distance,
+                                                  point.physicalP);
+        gc.memoryBasis = point.basis;
         const uint64_t pointKey =
             checkpointPointKey(setup.embedding, gc);
 

@@ -4,8 +4,11 @@
 #include <cstdint>
 #include <initializer_list>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
+
+#include "util/logging.h"
 
 namespace vlq {
 
@@ -43,6 +46,67 @@ std::string asciiLower(std::string_view s);
  * the registry alias matchers).
  */
 bool nameListContains(std::string_view list, std::string_view word);
+
+/**
+ * The name lookups of a fixed registry table (the decoder and
+ * embedding registries). Each Entry has a `kind`, a canonical
+ * lowercase `name` and space-separated `aliases`; `noun` names an entry
+ * in error messages ("decoder").
+ */
+template <typename Entry>
+struct NameTable
+{
+    using Kind = decltype(Entry::kind);
+
+    std::span<const Entry> entries;
+    const char* noun;
+
+    /** The kind whose name or alias matches, case-insensitively. */
+    std::optional<Kind> parse(std::string_view name) const
+    {
+        const std::string lowered = asciiLower(name);
+        if (lowered.empty())
+            return std::nullopt;
+        for (const Entry& entry : entries) {
+            if (lowered == entry.name
+                || nameListContains(entry.aliases, lowered))
+                return entry.kind;
+        }
+        return std::nullopt;
+    }
+
+    /** Comma-separated canonical names, for usage/error messages. */
+    std::string list() const
+    {
+        std::string out;
+        for (const Entry& entry : entries) {
+            if (!out.empty())
+                out += ", ";
+            out += entry.name;
+        }
+        return out;
+    }
+
+    /**
+     * The kind named by environment variable `variable`, or `fallback`
+     * when it is unset. A set but unknown value is a hard error that
+     * lists the valid names.
+     */
+    Kind fromEnv(Kind fallback, const char* variable) const
+    {
+        const std::string value = envLower(variable, "");
+        if (value.empty())
+            return fallback;
+        const std::optional<Kind> kind = parse(value);
+        if (!kind) {
+            const std::string msg = std::string(variable) + "=" + value
+                + " is not a registered " + noun + " (valid: " + list()
+                + ")";
+            VLQ_FATAL(msg.c_str());
+        }
+        return *kind;
+    }
+};
 
 /**
  * Strict integer parse for CLI arguments: the whole string must be a

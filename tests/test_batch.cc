@@ -7,6 +7,7 @@
 
 #include "core/generator_common.h"
 #include "decoder/decoder_factory.h"
+#include "decoder/union_find.h"
 #include "dem/detector_model.h"
 #include "dem/sampler.h"
 #include "dem/shot_batch.h"
@@ -237,6 +238,43 @@ TEST(DecodeBatchTest, AgreesShotForShotWithScalarDecode)
                 << reg.name << " shot " << s;
         }
     }
+
+    // A batch with heralded-erasure rows: the matching decoders ignore
+    // the heralds, union-find seeds them as decodeWithErasures does.
+    GeneratorConfig cfg = batchConfig(3, 8e-3);
+    cfg.noise.erasure.fraction = 0.5;
+    const DetectorErrorModel erasureDem = DetectorErrorModel::build(
+        generateMemoryCircuit(EmbeddingKind::Baseline2D, cfg).circuit);
+    FaultSampler erasureSampler(erasureDem);
+    batch.reset(erasureDem.numDetectors(), erasureDem.numObservables(),
+                300, 0, erasureDem.numErasureSites());
+    erasureSampler.sampleBatchInto(root, batch);
+    const UnionFindDecoder unionFind(erasureDem);
+    uint32_t heraldedShots = 0;
+    uint32_t heraldsChangedPrediction = 0;
+    for (const DecoderRegistration& reg : decoderRegistry()) {
+        std::unique_ptr<Decoder> dec = makeDecoder(reg.kind, erasureDem);
+        std::vector<uint32_t> predictions(batch.numShots(), 0xdead);
+        dec->decodeBatch(batch, std::span<uint32_t>(predictions));
+        BitVec det;
+        BitVec erasures(erasureDem.numErasureSites());
+        for (uint32_t s = 0; s < batch.numShots(); ++s) {
+            batch.extractShot(s, det);
+            for (uint32_t site = 0; site < erasures.size(); ++site)
+                erasures.set(site, batch.erased(s, site));
+            heraldedShots += erasures.none() ? 0 : 1;
+            const uint32_t expected = reg.kind == DecoderKind::UnionFind
+                ? unionFind.decodeWithErasures(det, erasures)
+                : dec->decode(det);
+            ASSERT_EQ(predictions[s], expected)
+                << reg.name << " heralded shot " << s;
+            if (reg.kind == DecoderKind::UnionFind
+                && expected != unionFind.decode(det))
+                ++heraldsChangedPrediction;
+        }
+    }
+    EXPECT_GT(heraldedShots, 0u);
+    EXPECT_GT(heraldsChangedPrediction, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,11 +8,14 @@
 #include <memory>
 
 #include "core/generator_common.h"
+#include "decoder/decoder_factory.h"
 #include "decoder/decoding_graph.h"
+#include "decoder/union_find.h"
 #include "dem/detector_model.h"
 #include "dem/sampler.h"
 #include "dem/shot_batch.h"
 #include "mc/memory_experiment.h"
+#include "obs/metrics.h"
 #include "sim/frame.h"
 #include "util/rng.h"
 
@@ -567,6 +570,233 @@ TEST(DemDigest, FaultModelGraphAndShotsMatchCommittedDigests)
                       got[1], got[2]);
         fresh += row;
     }
+    if (HasFailure())
+        ADD_FAILURE() << "digest table for the current code:\n" << fresh;
+}
+
+/** One pinned decoder configuration and its committed digests. */
+struct DecoderDigestCase
+{
+    int setup;      // paperSetups() index
+    int distance;
+    char basis;     // 'Z' or 'X'
+    int noise;      // 0 flat, 1 heralded erasure, 2 Z-biased
+    double p;
+    /** Per registered decoder: decodeBatch then decode() predictions. */
+    uint64_t decoders[3];
+    /** Union-find's DecodeInfo, decode() and decodeWithErasures(). */
+    uint64_t unionFindInfo;
+};
+
+/**
+ * Guards the decoders' bit-identity on DemDigest's configurations plus
+ * four d=7 points above threshold: every registered decoder's batch and
+ * per-shot predictions, and union-find's diagnostics and erasure-aware
+ * decode, over 512 sampled shots each. The counters prove the sweep
+ * reaches MWPM's Blossom path, union-find's growth path and its
+ * erasure seeding. Regenerate the table only for an intentional change
+ * to a decoder's output; the failure message prints the new rows.
+ */
+TEST(DecoderDigest, PredictionsMatchCommittedDigests)
+{
+    const DecoderDigestCase cases[] = {
+        {0, 3, 'Z', 0, 3e-03,
+         {0x3b7fbe252fd39b45ULL, 0xc727aec7c841a825ULL,
+          0x3b7fbe252fd39b45ULL},
+         0x974bab13938ca665ULL},
+        {0, 3, 'X', 0, 3e-03,
+         {0x2c8c7f840c407ea5ULL, 0xa79e8666938fa725ULL,
+          0x2c8c7f840c407ea5ULL},
+         0x3c6ebadecb6e09a5ULL},
+        {0, 5, 'Z', 0, 3e-03,
+         {0xcabe68ed4fb751e5ULL, 0x64daa520157011c5ULL,
+          0xcabe68ed4fb751e5ULL},
+         0x603f3305b97290e5ULL},
+        {0, 5, 'X', 0, 3e-03,
+         {0x69d28ee7f41bd3a5ULL, 0xaede12bde05c9fc5ULL,
+          0x69d28ee7f41bd3a5ULL},
+         0xed8546843328ece5ULL},
+        {1, 3, 'Z', 0, 3e-03,
+         {0x8d63c868750cf7e5ULL, 0x9ece4db50631be85ULL,
+          0x8d63c868750cf7e5ULL},
+         0x8c3fd8e8cd4f4d85ULL},
+        {1, 3, 'X', 0, 3e-03,
+         {0x555c1e44776f3d85ULL, 0x2549f126eb4f97e5ULL,
+          0x555c1e44776f3d85ULL},
+         0x59917b29ec00f725ULL},
+        {1, 5, 'Z', 0, 3e-03,
+         {0x7fb52279602d1c25ULL, 0xf632b3d49ad6c405ULL,
+          0x7fb52279602d1c25ULL},
+         0x319dd85f769b30a5ULL},
+        {1, 5, 'X', 0, 3e-03,
+         {0x4f249149d6cc82a5ULL, 0xbb7ea02cc8c7ae45ULL,
+          0x4f249149d6cc82a5ULL},
+         0xd624d1f7983a3f05ULL},
+        {2, 3, 'Z', 0, 3e-03,
+         {0x059e2eb665d34b25ULL, 0x4c26ca153ebac665ULL,
+          0x059e2eb665d34b25ULL},
+         0x1be126486f883a45ULL},
+        {2, 3, 'X', 0, 3e-03,
+         {0xf035a41c45298b85ULL, 0x48470e21c6dc0c05ULL,
+          0xf035a41c45298b85ULL},
+         0x48df4b0f729bf605ULL},
+        {2, 5, 'Z', 0, 3e-03,
+         {0x8013c4cf290b0c85ULL, 0xe94aac790f750c65ULL,
+          0x8013c4cf290b0c85ULL},
+         0xe6db7d7f692e0b65ULL},
+        {2, 5, 'X', 0, 3e-03,
+         {0xe89aee685f0f8305ULL, 0x4ffda234e13422e5ULL,
+          0xe89aee685f0f8305ULL},
+         0x1427059e96bf9685ULL},
+        {3, 3, 'Z', 0, 3e-03,
+         {0x5800f97f2a8b7865ULL, 0xce93f1bde19d7e65ULL,
+          0x5800f97f2a8b7865ULL},
+         0x26bd894fa9111645ULL},
+        {3, 3, 'X', 0, 3e-03,
+         {0xa9c2264455559f65ULL, 0x425c9fc42d3455a5ULL,
+          0xa9c2264455559f65ULL},
+         0x3aac46a36c139c05ULL},
+        {3, 5, 'Z', 0, 3e-03,
+         {0xf57afac1ba481245ULL, 0xcdea201b39538145ULL,
+          0xf57afac1ba481245ULL},
+         0x9603110b591f2065ULL},
+        {3, 5, 'X', 0, 3e-03,
+         {0x04b93a5f23885fe5ULL, 0xc7544600757f7b25ULL,
+          0x04b93a5f23885fe5ULL},
+         0xeb5aa7883a681e25ULL},
+        {4, 3, 'Z', 0, 3e-03,
+         {0x0becc29466b6ba25ULL, 0xf072cc21857ecb05ULL,
+          0x0becc29466b6ba25ULL},
+         0xf77ac972f244a205ULL},
+        {4, 3, 'X', 0, 3e-03,
+         {0x430a95eca9cd16e5ULL, 0xab5e3fc74445a245ULL,
+          0x430a95eca9cd16e5ULL},
+         0xf967cc39794e8b45ULL},
+        {4, 5, 'Z', 0, 3e-03,
+         {0xef98f955c3a8c4e5ULL, 0xebaea0355b0fa905ULL,
+          0xef98f955c3a8c4e5ULL},
+         0xbe151d85012eb805ULL},
+        {4, 5, 'X', 0, 3e-03,
+         {0xa7f80985e7cef4e5ULL, 0xfa77988bf5aa9345ULL,
+          0xe0e7e354f37676c5ULL},
+         0x1938bd1ef7d1d025ULL},
+        {0, 3, 'Z', 1, 3e-03,
+         {0xbc89df3f64024605ULL, 0xf6f6b0a27179fce5ULL,
+          0xbc89df3f64024605ULL},
+         0xbdc368fa2177f547ULL},
+        {4, 3, 'X', 2, 3e-03,
+         {0x44819ccfa8daf1a5ULL, 0x2571449a3ae00fc5ULL,
+          0x44819ccfa8daf1a5ULL},
+         0x61e7e7246cfbe2a5ULL},
+        {0, 7, 'Z', 0, 8e-03,
+         {0x0270b0ea30bb11c5ULL, 0x1218b50fda908485ULL,
+          0x172b595f4047b505ULL},
+         0xe720dd49f4b8c0e5ULL},
+        {0, 7, 'X', 0, 8e-03,
+         {0xba48b1eb6a2e3005ULL, 0xf8c0775b56325d25ULL,
+          0x25cb50cc74127005ULL},
+         0x1b722378cea2b565ULL},
+        {4, 7, 'Z', 0, 8e-03,
+         {0x89a8041e8c7a61c5ULL, 0x28133001fd6065e5ULL,
+          0x8c877ad27c6069c5ULL},
+         0xd04db71a7c7c6cc5ULL},
+        {4, 7, 'X', 0, 8e-03,
+         {0x66a53552be505aa5ULL, 0x12b23553d2a39e85ULL,
+          0xa23fcb53546f83a5ULL},
+         0x1efd2240c37e97e5ULL},
+    };
+    constexpr uint32_t kShots = 512;
+    const bool wasEnabled = obs::metricsEnabled();
+    obs::setMetricsEnabled(true);
+    const obs::MetricsSnapshot before = obs::snapshotMetrics();
+    const std::vector<EvaluationSetup> setups = paperSetups();
+    ASSERT_EQ(decoderRegistry().size(), 3u);
+    std::string fresh;
+    for (const DecoderDigestCase& c : cases) {
+        GeneratorConfig cfg;
+        cfg.distance = c.distance;
+        cfg.memoryBasis = c.basis == 'X' ? CheckBasis::X : CheckBasis::Z;
+        cfg.schedule = setups[static_cast<size_t>(c.setup)].schedule;
+        cfg.noise = NoiseModel::atPhysicalRate(
+            c.p, HardwareParams::transmonsWithMemory());
+        if (c.noise == 1)
+            cfg.noise.erasure.fraction = 0.5;
+        else if (c.noise == 2)
+            cfg.noise.bias.rZ = 10.0;
+        const DetectorErrorModel dem = DetectorErrorModel::build(
+            generateMemoryCircuit(
+                setups[static_cast<size_t>(c.setup)].embedding, cfg)
+                .circuit);
+        FaultSampler sampler(dem);
+        ShotBatch batch;
+        batch.reset(dem.numDetectors(), dem.numObservables(), kShots, 0,
+                    dem.numErasureSites());
+        sampler.sampleBatchInto(Rng(0xdec0de), batch);
+        std::vector<BitVec> detectors(kShots);
+        std::vector<BitVec> erasures(kShots,
+                                     BitVec(dem.numErasureSites()));
+        for (uint32_t s = 0; s < kShots; ++s) {
+            batch.extractShot(s, detectors[s]);
+            for (uint32_t site = 0; site < dem.numErasureSites(); ++site)
+                erasures[s].set(site, batch.erased(s, site));
+        }
+
+        uint64_t got[4] = {};
+        size_t slot = 0;
+        for (const DecoderRegistration& reg : decoderRegistry()) {
+            const std::unique_ptr<Decoder> dec = makeDecoder(reg.kind, dem);
+            std::vector<uint32_t> predictions(kShots);
+            dec->decodeBatch(batch, std::span<uint32_t>(predictions));
+            Digest h;
+            for (uint32_t s = 0; s < kShots; ++s) {
+                h.add(predictions[s]);
+                h.add(dec->decode(detectors[s]));
+            }
+            got[slot++] = h.value();
+        }
+        const UnionFindDecoder uf(dem);
+        Digest h;
+        auto addInfo = [&h](uint32_t prediction,
+                            const UnionFindDecoder::DecodeInfo& info) {
+            h.add(prediction);
+            h.add(info.growthRounds);
+            h.add(info.initialClusters);
+            h.add(info.matchedPairs);
+            h.add(info.boundaryMatches);
+        };
+        for (uint32_t s = 0; s < kShots; ++s) {
+            UnionFindDecoder::DecodeInfo info;
+            const uint32_t plain = uf.decode(detectors[s], &info);
+            addInfo(plain, info);
+            const uint32_t erased =
+                uf.decodeWithErasures(detectors[s], erasures[s], &info);
+            addInfo(erased, info);
+        }
+        got[3] = h.value();
+
+        const std::string label = "setup " + std::to_string(c.setup)
+            + " d=" + std::to_string(c.distance) + " " + c.basis
+            + " noise " + std::to_string(c.noise);
+        for (size_t i = 0; i < 3; ++i)
+            EXPECT_EQ(got[i], c.decoders[i])
+                << label << ": " << decoderRegistry()[i].name;
+        EXPECT_EQ(got[3], c.unionFindInfo) << label << ": union-find info";
+        char row[200];
+        std::snprintf(row, sizeof(row),
+                      "        {%d, %d, '%c', %d, %.0e,\n"
+                      "         {0x%016" PRIx64 "ULL, 0x%016" PRIx64
+                      "ULL,\n          0x%016" PRIx64 "ULL},\n"
+                      "         0x%016" PRIx64 "ULL},\n",
+                      c.setup, c.distance, c.basis, c.noise, c.p, got[0],
+                      got[1], got[2], got[3]);
+        fresh += row;
+    }
+    const obs::MetricsSnapshot after = obs::snapshotMetrics();
+    obs::setMetricsEnabled(wasEnabled);
+    for (const char* counter : {"mwpm.decode.blossom", "uf.decode.growth",
+                                "uf.decode.erasure_shots"})
+        EXPECT_GT(after.counter(counter), before.counter(counter))
+            << counter;
     if (HasFailure())
         ADD_FAILURE() << "digest table for the current code:\n" << fresh;
 }

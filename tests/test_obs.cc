@@ -83,7 +83,7 @@ TEST(AObsDisabled, DisabledSiteCostIsUnderOnePercentOfDecode)
     ASSERT_FALSE(obs::metricsEnabled());
 
     // Pin the decode input: one pre-sampled 256-shot batch, decoded
-    // repeatedly (the BM_DecodeBatchUf loop from bench_micro).
+    // repeatedly by union-find's decodeBatch.
     GeneratorConfig cfg = obsConfig(5, 8e-3);
     GeneratedCircuit gen = generateBaselineMemory(cfg);
     DetectorErrorModel dem = DetectorErrorModel::build(gen.circuit);
