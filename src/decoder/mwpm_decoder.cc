@@ -32,12 +32,22 @@ MwpmDecoder::decodeShot(std::span<const uint32_t> events,
         }
         return decodeExact(events);
     }
-    if (obs::metricsEnabled()) {
+    // Blossom is timed into a histogram only: a trace span per shot
+    // would swamp the timeline.
+    const bool timed = obs::metricsEnabled();
+    const uint64_t start = timed ? obs::traceNowNs() : 0;
+    if (timed) {
         static const obs::Counter blossom =
             obs::Counter::get("mwpm.decode.blossom");
         blossom.add(1);
     }
-    return decodeBlossom(events);
+    const uint32_t prediction = decodeBlossom(events);
+    if (timed) {
+        static const obs::Histogram blossomNs =
+            obs::Histogram::get("mwpm.blossom");
+        blossomNs.record(obs::traceNowNs() - start);
+    }
+    return prediction;
 }
 
 uint32_t

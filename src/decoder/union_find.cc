@@ -456,7 +456,12 @@ UnionFindDecoder::decodeEvents(std::span<const uint32_t> events,
         return obs;
     }
 
-    if (obs::metricsEnabled()) {
+    // Growth and peel are timed from the arena reset to the return,
+    // into a histogram only: a trace span per shot would swamp the
+    // timeline.
+    const bool timeGrowth = obs::metricsEnabled();
+    const uint64_t growthStart = timeGrowth ? obs::traceNowNs() : 0;
+    if (timeGrowth) {
         static const obs::Counter growth =
             obs::Counter::get("uf.decode.growth");
         growth.add(1);
@@ -785,6 +790,11 @@ UnionFindDecoder::decodeEvents(std::span<const uint32_t> events,
         info->growthRounds = rounds;
         info->matchedPairs = matchedPairs;
         info->boundaryMatches = boundaryMatches;
+    }
+    if (timeGrowth) {
+        static const obs::Histogram growthNs =
+            obs::Histogram::get("uf.growth");
+        growthNs.record(obs::traceNowNs() - growthStart);
     }
     return obs;
 }

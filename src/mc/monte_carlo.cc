@@ -78,6 +78,14 @@ timedStage(const char* stage, const Build& build)
  * covers trials [resumeTrials, resumeTrials + batchSize), and all
  * counts stay global to the full budget, so the committed stream is
  * the exact suffix of the uninterrupted run's stream.
+ *
+ * Preemption drains rather than discards: once McOptions::preempt
+ * returns true, workers stop pulling batches, but every batch already
+ * pulled -- in flight or finished out of order -- still commits in
+ * order. Pulled batches are a contiguous index range (one shared
+ * counter hands them out), so the drained frontier is a batch
+ * boundary at or after the preempting commit, and still a prefix of
+ * the uninterrupted trial sequence.
  */
 class BatchSequencer
 {
@@ -110,7 +118,7 @@ class BatchSequencer
     {
         std::lock_guard<std::mutex> lock(mutex_);
         pending_.emplace(batchIndex, std::move(failingTrials));
-        while (!done_) {
+        while (!targetReached_) {
             auto it = pending_.find(nextToCommit_);
             if (it == pending_.end())
                 break;
@@ -128,7 +136,7 @@ class BatchSequencer
                     ++failures_;
                     if (failures_ >= target_) {
                         trialsDone_ = t + 1;
-                        done_ = true;
+                        targetReached_ = true;
                         stopFlag_.store(true,
                                         std::memory_order_relaxed);
                         break;
@@ -137,7 +145,7 @@ class BatchSequencer
             } else {
                 failures_ += fails.size();
             }
-            if (!done_)
+            if (!targetReached_)
                 trialsDone_ = batchEnd;
             ++nextToCommit_;
             if (obs::metricsEnabled()) {
@@ -168,7 +176,7 @@ class BatchSequencer
                     // (0 / -1) so renderers print "--", not garbage.
                     if (std::isfinite(rate) && rate > 0.0) {
                         p.shotsPerSec = rate;
-                        double eta = done_ || trialsDone_ >= trials_
+                        double eta = finished()
                             ? 0.0
                             : static_cast<double>(trials_ - trialsDone_)
                                 / rate;
@@ -178,26 +186,29 @@ class BatchSequencer
                 }
                 progress_(p);
             }
-            if (commitHook_ && !done_)
+            // Periodic saves go on while draining: this commit's
+            // `progress` may already be out, and a kill before the
+            // suspend save must not resume behind it.
+            if (commitHook_ && !targetReached_)
                 commitHook_(trialsDone_, failures_);
-            // Preemption boundary: the batch just committed is the
-            // clean suspend point. Everything already committed stays
-            // (and is what the checkpoint persists); everything still
-            // pending is discarded and will be resampled after resume
-            // -- bit-identically, since each trial owns its RNG
-            // stream.
-            if (!done_ && preempt_ && preempt_()) {
-                preempted_ = true;
-                done_ = true;
+            // Preemption boundary: the first true stops the hand-out
+            // of batches; the hook is never polled again. Batches
+            // already pulled keep committing here as they arrive.
+            if (!draining_ && preempt_ && preempt_()) {
+                draining_ = true;
                 stopFlag_.store(true, std::memory_order_relaxed);
             }
         }
-        if (done_)
+        if (targetReached_)
             pending_.clear();
     }
 
-    /** True when McOptions::preempt cut the run short. */
-    bool preempted() const { return preempted_; }
+    /**
+     * True when McOptions::preempt cut the run short: the hook fired
+     * and the drained frontier still falls short of the budget and of
+     * the early stop. Call after every worker has returned.
+     */
+    bool preempted() const { return draining_ && !finished(); }
 
     BinomialEstimate result() const
     {
@@ -208,6 +219,12 @@ class BatchSequencer
     }
 
   private:
+    /** The budget is committed or the early stop fired. */
+    bool finished() const
+    {
+        return targetReached_ || trialsDone_ >= trials_;
+    }
+
     const uint64_t trials_;
     const uint32_t batchSize_;
     const uint64_t resumeTrials_;
@@ -221,8 +238,8 @@ class BatchSequencer
     uint64_t nextToCommit_ = 0;
     uint64_t failures_ = 0;
     uint64_t trialsDone_ = 0;
-    bool done_ = false;
-    bool preempted_ = false;
+    bool targetReached_ = false;
+    bool draining_ = false;
     std::atomic<bool> stopFlag_{false};
     const std::chrono::steady_clock::time_point start_;
 };
@@ -372,11 +389,12 @@ estimateLogicalErrorBasis(EmbeddingKind embedding,
 
     BinomialEstimate est = sequencer.result();
     if (sequencer.preempted()) {
-        // Suspend, don't finish: persist the committed frontier with
-        // done=false so a later run (same options, same checkpoint)
-        // resumes from this exact batch boundary. The partial point is
-        // deliberately not reported to obs -- the resuming run reports
-        // it once, when it actually completes.
+        // Suspend, don't finish: every pulled batch has committed, so
+        // persist the drained frontier with done=false and a later run
+        // (same options, same checkpoint) resumes from this exact batch
+        // boundary. The partial point is deliberately not reported to
+        // obs -- the resuming run reports it once, when it actually
+        // completes.
         if (options.preempted)
             *options.preempted = true;
         if (checkpoint.enabled()) {

@@ -114,25 +114,36 @@ struct McOptions
     /**
      * Cooperative preemption hook. When set, the engine polls it at
      * every batch-commit boundary (in trial order, under the
-     * sequencer lock -- keep it cheap); the first time it returns
-     * true, workers stop pulling batches, uncommitted batches are
-     * discarded, the committed frontier is persisted to the
-     * checkpoint with done=false (when checkpointing is on), and the
-     * run returns early with the committed counts.
+     * sequencer lock -- keep it cheap) until it first returns true,
+     * and never again in that run. Workers then stop pulling batches,
+     * but every batch already pulled -- in flight or finished out of
+     * order -- still commits in trial order, with `progress` and the
+     * periodic checkpoint save running as for any commit. Only then
+     * is the drained frontier persisted with done=false (when
+     * checkpointing is on) and the run returns early with the
+     * committed counts.
+     * If the drain reaches the trial budget or the targetFailures
+     * stop, the point is finished instead: saved done=true and not
+     * reported as preempted.
      *
-     * Because batches commit strictly in trial order, the preempted
-     * frontier is a prefix of the uninterrupted run's trial sequence:
-     * re-running the same options with the same checkpoint resumes
-     * from the boundary and reproduces the uninterrupted counts
-     * bit-identically. This is what makes scheduler preemption cheap
-     * -- suspending a job costs one checkpoint save, nothing else.
+     * The suspended frontier is a batch boundary at or after the
+     * preempting commit; how far past it depends on scheduling, so
+     * only the final counts are deterministic. Because batches commit
+     * strictly in trial order, that frontier is a prefix of the
+     * uninterrupted run's trial sequence: re-running the same options
+     * with the same checkpoint resumes from the boundary and
+     * reproduces the uninterrupted counts bit-identically. This is
+     * what makes scheduler preemption cheap -- suspending a job costs
+     * one checkpoint save, and no sampled trial is thrown away.
      */
     std::function<bool()> preempt;
 
     /**
      * Out-flag for preemption: when non-null, set to true if the run
-     * was cut short by `preempt` (and left untouched otherwise, so
-     * callers can share one flag across consecutive points).
+     * was cut short by `preempt` -- the hook fired and the drained
+     * frontier is short of the budget and of the early stop -- and
+     * left untouched otherwise, so callers can share one flag across
+     * consecutive points.
      */
     bool* preempted = nullptr;
 };

@@ -285,6 +285,22 @@ JobService::runJob(const ScanJob& job)
     uint64_t jobFailures = 0;
     std::string preemptReason;
 
+    // Ends the slice once the preempt hook has fired: a cancel is
+    // terminal, any other reason suspends at `frontier`.
+    auto suspend = [&](uint64_t frontier) {
+        if (preemptReason == "cancelled") {
+            // Terminal: consume the flag, keep the checkpoint
+            // (resubmitting the id in a later session resumes).
+            scheduler_.takeCancelFlag(job.id);
+            events_.cancelled(job.id, "running");
+            return Outcome::Cancelled;
+        }
+        events_.preempted(job.id, preemptReason, frontier);
+        if (obs::metricsEnabled())
+            obs::Counter::get("service.preemptions").add(1);
+        return Outcome::Preempted;
+    };
+
     for (const GridPoint& point : points) {
         GeneratorConfig gc = thresholdPointConfig(setup, cfg, point.distance,
                                                   point.physicalP);
@@ -317,6 +333,11 @@ JobService::runJob(const ScanJob& job)
             jobFailures += entry->failures;
             continue;
         }
+        // The hook fired in a point the drain then finished: suspend
+        // here rather than build this point only to stop it at its
+        // first commit.
+        if (!preemptReason.empty())
+            return suspend(jobTrials);
         uint64_t lastCommitted = entry ? entry->trialsDone : 0;
         uint64_t lastProgressEmit = lastCommitted;
 
@@ -353,20 +374,8 @@ JobService::runJob(const ScanJob& job)
 
         BinomialEstimate est =
             estimateLogicalErrorBasis(setup.embedding, gc, opts);
-        if (preempted) {
-            if (preemptReason == "cancelled") {
-                // Terminal: consume the flag, keep the checkpoint
-                // (resubmitting the id in a later session resumes).
-                scheduler_.takeCancelFlag(job.id);
-                events_.cancelled(job.id, "running");
-                return Outcome::Cancelled;
-            }
-            events_.preempted(job.id, preemptReason,
-                              jobTrials + est.trials);
-            if (obs::metricsEnabled())
-                obs::Counter::get("service.preemptions").add(1);
-            return Outcome::Preempted;
-        }
+        if (preempted)
+            return suspend(jobTrials + est.trials);
         events_.pointDone(job.id, point.index, point.distance,
                           point.physicalP, basisChar(point.basis),
                           est.trials, est.successes,

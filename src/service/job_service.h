@@ -55,7 +55,13 @@ struct JobServiceConfig
  * estimateLogicalErrorBasis with the job's own checkpoint file ->
  * `progress`/`point_done` stream -> either `done`, or `preempted` at
  * a batch boundary (quantum expiry, higher-priority arrival, or
- * shutdown) with the frontier persisted, and the job requeued.
+ * shutdown) with the frontier persisted, and the job requeued. A
+ * preempted slice keeps the work it sampled: the engine drains every
+ * batch its workers already pulled before it suspends, so the
+ * suspended frontier lands at or after the preempting commit (how far
+ * after depends on scheduling). A drain that completes the point ends
+ * it in `point_done`; the job then suspends before its next point
+ * starts, or ends `done` if that was its last point.
  *
  * Determinism contract: a job's checkpoint is stamped with the same
  * thresholdScanFingerprint a solo threshold_scan run computes, its
@@ -63,7 +69,8 @@ struct JobServiceConfig
  * preemption suspends only at committed-batch boundaries -- so the
  * final per-point counts (and the checkpoint file bytes) are
  * identical to a solo run with the same knobs, no matter how often
- * the job was preempted, interleaved, or the server killed.
+ * the job was preempted, interleaved, or the server killed. Only the
+ * final counts are deterministic: where each slice stops is not.
  *
  * Threading: runUntilDrained executes jobs sequentially on the
  * caller's thread (each point fans out over its own ThreadPool of
@@ -96,10 +103,12 @@ class JobService
      * Cancel a job submitted in this session. A queued job is removed
      * immediately; the running job is flagged and suspends at its
      * next batch boundary. Either way the job's last event is the
-     * terminal `cancelled`, its checkpoint survives (resubmit the id
-     * in a later session to resume), and its id stays reserved for
-     * this session. Unknown or already-terminal ids emit a
-     * `bad_request` error event.
+     * terminal `cancelled` -- unless the running job's drain of
+     * batches already in flight completes its last point: the cancel
+     * then lost the race and the job ends `done`. The checkpoint
+     * survives (resubmit the id in a later session to resume), and
+     * the id stays reserved for this session. Unknown or
+     * already-terminal ids emit a `bad_request` error event.
      * @return true when a queued or running job was cancelled.
      */
     bool cancel(const std::string& jobId);

@@ -37,6 +37,9 @@ namespace service {
  *                the scheduler would pick this job straight back up);
  *  - "shutdown": stop() was called (server exiting; the job is left
  *                suspended in its checkpoint, not requeued).
+ * The engine drains the batches its workers already pulled before it
+ * suspends; if that drain completes the job's last point, the job
+ * ends `done` whatever the reason was.
  *
  * Thread-safety: every method takes the internal mutex; submissions
  * may arrive from any thread (e.g. a request poller) while the

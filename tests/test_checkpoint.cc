@@ -1,15 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "mc/checkpoint.h"
 #include "mc/monte_carlo.h"
 #include "mc/sensitivity.h"
 #include "mc/threshold.h"
+#include "obs/metrics.h"
 
 namespace vlq {
 namespace {
@@ -441,11 +444,13 @@ TEST(CheckpointResume, OldFileWithMetaLineResumesAndDropsIt)
         EmbeddingKind::Baseline2D, cfg, options);
     EXPECT_GT(reference.successes, 0u);
 
-    // Save mid-run: preempt at the third batch commit.
+    // Save mid-run: preempt at the third batch commit. One thread, so
+    // no other batch is in flight to drain and the frontier is exact.
     std::string path = tmpPath("meta_line.ckpt");
     removeFile(path);
     McOptions cut = options;
     cut.checkpointPath = path;
+    cut.threads = 1;
     int commits = 0;
     cut.preempt = [&commits] { return ++commits == 3; };
     bool preempted = false;
@@ -471,6 +476,234 @@ TEST(CheckpointResume, OldFileWithMetaLineResumesAndDropsIt)
     EXPECT_EQ(est.successes, reference.successes);
     EXPECT_EQ(readFile(path).find("\nmeta "), std::string::npos);
     removeFile(path);
+}
+
+/** The checkpoint entry of one point, read back from `path`. */
+CheckpointEntry
+savedEntry(const std::string& path, const McOptions& options,
+           const GeneratorConfig& cfg)
+{
+    McCheckpoint state;
+    EXPECT_EQ(state.open(path, mcRunFingerprintSummary(options)), "");
+    const CheckpointEntry* entry =
+        state.find(checkpointPointKey(EmbeddingKind::Baseline2D, cfg));
+    EXPECT_NE(entry, nullptr);
+    return entry ? *entry : CheckpointEntry{};
+}
+
+/**
+ * Block until `shots` trials past `base` have been sampled (the
+ * `sampler.shots` counter; metrics must be on), or a generous deadline
+ * passes. A preempt hook that waits here holds the commit lock while
+ * the other workers sample on, which puts batches in flight when the
+ * hook fires without relying on timing.
+ */
+void
+waitForSampledShots(uint64_t base, uint64_t shots)
+{
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (obs::snapshotMetrics().counter("sampler.shots") - base < shots
+           && std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+}
+
+TEST(PreemptDrain, PulledBatchesCommitAndResumeBitIdentically)
+{
+    // A preempted run commits every batch its workers pulled: nothing
+    // sampled is thrown away, the frontier lands on a batch boundary
+    // past the preempting commit, and resuming from it reproduces the
+    // uninterrupted counts.
+    const bool wasEnabled = obs::metricsEnabled();
+    obs::setMetricsEnabled(true);
+    GeneratorConfig cfg = ckptConfig(3, 6e-3);
+    McOptions options;
+    options.trials = 65536; // 1024 batches: far more than drain
+    options.seed = 8642;
+    options.threads = 4;
+    options.batchSize = 64;
+    options.decoder = DecoderKind::UnionFind;
+    BinomialEstimate reference = estimateLogicalErrorBasis(
+        EmbeddingKind::Baseline2D, cfg, options);
+    EXPECT_GT(reference.successes, 0u);
+
+    std::string path = tmpPath("drain.ckpt");
+    removeFile(path);
+    McOptions cut = options;
+    cut.checkpointPath = path;
+    constexpr uint64_t kPreemptCommit = 3;
+    const obs::MetricsSnapshot before = obs::snapshotMetrics();
+    uint64_t polls = 0;
+    cut.preempt = [&] {
+        if (++polls < kPreemptCommit)
+            return false;
+        // Fire only once a batch past the committed prefix has been
+        // sampled: it is in flight or pending right now.
+        waitForSampledShots(before.counter("sampler.shots"),
+                            (kPreemptCommit + 1) * options.batchSize);
+        return true;
+    };
+    bool preempted = false;
+    cut.preempted = &preempted;
+    BinomialEstimate partial = estimateLogicalErrorBasis(
+        EmbeddingKind::Baseline2D, cfg, cut);
+    const obs::MetricsSnapshot after = obs::snapshotMetrics();
+    ASSERT_TRUE(preempted);
+    EXPECT_EQ(polls, kPreemptCommit) << "polled again after it fired";
+
+    const uint64_t sampled = after.counter("sampler.shots")
+        - before.counter("sampler.shots");
+    const uint64_t committed = after.counter("mc.trials_committed")
+        - before.counter("mc.trials_committed");
+    EXPECT_EQ(sampled, committed) << "sampled batches were discarded";
+    EXPECT_EQ(committed, partial.trials);
+    EXPECT_EQ(partial.trials % options.batchSize, 0u);
+    EXPECT_GT(partial.trials, kPreemptCommit * options.batchSize)
+        << "the batch sampled past the preempting commit must commit";
+    EXPECT_LT(partial.trials, options.trials);
+    const CheckpointEntry saved = savedEntry(path, cut, cfg);
+    EXPECT_FALSE(saved.done);
+    EXPECT_EQ(saved.trialsDone, partial.trials);
+    EXPECT_EQ(saved.failures, partial.successes);
+
+    McOptions resumed = options;
+    resumed.checkpointPath = path;
+    BinomialEstimate est = estimateLogicalErrorBasis(
+        EmbeddingKind::Baseline2D, cfg, resumed);
+    EXPECT_EQ(est.trials, reference.trials);
+    EXPECT_EQ(est.successes, reference.successes);
+    removeFile(path);
+    obs::setMetricsEnabled(wasEnabled);
+}
+
+TEST(PreemptDrain, DrainedCommitsKeepSavingTheFrontier)
+{
+    // A drained commit's `progress` reaches the caller (the job service
+    // streams it), so a kill before the suspend save must not resume
+    // behind it: periodic saves go on while draining. Saving every
+    // batch, each progress call finds the previous commit on disk.
+    const bool wasEnabled = obs::metricsEnabled();
+    obs::setMetricsEnabled(true);
+    GeneratorConfig cfg = ckptConfig(3, 6e-3);
+    std::string path = tmpPath("drain_saves.ckpt");
+    removeFile(path);
+    McOptions options;
+    options.trials = 65536;
+    options.seed = 8642;
+    options.threads = 4;
+    options.batchSize = 64;
+    options.decoder = DecoderKind::UnionFind;
+    options.checkpointPath = path;
+    options.checkpointEveryTrials = options.batchSize;
+    constexpr uint64_t kPreemptCommit = 3;
+    const uint64_t shotsBefore =
+        obs::snapshotMetrics().counter("sampler.shots");
+    uint64_t polls = 0;
+    options.preempt = [&] {
+        if (++polls < kPreemptCommit)
+            return false;
+        // Two batches past the committed prefix are sampled, so the
+        // drain commits at least two.
+        waitForSampledShots(shotsBefore,
+                            (kPreemptCommit + 2) * options.batchSize);
+        return true;
+    };
+    uint64_t commits = 0;
+    uint64_t lastProgress = 0;
+    options.progress = [&](const McProgress& p) {
+        if (commits > 0) {
+            EXPECT_EQ(savedEntry(path, options, cfg).trialsDone,
+                      lastProgress)
+                << "commit " << commits + 1 << " found the checkpoint "
+                << "behind the previous commit's progress";
+        }
+        ++commits;
+        lastProgress = p.trialsDone;
+    };
+    bool preempted = false;
+    options.preempted = &preempted;
+    BinomialEstimate partial = estimateLogicalErrorBasis(
+        EmbeddingKind::Baseline2D, cfg, options);
+    ASSERT_TRUE(preempted);
+    EXPECT_GE(commits, kPreemptCommit + 2);
+    EXPECT_EQ(savedEntry(path, options, cfg).trialsDone, partial.trials);
+    removeFile(path);
+    obs::setMetricsEnabled(wasEnabled);
+}
+
+TEST(PreemptDrain, PreemptOnTheFinalCommitFinishesThePoint)
+{
+    // The hook fires on the commit that completes the budget: the
+    // point is finished, not preempted, and its checkpoint says done.
+    GeneratorConfig cfg = ckptConfig(3, 9e-3);
+    McOptions options;
+    options.trials = 3 * 64;
+    options.seed = 97;
+    options.threads = 1;
+    options.batchSize = 64;
+    BinomialEstimate reference = estimateLogicalErrorBasis(
+        EmbeddingKind::Baseline2D, cfg, options);
+
+    std::string path = tmpPath("final_commit.ckpt");
+    removeFile(path);
+    McOptions cut = options;
+    cut.checkpointPath = path;
+    int commits = 0;
+    cut.preempt = [&commits] { return ++commits >= 3; };
+    bool preempted = false;
+    cut.preempted = &preempted;
+    BinomialEstimate est = estimateLogicalErrorBasis(
+        EmbeddingKind::Baseline2D, cfg, cut);
+    EXPECT_FALSE(preempted);
+    EXPECT_EQ(est.trials, reference.trials);
+    EXPECT_EQ(est.successes, reference.successes);
+    const CheckpointEntry saved = savedEntry(path, cut, cfg);
+    EXPECT_TRUE(saved.done);
+    EXPECT_EQ(saved.trialsDone, options.trials);
+    removeFile(path);
+}
+
+TEST(PreemptDrain, DrainThatReachesTheBudgetFinishesThePoint)
+{
+    // Four workers, four batches: the hook fires at the second commit
+    // but waits until the other workers have sampled the rest, so the
+    // drain commits the whole budget and the point is done.
+    const bool wasEnabled = obs::metricsEnabled();
+    obs::setMetricsEnabled(true);
+    GeneratorConfig cfg = ckptConfig(3, 9e-3);
+    McOptions options;
+    options.trials = 4 * 64;
+    options.seed = 531;
+    options.threads = 4;
+    options.batchSize = 64;
+    BinomialEstimate reference = estimateLogicalErrorBasis(
+        EmbeddingKind::Baseline2D, cfg, options);
+
+    std::string path = tmpPath("drain_done.ckpt");
+    removeFile(path);
+    McOptions cut = options;
+    cut.checkpointPath = path;
+    const uint64_t base =
+        obs::snapshotMetrics().counter("sampler.shots");
+    int polls = 0;
+    cut.preempt = [&] {
+        if (++polls < 2)
+            return false;
+        waitForSampledShots(base, options.trials);
+        return true;
+    };
+    bool preempted = false;
+    cut.preempted = &preempted;
+    BinomialEstimate est = estimateLogicalErrorBasis(
+        EmbeddingKind::Baseline2D, cfg, cut);
+    EXPECT_FALSE(preempted);
+    EXPECT_EQ(est.trials, reference.trials);
+    EXPECT_EQ(est.successes, reference.successes);
+    const CheckpointEntry saved = savedEntry(path, cut, cfg);
+    EXPECT_TRUE(saved.done);
+    EXPECT_EQ(saved.trialsDone, options.trials);
+    removeFile(path);
+    obs::setMetricsEnabled(wasEnabled);
 }
 
 TEST(CheckpointResume, DonePointSkipsSampling)

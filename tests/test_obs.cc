@@ -315,6 +315,57 @@ TEST(ObsReport, MwpmCountsExactAndBlossomShots)
     EXPECT_NE(json.find("\"mwpm_exact_hit_rate\""), std::string::npos);
 }
 
+TEST(ObsReport, DecodePathTimersRecordEveryPathShotAndMoveNoCount)
+{
+    // uf.growth and mwpm.blossom time the two expensive decode paths:
+    // one histogram sample per shot that takes the path, no trace span,
+    // and the counts of a seeded run do not move (invariant 7).
+    struct Path
+    {
+        DecoderKind decoder;
+        const char* counter;
+        const char* histogram;
+    };
+    GeneratorConfig cfg = obsConfig(5, 9e-3);
+    for (const Path& path :
+         {Path{DecoderKind::UnionFind, "uf.decode.growth", "uf.growth"},
+          Path{DecoderKind::Mwpm, "mwpm.decode.blossom",
+               "mwpm.blossom"}}) {
+        McOptions options;
+        options.trials = 256;
+        options.seed = 23;
+        options.decoder = path.decoder;
+        options.batchSize = 64;
+        ASSERT_FALSE(obs::metricsEnabled());
+        BinomialEstimate off = estimateLogicalErrorBasis(
+            EmbeddingKind::Baseline2D, cfg, options);
+
+        const obs::MetricsSnapshot before = obs::snapshotMetrics();
+        obs::setMetricsEnabled(true);
+        obs::setTraceEnabled(true);
+        BinomialEstimate on = estimateLogicalErrorBasis(
+            EmbeddingKind::Baseline2D, cfg, options);
+        obs::setMetricsEnabled(false);
+        obs::setTraceEnabled(false);
+        const obs::MetricsSnapshot after = obs::snapshotMetrics();
+
+        EXPECT_EQ(on.trials, off.trials) << path.histogram;
+        EXPECT_EQ(on.successes, off.successes) << path.histogram;
+        const uint64_t shots =
+            after.counter(path.counter) - before.counter(path.counter);
+        EXPECT_GT(shots, 0u) << path.counter;
+        const obs::HistogramSnapshot* h = after.histogram(path.histogram);
+        ASSERT_NE(h, nullptr) << path.histogram;
+        const obs::HistogramSnapshot* prev =
+            before.histogram(path.histogram);
+        EXPECT_EQ(h->count - (prev ? prev->count : 0), shots)
+            << path.histogram;
+    }
+    EXPECT_EQ(obs::traceToJson().find("\"mwpm.blossom\""),
+              std::string::npos)
+        << "the Blossom timer must not emit trace spans";
+}
+
 TEST(ObsReport, MetricsOnDoesNotPerturbCounts)
 {
     GeneratorConfig cfg = obsConfig(3, 9e-3);

@@ -666,15 +666,18 @@ TEST(ServiceEndToEnd, InterleavedJobsMatchSoloRunsBitIdentically)
 
 /**
  * An ostream that watches the event stream passing through it and
- * fires `onProgress` at the first `progress` event -- a deterministic
- * way to request shutdown mid-run (every EventSink line arrives as one
+ * fires `onProgress` at the first event containing `needle` (by
+ * default the first `progress` event) -- a deterministic way to
+ * request shutdown mid-run (every EventSink line arrives as one
  * xsputn call, so matching inside a write sees whole lines).
  */
 class TriggerStream : public std::streambuf, public std::ostream
 {
   public:
-    explicit TriggerStream(std::function<void()> onProgress)
-        : std::ostream(this), onProgress_(std::move(onProgress))
+    explicit TriggerStream(std::function<void()> onProgress,
+                           std::string needle = "\"event\":\"progress\"")
+        : std::ostream(this), onProgress_(std::move(onProgress)),
+          needle_(std::move(needle))
     {
     }
 
@@ -684,8 +687,7 @@ class TriggerStream : public std::streambuf, public std::ostream
     std::streamsize xsputn(const char* s, std::streamsize n) override
     {
         text_.append(s, static_cast<size_t>(n));
-        if (!fired_
-            && text_.find("\"event\":\"progress\"") != std::string::npos) {
+        if (!fired_ && text_.find(needle_) != std::string::npos) {
             fired_ = true;
             onProgress_();
         }
@@ -701,6 +703,7 @@ class TriggerStream : public std::streambuf, public std::ostream
 
   private:
     std::function<void()> onProgress_;
+    std::string needle_;
     std::string text_;
     bool fired_ = false;
 };
@@ -815,6 +818,71 @@ TEST(ServiceEndToEnd, CancelRunningJobStopsAtBatchBoundary)
     EXPECT_NE(out2.str().find("\"event\":\"resumed\""),
               std::string::npos)
         << out2.str();
+    EXPECT_NE(out2.str().find("\"event\":\"done\""), std::string::npos);
+    removeJobState(svc2, job.id);
+}
+
+/**
+ * Shutdown requested on the commit that completes a job's first point:
+ * the engine finds nothing left to drain and finishes the point, and
+ * the job must then suspend before its second point, not set that
+ * point up only to stop it at its first commit.
+ */
+TEST(ServiceEndToEnd, ShutdownOnAPointsLastCommitSuspendsBeforeTheNextPoint)
+{
+    JobServiceConfig cfg;
+    cfg.stateDir = tmpStateDir();
+    cfg.progressEveryTrials = 64;
+
+    ScanJob job = smallJob("edge"); // points 0 (Z) and 1 (X), 600 each
+
+    JobService* running = nullptr;
+    // The commit that completes point 0 always emits `progress`.
+    TriggerStream out1([&]() { running->requestShutdown(); },
+                       "\"point_trials_done\":600,");
+    {
+        EventSink sink(&out1);
+        JobService svc(cfg, sink);
+        running = &svc;
+        removeJobState(svc, job.id);
+        ASSERT_TRUE(svc.submit(job));
+        svc.runUntilDrained();
+        running = nullptr;
+    }
+    std::vector<std::string> events;
+    for (const std::string& line : splitLines(out1.str())) {
+        const std::string event = field(line, "event");
+        if (event == "progress" || event == "point_done") {
+            EXPECT_EQ(field(line, "point"), "0") << line;
+        }
+        if (event == "preempted") {
+            EXPECT_EQ(field(line, "reason"), "shutdown") << line;
+            EXPECT_EQ(field(line, "trials_done"), "600") << line;
+        }
+        events.push_back(event);
+    }
+    ASSERT_GE(events.size(), 2u) << out1.str();
+    EXPECT_EQ(events[events.size() - 2], "point_done") << out1.str();
+    EXPECT_EQ(events.back(), "preempted") << out1.str();
+
+    // Second session: point 0 replays as cached, point 1 runs.
+    std::ostringstream out2;
+    EventSink sink2(&out2);
+    JobService svc2(cfg, sink2);
+    ASSERT_TRUE(svc2.submit(job));
+    ASSERT_EQ(svc2.runUntilDrained(), 0);
+    bool replayed = false;
+    for (const std::string& line : splitLines(out2.str())) {
+        if (field(line, "event") == "point_done"
+            && field(line, "point") == "0") {
+            replayed = true;
+            EXPECT_EQ(field(line, "cached"), "true") << line;
+        }
+        if (field(line, "event") == "done") {
+            EXPECT_EQ(field(line, "trials"), "1200") << line;
+        }
+    }
+    EXPECT_TRUE(replayed) << out2.str();
     EXPECT_NE(out2.str().find("\"event\":\"done\""), std::string::npos);
     removeJobState(svc2, job.id);
 }

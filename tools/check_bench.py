@@ -33,6 +33,19 @@ won. Workloads, metrics and units must match BENCHMARK.json exactly
 (read, never written), q1 <= median <= q3 on both sides, and
 wins <= pairs <= len(seeds).
 
+A valid ledger then gets one verdict per entry, workload and
+end-to-end metric, judged with BENCHMARK.json's direction ("better")
+and bound, in this order:
+
+    gain        the change won at least 9 in 10 pairs and its median
+                beats the parent's by more than the parent's IQR
+    unresolved  the parent's IQR exceeds the bound (as a fraction of
+                the parent's median): its runs spread too widely
+    worse       the median regressed by more than the bound
+    within      anything else
+
+Any `worse` verdict fails the check.
+
 Usage:
     check_bench.py reference.csv candidate.csv \
         [--abs-tol A] [--rel-tol R] [--ignore REGEX]
@@ -141,6 +154,42 @@ def check_entry(problems, ctx, entry, bench):
                 problems.append(f"{mctx}.wins: expected 0..{pairs}")
 
 
+def verdict(metric, m):
+    """(verdict, detail) of one ledger metric against its bound."""
+    parent, change = m["parent"], m["change"]
+    base = parent["median"]
+    sign = 1.0 if metric["better"] == "higher" else -1.0
+    delta = (change["median"] - base) / base if base else 0.0
+    gain = sign * delta  # relative improvement; negative = regression
+    spread = (parent["q3"] - parent["q1"]) / base if base else 0.0
+    detail = (f"{base:g} -> {change['median']:g} {metric['unit']} "
+              f"({delta:+.1%}), won {m['wins']}/{m['pairs']}, "
+              f"parent IQR {spread:.1%} of median, bound "
+              f"{metric['bound']:g}")
+    if 10 * m["wins"] >= 9 * m["pairs"] and gain > spread:
+        return "gain", detail
+    if spread > metric["bound"]:
+        return "unresolved", detail
+    if -gain > metric["bound"]:
+        return "worse", detail
+    return "within", detail
+
+
+def ledger_verdicts(entries, bench):
+    """Print every entry's verdicts; return the number of `worse`."""
+    worse = 0
+    for i, entry in enumerate(entries):
+        print(f"entries[{i}] {entry['title']}")
+        for workload in bench["workloads"]:
+            metrics = entry["workloads"][workload["name"]]
+            for metric in bench["end_to_end"]:
+                v, detail = verdict(metric, metrics[metric["name"]])
+                worse += v == "worse"
+                print(f"  {workload['name']} {metric['name']}: {v} "
+                      f"({detail})")
+    return worse
+
+
 def check_ledger(ledger_path):
     """Validate the perf ledger; print problems; return exit status."""
     bench_path = os.path.join(ROOT, "BENCHMARK.json")
@@ -167,8 +216,14 @@ def check_ledger(ledger_path):
     if problems:
         print(f"{len(problems)} problem(s) in {ledger_path}")
         return 1
+    worse = ledger_verdicts(entries, bench)
+    if worse:
+        print(f"FAIL: {worse} metric(s) regressed by more than their "
+              f"bound in {ledger_path}")
+        return 1
     print(f"OK: {ledger_path}: {len(entries)} entr"
-          f"{'y' if len(entries) == 1 else 'ies'} match BENCHMARK.json")
+          f"{'y' if len(entries) == 1 else 'ies'} match BENCHMARK.json, "
+          f"none worse than its bound")
     return 0
 
 
