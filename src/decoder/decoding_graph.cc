@@ -1,15 +1,25 @@
 #include "decoder/decoding_graph.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <functional>
 #include <limits>
 #include <queue>
 #include <utility>
 
+#include "util/logging.h"
+
 namespace vlq {
 
 namespace {
+
+/**
+ * Most buckets the search's circular queue may hold. A graph whose
+ * weights span more than this many bucket widths (p near 1/2, where
+ * weights approach 0) is searched with the heap instead.
+ */
+constexpr double kMaxBuckets = 1024.0;
 
 /** Independent-flip combination of two probabilities. */
 double
@@ -100,11 +110,13 @@ DecodingGraph::finalize()
     const uint32_t n = numNodes();
     const uint32_t m = static_cast<uint32_t>(edges_.size());
     minWeight_ = 0.0;
+    double maxWeight = 0.0;
     soa_.vertexBegin.assign(n + 1, 0);
     for (DecodingEdge& e : edges_) {
         e.weight = weightOf(e.probability);
         if (minWeight_ == 0.0 || e.weight < minWeight_)
             minWeight_ = e.weight;
+        maxWeight = std::max(maxWeight, e.weight);
         ++soa_.vertexBegin[e.a + 1];
         if (e.b != e.a)
             ++soa_.vertexBegin[e.b + 1];
@@ -132,6 +144,20 @@ DecodingGraph::finalize()
         soa_.edgeWeight[i] = e.weight;
         soa_.edgeObs[i] = e.observables;
     }
+
+    // The search's bucket queue. A bucket narrower than the lightest
+    // edge never receives a relaxation from a node in it or before it,
+    // so every node in the bucket the search reaches is settled; the
+    // 1e-9 margin keeps that true after rounding. Relaxations from the
+    // bucket being settled land at most floor(maxWeight / width) + 1
+    // buckets ahead, so that many plus the current one, and one more
+    // for rounding, form the circle. An edgeless graph never relaxes,
+    // so any width serves it.
+    bucketWidth_ = minWeight_ > 0.0 ? minWeight_ * (1.0 - 1e-9) : 1.0;
+    const double needed = std::floor(maxWeight / bucketWidth_) + 3.0;
+    bucketMask_ = needed <= kMaxBuckets
+        ? std::bit_ceil(static_cast<uint32_t>(needed)) - 1
+        : 0;
 }
 
 void
@@ -139,11 +165,106 @@ DecodingGraph::shortestPaths(uint32_t src, bool viaBoundary,
                              std::span<double> dist,
                              std::span<uint32_t> obs) const
 {
-    const uint32_t boundary = boundaryNode();
     std::fill(dist.begin(), dist.end(),
               std::numeric_limits<double>::infinity());
     std::fill(obs.begin(), obs.end(), 0u);
     dist[src] = 0.0;
+    if (bucketMask_ != 0)
+        bucketSearch(src, viaBoundary, dist, obs);
+    else
+        heapSearch(src, viaBoundary, dist, obs);
+}
+
+namespace {
+
+/** One thread's bucket-queue state, reused by every search it runs. */
+struct BucketScratch
+{
+    std::vector<std::vector<uint32_t>> buckets; // the circle, by slot
+    std::vector<uint32_t> slot; // slot of each reached node's live entry
+    std::vector<uint32_t> pred; // the neighbour whose path set obs[t]
+};
+
+} // namespace
+
+void
+DecodingGraph::bucketSearch(uint32_t src, bool viaBoundary,
+                            std::span<double> dist,
+                            std::span<uint32_t> obs) const
+{
+    // Bucket k holds the nodes reached at distances in [k, k + 1)
+    // widths; bucket k lives in slot k & mask. A node that improves
+    // into an earlier bucket leaves a stale entry behind, recognised
+    // by its slot no longer matching. Nodes of one bucket settle in
+    // any order, so ties follow the contract's rule explicitly: an
+    // equal sum takes over obs[t] only from a neighbour earlier in
+    // (distance, index) order than the one that set it. Such a
+    // neighbour sits in an earlier bucket than t, so t is still
+    // unsettled whenever the rule applies.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    thread_local BucketScratch s;
+    const uint32_t boundary = boundaryNode();
+    const uint64_t mask = bucketMask_;
+    const double invWidth = 1.0 / bucketWidth_;
+    if (s.buckets.size() <= mask)
+        s.buckets.resize(mask + 1);
+    s.slot.resize(numNodes());
+    s.pred.resize(numNodes());
+
+    s.buckets[0].push_back(src);
+    s.slot[src] = 0;
+    size_t pending = 1;
+    for (uint64_t k = 0; pending > 0; ++k) {
+        std::vector<uint32_t>& bucket = s.buckets[k & mask];
+        // Nothing lands in the bucket being settled (asserted below),
+        // so it does not grow while it is walked.
+        for (const uint32_t u : bucket) {
+            if (s.slot[u] != (k & mask))
+                continue; // stale: u settled in an earlier bucket
+            const double du = dist[u];
+            const uint32_t ou = obs[u];
+            for (uint32_t si = soa_.vertexBegin[u];
+                 si < soa_.vertexBegin[u + 1]; ++si) {
+                const uint32_t t = soa_.slotOther[si];
+                if (!viaBoundary && t == boundary)
+                    continue;
+                const uint32_t e = soa_.slotEdge[si];
+                const double nd = du + soa_.edgeWeight[e];
+                if (nd < dist[t]) {
+                    const uint64_t b = static_cast<uint64_t>(nd * invWidth);
+                    VLQ_ASSERT(b > k && b - k <= mask,
+                               "shortestPaths: a relaxation left the "
+                               "bucket queue's window");
+                    if (dist[t] == kInf || s.slot[t] != (b & mask)) {
+                        s.buckets[b & mask].push_back(t);
+                        s.slot[t] = static_cast<uint32_t>(b & mask);
+                        ++pending;
+                    }
+                    dist[t] = nd;
+                    obs[t] = ou ^ soa_.edgeObs[e];
+                    s.pred[t] = u;
+                } else if (nd == dist[t]) {
+                    const uint32_t p = s.pred[t];
+                    if (du < dist[p] || (du == dist[p] && u < p)) {
+                        obs[t] = ou ^ soa_.edgeObs[e];
+                        s.pred[t] = u;
+                    }
+                }
+            }
+        }
+        pending -= bucket.size();
+        bucket.clear();
+    }
+}
+
+void
+DecodingGraph::heapSearch(uint32_t src, bool viaBoundary,
+                          std::span<double> dist,
+                          std::span<uint32_t> obs) const
+{
+    // Dijkstra with a binary heap: nodes settle in (distance, index)
+    // order, the contract's reference order.
+    const uint32_t boundary = boundaryNode();
     using QItem = std::pair<double, uint32_t>;
     std::priority_queue<QItem, std::vector<QItem>, std::greater<QItem>> pq;
     pq.push({0.0, src});

@@ -33,8 +33,12 @@ struct DecodingEdge
  *
  * This is the shared substrate of all decoder backends: the matching
  * decoders and union-find fill their shortest-path rows with its one
- * Dijkstra (shortestPaths), and union-find grows clusters directly on
- * its CSR adjacency.
+ * shortest-path search (shortestPaths), and union-find grows clusters
+ * directly on its CSR adjacency. Every weight is positive, so the
+ * search settles nodes from a circular bucket queue (Dial's algorithm)
+ * whose buckets are narrower than the lightest edge; finalize() sizes
+ * the queue, and graphs whose weights span too wide a range for it
+ * fall back to a binary-heap Dijkstra. Both give the same rows.
  */
 class DecodingGraph
 {
@@ -71,14 +75,20 @@ class DecodingGraph
     void finalize();
 
     /**
-     * One Dijkstra from `src` over every node: dist[t] receives the
-     * shortest-path weight from src to t (infinity when unreachable)
-     * and obs[t] the XOR of observable masks along that path. With
-     * `viaBoundary` false no path enters the boundary node, so a
-     * detector source leaves dist[boundaryNode()] infinite. Both spans
-     * hold numNodes() entries. Nodes settle in (distance, index) order
-     * and only a strictly shorter path replaces a found one, so the
-     * result is a deterministic function of the graph.
+     * Single-source shortest paths from `src` over every node: dist[t]
+     * receives the shortest-path weight from src to t (infinity when
+     * unreachable) and obs[t] the XOR of observable masks along that
+     * path. With `viaBoundary` false no path enters the boundary node,
+     * so a detector source leaves dist[boundaryNode()] infinite. Both
+     * spans hold numNodes() entries.
+     *
+     * The result equals, bit for bit, a Dijkstra that settles nodes in
+     * (distance, index) order and replaces a found path only with a
+     * strictly shorter one: dist[t] is the least double sum
+     * dist[u] + weight(u, t) over t's neighbours u, and obs[t] follows
+     * the neighbour that attains it first in (dist[u], u) order. So
+     * the rows are a deterministic function of the graph, whichever
+     * queue finalize() chose.
      */
     void shortestPaths(uint32_t src, bool viaBoundary,
                        std::span<double> dist,
@@ -119,8 +129,8 @@ class DecodingGraph
     /**
      * The graph's adjacency and a structure-of-arrays copy of edges(),
      * built by finalize(). Hot decoder loops (union-find growth, the
-     * Dijkstra, forest peeling) walk these contiguous arrays instead of
-     * 40-byte edge structs.
+     * shortest-path search, forest peeling) walk these contiguous
+     * arrays instead of 40-byte edge structs.
      */
     struct SoA
     {
@@ -153,7 +163,18 @@ class DecodingGraph
     SoA soa_;
     std::vector<double> bestContribution_; // per edge, for obs arbitration
     double minWeight_ = 0.0;
+    // The search's bucket queue, sized by finalize(): buckets of width
+    // bucketWidth_, bucketMask_ + 1 of them (a power of two); a mask
+    // of 0 selects the heap search.
+    double bucketWidth_ = 0.0;
+    uint32_t bucketMask_ = 0;
     BuildStats stats_;
+
+    void bucketSearch(uint32_t src, bool viaBoundary,
+                      std::span<double> dist,
+                      std::span<uint32_t> obs) const;
+    void heapSearch(uint32_t src, bool viaBoundary, std::span<double> dist,
+                    std::span<uint32_t> obs) const;
 
     uint32_t edgeIndexFor(uint32_t a, uint32_t b);
     // Map from packed (a << 32 | b) key to edge index.

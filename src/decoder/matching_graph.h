@@ -18,12 +18,14 @@ namespace vlq {
  * union-find backend) and serves shortest paths from it as rows: row a
  * holds the path weight and the XOR of observable masks along the
  * shortest path from detector a to every node, the boundary included.
- * Building fills no row; a row is filled by one Dijkstra when a thread
- * first asks for it, published without blocking, and shared by every
- * thread after that (ShortestPathRows), so a decoder pays only for the
- * detectors its syndromes touch. Paths may route through the boundary
- * node. Weights are stored as floats and masks in 8 bits, so the
- * matching decoders handle observables 0-7 only.
+ * Building fills no row; a row is filled by one shortest-path search
+ * (DecodingGraph::shortestPaths) when a thread first asks for it,
+ * published without blocking, and shared by every thread after that
+ * (ShortestPathRows), so a decoder pays only for the detectors its
+ * syndromes touch. The `matching.row_fill` histogram times every
+ * fill. Paths may route through the boundary node. Weights are stored
+ * as floats and masks in 8 bits, so the matching decoders handle
+ * observables 0-7 only.
  */
 class MatchingGraph
 {

@@ -56,15 +56,15 @@ struct UnionFindOptions
  * one DecodingGraph::shortestPaths search from the boundary at
  * construction, and defect-pair distances from the decoder's
  * shortest-path rows (ShortestPathRows), each filled by one
- * boundary-excluded search when a thread first needs it, published
- * without blocking, and shared by every thread after that. Every pair
- * is read from the smaller defect's row, so no answer depends on which
- * thread filled which row. Large clusters fall back to the classic
- * linear peel of a spanning forest of their grown edges. The XOR of
- * observable masks along the chosen paths is the correction. No global
- * blossom search: the fast backend for large-distance Monte-Carlo
- * scans, agreeing with MWPM on small syndromes up to genuine weight
- * degeneracy.
+ * boundary-excluded search (timed by the `uf.row_fill` histogram) when
+ * a thread first needs it, published without blocking, and shared by
+ * every thread after that. Every pair is read from the smaller
+ * defect's row, so no answer depends on which thread filled which row.
+ * Large clusters fall back to the classic linear peel of a spanning
+ * forest of their grown edges. The XOR of observable masks along the
+ * chosen paths is the correction. No global blossom search: the fast
+ * backend for large-distance Monte-Carlo scans, agreeing with MWPM on
+ * small syndromes up to genuine weight degeneracy.
  *
  * Syndromes below UnionFindOptions::exactSyndromeThreshold events
  * short-circuit growth altogether (see the option's doc): the scratch

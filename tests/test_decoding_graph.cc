@@ -1,0 +1,266 @@
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <functional>
+#include <limits>
+#include <queue>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/generator_common.h"
+#include "core/generator_registry.h"
+#include "decoder/decoding_graph.h"
+#include "dem/detector_model.h"
+#include "mc/memory_experiment.h"
+#include "util/rng.h"
+
+namespace vlq {
+namespace {
+
+/**
+ * The reference search: a binary-heap Dijkstra that settles nodes in
+ * (distance, index) order and replaces a found path only with a
+ * strictly shorter one. DecodingGraph::shortestPaths promises exactly
+ * its rows, whichever queue it runs.
+ */
+void
+referenceShortestPaths(const DecodingGraph& g, uint32_t src,
+                       bool viaBoundary, std::vector<double>& dist,
+                       std::vector<uint32_t>& obs)
+{
+    const DecodingGraph::SoA& soa = g.soa();
+    dist.assign(g.numNodes(), std::numeric_limits<double>::infinity());
+    obs.assign(g.numNodes(), 0u);
+    dist[src] = 0.0;
+    using QItem = std::pair<double, uint32_t>;
+    std::priority_queue<QItem, std::vector<QItem>, std::greater<QItem>> pq;
+    pq.push({0.0, src});
+    while (!pq.empty()) {
+        const auto [d, v] = pq.top();
+        pq.pop();
+        if (d > dist[v])
+            continue;
+        for (uint32_t si = soa.vertexBegin[v]; si < soa.vertexBegin[v + 1];
+             ++si) {
+            const uint32_t to = soa.slotOther[si];
+            if (!viaBoundary && to == g.boundaryNode())
+                continue;
+            const uint32_t e = soa.slotEdge[si];
+            const double nd = d + soa.edgeWeight[e];
+            if (nd < dist[to]) {
+                dist[to] = nd;
+                obs[to] = obs[v] ^ soa.edgeObs[e];
+                pq.push({nd, to});
+            }
+        }
+    }
+}
+
+/**
+ * Compare every row of `g` -- every source, both search modes -- with
+ * the reference, distances bit for bit and masks exactly.
+ */
+void
+expectRowsMatchReference(const DecodingGraph& g, const std::string& label)
+{
+    const uint32_t n = g.numNodes();
+    std::vector<double> refDist;
+    std::vector<uint32_t> refObs;
+    std::vector<double> dist(n);
+    std::vector<uint32_t> obs(n);
+    uint64_t distMismatches = 0;
+    uint64_t obsMismatches = 0;
+    std::string first;
+    for (const bool viaBoundary : {true, false}) {
+        for (uint32_t src = 0; src < n; ++src) {
+            referenceShortestPaths(g, src, viaBoundary, refDist, refObs);
+            g.shortestPaths(src, viaBoundary, dist, obs);
+            for (uint32_t t = 0; t < n; ++t) {
+                const bool distDiffers =
+                    std::bit_cast<uint64_t>(dist[t])
+                    != std::bit_cast<uint64_t>(refDist[t]);
+                const bool obsDiffers = obs[t] != refObs[t];
+                distMismatches += distDiffers;
+                obsMismatches += obsDiffers;
+                if ((distDiffers || obsDiffers) && first.empty())
+                    first = "src " + std::to_string(src) + " -> "
+                        + std::to_string(t) + (viaBoundary ? "" : " (no "
+                                                   "boundary paths)");
+            }
+        }
+    }
+    EXPECT_EQ(distMismatches, 0u) << label << ", first at " << first;
+    EXPECT_EQ(obsMismatches, 0u) << label << ", first at " << first;
+}
+
+GeneratorConfig
+pointConfig(int d, double p, ExtractionSchedule schedule, CheckBasis basis)
+{
+    GeneratorConfig cfg;
+    cfg.distance = d;
+    cfg.memoryBasis = basis;
+    cfg.schedule = schedule;
+    cfg.noise = NoiseModel::atPhysicalRate(
+        p, HardwareParams::transmonsWithMemory());
+    return cfg;
+}
+
+DecodingGraph
+graphFor(EmbeddingKind embedding, const GeneratorConfig& cfg)
+{
+    return DecodingGraph::build(DetectorErrorModel::build(
+        generateMemoryCircuit(embedding, cfg).circuit));
+}
+
+std::string
+pointLabel(EmbeddingKind embedding, const GeneratorConfig& cfg, double p)
+{
+    return std::string(embeddingKindName(embedding)) + " "
+        + (cfg.schedule == ExtractionSchedule::Interleaved ? "interleaved"
+                                                           : "all-at-once")
+        + " d=" + std::to_string(cfg.distance) + " p=" + std::to_string(p)
+        + " "
+        + (cfg.memoryBasis == CheckBasis::X ? "X" : "Z");
+}
+
+TEST(ShortestPaths, RowsMatchReferenceOnEveryEmbeddingAndBasis)
+{
+    for (const GeneratorBackend& backend : generatorRegistry()) {
+        std::vector<ExtractionSchedule> schedules = {
+            ExtractionSchedule::AllAtOnce};
+        if (backend.virtualized)
+            schedules.push_back(ExtractionSchedule::Interleaved);
+        for (const ExtractionSchedule schedule : schedules)
+            for (const int d : {3, 5})
+                for (const double p : {3e-3, 2e-2})
+                    for (const CheckBasis basis :
+                         {CheckBasis::Z, CheckBasis::X}) {
+                        const GeneratorConfig cfg =
+                            pointConfig(d, p, schedule, basis);
+                        expectRowsMatchReference(
+                            graphFor(backend.kind, cfg),
+                            pointLabel(backend.kind, cfg, p));
+                    }
+    }
+}
+
+TEST(ShortestPaths, RowsMatchReferenceAtDistanceSeven)
+{
+    const std::vector<EvaluationSetup> setups = paperSetups();
+    for (const EvaluationSetup& setup : {setups[0], setups[4]}) {
+        for (const CheckBasis basis : {CheckBasis::Z, CheckBasis::X}) {
+            const GeneratorConfig cfg =
+                pointConfig(7, 3e-3, setup.schedule, basis);
+            expectRowsMatchReference(graphFor(setup.embedding, cfg),
+                                     pointLabel(setup.embedding, cfg, 3e-3));
+        }
+    }
+}
+
+TEST(ShortestPaths, RowsMatchReferenceUnderErasureAndBias)
+{
+    const std::vector<EvaluationSetup> setups = paperSetups();
+    for (const EvaluationSetup& setup : {setups[0], setups[4]}) {
+        GeneratorConfig erased =
+            pointConfig(5, 3e-3, setup.schedule, CheckBasis::Z);
+        erased.noise.erasure.fraction = 0.5;
+        erased.noise.erasure.heralded = true;
+        expectRowsMatchReference(
+            graphFor(setup.embedding, erased),
+            pointLabel(setup.embedding, erased, 3e-3) + " erasure 0.5");
+
+        GeneratorConfig biased =
+            pointConfig(5, 3e-3, setup.schedule, CheckBasis::Z);
+        biased.noise.bias.rZ = 10.0;
+        expectRowsMatchReference(
+            graphFor(setup.embedding, biased),
+            pointLabel(setup.embedding, biased, 3e-3) + " rZ=10");
+    }
+}
+
+TEST(ShortestPaths, RowsMatchReferenceWhenWeightsSpanTooWideForBuckets)
+{
+    // At p = 0.5 weightOf's clamp leaves edges of weight ~4e-6 next to
+    // edges of weight ~2: far more bucket widths than the queue holds,
+    // so the search takes its heap path.
+    const GeneratorConfig cfg = pointConfig(
+        5, 0.5, ExtractionSchedule::AllAtOnce, CheckBasis::Z);
+    const DecodingGraph g = graphFor(EmbeddingKind::Baseline2D, cfg);
+    double maxWeight = 0.0;
+    for (const DecodingEdge& e : g.edges())
+        maxWeight = std::max(maxWeight, e.weight);
+    EXPECT_LT(g.minWeight(), 1e-5);
+    EXPECT_GT(maxWeight / g.minWeight(), 1e5);
+    expectRowsMatchReference(g,
+                             pointLabel(EmbeddingKind::Baseline2D, cfg, 0.5));
+}
+
+/**
+ * A hand-built 12 x 12 x 4 lattice: space-like edges between grid
+ * neighbours, time-like edges between layers, boundary edges on the
+ * two open sides, every edge with a random 2-bit mask. Uniform weights
+ * tie almost every pair of paths, which is where the search's tie rule
+ * decides the masks.
+ */
+DecodingGraph
+uniformLattice(double spaceP, double timeP, uint64_t seed)
+{
+    constexpr uint32_t kSide = 12;
+    constexpr uint32_t kLayers = 4;
+    auto node = [](uint32_t x, uint32_t y, uint32_t t) {
+        return (t * kSide + y) * kSide + x;
+    };
+    DecodingGraph g(kSide * kSide * kLayers);
+    Rng rng(seed);
+    auto edge = [&](uint32_t a, uint32_t b, double p) {
+        g.addContribution(a, b, p, static_cast<uint32_t>(rng.nextBelow(4)));
+    };
+    for (uint32_t t = 0; t < kLayers; ++t) {
+        for (uint32_t y = 0; y < kSide; ++y) {
+            for (uint32_t x = 0; x < kSide; ++x) {
+                const uint32_t v = node(x, y, t);
+                if (x + 1 < kSide)
+                    edge(v, node(x + 1, y, t), spaceP);
+                if (y + 1 < kSide)
+                    edge(v, node(x, y + 1, t), spaceP);
+                if (t + 1 < kLayers)
+                    edge(v, node(x, y, t + 1), timeP);
+                if (x == 0 || x + 1 == kSide)
+                    edge(v, g.boundaryNode(), spaceP);
+            }
+        }
+    }
+    g.finalize();
+    return g;
+}
+
+TEST(ShortestPaths, RowsMatchReferenceOnUniformLattices)
+{
+    expectRowsMatchReference(uniformLattice(1e-2, 1e-2, 7),
+                             "uniform lattice");
+    expectRowsMatchReference(uniformLattice(1e-2, 1e-4, 8),
+                             "uniform lattice, heavier time-like edges");
+}
+
+TEST(ShortestPaths, EdgelessGraphReachesOnlyTheSource)
+{
+    DecodingGraph g(4);
+    g.finalize();
+    EXPECT_EQ(g.minWeight(), 0.0);
+    expectRowsMatchReference(g, "edgeless graph");
+    std::vector<double> dist(g.numNodes());
+    std::vector<uint32_t> obs(g.numNodes());
+    g.shortestPaths(2, /*viaBoundary=*/true, dist, obs);
+    for (uint32_t t = 0; t < g.numNodes(); ++t) {
+        EXPECT_EQ(dist[t],
+                  t == 2 ? 0.0 : std::numeric_limits<double>::infinity());
+        EXPECT_EQ(obs[t], 0u);
+    }
+}
+
+} // namespace
+} // namespace vlq

@@ -366,6 +366,60 @@ TEST(ObsReport, DecodePathTimersRecordEveryPathShotAndMoveNoCount)
         << "the Blossom timer must not emit trace spans";
 }
 
+TEST(ObsReport, RowFillTimersRecordEveryFillAndMoveNoCount)
+{
+    // uf.row_fill and matching.row_fill time every shortest-path row
+    // fill, including copies that lose the publish race: at least one
+    // sample per published row (the rows_filled counter), exactly one
+    // with a single worker. The counts of a seeded run do not move
+    // (invariant 7).
+    struct Rows
+    {
+        DecoderKind decoder;
+        const char* counter;
+        const char* histogram;
+    };
+    GeneratorConfig cfg = obsConfig(5, 9e-3);
+    for (const Rows& rows :
+         {Rows{DecoderKind::UnionFind, "uf.rows_filled", "uf.row_fill"},
+          Rows{DecoderKind::Mwpm, "matching.rows_filled",
+               "matching.row_fill"}}) {
+        for (const unsigned threads : {1u, 4u}) {
+            McOptions options;
+            options.trials = 256;
+            options.seed = 29;
+            options.decoder = rows.decoder;
+            options.batchSize = 16;
+            options.threads = threads;
+            ASSERT_FALSE(obs::metricsEnabled());
+            BinomialEstimate off = estimateLogicalErrorBasis(
+                EmbeddingKind::Baseline2D, cfg, options);
+
+            const obs::MetricsSnapshot before = obs::snapshotMetrics();
+            obs::setMetricsEnabled(true);
+            BinomialEstimate on = estimateLogicalErrorBasis(
+                EmbeddingKind::Baseline2D, cfg, options);
+            obs::setMetricsEnabled(false);
+            const obs::MetricsSnapshot after = obs::snapshotMetrics();
+
+            EXPECT_EQ(on.trials, off.trials) << rows.histogram;
+            EXPECT_EQ(on.successes, off.successes) << rows.histogram;
+            const uint64_t published =
+                after.counter(rows.counter) - before.counter(rows.counter);
+            EXPECT_GT(published, 0u) << rows.counter;
+            const obs::HistogramSnapshot* h = after.histogram(rows.histogram);
+            ASSERT_NE(h, nullptr) << rows.histogram;
+            const obs::HistogramSnapshot* prev =
+                before.histogram(rows.histogram);
+            const uint64_t fills = h->count - (prev ? prev->count : 0);
+            if (threads == 1)
+                EXPECT_EQ(fills, published) << rows.histogram;
+            else
+                EXPECT_GE(fills, published) << rows.histogram;
+        }
+    }
+}
+
 TEST(ObsReport, MetricsOnDoesNotPerturbCounts)
 {
     GeneratorConfig cfg = obsConfig(3, 9e-3);
