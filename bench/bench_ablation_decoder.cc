@@ -1,7 +1,7 @@
 /**
  * @file
  * Ablation A1: decoder quality. The paper uses "maximum likelihood
- * perfect matching"; this ablation compares our exact blossom MWPM
+ * perfect matching"; this ablation compares our exact MWPM
  * against the greedy matcher and the union-find decoder on the same
  * decoding graphs, on the baseline and Compact-Interleaved setups.
  * Decode speed is measured per workload by pipebench

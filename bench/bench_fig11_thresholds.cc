@@ -14,8 +14,8 @@
  *   VLQ_POINTS  number of p values                 [default 6]
  *   VLQ_SCALE_COHERENCE=1  scale coherence with p too (ablation A2;
  *                          default 0 = Table-I coherence, which is the
- *                          reading consistent with the paper's plots --
- *                          see EXPERIMENTS.md)
+ *                          reading consistent with the paper's plots;
+ *                          ROADMAP.md item 3 tracks the fidelity work)
  *   VLQ_SEED    RNG seed
  *   VLQ_DECODER decoder backend: mwpm (default), union-find/uf, greedy
  *   VLQ_BATCH   shots per Monte-Carlo batch        [default 256]

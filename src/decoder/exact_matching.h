@@ -9,8 +9,8 @@ namespace vlq {
 /**
  * Syndromes with at most this many detection events are matched
  * exactly by matchDefectsExact instead of by cluster growth (union-find's
- * default UnionFindOptions::exactSyndromeThreshold) or by Blossom
- * (MwpmDecoder's cut-over). Below the code's error threshold most
+ * default UnionFindOptions::exactSyndromeThreshold) or by sparse
+ * blossom (MwpmDecoder's cut-over). Below the code's error threshold most
  * shots fit.
  */
 inline constexpr uint32_t kExactMatchingMaxDefects = 10;

@@ -79,6 +79,9 @@ class MatchingGraph
 
     const BuildStats& stats() const { return graph_.stats(); }
 
+    /** The sparse graph the rows are searched on. */
+    const DecodingGraph& decodingGraph() const { return graph_; }
+
     /** Number of distinct (deduplicated) edges, boundary included. */
     size_t numEdges() const { return graph_.edges().size(); }
 

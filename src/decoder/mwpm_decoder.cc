@@ -5,7 +5,6 @@
 #include <cmath>
 #include <vector>
 
-#include "decoder/blossom.h"
 #include "decoder/exact_matching.h"
 #include "obs/obs.h"
 #include "util/logging.h"
@@ -13,7 +12,7 @@
 namespace vlq {
 
 MwpmDecoder::MwpmDecoder(const DetectorErrorModel& dem)
-    : graph_(MatchingGraph::build(dem))
+    : graph_(MatchingGraph::build(dem)), matcher_(graph_.decodingGraph())
 {
 }
 
@@ -32,7 +31,7 @@ MwpmDecoder::decodeShot(std::span<const uint32_t> events,
         }
         return decodeExact(events);
     }
-    // Blossom is timed into a histogram only: a trace span per shot
+    // The matcher is timed into a histogram only: a trace span per shot
     // would swamp the timeline.
     const bool timed = obs::metricsEnabled();
     const uint64_t start = timed ? obs::traceNowNs() : 0;
@@ -41,7 +40,7 @@ MwpmDecoder::decodeShot(std::span<const uint32_t> events,
             obs::Counter::get("mwpm.decode.blossom");
         blossom.add(1);
     }
-    const uint32_t prediction = decodeBlossom(events);
+    const uint32_t prediction = matcher_.match(events);
     if (timed) {
         static const obs::Histogram blossomNs =
             obs::Histogram::get("mwpm.blossom");
@@ -75,52 +74,10 @@ MwpmDecoder::decodeExact(std::span<const uint32_t> events) const
         std::span<const uint32_t>(pairObs.data(), k * k),
         std::span<const double>(bndW.data(), k),
         std::span<const uint32_t>(bndObs.data(), k));
-    // The Blossom path fails the same way on a syndrome no matching
+    // The sparse matcher fails the same way on a syndrome no matching
     // explains.
     VLQ_ASSERT(match.found, "graph admits no perfect matching");
     return match.observables;
-}
-
-uint32_t
-MwpmDecoder::decodeBlossom(std::span<const uint32_t> events) const
-{
-    const int m = static_cast<int>(events.size());
-    const uint32_t boundary = graph_.boundaryNode();
-    // Nodes 0..m-1: events; node m: the boundary, present only when m is
-    // odd (see the class comment). The row and edge buffers keep their
-    // capacity across shots of a batch.
-    const bool odd = (m & 1) != 0;
-    static thread_local std::vector<MatchingGraph::Row> rows;
-    static thread_local std::vector<MatchEdge> edges;
-    rows.clear();
-    for (uint32_t e : events)
-        rows.push_back(graph_.row(e));
-    edges.clear();
-    edges.reserve(static_cast<size_t>(m) * (m + 1) / 2);
-    for (int i = 0; i < m; ++i) {
-        const MatchingGraph::Row& row = rows[static_cast<size_t>(i)];
-        for (int j = i + 1; j < m; ++j) {
-            double w = row.dist[events[static_cast<size_t>(j)]];
-            if (std::isfinite(w))
-                edges.push_back(MatchEdge{i, j, w});
-        }
-        double wb = row.dist[boundary];
-        if (odd && std::isfinite(wb))
-            edges.push_back(MatchEdge{i, m, wb});
-    }
-
-    std::vector<int> mate = minWeightPerfectMatching(odd ? m + 1 : m, edges);
-
-    uint32_t obs = 0;
-    for (int i = 0; i < m; ++i) {
-        int j = mate[static_cast<size_t>(i)];
-        const MatchingGraph::Row& row = rows[static_cast<size_t>(i)];
-        if (j == m)
-            obs ^= row.obs[boundary];
-        else if (j > i)
-            obs ^= row.obs[events[static_cast<size_t>(j)]];
-    }
-    return obs;
 }
 
 GreedyDecoder::GreedyDecoder(const DetectorErrorModel& dem)

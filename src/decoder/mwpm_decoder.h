@@ -6,6 +6,7 @@
 
 #include "decoder/decoder.h"
 #include "decoder/matching_graph.h"
+#include "decoder/sparse_blossom.h"
 #include "dem/detector_model.h"
 
 namespace vlq {
@@ -17,22 +18,19 @@ namespace vlq {
  * Every detection event is matched to another event or to the
  * boundary, along shortest paths in the decoding graph, at minimum
  * total weight; the XOR of the observable masks along the matched
- * paths is the correction's effect on the logicals. Each event's
- * shortest-path row comes from the MatchingGraph, which fills it on
- * first use and shares it across threads.
+ * paths is the correction's effect on the logicals.
  *
  * Syndromes of at most kExactMatchingMaxDefects events -- nearly every
  * shot below threshold -- are solved by matchDefectsExact, the
  * branch-and-bound union-find's fast path also uses, on a table read
- * from the events' rows. Larger syndromes go to the exact
- * blossom algorithm as a perfect matching on the events' complete
- * graph, plus one boundary vertex joined to every event when the event
- * count is odd. That is exact because rows may route through the
- * boundary: no pair of events costs more than both of them exiting
- * there, so some minimum-weight matching sends at most one event to
- * the boundary, and parity says whether it sends one. Both solvers are
- * exact, so the two paths differ only in which of several equal-weight
- * matchings they return.
+ * from the events' shortest-path rows (MatchingGraph fills each on
+ * first use and shares it across threads). Larger syndromes go to the
+ * sparse-blossom matcher, which grows one region per event on the
+ * decoding graph itself and fills no row (SparseBlossom). Both solvers
+ * are exact; they differ only in which of several equal-weight
+ * matchings they return, and in the matcher's integer edge weights,
+ * which can order two matchings whose real weights differ by less than
+ * the rounding.
  */
 class MwpmDecoder : public Decoder
 {
@@ -47,9 +45,9 @@ class MwpmDecoder : public Decoder
                         std::span<const uint32_t> erasureSites)
         const override;
     uint32_t decodeExact(std::span<const uint32_t> events) const;
-    uint32_t decodeBlossom(std::span<const uint32_t> events) const;
 
     MatchingGraph graph_;
+    SparseBlossom matcher_;
 };
 
 /**

@@ -384,7 +384,7 @@ UnionFindDecoder::decodeEvents(std::span<const uint32_t> events,
      *
      * Defect-pair distances come from the decoder's shared rows, which
      * never route through the boundary node -- boundary pairing is a
-     * separate option, exactly as in the blossom formulation. Defects
+     * separate option, exactly as in MWPM's formulation. Defects
      * ascend (events are extracted in index order and clusters collect
      * them in that order), so each pair reads the smaller defect's row
      * and the answer cannot depend on which thread filled which row.
@@ -445,7 +445,7 @@ UnionFindDecoder::decodeEvents(std::span<const uint32_t> events,
     };
 
     // Fast path: a small syndrome is matched exactly as one global
-    // problem -- identical to the blossom formulation, so the result
+    // problem -- identical to MWPM's formulation, so the result
     // is MWPM-exact -- with no growth and no arena reset. Erased
     // shots must take the growth path: the global distances know
     // nothing about the (free) erased edges.
@@ -682,10 +682,15 @@ UnionFindDecoder::decodeEvents(std::span<const uint32_t> events,
             s.roots.push_back(r);
         s.clusterDefects[r].push_back(v);
     }
+    // Only clusters holding defects are peeled (and their lists
+    // cleared): an erasure-seeded cluster without one peels to nothing,
+    // and its edges must not linger into a later shot's forest.
     for (uint32_t e : s.grownList) {
         if (g.edgeA[e] == boundary || g.edgeB[e] == boundary)
             continue; // boundary exits use the precomputed table
-        s.clusterEdges[s.find(g.edgeA[e])].push_back(e);
+        const uint32_t r = s.find(g.edgeA[e]);
+        if (!s.clusterDefects[r].empty())
+            s.clusterEdges[r].push_back(e);
     }
 
     constexpr size_t kExactMatching = 6;

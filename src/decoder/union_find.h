@@ -20,7 +20,7 @@ struct UnionFindOptions
      * Syndromes with at most this many detection events skip cluster
      * growth entirely and get one exact minimum-weight matching of
      * all defects over global shortest-path distances -- the same
-     * formulation as the blossom decoder, solved by matchDefectsExact
+     * formulation as the MWPM decoder, solved by matchDefectsExact
      * (the solver MwpmDecoder uses below the same event count), so
      * small syndromes (the bulk of every below-threshold shot) are
      * decoded MWPM-exactly at a fraction of the growth path's cost.

@@ -1,4 +1,4 @@
-#include "decoder/blossom.h"
+#include "blossom_oracle.h"
 
 #include <algorithm>
 #include <cmath>

@@ -1,5 +1,5 @@
-#ifndef VLQ_DECODER_BLOSSOM_H
-#define VLQ_DECODER_BLOSSOM_H
+#ifndef VLQ_TESTS_BLOSSOM_ORACLE_H
+#define VLQ_TESTS_BLOSSOM_ORACLE_H
 
 #include <cstdint>
 #include <vector>
@@ -15,7 +15,9 @@ struct MatchEdge
 };
 
 /**
- * Exact maximum-weight matching in general graphs.
+ * Exact maximum-weight matching in general graphs: the dense reference
+ * solver the tests check the decoders' matchers against. No decoder
+ * uses it.
  *
  * Implementation of Galil's O(V^3) blossom algorithm (the formulation
  * popularized by van Rantwijk and used by networkx). Weights are scaled
@@ -52,4 +54,4 @@ std::vector<int> minWeightPerfectMatching(
 
 } // namespace vlq
 
-#endif // VLQ_DECODER_BLOSSOM_H
+#endif // VLQ_TESTS_BLOSSOM_ORACLE_H

@@ -5,7 +5,7 @@
 #include <limits>
 #include <vector>
 
-#include "decoder/blossom.h"
+#include "blossom_oracle.h"
 #include "decoder/exact_matching.h"
 #include "util/rng.h"
 

@@ -5,8 +5,8 @@
 #include <memory>
 #include <vector>
 
+#include "blossom_oracle.h"
 #include "core/generator_common.h"
-#include "decoder/blossom.h"
 #include "decoder/decoder_factory.h"
 #include "decoder/exact_matching.h"
 #include "decoder/matching_graph.h"
@@ -288,10 +288,10 @@ TEST(MatchingGraphDeathTest, RejectsObservablesAboveBitSeven)
 
 /**
  * Rows may route through the boundary, so no detector pair is dearer
- * than both detectors exiting there (up to float rounding). MWPM's
- * blossom path relies on this to give the boundary a single vertex; a
- * Dijkstra that excluded the boundary, as union-find's does, would
- * break it.
+ * than both detectors exiting there (up to float rounding). The dense
+ * reference below relies on this when it gives every event a private
+ * boundary copy; a Dijkstra that excluded the boundary, as
+ * union-find's does, would break it.
  */
 void
 expectPairsNoDearerThanBoundary(const MatchingGraph& g)
@@ -365,7 +365,8 @@ struct MatchingAnswer
 };
 
 /**
- * Blossom reference, independent of both of the decoder's shortcuts:
+ * Dense blossom reference (the oracle in tests/blossom_oracle.h),
+ * independent of both of the decoder's solvers:
  * the complete-graph formulation over the decoder's own distance table
  * with a private boundary copy per event (copies joined at zero
  * weight), solved with the uniform-start maxWeightMatching on
@@ -456,10 +457,12 @@ enumerateMatchings(const MatchingGraph& g,
  * mask, or (on a small syndrome, where the exact matcher answers and
  * may pick another of several optima) the mask of a matching whose
  * weight equals the reference's up to blossom's 2^-20 weight scaling.
- * Larger syndromes reach the decoder's own blossom problem, which can
- * differ from the reference only in the choice among equal-weight
- * matchings; no seeded shot here hits such a tie, so they must agree
- * exactly.
+ * Larger syndromes reach the sparse-blossom matcher, which can differ
+ * from the reference only in the choice among equal-weight matchings
+ * and on near-ties that its integer edge weights order differently
+ * from the float rows; no seeded shot here hits either, so they must
+ * agree exactly. tests/test_sparse_blossom.cc checks the matcher's
+ * weight exactly, in its own integer metric.
  */
 ::testing::AssertionResult
 agreesWithBlossom(const MwpmDecoder& mwpm, const BitVec& det)
@@ -563,7 +566,7 @@ checkSampledShots(int d, double p, int shots, uint64_t seed)
 TEST(MwpmDecoderTest, AgreesWithBlossomOnSampledShots)
 {
     // Below threshold the exact matcher answers; above it the shots
-    // outgrow the 10-event limit and blossom does.
+    // outgrow the 10-event limit and sparse blossom does.
     SolverMix below = checkSampledShots(5, 1e-3, 2000, 0xb10550);
     SolverMix above = checkSampledShots(7, 1e-2, 300, 0xb10551);
     EXPECT_GT(below.exact, 500);

@@ -580,7 +580,8 @@ struct DecoderDigestCase
     int setup;      // paperSetups() index
     int distance;
     char basis;     // 'Z' or 'X'
-    int noise;      // 0 flat, 1 heralded erasure, 2 Z-biased
+    int noise;      // 0 flat, 1/3 heralded erasure (fraction 0.5/1.0),
+                    // 2 Z-biased
     double p;
     /** Per registered decoder: decodeBatch then decode() predictions. */
     uint64_t decoders[3];
@@ -590,12 +591,14 @@ struct DecoderDigestCase
 
 /**
  * Guards the decoders' bit-identity on DemDigest's configurations plus
- * four d=7 points above threshold: every registered decoder's batch and
- * per-shot predictions, and union-find's diagnostics and erasure-aware
- * decode, over 512 sampled shots each. The counters prove the sweep
- * reaches MWPM's Blossom path, union-find's growth path and its
- * erasure seeding. Regenerate the table only for an intentional change
- * to a decoder's output; the failure message prints the new rows.
+ * four d=7 points above threshold, a d=11 point, and a fully heralded
+ * point where erasure seeding changes union-find's predictions: every
+ * registered decoder's batch and per-shot predictions, and union-find's
+ * diagnostics and erasure-aware decode, over 512 sampled shots each.
+ * The counters prove the sweep reaches MWPM's sparse-blossom path,
+ * union-find's growth path and its erasure seeding. Regenerate the
+ * table only for an intentional change to a decoder's output; the
+ * failure message prints the new rows.
  */
 TEST(DecoderDigest, PredictionsMatchCommittedDigests)
 {
@@ -704,6 +707,14 @@ TEST(DecoderDigest, PredictionsMatchCommittedDigests)
          {0x66a53552be505aa5ULL, 0x12b23553d2a39e85ULL,
           0xa23fcb53546f83a5ULL},
          0x1efd2240c37e97e5ULL},
+        {0, 11, 'Z', 0, 8e-03,
+         {0xe398c4d2e0ee2945ULL, 0xf97acf63fadeb645ULL,
+          0x46965973d83d3ee5ULL},
+         0x5ff56cb15f229ca5ULL},
+        {0, 5, 'Z', 3, 5e-03,
+         {0x164c4b30d31177c5ULL, 0xba15fb0da9b83ae5ULL,
+          0xaa790ecc1bccc324ULL},
+         0xba7bf08e26bb9f42ULL},
     };
     constexpr uint32_t kShots = 512;
     const bool wasEnabled = obs::metricsEnabled();
@@ -712,6 +723,8 @@ TEST(DecoderDigest, PredictionsMatchCommittedDigests)
     const std::vector<EvaluationSetup> setups = paperSetups();
     ASSERT_EQ(decoderRegistry().size(), 3u);
     std::string fresh;
+    // Shots whose union-find prediction erasure seeding changes.
+    int seededChanges = 0;
     for (const DecoderDigestCase& c : cases) {
         GeneratorConfig cfg;
         cfg.distance = c.distance;
@@ -719,8 +732,8 @@ TEST(DecoderDigest, PredictionsMatchCommittedDigests)
         cfg.schedule = setups[static_cast<size_t>(c.setup)].schedule;
         cfg.noise = NoiseModel::atPhysicalRate(
             c.p, HardwareParams::transmonsWithMemory());
-        if (c.noise == 1)
-            cfg.noise.erasure.fraction = 0.5;
+        if (c.noise == 1 || c.noise == 3)
+            cfg.noise.erasure.fraction = c.noise == 1 ? 0.5 : 1.0;
         else if (c.noise == 2)
             cfg.noise.bias.rZ = 10.0;
         const DetectorErrorModel dem = DetectorErrorModel::build(
@@ -771,6 +784,7 @@ TEST(DecoderDigest, PredictionsMatchCommittedDigests)
             const uint32_t erased =
                 uf.decodeWithErasures(detectors[s], erasures[s], &info);
             addInfo(erased, info);
+            seededChanges += erased != plain;
         }
         got[3] = h.value();
 
@@ -797,6 +811,7 @@ TEST(DecoderDigest, PredictionsMatchCommittedDigests)
                                 "uf.decode.erasure_shots"})
         EXPECT_GT(after.counter(counter), before.counter(counter))
             << counter;
+    EXPECT_GT(seededChanges, 0);
     if (HasFailure())
         ADD_FAILURE() << "digest table for the current code:\n" << fresh;
 }
