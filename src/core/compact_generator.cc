@@ -2,7 +2,7 @@
 #include <cmath>
 #include <map>
 #include <mutex>
-#include <set>
+#include <vector>
 
 #include "core/embedding.h"
 #include "core/generator_registry.h"
@@ -38,15 +38,13 @@ scheduleFor(const SurfaceLayout& layout)
 class CompactEngine
 {
   public:
-    CompactEngine(NoisyBuilder& builder, const SurfaceLayout& layout,
-                  const CompactMerge& merge, const CompactSchedule& sched,
-                  DetectorBook& book)
-        : builder_(builder), layout_(layout), merge_(merge), sched_(sched),
-          book_(book)
+    CompactEngine(const SurfaceLayout& layout, const CompactMerge& merge,
+                  const CompactSchedule& sched)
+        : layout_(layout), merge_(merge), sched_(sched),
+          wireBusy_(2 * static_cast<size_t>(layout.numData())
+                        + static_cast<size_t>(merge.numUnmerged),
+                    0)
     {
-        const uint32_t nData = static_cast<uint32_t>(layout.numData());
-        dataT_ = [](uint32_t q) { return q; };
-        (void)nData;
     }
 
     /** Wire of data q's home transmon. */
@@ -69,184 +67,218 @@ class CompactEngine
              + static_cast<uint32_t>(merge_.unmergedIndex[c]);
     }
 
+    /**
+     * Advance `clockNs` over the moments emitBlock(numRounds) emits,
+     * one addition per moment in emission order, so the sum rounds
+     * exactly as the builder's clock does.
+     */
+    void advanceBlock(int numRounds, const HardwareParams& hw,
+                      double& clockNs)
+    {
+        const int slots = numSlots(numRounds);
+        loaded_.assign(static_cast<size_t>(layout_.numData()), false);
+        for (int g = 0; g < slots; ++g) {
+            gatherSlot(g, numRounds);
+            clockNs += std::max(hw.tGate2, hw.tGateTm);
+        }
+        if (std::find(loaded_.begin(), loaded_.end(), true) != loaded_.end())
+            clockNs += hw.tLoadStore;
+    }
+
     /** Emit one block of R rounds; roundOffset numbers the detectors. */
     void
-    emitBlock(int numRounds, int roundOffset)
+    emitBlock(NoisyBuilder& builder, DetectorBook& book, int numRounds,
+              int roundOffset)
     {
         const auto& plaquettes = layout_.plaquettes();
-        const HardwareParams& hw = builder_.noise().hw;
+        const HardwareParams& hw = builder.noise().hw;
+        const int slots = numSlots(numRounds);
+        loaded_.assign(static_cast<size_t>(layout_.numData()), false);
 
-        // Lazy load/store (the paper's "minimum number of loads and
-        // stores"): a data qubit loaded for a transmon-transmon CNOT
-        // stays in its transmon until the transmon is needed as an
-        // ancilla or the block ends.
-        std::vector<bool> loadedState(
-            static_cast<size_t>(layout_.numData()), false);
-
-        int maxStart = 0;
-        for (int g = 0; g < 4; ++g)
-            maxStart = std::max(maxStart, sched_.startSlot[g]);
-        int totalSlots = 8 * (numRounds - 1) + maxStart + 3;
-
-        for (int g = 0; g <= totalSlots; ++g) {
-            // Gather this slot's activity.
-            struct CnotTask
-            {
-                uint32_t check;
-                int round;
-                int32_t data; // -1 when this step's corner is absent
-                bool transmonMode;
-            };
-            std::vector<uint32_t> resets;       // checks starting
-            std::vector<uint32_t> finishes;     // checks measuring
-            std::vector<CnotTask> cnots;
-            std::vector<int> finishRound;
-
-            for (uint32_t c = 0; c < plaquettes.size(); ++c) {
-                const Plaquette& p = plaquettes[c];
-                int rel = g - sched_.startSlot[sched_.groupOf(p)];
-                if (rel < 0)
-                    continue;
-                int r = rel / 8;
-                int step = rel % 8;
-                if (r >= numRounds || step > 3)
-                    continue;
-                if (step == 0)
-                    resets.push_back(c);
-                int corner =
-                    sched_.orderOf(p.basis)[static_cast<size_t>(step)];
-                int32_t q = p.corner[static_cast<size_t>(corner)];
-                if (q >= 0) {
-                    bool tm = (merge_.mergedData[c] == q);
-                    cnots.push_back(CnotTask{c, r, q, tm});
-                }
-                if (step == 3) {
-                    finishes.push_back(c);
-                    finishRound.push_back(r);
-                }
-            }
+        for (int g = 0; g < slots; ++g) {
+            gatherSlot(g, numRounds);
 
             // One fully-pipelined moment per slot (see DESIGN.md:
             // loads are prefetched and stores/measures drain into the
             // following slot on otherwise-idle wires, so the slot
             // advances the wall clock by one two-qubit gate time; all
             // error channels are still applied).
-            std::vector<uint32_t> loads;
-            for (const auto& task : cnots) {
-                if (task.transmonMode || task.data < 0)
-                    continue;
-                uint32_t q = static_cast<uint32_t>(task.data);
-                if (!loadedState[q]) {
-                    loads.push_back(q);
-                    loadedState[q] = true;
-                }
-            }
-            // Evict data whose home transmon becomes an ancilla now.
-            std::vector<uint32_t> stores;
-            for (uint32_t c : resets) {
-                int32_t m = merge_.mergedData[c];
-                if (m >= 0 && loadedState[static_cast<size_t>(m)]) {
-                    stores.push_back(static_cast<uint32_t>(m));
-                    loadedState[static_cast<size_t>(m)] = false;
-                }
-            }
+            builder.momentBegin(std::max(hw.tGate2, hw.tGateTm));
 
-            builder_.momentBegin(std::max(hw.tGate2, hw.tGateTm));
-
-            for (uint32_t q : stores)
-                builder_.loadStore(transmonWire(q), modeWire(q));
-            for (uint32_t c : resets) {
-                builder_.resetQ(ancillaWire(c));
+            for (uint32_t q : stores_)
+                builder.loadStore(transmonWire(q), modeWire(q));
+            for (uint32_t c : resets_) {
+                builder.resetQ(ancillaWire(c));
                 if (plaquettes[c].basis == CheckBasis::X)
-                    builder_.gateH(ancillaWire(c));
+                    builder.gateH(ancillaWire(c));
             }
-            for (uint32_t q : loads)
-                builder_.loadStore(transmonWire(q), modeWire(q));
+            for (uint32_t q : loads_)
+                builder.loadStore(transmonWire(q), modeWire(q));
 
             // The schedule guarantees wire-disjoint CNOTs; assert it.
-            std::set<uint32_t> used;
-            for (const auto& task : cnots) {
+            for (const auto& task : cnots_) {
                 uint32_t q = static_cast<uint32_t>(task.data);
                 uint32_t anc = ancillaWire(task.check);
                 uint32_t dataWireNow = task.transmonMode
                     ? modeWire(q) : transmonWire(q);
-                VLQ_ASSERT(used.insert(anc).second,
+                VLQ_ASSERT(!wireBusy_[anc],
                            "compact schedule: ancilla wire conflict");
-                VLQ_ASSERT(used.insert(dataWireNow).second,
+                wireBusy_[anc] = 1;
+                VLQ_ASSERT(!wireBusy_[dataWireNow],
                            "compact schedule: data wire conflict");
+                wireBusy_[dataWireNow] = 1;
                 bool dataControls =
                     plaquettes[task.check].basis == CheckBasis::Z;
                 if (task.transmonMode) {
                     if (dataControls)
-                        builder_.cnotTM(dataWireNow, anc);
+                        builder.cnotTM(dataWireNow, anc);
                     else
-                        builder_.cnotTM(anc, dataWireNow);
+                        builder.cnotTM(anc, dataWireNow);
                 } else {
                     if (dataControls)
-                        builder_.cnotTT(dataWireNow, anc);
+                        builder.cnotTT(dataWireNow, anc);
                     else
-                        builder_.cnotTT(anc, dataWireNow);
+                        builder.cnotTT(anc, dataWireNow);
                 }
             }
-
-            for (size_t i = 0; i < finishes.size(); ++i) {
-                uint32_t c = finishes[i];
-                if (plaquettes[c].basis == CheckBasis::X)
-                    builder_.gateH(ancillaWire(c));
-                uint32_t m = builder_.measure(ancillaWire(c));
-                book_.recordRound(builder_.circuit(), c, m,
-                                  roundOffset + finishRound[i]);
+            for (const auto& task : cnots_) {
+                const uint32_t q = static_cast<uint32_t>(task.data);
+                wireBusy_[ancillaWire(task.check)] = 0;
+                wireBusy_[task.transmonMode ? modeWire(q)
+                                            : transmonWire(q)] = 0;
             }
 
-            builder_.momentEnd();
+            for (size_t i = 0; i < finishes_.size(); ++i) {
+                uint32_t c = finishes_[i];
+                if (plaquettes[c].basis == CheckBasis::X)
+                    builder.gateH(ancillaWire(c));
+                uint32_t m = builder.measure(ancillaWire(c));
+                book.recordRound(builder.circuit(), c, m,
+                                 roundOffset + finishRound_[i]);
+            }
+
+            builder.momentEnd();
         }
 
         // Drain: everything returns to the cavity at block end (the
         // stack rotates to the next resident).
-        bool anyLoaded = false;
-        for (bool b : loadedState)
-            anyLoaded = anyLoaded || b;
-        if (anyLoaded) {
-            builder_.momentBegin(hw.tLoadStore);
-            for (uint32_t q = 0;
-                 q < static_cast<uint32_t>(loadedState.size()); ++q) {
-                if (loadedState[q])
-                    builder_.loadStore(transmonWire(q), modeWire(q));
+        if (std::find(loaded_.begin(), loaded_.end(), true)
+            != loaded_.end()) {
+            builder.momentBegin(hw.tLoadStore);
+            for (uint32_t q = 0; q < static_cast<uint32_t>(loaded_.size());
+                 ++q) {
+                if (loaded_[q])
+                    builder.loadStore(transmonWire(q), modeWire(q));
             }
-            builder_.momentEnd();
+            builder.momentEnd();
         }
     }
 
   private:
-    NoisyBuilder& builder_;
+    struct CnotTask
+    {
+        uint32_t check;
+        int round;
+        int32_t data;
+        bool transmonMode;
+    };
+
+    /** Slots of a block of R rounds: one moment each. */
+    int numSlots(int numRounds) const
+    {
+        int maxStart = 0;
+        for (int g = 0; g < 4; ++g)
+            maxStart = std::max(maxStart, sched_.startSlot[g]);
+        return 8 * (numRounds - 1) + maxStart + 4;
+    }
+
+    /**
+     * Slot g's activity into the slot lists, and the loads and stores
+     * it implies. Lazy load/store (the paper's "minimum number of
+     * loads and stores"): a data qubit loaded for a transmon-transmon
+     * CNOT stays in its transmon until the transmon is needed as an
+     * ancilla or the block ends.
+     */
+    void gatherSlot(int g, int numRounds)
+    {
+        const auto& plaquettes = layout_.plaquettes();
+        resets_.clear();
+        finishes_.clear();
+        finishRound_.clear();
+        cnots_.clear();
+        loads_.clear();
+        stores_.clear();
+        for (uint32_t c = 0; c < plaquettes.size(); ++c) {
+            const Plaquette& p = plaquettes[c];
+            int rel = g - sched_.startSlot[sched_.groupOf(p)];
+            if (rel < 0)
+                continue;
+            int r = rel / 8;
+            int step = rel % 8;
+            if (r >= numRounds || step > 3)
+                continue;
+            if (step == 0)
+                resets_.push_back(c);
+            int corner = sched_.orderOf(p.basis)[static_cast<size_t>(step)];
+            int32_t q = p.corner[static_cast<size_t>(corner)];
+            if (q >= 0) {
+                bool tm = (merge_.mergedData[c] == q);
+                cnots_.push_back(CnotTask{c, r, q, tm});
+            }
+            if (step == 3) {
+                finishes_.push_back(c);
+                finishRound_.push_back(r);
+            }
+        }
+        for (const auto& task : cnots_) {
+            if (task.transmonMode)
+                continue;
+            uint32_t q = static_cast<uint32_t>(task.data);
+            if (!loaded_[q]) {
+                loads_.push_back(q);
+                loaded_[q] = true;
+            }
+        }
+        // Evict data whose home transmon becomes an ancilla now.
+        for (uint32_t c : resets_) {
+            int32_t m = merge_.mergedData[c];
+            if (m >= 0 && loaded_[static_cast<size_t>(m)]) {
+                stores_.push_back(static_cast<uint32_t>(m));
+                loaded_[static_cast<size_t>(m)] = false;
+            }
+        }
+    }
+
     const SurfaceLayout& layout_;
     const CompactMerge& merge_;
     const CompactSchedule& sched_;
-    DetectorBook& book_;
-    uint32_t (*dataT_)(uint32_t);
+    // Per-slot lists, reused by every slot.
+    std::vector<uint32_t> resets_;   // checks starting
+    std::vector<uint32_t> finishes_; // checks measuring
+    std::vector<int> finishRound_;
+    std::vector<CnotTask> cnots_;
+    std::vector<uint32_t> loads_;
+    std::vector<uint32_t> stores_;
+    std::vector<bool> loaded_;      // data sitting in their transmon
+    std::vector<uint8_t> wireBusy_; // wires a CNOT of this slot uses
 };
 
 GeneratedCircuit
-emitCompact(const GeneratorConfig& config, int dx, int dz,
-            double gapBeforeBlockNs, double gapPerRoundNs)
+emitCompact(const GeneratorConfig& config, const SurfaceLayout& layout,
+            CompactEngine& engine, double gapBeforeBlockNs,
+            double gapPerRoundNs)
 {
-    SurfaceLayout layout(dx, dz);
-    CompactMerge merge = CompactMerge::build(layout);
-    const CompactSchedule& sched = scheduleFor(layout);
     const int rounds = config.effectiveRounds();
-
     const uint32_t nData = static_cast<uint32_t>(layout.numData());
-    const uint32_t nUnmerged = static_cast<uint32_t>(merge.numUnmerged);
     // Wires: data transmons, unmerged ancilla transmons, data modes.
-    const uint32_t nWires = nData + nUnmerged + nData;
+    const uint32_t nWires = engine.modeWire(nData);
 
     std::vector<WireKind> kinds(nWires, WireKind::Transmon);
     for (uint32_t q = 0; q < nData; ++q)
-        kinds[nData + nUnmerged + q] = WireKind::CavityMode;
+        kinds[engine.modeWire(q)] = WireKind::CavityMode;
     NoisyBuilder builder(nWires, kinds, config.noise);
 
     DetectorBook book(layout, config.memoryBasis);
-    CompactEngine engine(builder, layout, merge, sched, book);
 
     // Idealized initialization: data arrive stored, in the quiescent
     // state of the chosen basis.
@@ -265,10 +297,10 @@ emitCompact(const GeneratorConfig& config, int dx, int dz,
     if (interleaved) {
         for (int r = 0; r < rounds; ++r) {
             builder.wait(gapPerRoundNs);
-            engine.emitBlock(1, r);
+            engine.emitBlock(builder, book, 1, r);
         }
     } else {
-        engine.emitBlock(rounds, 0);
+        engine.emitBlock(builder, book, rounds, 0);
     }
 
     // Idealized final readout from the cavity modes.
@@ -294,15 +326,30 @@ emitCompact(const GeneratorConfig& config, int dx, int dz,
 
 /**
  * Gap-calibrated emission shared by the square and rectangular Compact
- * backends: a dry run measures the active service durations, then the
- * paging gap dictated by the gap model is charged on the real run.
+ * backends: the active service durations are summed moment by moment,
+ * as a gapless emission's clock would sum them, and the paging gap
+ * dictated by the gap model is charged on the one emission.
  */
 GeneratedCircuit
 generateCompactOnPatch(const GeneratorConfig& config, int dx, int dz)
 {
-    GeneratedCircuit dry = emitCompact(config, dx, dz, 0.0, 0.0);
-    double blockDur = dry.activeDurationNs;
-    double roundDur = blockDur / config.effectiveRounds();
+    SurfaceLayout layout(dx, dz);
+    CompactMerge merge = CompactMerge::build(layout);
+    CompactEngine engine(layout, merge, scheduleFor(layout));
+    const int rounds = config.effectiveRounds();
+
+    // The gapless emission's moments: initialization (0 ns), the
+    // blocks, the final readout (0 ns).
+    double blockDur = 0.0;
+    blockDur += 0.0;
+    if (config.schedule == ExtractionSchedule::Interleaved) {
+        for (int r = 0; r < rounds; ++r)
+            engine.advanceBlock(1, config.noise.hw, blockDur);
+    } else {
+        engine.advanceBlock(rounds, config.noise.hw, blockDur);
+    }
+    blockDur += 0.0;
+    double roundDur = blockDur / rounds;
     double waiters = config.cavityDepth - 1;
 
     double gapBlock = 0.0;
@@ -314,9 +361,8 @@ generateCompactOnPatch(const GeneratorConfig& config, int dx, int dz)
     } else {
         gapBlock = waiters * blockDur;
     }
-    if (gapBlock <= 0.0 && gapRound <= 0.0)
-        return dry;
-    return emitCompact(config, dx, dz, gapBlock, gapRound);
+    return emitCompact(config, layout, engine, std::max(gapBlock, 0.0),
+                       std::max(gapRound, 0.0));
 }
 
 } // namespace

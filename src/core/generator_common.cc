@@ -365,4 +365,15 @@ emitStandardRound(NoisyBuilder& builder, const SurfaceLayout& layout,
     builder.momentEnd();
 }
 
+void
+advanceStandardRound(const HardwareParams& hw, double& clockNs)
+{
+    clockNs += hw.tReset;
+    clockNs += hw.tGate1;
+    for (int step = 0; step < 4; ++step)
+        clockNs += hw.tGate2;
+    clockNs += hw.tGate1;
+    clockNs += hw.tMeasure;
+}
+
 } // namespace vlq

@@ -268,6 +268,14 @@ void emitStandardRound(NoisyBuilder& builder, const SurfaceLayout& layout,
                        int round);
 
 /**
+ * Advance `clockNs` over the moments of one emitStandardRound, one
+ * addition per moment in emission order, so the sum rounds exactly as
+ * NoisyBuilder's clock does: a generator can size its paging gap
+ * before it emits anything.
+ */
+void advanceStandardRound(const HardwareParams& hw, double& clockNs);
+
+/**
  * Dispatch: generate the memory circuit for any evaluation setup.
  * Resolved through the generator registry
  * (core/generator_registry.h), so registered backends -- including

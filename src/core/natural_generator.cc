@@ -1,3 +1,5 @@
+#include <algorithm>
+
 #include "core/generator_common.h"
 
 #include "util/logging.h"
@@ -16,7 +18,7 @@ namespace {
  *
  * The paging gap models the (k-1) other patches of the stack receiving
  * their service interval; its length is (k-1) x the active duration of
- * one service unit, supplied by the caller after a dry run.
+ * one service unit, which the caller sums before emitting.
  */
 GeneratedCircuit
 emitNatural(const GeneratorConfig& config, double gapBeforeBlockNs,
@@ -110,10 +112,27 @@ generateNaturalMemory(const GeneratorConfig& config)
 {
     requireValidConfig(config);
 
-    // Dry run (no gaps) to measure the active service durations.
-    GeneratedCircuit dry = emitNatural(config, 0.0, 0.0);
-    double blockDur = dry.activeDurationNs;
-    double roundDur = blockDur / config.effectiveRounds();
+    // The gapless emission's moments, summed in emission order as its
+    // clock would sum them: initialization (0 ns), the load, round and
+    // store moments, the final readout (0 ns).
+    const HardwareParams& hw = config.noise.hw;
+    const int rounds = config.effectiveRounds();
+    double blockDur = 0.0;
+    blockDur += 0.0;
+    if (config.schedule == ExtractionSchedule::Interleaved) {
+        for (int r = 0; r < rounds; ++r) {
+            blockDur += hw.tLoadStore;
+            advanceStandardRound(hw, blockDur);
+            blockDur += hw.tLoadStore;
+        }
+    } else {
+        blockDur += hw.tLoadStore;
+        for (int r = 0; r < rounds; ++r)
+            advanceStandardRound(hw, blockDur);
+        blockDur += hw.tLoadStore;
+    }
+    blockDur += 0.0;
+    double roundDur = blockDur / rounds;
     double waiters = config.cavityDepth - 1;
 
     double gapBlock = 0.0;
@@ -125,9 +144,8 @@ generateNaturalMemory(const GeneratorConfig& config)
     } else {
         gapBlock = waiters * blockDur;
     }
-    if (gapBlock <= 0.0 && gapRound <= 0.0)
-        return dry;
-    return emitNatural(config, gapBlock, gapRound);
+    return emitNatural(config, std::max(gapBlock, 0.0),
+                       std::max(gapRound, 0.0));
 }
 
 } // namespace vlq

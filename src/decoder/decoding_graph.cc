@@ -160,133 +160,240 @@ DecodingGraph::finalize()
         : 0;
 }
 
-void
-DecodingGraph::shortestPaths(uint32_t src, bool viaBoundary,
-                             std::span<double> dist,
-                             std::span<uint32_t> obs) const
-{
-    std::fill(dist.begin(), dist.end(),
-              std::numeric_limits<double>::infinity());
-    std::fill(obs.begin(), obs.end(), 0u);
-    dist[src] = 0.0;
-    if (bucketMask_ != 0)
-        bucketSearch(src, viaBoundary, dist, obs);
-    else
-        heapSearch(src, viaBoundary, dist, obs);
-}
-
 namespace {
 
-/** One thread's bucket-queue state, reused by every search it runs. */
-struct BucketScratch
+/** slot[] of a settled node: matches no bucket, so its entries read stale. */
+constexpr uint32_t kSettledSlot = std::numeric_limits<uint32_t>::max();
+
+/**
+ * One thread's search state, reused by every search it runs on any
+ * graph. `dist` is infinite everywhere except at the nodes the last
+ * search reached, which the next search resets through `reached`, so
+ * a search costs what it reaches, not the size of the graph.
+ */
+struct SearchScratch
 {
+    std::vector<double> dist;
+    std::vector<uint32_t> obs;
+    std::vector<uint32_t> pred;     // the neighbour whose path set obs[t]
+    std::vector<uint32_t> slot;     // slot of a reached node's live entry
+    std::vector<uint8_t> target;    // targets not settled yet
+    std::vector<uint32_t> reached;  // nodes with a finite dist
+    std::vector<uint32_t> settled;  // by this call, in settle order
+    std::vector<uint32_t> frontier; // reached, unsettled at the stop
     std::vector<std::vector<uint32_t>> buckets; // the circle, by slot
-    std::vector<uint32_t> slot; // slot of each reached node's live entry
-    std::vector<uint32_t> pred; // the neighbour whose path set obs[t]
+
+    /** Forget the last search and size the arrays for `n` nodes. */
+    void begin(uint32_t n)
+    {
+        constexpr double kInf = std::numeric_limits<double>::infinity();
+        for (const uint32_t t : reached)
+            dist[t] = kInf;
+        reached.clear();
+        settled.clear();
+        frontier.clear();
+        if (dist.size() < n) {
+            dist.resize(n, kInf);
+            obs.resize(n);
+            pred.resize(n);
+            slot.resize(n);
+            target.resize(n, 0);
+        }
+    }
 };
 
 } // namespace
 
 void
-DecodingGraph::bucketSearch(uint32_t src, bool viaBoundary,
-                            std::span<double> dist,
-                            std::span<uint32_t> obs) const
+DecodingGraph::shortestPaths(uint32_t src, bool viaBoundary,
+                             std::span<double> dist,
+                             std::span<uint32_t> obs) const
 {
-    // Bucket k holds the nodes reached at distances in [k, k + 1)
-    // widths; bucket k lives in slot k & mask. A node that improves
-    // into an earlier bucket leaves a stale entry behind, recognised
-    // by its slot no longer matching. Nodes of one bucket settle in
-    // any order, so ties follow the contract's rule explicitly: an
-    // equal sum takes over obs[t] only from a neighbour earlier in
-    // (distance, index) order than the one that set it. Such a
-    // neighbour sits in an earlier bucket than t, so t is still
-    // unsettled whenever the rule applies.
-    constexpr double kInf = std::numeric_limits<double>::infinity();
-    thread_local BucketScratch s;
-    const uint32_t boundary = boundaryNode();
-    const uint64_t mask = bucketMask_;
-    const double invWidth = 1.0 / bucketWidth_;
-    if (s.buckets.size() <= mask)
-        s.buckets.resize(mask + 1);
-    s.slot.resize(numNodes());
-    s.pred.resize(numNodes());
-
-    s.buckets[0].push_back(src);
-    s.slot[src] = 0;
-    size_t pending = 1;
-    for (uint64_t k = 0; pending > 0; ++k) {
-        std::vector<uint32_t>& bucket = s.buckets[k & mask];
-        // Nothing lands in the bucket being settled (asserted below),
-        // so it does not grow while it is walked.
-        for (const uint32_t u : bucket) {
-            if (s.slot[u] != (k & mask))
-                continue; // stale: u settled in an earlier bucket
-            const double du = dist[u];
-            const uint32_t ou = obs[u];
-            for (uint32_t si = soa_.vertexBegin[u];
-                 si < soa_.vertexBegin[u + 1]; ++si) {
-                const uint32_t t = soa_.slotOther[si];
-                if (!viaBoundary && t == boundary)
-                    continue;
-                const uint32_t e = soa_.slotEdge[si];
-                const double nd = du + soa_.edgeWeight[e];
-                if (nd < dist[t]) {
-                    const uint64_t b = static_cast<uint64_t>(nd * invWidth);
-                    VLQ_ASSERT(b > k && b - k <= mask,
-                               "shortestPaths: a relaxation left the "
-                               "bucket queue's window");
-                    if (dist[t] == kInf || s.slot[t] != (b & mask)) {
-                        s.buckets[b & mask].push_back(t);
-                        s.slot[t] = static_cast<uint32_t>(b & mask);
-                        ++pending;
-                    }
-                    dist[t] = nd;
-                    obs[t] = ou ^ soa_.edgeObs[e];
-                    s.pred[t] = u;
-                } else if (nd == dist[t]) {
-                    const uint32_t p = s.pred[t];
-                    if (du < dist[p] || (du == dist[p] && u < p)) {
-                        obs[t] = ou ^ soa_.edgeObs[e];
-                        s.pred[t] = u;
-                    }
-                }
-            }
-        }
-        pending -= bucket.size();
-        bucket.clear();
+    const Settled s = settle(src, viaBoundary, {},
+                             std::numeric_limits<uint32_t>::max());
+    std::fill(dist.begin(), dist.end(),
+              std::numeric_limits<double>::infinity());
+    std::fill(obs.begin(), obs.end(), 0u);
+    for (const uint32_t t : s.nodes) {
+        dist[t] = s.dist[t];
+        obs[t] = s.obs[t];
     }
 }
 
-void
-DecodingGraph::heapSearch(uint32_t src, bool viaBoundary,
-                          std::span<double> dist,
-                          std::span<uint32_t> obs) const
+DecodingGraph::Settled
+DecodingGraph::settle(uint32_t src, bool viaBoundary,
+                      std::span<const uint32_t> targets,
+                      uint32_t minSettled, const Frontier* from) const
 {
-    // Dijkstra with a binary heap: nodes settle in (distance, index)
-    // order, the contract's reference order.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    thread_local SearchScratch s;
+    const uint32_t n = numNodes();
     const uint32_t boundary = boundaryNode();
-    using QItem = std::pair<double, uint32_t>;
-    std::priority_queue<QItem, std::vector<QItem>, std::greater<QItem>> pq;
-    pq.push({0.0, src});
-    while (!pq.empty()) {
-        const auto [d, v] = pq.top();
-        pq.pop();
-        if (d > dist[v])
-            continue; // stale entry: v settled at a shorter distance
-        for (uint32_t si = soa_.vertexBegin[v];
-             si < soa_.vertexBegin[v + 1]; ++si) {
-            const uint32_t to = soa_.slotOther[si];
-            if (!viaBoundary && to == boundary)
-                continue;
-            const uint32_t e = soa_.slotEdge[si];
-            const double nd = d + soa_.edgeWeight[e];
-            if (nd < dist[to]) {
-                dist[to] = nd;
-                obs[to] = obs[v] ^ soa_.edgeObs[e];
-                pq.push({nd, to});
+    s.begin(n);
+    Settled out;
+
+    if (bucketMask_ == 0) {
+        // Dijkstra with a binary heap, always to completion: nodes
+        // settle in (distance, index) order, the contract's reference
+        // order.
+        s.dist[src] = 0.0;
+        s.obs[src] = 0;
+        s.reached.push_back(src);
+        using QItem = std::pair<double, uint32_t>;
+        std::priority_queue<QItem, std::vector<QItem>, std::greater<QItem>>
+            pq;
+        pq.push({0.0, src});
+        while (!pq.empty()) {
+            const auto [d, v] = pq.top();
+            pq.pop();
+            if (d > s.dist[v])
+                continue; // stale entry: v settled at a shorter distance
+            s.settled.push_back(v);
+            for (uint32_t si = soa_.vertexBegin[v];
+                 si < soa_.vertexBegin[v + 1]; ++si) {
+                const uint32_t to = soa_.slotOther[si];
+                if (!viaBoundary && to == boundary)
+                    continue;
+                const uint32_t e = soa_.slotEdge[si];
+                const double nd = d + soa_.edgeWeight[e];
+                if (nd < s.dist[to]) {
+                    if (s.dist[to] == kInf)
+                        s.reached.push_back(to);
+                    s.dist[to] = nd;
+                    s.obs[to] = s.obs[v] ^ soa_.edgeObs[e];
+                    pq.push({nd, to});
+                }
             }
         }
+        out.complete = true;
+    } else {
+        // Bucket k holds the nodes reached at distances in [k, k + 1)
+        // widths; bucket k lives in slot k & mask. A node that improves
+        // into an earlier bucket leaves a stale entry behind,
+        // recognised by its slot no longer matching; a settled node's
+        // slot matches none. Nodes of one bucket settle in any order,
+        // so ties follow the contract's rule explicitly: an equal sum
+        // takes over obs[t] only from a neighbour earlier in
+        // (distance, index) order than the one that set it. Such a
+        // neighbour sits in an earlier bucket than t, so t is still
+        // unsettled whenever the rule applies.
+        const uint64_t mask = bucketMask_;
+        const double invWidth = 1.0 / bucketWidth_;
+        if (s.buckets.size() <= mask)
+            s.buckets.resize(mask + 1);
+        size_t pending = 0;
+        auto enqueue = [&](uint32_t t, uint64_t b) {
+            s.buckets[b & mask].push_back(t);
+            s.slot[t] = static_cast<uint32_t>(b & mask);
+            ++pending;
+        };
+        uint64_t k = 0;
+        size_t settledBefore = 0;
+        if (from == nullptr) {
+            s.dist[src] = 0.0;
+            s.obs[src] = 0;
+            s.reached.push_back(src);
+            enqueue(src, 0);
+        } else {
+            // Resume: earlier settled nodes read as -infinity, so no
+            // relaxation touches them, and every frontier node keeps
+            // its mask on ties through src, whose distance reads the
+            // same.
+            k = from->buckets;
+            settledBefore = from->settled.size();
+            for (const uint32_t t : from->settled) {
+                s.dist[t] = -kInf;
+                s.slot[t] = kSettledSlot;
+                s.reached.push_back(t);
+            }
+            for (size_t i = 0; i < from->nodes.size(); ++i) {
+                const uint32_t t = from->nodes[i];
+                s.dist[t] = from->dist[i];
+                s.obs[t] = from->obs[i];
+                s.pred[t] = src;
+                s.reached.push_back(t);
+                enqueue(t, static_cast<uint64_t>(from->dist[i] * invWidth));
+            }
+        }
+        uint32_t waiting = 0; // distinct targets not settled yet
+        for (const uint32_t t : targets) {
+            if (s.target[t] == 0 && s.dist[t] != -kInf) {
+                s.target[t] = 1;
+                ++waiting;
+            }
+        }
+        for (; pending > 0; ++k) {
+            std::vector<uint32_t>& bucket = s.buckets[k & mask];
+            // Nothing lands in the bucket being settled (asserted
+            // below), so it does not grow while it is walked.
+            for (const uint32_t u : bucket) {
+                if (s.slot[u] != (k & mask))
+                    continue; // stale: u settled in an earlier bucket
+                s.slot[u] = kSettledSlot;
+                s.settled.push_back(u);
+                waiting -= s.target[u];
+                s.target[u] = 0;
+                const double du = s.dist[u];
+                const uint32_t ou = s.obs[u];
+                for (uint32_t si = soa_.vertexBegin[u];
+                     si < soa_.vertexBegin[u + 1]; ++si) {
+                    const uint32_t t = soa_.slotOther[si];
+                    if (!viaBoundary && t == boundary)
+                        continue;
+                    const uint32_t e = soa_.slotEdge[si];
+                    const double nd = du + soa_.edgeWeight[e];
+                    if (nd < s.dist[t]) {
+                        const uint64_t b =
+                            static_cast<uint64_t>(nd * invWidth);
+                        VLQ_ASSERT(b > k && b - k <= mask,
+                                   "settle: a relaxation left the "
+                                   "bucket queue's window");
+                        const bool first = s.dist[t] == kInf;
+                        if (first)
+                            s.reached.push_back(t);
+                        if (first || s.slot[t] != (b & mask))
+                            enqueue(t, b);
+                        s.dist[t] = nd;
+                        s.obs[t] = ou ^ soa_.edgeObs[e];
+                        s.pred[t] = u;
+                    } else if (nd == s.dist[t]) {
+                        const uint32_t p = s.pred[t];
+                        if (du < s.dist[p] || (du == s.dist[p] && u < p)) {
+                            s.obs[t] = ou ^ soa_.edgeObs[e];
+                            s.pred[t] = u;
+                        }
+                    }
+                }
+            }
+            pending -= bucket.size();
+            bucket.clear();
+            // The stop rule: buckets up to k are settled, so every
+            // node in them is final (see the contract). A search past
+            // half the graph finishes it for at most what it spent.
+            const size_t total = settledBefore + s.settled.size();
+            if (waiting == 0 && total >= minSettled && 2 * total < n) {
+                ++k;
+                break;
+            }
+        }
+        if (pending > 0) {
+            for (std::vector<uint32_t>& bucket : s.buckets)
+                bucket.clear();
+        }
+        for (const uint32_t t : targets)
+            s.target[t] = 0; // targets the search never reached
+        for (const uint32_t t : s.reached)
+            if (s.slot[t] != kSettledSlot)
+                s.frontier.push_back(t);
+        out.buckets = k;
+        out.complete = s.frontier.empty();
     }
+
+    out.nodes = s.settled;
+    out.dist = std::span<const double>(s.dist.data(), n);
+    out.obs = std::span<const uint32_t>(s.obs.data(), n);
+    out.frontier = s.frontier;
+    return out;
 }
 
 DecodingGraph

@@ -33,12 +33,14 @@ struct DecodingEdge
  *
  * This is the shared substrate of all decoder backends: the matching
  * decoders and union-find fill their shortest-path rows with its one
- * shortest-path search (shortestPaths), and union-find grows clusters
- * directly on its CSR adjacency. Every weight is positive, so the
- * search settles nodes from a circular bucket queue (Dial's algorithm)
- * whose buckets are narrower than the lightest edge; finalize() sizes
- * the queue, and graphs whose weights span too wide a range for it
- * fall back to a binary-heap Dijkstra. Both give the same rows.
+ * shortest-path search (settle, or shortestPaths run to completion),
+ * and union-find grows clusters directly on its CSR adjacency. Every
+ * weight is positive, so the search settles nodes from a circular
+ * bucket queue (Dial's algorithm) whose buckets are narrower than the
+ * lightest edge, and can stop after any bucket with every node settled
+ * so far final; finalize() sizes the queue, and graphs whose weights
+ * span too wide a range for it fall back to a binary-heap Dijkstra.
+ * Both give the same rows.
  */
 class DecodingGraph
 {
@@ -88,11 +90,76 @@ class DecodingGraph
      * dist[u] + weight(u, t) over t's neighbours u, and obs[t] follows
      * the neighbour that attains it first in (dist[u], u) order. So
      * the rows are a deterministic function of the graph, whichever
-     * queue finalize() chose.
+     * queue finalize() chose. This is settle() run to completion.
      */
     void shortestPaths(uint32_t src, bool viaBoundary,
                        std::span<double> dist,
                        std::span<uint32_t> obs) const;
+
+    /**
+     * Where an unfinished settle() from some source stopped, as a
+     * later settle() from that source resumes it: the buckets settled,
+     * every node settled so far, and the reached but unsettled nodes
+     * with their tentative entries, exactly as the search left them.
+     */
+    struct Frontier
+    {
+        uint64_t buckets = 0;
+        std::span<const uint32_t> settled;
+        std::span<const uint32_t> nodes;
+        std::span<const double> dist; // parallel to `nodes`
+        std::span<const uint32_t> obs;
+    };
+
+    /**
+     * What one settle() call settled and where it stopped. The spans
+     * point into the calling thread's search scratch and stay valid
+     * until that thread's next search.
+     */
+    struct Settled
+    {
+        /** Nodes this call settled (not those it resumed past). */
+        std::span<const uint32_t> nodes;
+        /** By node: final at `nodes`, tentative at `frontier`. */
+        std::span<const double> dist;
+        std::span<const uint32_t> obs;
+        /** Reached, unsettled nodes: empty once complete. */
+        std::span<const uint32_t> frontier;
+        /** Buckets settled in all, resumed ones included. */
+        uint64_t buckets = 0;
+        /** Every node reachable from the source is settled. */
+        bool complete = false;
+    };
+
+    /**
+     * shortestPaths() from `src`, stopped early: the search settles
+     * whole buckets in order and stops after the first bucket that
+     * leaves every node of `targets` settled and at least `minSettled`
+     * nodes settled in all, or when nothing reachable is left. A
+     * search that has settled half the graph's nodes runs to
+     * completion, which costs it at most what it already spent; so
+     * does a target it cannot reach (the boundary with `viaBoundary`
+     * false, or a node in another component).
+     * Given `from`, the frontier where an earlier call from the same
+     * source stopped, the search continues from there instead of from
+     * src, and settles each node once across the calls.
+     *
+     * Every settled entry equals shortestPaths()' entry bit for bit.
+     * A bucket is narrower than the lightest edge, so once the search
+     * reaches a bucket nothing can improve or tie any node in it: a
+     * node's distance and mask are final when its bucket is settled,
+     * and the complete search performs the same relaxations up to that
+     * bucket (their order within a bucket does not matter; see
+     * shortestPaths()). A resumed search also keeps each frontier
+     * node's mask on ties: its path came from a node settled earlier,
+     * which precedes every node settled now in (distance, index)
+     * order. The settled set is the union of the buckets settled, so
+     * two stops from one source settle nested sets, ordered by size.
+     * The heap fallback (see finalize()) always runs to completion.
+     */
+    Settled settle(uint32_t src, bool viaBoundary,
+                   std::span<const uint32_t> targets, uint32_t minSettled,
+                   const Frontier* from = nullptr) const;
 
     /** Number of detector nodes (excludes the boundary). */
     uint32_t numDetectors() const { return numDetectors_; }
@@ -170,11 +237,6 @@ class DecodingGraph
     uint32_t bucketMask_ = 0;
     BuildStats stats_;
 
-    void bucketSearch(uint32_t src, bool viaBoundary,
-                      std::span<double> dist,
-                      std::span<uint32_t> obs) const;
-    void heapSearch(uint32_t src, bool viaBoundary, std::span<double> dist,
-                    std::span<uint32_t> obs) const;
 
     uint32_t edgeIndexFor(uint32_t a, uint32_t b);
     // Map from packed (a << 32 | b) key to edge index.

@@ -1,7 +1,7 @@
 #include "decoder/matching_graph.h"
 
+#include <limits>
 #include <string>
-#include <vector>
 
 #include "obs/obs.h"
 #include "util/logging.h"
@@ -42,50 +42,39 @@ MatchingGraph::build(DecodingGraph graph)
 }
 
 MatchingGraph::MatchingGraph(DecodingGraph graph)
-    : graph_(std::move(graph)), rows_(graph_.numNodes(), graph_.numNodes())
+    : graph_(std::move(graph)), rows_(graph_.numNodes())
 {
 }
 
-MatchingGraph::Row
-MatchingGraph::row(uint32_t a) const
+void
+MatchingGraph::paths(uint32_t a, std::span<const uint32_t> targets,
+                     std::span<float> dist, std::span<uint8_t> obs) const
 {
-    return rows_.get(
-        a,
-        [this](uint32_t src, std::span<float> dist,
-               std::span<uint8_t> pathObs) {
-            fillRow(src, dist, pathObs);
+    // A matching row settles completely when first asked for: its
+    // readers always ask for the boundary, which paths may route
+    // through, so a partial row would reach most of a graph small
+    // enough for the exact path anyway, and a complete row reads as a
+    // plain array. The search runs in double precision; the row stores
+    // it rounded.
+    rows_.get(
+        a, targets, dist, obs,
+        [this](uint32_t src, std::span<const uint32_t>, uint32_t,
+               const DecodingGraph::Frontier*) {
+            return graph_.settle(src, /*viaBoundary=*/true, {},
+                                 std::numeric_limits<uint32_t>::max());
         },
-        [] {
+        [](uint64_t ns, uint32_t) {
+            static const obs::Histogram fillNs =
+                obs::Histogram::get("matching.row_fill");
+            fillNs.record(ns);
+        },
+        [](bool) {
             if (obs::metricsEnabled()) {
                 static const obs::Counter filled =
                     obs::Counter::get("matching.rows_filled");
                 filled.add(1);
             }
         });
-}
-
-void
-MatchingGraph::fillRow(uint32_t src, std::span<float> dist,
-                       std::span<uint8_t> pathObs) const
-{
-    // Every fill is timed, including copies that lose the publish race.
-    const bool timed = obs::metricsEnabled();
-    const uint64_t start = timed ? obs::traceNowNs() : 0;
-    // The search runs in double precision; the row stores it rounded.
-    thread_local std::vector<double> d;
-    thread_local std::vector<uint32_t> pobs;
-    d.resize(dist.size());
-    pobs.resize(dist.size());
-    graph_.shortestPaths(src, /*viaBoundary=*/true, d, pobs);
-    for (size_t t = 0; t < dist.size(); ++t) {
-        dist[t] = static_cast<float>(d[t]);
-        pathObs[t] = static_cast<uint8_t>(pobs[t]);
-    }
-    if (timed) {
-        static const obs::Histogram fillNs =
-            obs::Histogram::get("matching.row_fill");
-        fillNs.record(obs::traceNowNs() - start);
-    }
 }
 
 } // namespace vlq

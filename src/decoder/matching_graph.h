@@ -18,20 +18,21 @@ namespace vlq {
  * union-find backend) and serves shortest paths from it as rows: row a
  * holds the path weight and the XOR of observable masks along the
  * shortest path from detector a to every node, the boundary included.
- * Building fills no row; a row is filled by one shortest-path search
- * (DecodingGraph::shortestPaths) when a thread first asks for it,
- * published without blocking, and shared by every thread after that
+ * Readers ask a row for the nodes they need (the matching decoders ask
+ * for the later events and the boundary). Building fills no row; a
+ * row is filled by one complete shortest-path search
+ * (DecodingGraph::settle) when a thread first asks for it, published
+ * without blocking, and shared by every thread after that
  * (ShortestPathRows), so a decoder pays only for the detectors its
- * syndromes touch. The `matching.row_fill` histogram times every
- * fill. Paths may route through the boundary node. Weights are stored
- * as floats and masks in 8 bits, so the matching decoders handle
+ * syndromes touch. The `matching.row_fill` histogram times every fill.
+ * Paths may route through the boundary node. Weights are stored as
+ * floats and masks in 8 bits, so the matching decoders handle
  * observables 0-7 only.
  */
 class MatchingGraph
 {
   public:
     using BuildStats = DecodingGraph::BuildStats;
-    using Row = ShortestPathRows<float, uint8_t>::Row;
 
     static MatchingGraph build(const DetectorErrorModel& dem);
 
@@ -49,20 +50,35 @@ class MatchingGraph
     uint32_t boundaryNode() const { return graph_.boundaryNode(); }
 
     /**
-     * Shortest paths from node a: dist[b] and obs[b] for every node b,
-     * boundaryNode() included. Thread-safe and never blocks; a call
-     * that finds the row unpublished fills it, and the call whose copy
-     * is published bumps the `matching.rows_filled` counter.
+     * Shortest paths from node a to every node of `targets`, which may
+     * include boundaryNode(): dist[i] receives the path weight to
+     * targets[i] (infinity when unreachable) and obs[i] the XOR of
+     * observable masks along the path (see ShortestPathRows::get).
+     * Thread-safe and never blocks; a call that finds row a
+     * unpublished fills it, and the call whose copy is published bumps
+     * `matching.rows_filled`.
      */
-    Row row(uint32_t a) const;
+    void paths(uint32_t a, std::span<const uint32_t> targets,
+               std::span<float> dist, std::span<uint8_t> obs) const;
 
-    /** Shortest-path weight between two detectors (row a). */
-    double distance(uint32_t a, uint32_t b) const { return row(a).dist[b]; }
+    /** Shortest-path weight between two nodes (row a). */
+    double distance(uint32_t a, uint32_t b) const
+    {
+        float d = 0.0f;
+        uint8_t o = 0;
+        paths(a, std::span<const uint32_t>(&b, 1), std::span<float>(&d, 1),
+              std::span<uint8_t>(&o, 1));
+        return d;
+    }
 
     /** XOR of observable masks along the shortest a-b path (row a). */
     uint32_t pathObservables(uint32_t a, uint32_t b) const
     {
-        return row(a).obs[b];
+        float d = 0.0f;
+        uint8_t o = 0;
+        paths(a, std::span<const uint32_t>(&b, 1), std::span<float>(&d, 1),
+              std::span<uint8_t>(&o, 1));
+        return o;
     }
 
     /** Shortest-path weight from a detector to the boundary. */
@@ -87,9 +103,6 @@ class MatchingGraph
 
   private:
     explicit MatchingGraph(DecodingGraph graph);
-
-    void fillRow(uint32_t src, std::span<float> dist,
-                 std::span<uint8_t> pathObs) const;
 
     DecodingGraph graph_;
     ShortestPathRows<float, uint8_t> rows_;

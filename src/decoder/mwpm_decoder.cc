@@ -59,14 +59,25 @@ MwpmDecoder::decodeExact(std::span<const uint32_t> events) const
     std::array<uint32_t, kMax * kMax> pairObs{};
     std::array<double, kMax> bndW{};
     std::array<uint32_t, kMax> bndObs{};
-    // Events ascend, so each pair reads the smaller event's row.
+    // Events ascend, so each pair reads the smaller event's row, at the
+    // later events and then the boundary.
+    std::array<uint32_t, kMax> targets{};
+    std::array<float, kMax> dist{};
+    std::array<uint8_t, kMax> pathObs{};
     for (size_t i = 0; i < k; ++i) {
-        const MatchingGraph::Row row = graph_.row(events[i]);
-        bndW[i] = row.dist[boundary];
-        bndObs[i] = row.obs[boundary];
+        const size_t later = k - i - 1;
+        std::copy(events.begin() + static_cast<std::ptrdiff_t>(i + 1),
+                  events.end(), targets.begin());
+        targets[later] = boundary;
+        graph_.paths(events[i],
+                     std::span<const uint32_t>(targets.data(), later + 1),
+                     std::span<float>(dist.data(), later + 1),
+                     std::span<uint8_t>(pathObs.data(), later + 1));
+        bndW[i] = dist[later];
+        bndObs[i] = pathObs[later];
         for (size_t j = i + 1; j < k; ++j) {
-            pairW[i * k + j] = pairW[j * k + i] = row.dist[events[j]];
-            pairObs[i * k + j] = pairObs[j * k + i] = row.obs[events[j]];
+            pairW[i * k + j] = pairW[j * k + i] = dist[j - i - 1];
+            pairObs[i * k + j] = pairObs[j * k + i] = pathObs[j - i - 1];
         }
     }
     const ExactMatching match = matchDefectsExact(
@@ -100,19 +111,36 @@ GreedyDecoder::decodeShot(std::span<const uint32_t> events,
         uint32_t i;
         uint32_t j; // j == i means boundary
     };
-    static thread_local std::vector<MatchingGraph::Row> rows;
+    // Event i's row at the later events and then the boundary: m - i
+    // entries from offset[i], the ones the candidates below read.
+    static thread_local std::vector<uint32_t> targets;
+    static thread_local std::vector<size_t> offset;
+    static thread_local std::vector<float> dist;
+    static thread_local std::vector<uint8_t> pathObs;
     static thread_local std::vector<Cand> cands;
-    rows.clear();
-    for (uint32_t e : events)
-        rows.push_back(graph_.row(e));
+    offset.resize(m + 1);
+    offset[0] = 0;
+    for (size_t i = 0; i < m; ++i)
+        offset[i + 1] = offset[i] + (m - i);
+    dist.resize(offset[m]);
+    pathObs.resize(offset[m]);
+    for (size_t i = 0; i < m; ++i) {
+        targets.assign(events.begin() + static_cast<std::ptrdiff_t>(i + 1),
+                       events.end());
+        targets.push_back(boundary);
+        graph_.paths(events[i], targets,
+                     std::span<float>(dist).subspan(offset[i], m - i),
+                     std::span<uint8_t>(pathObs).subspan(offset[i], m - i));
+    }
+    auto at = [](uint32_t i, uint32_t j) { return offset[i] + (j - i - 1); };
     cands.clear();
     for (uint32_t i = 0; i < m; ++i) {
         for (uint32_t j = i + 1; j < m; ++j) {
-            double w = rows[i].dist[events[j]];
+            double w = dist[at(i, j)];
             if (std::isfinite(w))
                 cands.push_back(Cand{w, i, j});
         }
-        double wb = rows[i].dist[boundary];
+        double wb = dist[offset[i + 1] - 1];
         if (std::isfinite(wb))
             cands.push_back(Cand{wb, i, i});
     }
@@ -127,10 +155,10 @@ GreedyDecoder::decodeShot(std::span<const uint32_t> events,
             continue;
         used[c.i] = 1;
         if (c.j == c.i) {
-            obs ^= rows[c.i].obs[boundary];
+            obs ^= pathObs[offset[c.i + 1] - 1];
         } else {
             used[c.j] = 1;
-            obs ^= rows[c.i].obs[events[c.j]];
+            obs ^= pathObs[at(c.i, c.j)];
         }
     }
     return obs;

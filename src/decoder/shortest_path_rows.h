@@ -1,100 +1,289 @@
 #ifndef VLQ_DECODER_SHORTEST_PATH_ROWS_H
 #define VLQ_DECODER_SHORTEST_PATH_ROWS_H
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
+#include <vector>
+
+#include "decoder/decoding_graph.h"
+#include "obs/obs.h"
 
 namespace vlq {
 
 /**
- * A decoder's single-source shortest-path rows, each published once, on
- * first use, and shared by every thread decoding through the decoder.
+ * A decoder's single-source shortest-path rows, shared by every thread
+ * decoding through the decoder. Each row settles only as far from its
+ * source as its readers reach.
  *
- * Row `src` holds, for every node t, the shortest-path weight from src
- * to t and the XOR of observable masks along that path. get() returns
- * the row, filling it first if no thread has published it: the caller
- * fills a copy of its own and publishes it with one compare-and-swap
- * (release ordering), and every reader acquire-loads the row pointer
- * before touching the row. No thread ever waits for another. When
- * threads race for the same row, each fills a copy, the first swap
- * wins, and the others drop theirs and read the winner's. Rows are
- * allocated only when filled, so a decoder pays memory only for the
- * sources its syndromes touch.
+ * Row `src` holds, for the nodes its search settled, the shortest-path
+ * weight from src and the XOR of observable masks along that path. A
+ * row's extent is the set of nodes settled: whole buckets of
+ * DecodingGraph::settle(), so every entry equals the complete search's
+ * entry bit for bit (a node is final once its bucket is settled), and
+ * extents of one source nest. get(src, targets) reads the row at every
+ * target. When the published row misses one, the caller resumes the
+ * row's search where it stopped, until the targets and at least twice
+ * the published row's nodes are settled (or, past half the graph,
+ * every node). So each node of a row is settled once, however far its
+ * readers reach, and a row is published O(log n) times. A partial row
+ * stores its settled entries in node order plus the search's frontier,
+ * so memory follows what readers touch; a complete row is a plain
+ * array indexed by node.
  *
- * A row is a pure function of the graph and src, so every copy is the
- * same and nothing read through the table depends on which thread
- * filled which row (docs/ARCHITECTURE.md invariant 9).
+ * Publication never makes a thread wait. The caller builds a copy of
+ * its own and publishes it with one compare-and-swap (release
+ * ordering) over the copy it saw; readers acquire-load the row pointer
+ * before touching the row. When threads race, the first swap wins; a
+ * loser whose copy settled no more than the winner's drops its copy
+ * and reads the winner's, and otherwise swaps again. So a published
+ * extent only grows. A replaced copy stays alive, linked from its
+ * successor, until the table dies: a reader may still be reading it.
+ *
+ * The entries a reader sees depend only on the graph, src and the node
+ * read, never on the order of requests or which thread filled which
+ * copy; only the extent does (docs/ARCHITECTURE.md invariant 9).
  */
 template <typename Dist, typename Obs>
 class ShortestPathRows
 {
   public:
-    /** Read-only view of one published row; valid while the table lives. */
-    struct Row
-    {
-        const Dist* dist = nullptr;
-        const Obs* obs = nullptr;
-    };
-
-    /** `numRows` unpublished rows of `rowLength` entries each. */
-    ShortestPathRows(uint32_t numRows, uint32_t rowLength)
-        : rowLength_(rowLength),
-          published_(std::make_unique<std::atomic<const Data*>[]>(numRows)),
-          owned_(std::make_unique<std::unique_ptr<Data>[]>(numRows))
+    /** `numRows` unpublished rows. */
+    explicit ShortestPathRows(uint32_t numRows)
+        : numRows_(numRows),
+          published_(std::make_unique<std::atomic<const Data*>[]>(numRows))
     {
     }
 
+    ShortestPathRows(ShortestPathRows&&) = default;
+    ShortestPathRows& operator=(ShortestPathRows&&) = delete;
+
+    ~ShortestPathRows()
+    {
+        if (!published_)
+            return; // moved from
+        for (uint32_t i = 0; i < numRows_; ++i) {
+            const Data* d = published_[i].load(std::memory_order_relaxed);
+            while (d != nullptr) {
+                const Data* superseded = d->superseded;
+                delete d;
+                d = superseded;
+            }
+        }
+    }
+
     /**
-     * Row `src`. Until it is published, the caller fills a copy with
-     * `fill(src, std::span<Dist>, std::span<Obs>)`, which must write
-     * every entry, and publishes it unless another thread published
-     * first. `onPublish()` runs once per row, in the thread whose copy
-     * was published.
+     * Row `src` at every node of `targets`: dist[i] receives the
+     * path weight from src to targets[i] (infinity when unreachable)
+     * and obs[i] the XOR of observable masks along the path. Targets
+     * may come in any order; ascending ones are found fastest.
+     *
+     * When the published copy misses a target (or none is published),
+     * the caller runs `search(src, targets, minSettled, from)`, which
+     * must return the DecodingGraph::Settled of DecodingGraph::settle()
+     * from src with those arguments: `from` is the published copy's
+     * frontier, or null when there is none. The caller publishes a copy
+     * of the result unless another thread published one at least as
+     * large first. While obs metrics are enabled, `filled(ns, nodes)`
+     * runs after every search and copy, including copies that lose the
+     * race, with their wall time and the nodes the search settled.
+     * `published(extended)` runs once per published copy, in the
+     * thread whose copy it is; `extended` tells whether the copy
+     * replaced a narrower one.
      */
-    template <typename Fill, typename OnPublish>
-    Row get(uint32_t src, const Fill& fill, const OnPublish& onPublish) const
+    template <typename Search, typename Filled, typename Published>
+    void get(uint32_t src, std::span<const uint32_t> targets,
+             std::span<Dist> dist, std::span<Obs> obs, const Search& search,
+             const Filled& filled, const Published& published) const
     {
         const Data* row = published_[src].load(std::memory_order_acquire);
-        if (row == nullptr) [[unlikely]]
-            row = publish(src, fill, onPublish);
-        return Row{row->dist.get(), row->obs.get()};
+        if (row == nullptr || !row->read(targets, dist, obs)) [[unlikely]] {
+            row = extend(src, row, targets, search, filled, published);
+            row->read(targets, dist, obs);
+        }
+    }
+
+    /** Nodes the published copy of row `src` settled (0: none yet). */
+    uint32_t settled(uint32_t src) const
+    {
+        const Data* row = published_[src].load(std::memory_order_acquire);
+        return row == nullptr ? 0 : row->settled;
+    }
+
+    /** Row `src` is published with every reachable node settled. */
+    bool complete(uint32_t src) const
+    {
+        const Data* row = published_[src].load(std::memory_order_acquire);
+        return row != nullptr && row->complete;
     }
 
   private:
     struct Data
     {
-        explicit Data(uint32_t n)
-            : dist(std::make_unique<Dist[]>(n)),
-              obs(std::make_unique<Obs[]>(n))
+        // Settled entries: ascending by node while the row is partial,
+        // indexed by node (infinite and 0 where unreachable) once it is
+        // complete, so a complete row reads like a plain array.
+        std::vector<uint32_t> nodes;
+        std::vector<Dist> dist;
+        std::vector<Obs> obs;
+        uint32_t settled = 0;
+        bool complete = false;
+        // Where the search stopped, for the next extension: the
+        // buckets settled and the frontier with its exact tentative
+        // entries, which no reader sees. Empty once complete.
+        uint64_t buckets = 0;
+        std::vector<uint32_t> frontier;
+        std::vector<double> frontierDist;
+        std::vector<uint32_t> frontierObs;
+        const Data* superseded = nullptr; // the copy this one replaced
+
+        /** The entries at `targets`; false when one is unsettled. */
+        bool read(std::span<const uint32_t> targets, std::span<Dist> d,
+                  std::span<Obs> o) const
         {
+            if (complete) {
+                for (size_t i = 0; i < targets.size(); ++i) {
+                    d[i] = dist[targets[i]];
+                    o[i] = obs[targets[i]];
+                }
+                return true;
+            }
+            size_t from = 0;
+            uint32_t prev = 0;
+            for (size_t i = 0; i < targets.size(); ++i) {
+                const uint32_t t = targets[i];
+                if (t < prev)
+                    from = 0;
+                prev = t;
+                const auto it = std::lower_bound(
+                    nodes.begin() + static_cast<std::ptrdiff_t>(from),
+                    nodes.end(), t);
+                if (it == nodes.end() || *it != t)
+                    return false;
+                from = static_cast<size_t>(it - nodes.begin());
+                d[i] = dist[from];
+                o[i] = obs[from];
+            }
+            return true;
         }
-        std::unique_ptr<Dist[]> dist;
-        std::unique_ptr<Obs[]> obs;
     };
 
-    template <typename Fill, typename OnPublish>
-    const Data* publish(uint32_t src, const Fill& fill,
-                        const OnPublish& onPublish) const
+    /** `seen`'s entries merged with the search's, and its frontier. */
+    std::unique_ptr<Data> merge(const Data* seen,
+                                const DecodingGraph::Settled& s) const
     {
-        auto mine = std::make_unique<Data>(rowLength_);
-        fill(src, std::span<Dist>(mine->dist.get(), rowLength_),
-             std::span<Obs>(mine->obs.get(), rowLength_));
-        const Data* winner = nullptr;
-        if (!published_[src].compare_exchange_strong(
-                winner, mine.get(), std::memory_order_acq_rel,
-                std::memory_order_acquire))
-            return winner; // lost the race; `mine` is dropped
-        onPublish();
-        // Only the thread whose swap succeeded writes this slot.
-        owned_[src] = std::move(mine);
-        return owned_[src].get();
+        auto d = std::make_unique<Data>();
+        const size_t old = seen != nullptr ? seen->nodes.size() : 0;
+        d->settled = static_cast<uint32_t>(old + s.nodes.size());
+        d->complete = s.complete;
+        if (s.complete) {
+            d->dist.assign(numRows_, std::numeric_limits<Dist>::infinity());
+            d->obs.assign(numRows_, Obs{0});
+            for (size_t i = 0; i < old; ++i) {
+                d->dist[seen->nodes[i]] = seen->dist[i];
+                d->obs[seen->nodes[i]] = seen->obs[i];
+            }
+            for (const uint32_t t : s.nodes) {
+                d->dist[t] = static_cast<Dist>(s.dist[t]);
+                d->obs[t] = static_cast<Obs>(s.obs[t]);
+            }
+            return d;
+        }
+
+        // The search's nodes reach node order through a bitmap, which
+        // the walk below clears again.
+        thread_local std::vector<uint64_t> fresh;
+        uint32_t lo = std::numeric_limits<uint32_t>::max();
+        uint32_t hi = 0;
+        for (const uint32_t t : s.nodes) {
+            if (fresh.size() <= (t >> 6))
+                fresh.resize((t >> 6) + 1, 0);
+            fresh[t >> 6] |= uint64_t{1} << (t & 63);
+            lo = std::min(lo, t);
+            hi = std::max(hi, t);
+        }
+        d->nodes.resize(d->settled);
+        d->dist.resize(d->settled);
+        d->obs.resize(d->settled);
+        size_t i = 0;
+        size_t out = 0;
+        auto takeOld = [&](uint32_t below) {
+            for (; i < old && seen->nodes[i] < below; ++i, ++out) {
+                d->nodes[out] = seen->nodes[i];
+                d->dist[out] = seen->dist[i];
+                d->obs[out] = seen->obs[i];
+            }
+        };
+        for (uint32_t w = lo >> 6; !s.nodes.empty() && w <= (hi >> 6); ++w) {
+            for (uint64_t word = fresh[w]; word != 0; word &= word - 1) {
+                const uint32_t t =
+                    (w << 6) + static_cast<uint32_t>(std::countr_zero(word));
+                takeOld(t);
+                d->nodes[out] = t;
+                d->dist[out] = static_cast<Dist>(s.dist[t]);
+                d->obs[out] = static_cast<Obs>(s.obs[t]);
+                ++out;
+            }
+            fresh[w] = 0;
+        }
+        takeOld(std::numeric_limits<uint32_t>::max());
+        d->buckets = s.buckets;
+        d->frontier.assign(s.frontier.begin(), s.frontier.end());
+        d->frontierDist.resize(s.frontier.size());
+        d->frontierObs.resize(s.frontier.size());
+        for (size_t f = 0; f < s.frontier.size(); ++f) {
+            d->frontierDist[f] = s.dist[s.frontier[f]];
+            d->frontierObs[f] = s.obs[s.frontier[f]];
+        }
+        return d;
     }
 
-    uint32_t rowLength_ = 0;
+    template <typename Search, typename Filled, typename Published>
+    const Data* extend(uint32_t src, const Data* seen,
+                       std::span<const uint32_t> targets,
+                       const Search& search, const Filled& filled,
+                       const Published& published) const
+    {
+        const bool timed = obs::metricsEnabled();
+        const uint64_t start = timed ? obs::traceNowNs() : 0;
+        uint32_t minSettled = 0;
+        DecodingGraph::Frontier from;
+        if (seen != nullptr) {
+            minSettled = static_cast<uint32_t>(std::min<uint64_t>(
+                2ull * seen->settled, std::numeric_limits<uint32_t>::max()));
+            from = DecodingGraph::Frontier{seen->buckets, seen->nodes,
+                                           seen->frontier,
+                                           seen->frontierDist,
+                                           seen->frontierObs};
+        }
+        const DecodingGraph::Settled s = search(
+            src, targets, minSettled, seen != nullptr ? &from : nullptr);
+        std::unique_ptr<Data> mine = merge(seen, s);
+        if (timed)
+            filled(obs::traceNowNs() - start,
+                   static_cast<uint32_t>(s.nodes.size()));
+        for (;;) {
+            mine->superseded = seen;
+            if (published_[src].compare_exchange_strong(
+                    seen, mine.get(), std::memory_order_acq_rel,
+                    std::memory_order_acquire)) {
+                published(mine->superseded != nullptr);
+                return mine.release(); // owned through the row's chain
+            }
+            // Another thread published `seen` first. Extents of one
+            // source nest, so a copy that settled at least as many
+            // nodes covers every target `mine` covers.
+            if (seen->settled >= mine->settled)
+                return seen; // `mine` is dropped
+        }
+    }
+
+    uint32_t numRows_ = 0;
     std::unique_ptr<std::atomic<const Data*>[]> published_;
-    std::unique_ptr<std::unique_ptr<Data>[]> owned_;
 };
 
 } // namespace vlq

@@ -199,7 +199,7 @@ UnionFindDecoder::UnionFindDecoder(DecodingGraph graph,
     : graph_(std::move(graph)),
       exactSyndromeThreshold_(
           std::min<uint32_t>(options.exactSyndromeThreshold, 16)),
-      pairRows_(graph_.numNodes(), graph_.numNodes())
+      pairRows_(graph_.numNodes())
 {
     static std::atomic<uint64_t> nextEpoch{1};
     scratchEpoch_ = nextEpoch.fetch_add(1, std::memory_order_relaxed);
@@ -223,29 +223,33 @@ UnionFindDecoder::UnionFindDecoder(DecodingGraph graph,
                          boundaryDist_, boundaryObs_);
 }
 
-UnionFindDecoder::Rows::Row
-UnionFindDecoder::pairRow(uint32_t src) const
+void
+UnionFindDecoder::pairPaths(uint32_t src, std::span<const uint32_t> targets,
+                            std::span<double> dist,
+                            std::span<uint32_t> pathObs) const
 {
-    return pairRows_.get(
-        src,
-        [this](uint32_t s, std::span<double> dist,
-               std::span<uint32_t> pathObs) {
-            // Every fill is timed, including copies that lose the
-            // publish race.
-            const bool timed = obs::metricsEnabled();
-            const uint64_t start = timed ? obs::traceNowNs() : 0;
-            graph_.shortestPaths(s, /*viaBoundary=*/false, dist, pathObs);
-            if (timed) {
-                static const obs::Histogram fillNs =
-                    obs::Histogram::get("uf.row_fill");
-                fillNs.record(obs::traceNowNs() - start);
-            }
+    pairRows_.get(
+        src, targets, dist, pathObs,
+        [this](uint32_t s, std::span<const uint32_t> t, uint32_t minSettled,
+               const DecodingGraph::Frontier* from) {
+            return graph_.settle(s, /*viaBoundary=*/false, t, minSettled,
+                                 from);
         },
-        [] {
+        [](uint64_t ns, uint32_t nodes) {
+            static const obs::Histogram fillNs =
+                obs::Histogram::get("uf.row_fill");
+            static const obs::Counter settled =
+                obs::Counter::get("uf.row_nodes");
+            fillNs.record(ns);
+            settled.add(nodes);
+        },
+        [](bool extended) {
             if (obs::metricsEnabled()) {
                 static const obs::Counter filled =
                     obs::Counter::get("uf.rows_filled");
-                filled.add(1);
+                static const obs::Counter grown =
+                    obs::Counter::get("uf.rows_extended");
+                (extended ? grown : filled).add(1);
             }
         });
 }
@@ -386,8 +390,9 @@ UnionFindDecoder::decodeEvents(std::span<const uint32_t> events,
      * never route through the boundary node -- boundary pairing is a
      * separate option, exactly as in MWPM's formulation. Defects
      * ascend (events are extracted in index order and clusters collect
-     * them in that order), so each pair reads the smaller defect's row
-     * and the answer cannot depend on which thread filled which row.
+     * them in that order), so each pair reads the smaller defect's
+     * row, which settles as far as the later defects, and the answer
+     * cannot depend on which thread filled which row.
      */
     auto matchExact = [&](std::span<const uint32_t> defects) {
         const size_t k = defects.size();
@@ -402,9 +407,10 @@ UnionFindDecoder::decodeEvents(std::span<const uint32_t> events,
         // Defect pair: one compare, no arrays. Ties prefer the
         // boundary, matching the branch-and-bound's order.
         if (k == 2) {
-            const Rows::Row row = pairRow(defects[0]);
-            const double w = row.dist[defects[1]];
-            const uint32_t o = row.obs[defects[1]];
+            double w = kInf;
+            uint32_t o = 0;
+            pairPaths(defects[0], defects.subspan(1),
+                      std::span<double>(&w, 1), std::span<uint32_t>(&o, 1));
             double b = boundaryDist_[defects[0]] + boundaryDist_[defects[1]];
             if (w < b) {
                 obs ^= o;
@@ -427,11 +433,14 @@ UnionFindDecoder::decodeEvents(std::span<const uint32_t> events,
             bndObs[i] = boundaryObs_[defects[i]];
         }
         for (size_t i = 0; i + 1 < k; ++i) {
-            const Rows::Row row = pairRow(defects[i]);
+            // Row i of the tables, right of the diagonal, then mirrored.
+            const size_t row = i * k + i + 1;
+            pairPaths(defects[i], defects.subspan(i + 1),
+                      std::span<double>(pairW).subspan(row, k - i - 1),
+                      std::span<uint32_t>(pairObs).subspan(row, k - i - 1));
             for (size_t j = i + 1; j < k; ++j) {
-                pairW[i * k + j] = pairW[j * k + i] = row.dist[defects[j]];
-                pairObs[i * k + j] = pairObs[j * k + i] =
-                    row.obs[defects[j]];
+                pairW[j * k + i] = pairW[i * k + j];
+                pairObs[j * k + i] = pairObs[i * k + j];
             }
         }
 

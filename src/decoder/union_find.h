@@ -55,16 +55,20 @@ struct UnionFindOptions
  * distances: the defect-to-boundary option comes from a table built by
  * one DecodingGraph::shortestPaths search from the boundary at
  * construction, and defect-pair distances from the decoder's
- * shortest-path rows (ShortestPathRows), each filled by one
- * boundary-excluded search (timed by the `uf.row_fill` histogram) when
- * a thread first needs it, published without blocking, and shared by
- * every thread after that. Every pair is read from the smaller
- * defect's row, so no answer depends on which thread filled which row.
- * Large clusters fall back to the classic linear peel of a spanning
- * forest of their grown edges. The XOR of observable masks along the
- * chosen paths is the correction. No global blossom search: the fast
- * backend for large-distance Monte-Carlo scans, agreeing with MWPM on
- * small syndromes up to genuine weight degeneracy.
+ * shortest-path rows (ShortestPathRows), each settled by a
+ * boundary-excluded search (timed by the `uf.row_fill` histogram) only
+ * as far as the defects a thread reads it at, published without
+ * blocking, and shared by every thread after that. Every pair is read
+ * from the smaller defect's row, so no answer depends on which thread
+ * filled which row or how far. Large clusters fall back to the classic
+ * linear peel of a spanning forest of their grown edges. The XOR of
+ * observable masks along the chosen paths is the correction. It agrees
+ * with MWPM on small syndromes up to genuine weight degeneracy, but it
+ * is neither the faster nor the more accurate backend at large
+ * distance: at d=13, p=3e-3 every shot takes the growth path, at about
+ * twice the sparse matcher's cost per shot (93 vs 48 us in a
+ * metrics-on run of pipebench's large-d workload on a 4-vCPU Xeon),
+ * and it fails about ten times as often.
  *
  * Syndromes below UnionFindOptions::exactSyndromeThreshold events
  * short-circuit growth altogether (see the option's doc): the scratch
@@ -160,11 +164,15 @@ class UnionFindDecoder : public Decoder
     using Rows = ShortestPathRows<double, uint32_t>;
 
     /**
-     * Defect-pair shortest paths from src, filled on first use by a
-     * search that never routes through the boundary node (boundary
-     * pairing is the matching's separate option).
+     * Defect-pair shortest paths from src to every node of `targets`
+     * (see ShortestPathRows::get), from a row settled by a search that
+     * never routes through the boundary node (boundary pairing is the
+     * matching's separate option): first when a thread asks for the
+     * row, and further when a target lies outside its extent.
      */
-    Rows::Row pairRow(uint32_t src) const;
+    void pairPaths(uint32_t src, std::span<const uint32_t> targets,
+                   std::span<double> dist,
+                   std::span<uint32_t> pathObs) const;
 
     DecodingGraph graph_;
     /** Edge indices seeded by each heralded-erasure site. */

@@ -15,12 +15,6 @@ splitmix64(uint64_t& x)
     return z ^ (z >> 31);
 }
 
-uint64_t
-rotl(uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(uint64_t seed)
@@ -29,27 +23,6 @@ Rng::Rng(uint64_t seed)
     uint64_t s = seed;
     for (auto& w : state_)
         w = splitmix64(s);
-}
-
-uint64_t
-Rng::nextU64()
-{
-    const uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-    return result;
-}
-
-double
-Rng::nextDouble()
-{
-    // 53 random mantissa bits -> uniform in [0, 1).
-    return static_cast<double>(nextU64() >> 11) * 0x1.0p-53;
 }
 
 uint64_t

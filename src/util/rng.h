@@ -12,7 +12,8 @@ namespace vlq {
  * xoshiro256** passes BigCrush and is far faster than std::mt19937_64.
  * Seeding uses splitmix64 so that nearby integer seeds give uncorrelated
  * streams, which lets trial workers derive independent generators from
- * (seed, trialIndex).
+ * (seed, trialIndex). The per-draw methods are defined here, inline:
+ * the sampler calls them once per draw.
  */
 class Rng
 {
@@ -21,10 +22,25 @@ class Rng
     explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
     /** Next raw 64-bit value. */
-    uint64_t nextU64();
+    uint64_t nextU64()
+    {
+        const uint64_t result = rotl(state_[1] * 5, 7) * 9;
+        const uint64_t t = state_[1] << 17;
+        state_[2] ^= state_[0];
+        state_[3] ^= state_[1];
+        state_[1] ^= state_[2];
+        state_[0] ^= state_[3];
+        state_[2] ^= t;
+        state_[3] = rotl(state_[3], 45);
+        return result;
+    }
 
     /** Uniform double in [0, 1). */
-    double nextDouble();
+    double nextDouble()
+    {
+        // 53 random mantissa bits -> uniform in [0, 1).
+        return static_cast<double>(nextU64() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform integer in [0, bound). bound must be > 0. */
     uint64_t nextBelow(uint64_t bound);
@@ -39,6 +55,11 @@ class Rng
     Rng split(uint64_t streamIndex) const;
 
   private:
+    static uint64_t rotl(uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     uint64_t state_[4];
     uint64_t seed_;
 };

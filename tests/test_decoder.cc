@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <numeric>
 #include <vector>
 
 #include "blossom_oracle.h"
@@ -296,12 +297,10 @@ TEST(MatchingGraphDeathTest, RejectsObservablesAboveBitSeven)
 void
 expectPairsNoDearerThanBoundary(const MatchingGraph& g)
 {
-    const uint32_t boundary = g.boundaryNode();
     for (uint32_t a = 0; a < g.numNodes(); ++a) {
-        const MatchingGraph::Row row = g.row(a);
         for (uint32_t b = 0; b < g.numNodes(); ++b)
-            EXPECT_LE(row.dist[b], row.dist[boundary]
-                                       + g.boundaryDistance(b) + 1e-4)
+            EXPECT_LE(g.distance(a, b), g.boundaryDistance(a)
+                                            + g.boundaryDistance(b) + 1e-4)
                 << a << "-" << b;
     }
 }
@@ -335,16 +334,20 @@ TEST(MatchingGraphTest, BuildFillsNoRowAndRowsMatchPointApi)
             configFor(3, 2e-3, ExtractionSchedule::AllAtOnce))
             .circuit);
     const MatchingGraph g = MatchingGraph::build(dem);
+    std::vector<uint32_t> everyNode(g.numNodes());
+    std::iota(everyNode.begin(), everyNode.end(), 0u);
     before = rowsFilled();
+    everyNode.push_back(g.boundaryNode());
+    std::vector<float> dist(everyNode.size());
+    std::vector<uint8_t> pathObs(everyNode.size());
     for (uint32_t a = 0; a < g.numNodes(); ++a) {
-        const MatchingGraph::Row row = g.row(a);
+        g.paths(a, everyNode, dist, pathObs);
         for (uint32_t b = 0; b < g.numNodes(); ++b) {
-            EXPECT_EQ(row.dist[b], g.distance(a, b)) << a << "-" << b;
-            EXPECT_EQ(row.obs[b], g.pathObservables(a, b)) << a << "-" << b;
+            EXPECT_EQ(dist[b], g.distance(a, b)) << a << "-" << b;
+            EXPECT_EQ(pathObs[b], g.pathObservables(a, b)) << a << "-" << b;
         }
-        EXPECT_EQ(row.dist[g.boundaryNode()], g.boundaryDistance(a)) << a;
-        EXPECT_EQ(row.obs[g.boundaryNode()], g.boundaryObservables(a))
-            << a;
+        EXPECT_EQ(dist.back(), g.boundaryDistance(a)) << a;
+        EXPECT_EQ(pathObs.back(), g.boundaryObservables(a)) << a;
     }
     expectPairsNoDearerThanBoundary(g);
     EXPECT_EQ(rowsFilled() - before, g.numNodes());

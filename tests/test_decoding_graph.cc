@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -14,6 +15,7 @@
 #include "core/generator_common.h"
 #include "core/generator_registry.h"
 #include "decoder/decoding_graph.h"
+#include "decoder/shortest_path_rows.h"
 #include "dem/detector_model.h"
 #include "mc/memory_experiment.h"
 #include "util/rng.h"
@@ -260,6 +262,221 @@ TEST(ShortestPaths, EdgelessGraphReachesOnlyTheSource)
                   t == 2 ? 0.0 : std::numeric_limits<double>::infinity());
         EXPECT_EQ(obs[t], 0u);
     }
+}
+
+/**
+ * Random request sequences through a row table over `g`, in both
+ * search modes: each request asks a source from a small pool (so rows
+ * are asked again) for one to four targets, each near the source (among
+ * its 16 nearest nodes) or anywhere, the boundary included, ascending or
+ * not. Every entry read must equal the reference bit for bit, and a
+ * row's published extent may only grow. Returns the wider copies
+ * published, so callers can check that extension ran.
+ */
+uint64_t
+expectRowTableMatchesReference(const DecodingGraph& g,
+                               const std::string& label, uint64_t seed)
+{
+    constexpr uint32_t kRequests = 200;
+    const uint32_t n = g.numNodes();
+    Rng rng(seed);
+    uint64_t extensions = 0;
+    for (const bool viaBoundary : {true, false}) {
+        ShortestPathRows<double, uint32_t> rows(n);
+        std::vector<uint32_t> sources(std::min<uint32_t>(n, 12));
+        for (uint32_t& src : sources)
+            src = static_cast<uint32_t>(rng.nextBelow(n));
+        std::vector<std::vector<double>> refDist(n);
+        std::vector<std::vector<uint32_t>> refObs(n);
+        std::vector<std::vector<uint32_t>> nearest(n);
+        std::vector<uint32_t> lastSettled(n, 0);
+        std::vector<uint32_t> targets;
+        std::vector<double> dist;
+        std::vector<uint32_t> obs;
+        uint64_t mismatches = 0;
+        uint64_t shrinks = 0;
+        std::string first;
+        auto search = [&](uint32_t src, std::span<const uint32_t> t,
+                          uint32_t minSettled,
+                          const DecodingGraph::Frontier* from) {
+            return g.settle(src, viaBoundary, t, minSettled, from);
+        };
+        for (uint32_t r = 0; r < kRequests; ++r) {
+            const uint32_t src = sources[rng.nextBelow(sources.size())];
+            if (refDist[src].empty()) {
+                referenceShortestPaths(g, src, viaBoundary, refDist[src],
+                                       refObs[src]);
+                std::vector<uint32_t>& order = nearest[src];
+                order.resize(n);
+                for (uint32_t t = 0; t < n; ++t)
+                    order[t] = t;
+                std::stable_sort(order.begin(), order.end(),
+                                 [&](uint32_t a, uint32_t b) {
+                                     return refDist[src][a]
+                                         < refDist[src][b];
+                                 });
+                order.resize(std::min<uint32_t>(n, 16));
+            }
+            targets.resize(1 + rng.nextBelow(4));
+            for (uint32_t& t : targets)
+                t = rng.nextBelow(2) == 0
+                    ? nearest[src][rng.nextBelow(nearest[src].size())]
+                    : static_cast<uint32_t>(rng.nextBelow(n));
+            if (rng.nextBelow(2) == 0)
+                std::sort(targets.begin(), targets.end());
+            dist.assign(targets.size(), -1.0);
+            obs.assign(targets.size(), ~0u);
+            rows.get(src, targets, std::span<double>(dist),
+                     std::span<uint32_t>(obs), search,
+                     [](uint64_t, uint32_t) {},
+                     [&](bool extended) { extensions += extended; });
+            for (size_t i = 0; i < targets.size(); ++i) {
+                const uint32_t t = targets[i];
+                const bool differs = std::bit_cast<uint64_t>(dist[i])
+                        != std::bit_cast<uint64_t>(refDist[src][t])
+                    || obs[i] != refObs[src][t];
+                mismatches += differs;
+                if (differs && first.empty())
+                    first = "src " + std::to_string(src) + " -> "
+                        + std::to_string(t)
+                        + (viaBoundary ? "" : " (no boundary paths)");
+            }
+            shrinks += rows.settled(src) < lastSettled[src];
+            lastSettled[src] = rows.settled(src);
+        }
+        EXPECT_EQ(mismatches, 0u) << label << ", first at " << first;
+        EXPECT_EQ(shrinks, 0u) << label;
+    }
+    return extensions;
+}
+
+TEST(RowTable, RandomRequestsMatchReferenceOnEveryEmbeddingAndBasis)
+{
+    uint64_t seed = 1;
+    for (const GeneratorBackend& backend : generatorRegistry()) {
+        std::vector<ExtractionSchedule> schedules = {
+            ExtractionSchedule::AllAtOnce};
+        if (backend.virtualized)
+            schedules.push_back(ExtractionSchedule::Interleaved);
+        for (const ExtractionSchedule schedule : schedules)
+            for (const int d : {3, 5})
+                for (const CheckBasis basis :
+                     {CheckBasis::Z, CheckBasis::X}) {
+                    const GeneratorConfig cfg =
+                        pointConfig(d, 3e-3, schedule, basis);
+                    expectRowTableMatchesReference(
+                        graphFor(backend.kind, cfg),
+                        pointLabel(backend.kind, cfg, 3e-3), seed++);
+                }
+    }
+}
+
+TEST(RowTable, RandomRequestsMatchReferenceAtDistancesSevenAndThirteen)
+{
+    const std::vector<EvaluationSetup> setups = paperSetups();
+    uint64_t seed = 100;
+    for (const EvaluationSetup& setup : {setups[0], setups[4]}) {
+        for (const CheckBasis basis : {CheckBasis::Z, CheckBasis::X}) {
+            const GeneratorConfig cfg =
+                pointConfig(7, 3e-3, setup.schedule, basis);
+            expectRowTableMatchesReference(
+                graphFor(setup.embedding, cfg),
+                pointLabel(setup.embedding, cfg, 3e-3), seed++);
+        }
+    }
+    // Rows of a d=13 graph stay far from complete, so near and far
+    // requests extend them.
+    const GeneratorConfig large = pointConfig(
+        13, 3e-3, ExtractionSchedule::AllAtOnce, CheckBasis::Z);
+    EXPECT_GT(expectRowTableMatchesReference(
+                  graphFor(EmbeddingKind::Baseline2D, large),
+                  pointLabel(EmbeddingKind::Baseline2D, large, 3e-3),
+                  seed),
+              0u)
+        << "no row was extended";
+}
+
+TEST(RowTable, RandomRequestsMatchReferenceOnHeapPathAndHandBuiltGraphs)
+{
+    const GeneratorConfig cfg = pointConfig(
+        5, 0.5, ExtractionSchedule::AllAtOnce, CheckBasis::Z);
+    expectRowTableMatchesReference(
+        graphFor(EmbeddingKind::Baseline2D, cfg),
+        pointLabel(EmbeddingKind::Baseline2D, cfg, 0.5) + " (heap path)",
+        200);
+    EXPECT_GT(expectRowTableMatchesReference(uniformLattice(1e-2, 1e-2, 7),
+                                             "uniform lattice", 201),
+              0u)
+        << "no row was extended";
+    expectRowTableMatchesReference(uniformLattice(1e-2, 1e-4, 8),
+                                   "uniform lattice, heavier time-like "
+                                   "edges",
+                                   202);
+    DecodingGraph edgeless(4);
+    edgeless.finalize();
+    expectRowTableMatchesReference(edgeless, "edgeless graph", 203);
+}
+
+/**
+ * A search stopped early settles whole buckets: every settled entry
+ * matches the complete search, the targets are among them, and
+ * resuming from where it stopped settles each remaining node once and
+ * ends with exactly the complete search's nodes.
+ */
+TEST(RowTable, StoppedSearchResumesToTheCompleteRow)
+{
+    const GeneratorConfig cfg = pointConfig(
+        13, 3e-3, ExtractionSchedule::AllAtOnce, CheckBasis::Z);
+    const DecodingGraph g = graphFor(EmbeddingKind::Baseline2D, cfg);
+    const uint32_t n = g.numNodes();
+    const uint32_t src = n / 2;
+    std::vector<double> refDist;
+    std::vector<uint32_t> refObs;
+    referenceShortestPaths(g, src, /*viaBoundary=*/true, refDist, refObs);
+
+    const uint32_t target = src + 1;
+    const DecodingGraph::Settled first =
+        g.settle(src, /*viaBoundary=*/true,
+                 std::span<const uint32_t>(&target, 1), 0);
+    ASSERT_FALSE(first.complete);
+    EXPECT_LT(2 * first.nodes.size(), n);
+    std::vector<uint32_t> settled(first.nodes.begin(), first.nodes.end());
+    EXPECT_NE(std::find(settled.begin(), settled.end(), target),
+              settled.end());
+    for (const uint32_t t : settled) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(first.dist[t]),
+                  std::bit_cast<uint64_t>(refDist[t]))
+            << t;
+        EXPECT_EQ(first.obs[t], refObs[t]) << t;
+    }
+    // Copy the stop point out of the search scratch before resuming.
+    std::vector<uint32_t> frontier(first.frontier.begin(),
+                                   first.frontier.end());
+    std::vector<double> frontierDist;
+    std::vector<uint32_t> frontierObs;
+    for (const uint32_t t : frontier) {
+        frontierDist.push_back(first.dist[t]);
+        frontierObs.push_back(first.obs[t]);
+    }
+    const DecodingGraph::Frontier from{first.buckets, settled, frontier,
+                                       frontierDist, frontierObs};
+    const DecodingGraph::Settled rest =
+        g.settle(src, /*viaBoundary=*/true, {},
+                 std::numeric_limits<uint32_t>::max(), &from);
+    EXPECT_TRUE(rest.complete);
+    for (const uint32_t t : rest.nodes) {
+        EXPECT_EQ(std::find(settled.begin(), settled.end(), t),
+                  settled.end())
+            << t << " settled twice";
+        EXPECT_EQ(std::bit_cast<uint64_t>(rest.dist[t]),
+                  std::bit_cast<uint64_t>(refDist[t]))
+            << t;
+        EXPECT_EQ(rest.obs[t], refObs[t]) << t;
+    }
+    uint32_t reachable = 0;
+    for (uint32_t t = 0; t < n; ++t)
+        reachable += std::isfinite(refDist[t]);
+    EXPECT_EQ(settled.size() + rest.nodes.size(), reachable);
 }
 
 } // namespace

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdlib>
+#include <iterator>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/generator_common.h"
 #include "core/generator_registry.h"
@@ -563,6 +568,180 @@ TEST(Generators, SampledNoiselessRunIsQuiet)
     BitVec det = FrameSimulator::detectorFlips(gen.circuit, flips);
     EXPECT_TRUE(det.none());
     EXPECT_EQ(FrameSimulator::observableFlips(gen.circuit, flips), 0u);
+}
+
+/** FNV-1a over 64-bit values: an order-sensitive fingerprint. */
+class CircuitFingerprint
+{
+  public:
+    void add(uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h_ ^= (v >> (8 * i)) & 0xff;
+            h_ *= 0x100000001b3ULL;
+        }
+    }
+    void addDouble(double v) { add(std::bit_cast<uint64_t>(v)); }
+    void addFloat(float v) { add(std::bit_cast<uint32_t>(v)); }
+    uint64_t value() const { return h_; }
+
+  private:
+    uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+/**
+ * Every op, detector and observable of a generated circuit, and its
+ * schedule diagnostics (durations, load/stores, noise budget).
+ */
+uint64_t
+circuitDigest(const GeneratedCircuit& gen)
+{
+    CircuitFingerprint h;
+    h.add(gen.circuit.numQubits());
+    for (const Operation& op : gen.circuit.ops()) {
+        h.add(static_cast<uint64_t>(op.code));
+        h.add(op.q0);
+        h.add(op.q1);
+        h.addDouble(op.p);
+        h.add(static_cast<uint64_t>(static_cast<int64_t>(op.meas)));
+        h.addDouble(op.py);
+        h.addDouble(op.pz);
+    }
+    for (const Detector& det : gen.circuit.detectors()) {
+        h.add(det.measurements.size());
+        for (uint32_t m : det.measurements)
+            h.add(m);
+        h.add(static_cast<uint64_t>(det.basis));
+        h.addFloat(det.x);
+        h.addFloat(det.y);
+        h.addFloat(det.t);
+    }
+    for (const Observable& o : gen.circuit.observables()) {
+        h.add(o.measurements.size());
+        for (uint32_t m : o.measurements)
+            h.add(m);
+    }
+    h.addDouble(gen.activeDurationNs);
+    h.addDouble(gen.totalDurationNs);
+    h.add(static_cast<uint64_t>(gen.loadStoreCount));
+    h.add(static_cast<uint64_t>(gen.deferredCnots));
+    for (double mass : {gen.budget.gateTT, gen.budget.gateTM, gen.budget.gate1,
+                        gen.budget.loadStore, gen.budget.measurement,
+                        gen.budget.resetErr, gen.budget.idleTransmon,
+                        gen.budget.idleCavity})
+        h.addDouble(mass);
+    return h.value();
+}
+
+/**
+ * Pins every registered embedding x schedule x basis at d 3/5/7 (p =
+ * 3e-3, the default cavity depth of 10, so every virtualized setup
+ * charges a paging gap) op for op. The generators size that gap before
+ * they emit; a change to the emitted circuit fails here, and the
+ * failure message prints the table for the current code. Regenerate
+ * it only for an intentional change to the circuits.
+ */
+TEST(CircuitDigest, EveryRegisteredSetupEmitsThePinnedCircuit)
+{
+    struct Pinned
+    {
+        const char* embedding;
+        const char* schedule;
+        char basis;
+        int distance;
+        uint64_t digest;
+    };
+    const Pinned pinned[] = {
+        {"baseline", "all-at-once", 'Z', 3, 0x136caf3d8ce04ba8ULL},
+        {"baseline", "all-at-once", 'Z', 5, 0x9d86a3a5ad99f751ULL},
+        {"baseline", "all-at-once", 'Z', 7, 0x631f5d54ed728930ULL},
+        {"baseline", "all-at-once", 'X', 3, 0xaa8be289141ce542ULL},
+        {"baseline", "all-at-once", 'X', 5, 0x70ce037211fcb3a9ULL},
+        {"baseline", "all-at-once", 'X', 7, 0x3a46deafe86b05feULL},
+        {"natural", "all-at-once", 'Z', 3, 0x62ff94c838a8fb2eULL},
+        {"natural", "all-at-once", 'Z', 5, 0x9c4bed0307ae2e0aULL},
+        {"natural", "all-at-once", 'Z', 7, 0xb71c94d2e947b148ULL},
+        {"natural", "all-at-once", 'X', 3, 0xda49704655ad4c74ULL},
+        {"natural", "all-at-once", 'X', 5, 0x826970efd7bc868aULL},
+        {"natural", "all-at-once", 'X', 7, 0xe460979bb2fe0ac6ULL},
+        {"natural", "interleaved", 'Z', 3, 0xa1777f0b42b36444ULL},
+        {"natural", "interleaved", 'Z', 5, 0x55c2e841fcaea1bdULL},
+        {"natural", "interleaved", 'Z', 7, 0x9cd70f1656552f81ULL},
+        {"natural", "interleaved", 'X', 3, 0x73da30e54ad4b6aeULL},
+        {"natural", "interleaved", 'X', 5, 0x62a7d2af272e017dULL},
+        {"natural", "interleaved", 'X', 7, 0xc2679af87fc7f65bULL},
+        {"compact", "all-at-once", 'Z', 3, 0x1fd384192de99eb4ULL},
+        {"compact", "all-at-once", 'Z', 5, 0xb174d24a6ae08424ULL},
+        {"compact", "all-at-once", 'Z', 7, 0x789d3b925dcca81dULL},
+        {"compact", "all-at-once", 'X', 3, 0x372308623e58d776ULL},
+        {"compact", "all-at-once", 'X', 5, 0x29f629d1906e46a0ULL},
+        {"compact", "all-at-once", 'X', 7, 0x8cff6f00e912cc1bULL},
+        {"compact", "interleaved", 'Z', 3, 0xc2b4346a5aaa75eaULL},
+        {"compact", "interleaved", 'Z', 5, 0xf9b977412c5b6f33ULL},
+        {"compact", "interleaved", 'Z', 7, 0x9d582fa20f4332aULL},
+        {"compact", "interleaved", 'X', 3, 0x70d1cfccfb182b70ULL},
+        {"compact", "interleaved", 'X', 5, 0x6d8616ed258ff07fULL},
+        {"compact", "interleaved", 'X', 7, 0x1c6abb157eb19f4cULL},
+        {"compact-rect", "all-at-once", 'Z', 3, 0x1fd384192de99eb4ULL},
+        {"compact-rect", "all-at-once", 'Z', 5, 0xb6883e919f07e2a6ULL},
+        {"compact-rect", "all-at-once", 'Z', 7, 0x3293fd9bd1e0129ULL},
+        {"compact-rect", "all-at-once", 'X', 3, 0x372308623e58d776ULL},
+        {"compact-rect", "all-at-once", 'X', 5, 0x2a267b347905c1b5ULL},
+        {"compact-rect", "all-at-once", 'X', 7, 0xae4d55b48185e2d7ULL},
+        {"compact-rect", "interleaved", 'Z', 3, 0xc2b4346a5aaa75eaULL},
+        {"compact-rect", "interleaved", 'Z', 5, 0x7ed884fbded486b4ULL},
+        {"compact-rect", "interleaved", 'Z', 7, 0x39dbb1873e8dff05ULL},
+        {"compact-rect", "interleaved", 'X', 3, 0x70d1cfccfb182b70ULL},
+        {"compact-rect", "interleaved", 'X', 5, 0x97fb1fd15d8af637ULL},
+        {"compact-rect", "interleaved", 'X', 7, 0xf5afff185097f03bULL},
+    };
+    std::vector<Pinned> got;
+    for (const GeneratorBackend& backend : generatorRegistry()) {
+        std::vector<ExtractionSchedule> schedules = {
+            ExtractionSchedule::AllAtOnce};
+        if (backend.virtualized)
+            schedules.push_back(ExtractionSchedule::Interleaved);
+        for (const ExtractionSchedule schedule : schedules)
+            for (const CheckBasis basis : {CheckBasis::Z, CheckBasis::X})
+                for (const int d : {3, 5, 7}) {
+                    GeneratorConfig cfg;
+                    cfg.distance = d;
+                    cfg.memoryBasis = basis;
+                    cfg.schedule = schedule;
+                    cfg.noise = NoiseModel::atPhysicalRate(
+                        3e-3, HardwareParams::transmonsWithMemory());
+                    got.push_back(Pinned{
+                        backend.name,
+                        schedule == ExtractionSchedule::Interleaved
+                            ? "interleaved"
+                            : "all-at-once",
+                        basis == CheckBasis::Z ? 'Z' : 'X', d,
+                        circuitDigest(
+                            generateMemoryCircuit(backend.kind, cfg))});
+                }
+    }
+    std::ostringstream fresh;
+    bool same = got.size() == std::size(pinned);
+    for (size_t i = 0; i < got.size(); ++i) {
+        const Pinned& g = got[i];
+        fresh << "        {\"" << g.embedding << "\", \"" << g.schedule
+              << "\", '" << g.basis << "', " << g.distance << ", 0x"
+              << std::hex << g.digest << std::dec << "ULL},\n";
+        if (i < std::size(pinned)) {
+            const Pinned& p = pinned[i];
+            const bool match = std::string(p.embedding) == g.embedding
+                && std::string(p.schedule) == g.schedule
+                && p.basis == g.basis && p.distance == g.distance
+                && p.digest == g.digest;
+            EXPECT_TRUE(match) << g.embedding << " " << g.schedule << " "
+                               << g.basis << " d=" << g.distance;
+            same = same && match;
+        }
+    }
+    EXPECT_EQ(got.size(), std::size(pinned));
+    if (!same)
+        ADD_FAILURE() << "digest table for the current code:\n"
+                      << fresh.str();
 }
 
 } // namespace

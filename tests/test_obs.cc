@@ -370,19 +370,22 @@ TEST(ObsReport, RowFillTimersRecordEveryFillAndMoveNoCount)
 {
     // uf.row_fill and matching.row_fill time every shortest-path row
     // fill, including copies that lose the publish race: at least one
-    // sample per published row (the rows_filled counter), exactly one
-    // with a single worker. The counts of a seeded run do not move
-    // (invariant 7).
+    // sample per published copy (a row's first, counted by
+    // rows_filled, or for union-find a wider one, counted by
+    // uf.rows_extended), exactly one with a single worker. The counts
+    // of a seeded run do not move (invariant 7).
     struct Rows
     {
         DecoderKind decoder;
         const char* counter;
+        const char* extended; // null: the rows never extend
         const char* histogram;
     };
     GeneratorConfig cfg = obsConfig(5, 9e-3);
     for (const Rows& rows :
-         {Rows{DecoderKind::UnionFind, "uf.rows_filled", "uf.row_fill"},
-          Rows{DecoderKind::Mwpm, "matching.rows_filled",
+         {Rows{DecoderKind::UnionFind, "uf.rows_filled",
+               "uf.rows_extended", "uf.row_fill"},
+          Rows{DecoderKind::Mwpm, "matching.rows_filled", nullptr,
                "matching.row_fill"}}) {
         for (const unsigned threads : {1u, 4u}) {
             McOptions options;
@@ -404,9 +407,13 @@ TEST(ObsReport, RowFillTimersRecordEveryFillAndMoveNoCount)
 
             EXPECT_EQ(on.trials, off.trials) << rows.histogram;
             EXPECT_EQ(on.successes, off.successes) << rows.histogram;
-            const uint64_t published =
+            const uint64_t first =
                 after.counter(rows.counter) - before.counter(rows.counter);
-            EXPECT_GT(published, 0u) << rows.counter;
+            EXPECT_GT(first, 0u) << rows.counter;
+            const uint64_t published = rows.extended == nullptr
+                ? first
+                : first + after.counter(rows.extended)
+                    - before.counter(rows.extended);
             const obs::HistogramSnapshot* h = after.histogram(rows.histogram);
             ASSERT_NE(h, nullptr) << rows.histogram;
             const obs::HistogramSnapshot* prev =

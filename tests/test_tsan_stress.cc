@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <barrier>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <latch>
@@ -14,6 +15,7 @@
 
 #include "core/generator_common.h"
 #include "decoder/decoder_factory.h"
+#include "decoder/decoding_graph.h"
 #include "decoder/shortest_path_rows.h"
 #include "dem/detector_model.h"
 #include "dem/sampler.h"
@@ -366,11 +368,11 @@ TEST(TsanStress, DecoderRowsAreSharedAndFillerIndependent)
 
 /**
  * No thread waits for another's row: four threads ask for the same
- * unpublished row, and each fill blocks until all four are inside a
- * fill at once (or ten seconds pass). A table that made later callers
+ * unpublished row, and each search blocks until all four are inside a
+ * search at once (or ten seconds pass). A table that made later callers
  * wait for the first filler would let only one thread in. Exactly one
- * copy is published, every caller reads that copy, and a published
- * row is served without another fill.
+ * copy is published, every caller reads its entries, and a published
+ * row is served without another search.
  */
 TEST(TsanStress, RowTableNeverMakesAThreadWait)
 {
@@ -378,13 +380,22 @@ TEST(TsanStress, RowTableNeverMakesAThreadWait)
     constexpr uint32_t kLength = 16;
     constexpr uint32_t kSrc = 3;
     using Rows = ShortestPathRows<double, uint32_t>;
-    const Rows rows(8, kLength);
+    const Rows rows(kLength);
+    std::vector<uint32_t> nodes(kLength);
+    std::vector<double> dist(kLength);
+    std::vector<uint32_t> obs(kLength);
+    for (uint32_t t = 0; t < kLength; ++t) {
+        nodes[t] = t;
+        dist[t] = kSrc + 0.5 * t;
+        obs[t] = kSrc ^ t;
+    }
+    const DecodingGraph::Settled whole{nodes, dist, obs, {}, 1, true};
     std::latch allFilling(kThreads);
     std::atomic<unsigned> fills{0};
     std::atomic<unsigned> published{0};
     std::atomic<bool> timedOut{false};
-    auto fill = [&](uint32_t src, std::span<double> dist,
-                    std::span<uint32_t> obs) {
+    auto search = [&](uint32_t, std::span<const uint32_t>, uint32_t,
+                      const DecodingGraph::Frontier*) {
         fills.fetch_add(1);
         allFilling.count_down();
         const auto deadline =
@@ -396,18 +407,22 @@ TEST(TsanStress, RowTableNeverMakesAThreadWait)
             }
             std::this_thread::yield();
         }
-        for (uint32_t t = 0; t < dist.size(); ++t) {
-            dist[t] = src + 0.5 * t;
-            obs[t] = src ^ t;
-        }
+        return whole;
     };
-    auto onPublish = [&] { published.fetch_add(1); };
+    auto filled = [](uint64_t, uint32_t) {};
+    auto onPublish = [&](bool) { published.fetch_add(1); };
 
-    std::vector<Rows::Row> got(kThreads);
+    const uint32_t target = kLength - 1;
+    std::vector<double> gotDist(kThreads);
+    std::vector<uint32_t> gotObs(kThreads);
     std::vector<std::thread> threads;
     for (unsigned t = 0; t < kThreads; ++t)
-        threads.emplace_back(
-            [&, t] { got[t] = rows.get(kSrc, fill, onPublish); });
+        threads.emplace_back([&, t] {
+            rows.get(kSrc, std::span<const uint32_t>(&target, 1),
+                     std::span<double>(&gotDist[t], 1),
+                     std::span<uint32_t>(&gotObs[t], 1), search, filled,
+                     onPublish);
+        });
     for (std::thread& thread : threads)
         thread.join();
 
@@ -415,20 +430,128 @@ TEST(TsanStress, RowTableNeverMakesAThreadWait)
     EXPECT_EQ(fills.load(), kThreads);
     EXPECT_EQ(published.load(), 1u);
     for (unsigned t = 0; t < kThreads; ++t) {
-        EXPECT_EQ(got[t].dist, got[0].dist) << "thread " << t;
-        EXPECT_EQ(got[t].obs, got[0].obs) << "thread " << t;
+        EXPECT_EQ(gotDist[t], kSrc + 0.5 * target) << "thread " << t;
+        EXPECT_EQ(gotObs[t], kSrc ^ target) << "thread " << t;
     }
-    for (uint32_t i = 0; i < kLength; ++i) {
-        EXPECT_EQ(got[0].dist[i], kSrc + 0.5 * i);
-        EXPECT_EQ(got[0].obs[i], kSrc ^ i);
-    }
-    const Rows::Row again = rows.get(
-        kSrc,
-        [](uint32_t, std::span<double>, std::span<uint32_t>) {
+    EXPECT_TRUE(rows.complete(kSrc));
+    std::vector<double> again(kLength);
+    std::vector<uint32_t> againObs(kLength);
+    rows.get(
+        kSrc, nodes, std::span<double>(again), std::span<uint32_t>(againObs),
+        [&](uint32_t, std::span<const uint32_t>, uint32_t,
+            const DecodingGraph::Frontier*) {
             ADD_FAILURE() << "published row filled again";
+            return whole;
         },
-        [] { ADD_FAILURE() << "published row published again"; });
-    EXPECT_EQ(again.dist, got[0].dist);
+        filled,
+        [](bool) { ADD_FAILURE() << "published row published again"; });
+    EXPECT_EQ(again, dist);
+    EXPECT_EQ(againObs, obs);
+}
+
+/**
+ * Four threads extend one published row at once: the row first settles
+ * only as far as the source's nearest neighbour, then each thread asks
+ * for different far targets, and each resumed search blocks until all
+ * four are inside a search (or ten seconds pass). Every thread reads
+ * the complete search's entries bit for bit, at least one wider copy
+ * is published, and the published extent never shrinks.
+ */
+TEST(TsanStress, RowTableExtendsARowFromFourThreadsAtOnce)
+{
+    constexpr unsigned kThreads = 4;
+    GeneratorConfig cfg;
+    cfg.distance = 5;
+    cfg.noise = NoiseModel::atPhysicalRate(
+        1e-2, HardwareParams::transmonsWithMemory());
+    const DecodingGraph graph = DecodingGraph::build(
+        DetectorErrorModel::build(
+            generateMemoryCircuit(EmbeddingKind::Baseline2D, cfg).circuit));
+    const uint32_t n = graph.numNodes();
+    constexpr uint32_t kSrc = 0;
+    std::vector<double> refDist(n);
+    std::vector<uint32_t> refObs(n);
+    graph.shortestPaths(kSrc, /*viaBoundary=*/false, refDist, refObs);
+
+    using Rows = ShortestPathRows<double, uint32_t>;
+    const Rows rows(n);
+    std::latch allFilling(kThreads);
+    std::atomic<bool> gate{false};
+    std::atomic<bool> timedOut{false};
+    std::atomic<unsigned> extensions{0};
+    auto search = [&](uint32_t src, std::span<const uint32_t> targets,
+                      uint32_t minSettled,
+                      const DecodingGraph::Frontier* from) {
+        if (gate.load()) {
+            allFilling.count_down();
+            const auto deadline = std::chrono::steady_clock::now()
+                + std::chrono::seconds(10);
+            while (!allFilling.try_wait()) {
+                if (std::chrono::steady_clock::now() >= deadline) {
+                    timedOut = true;
+                    break;
+                }
+                std::this_thread::yield();
+            }
+        }
+        return graph.settle(src, /*viaBoundary=*/false, targets,
+                            minSettled, from);
+    };
+    auto filled = [](uint64_t, uint32_t) {};
+    auto onPublish = [&](bool extended) { extensions += extended; };
+
+    // A narrow first copy: the source's nearest neighbour.
+    uint32_t near = 1;
+    for (uint32_t t = 1; t < n - 1; ++t)
+        if (refDist[t] < refDist[near])
+            near = t;
+    double nearDist = 0.0;
+    uint32_t nearObs = 0;
+    rows.get(kSrc, std::span<const uint32_t>(&near, 1),
+             std::span<double>(&nearDist, 1),
+             std::span<uint32_t>(&nearObs, 1), search, filled, onPublish);
+    ASSERT_FALSE(rows.complete(kSrc));
+    ASSERT_EQ(nearDist, refDist[near]);
+    const uint32_t narrow = rows.settled(kSrc);
+
+    // Each thread's far targets: every fourth detector of the last
+    // rounds, the far end of the index range.
+    std::vector<std::vector<uint32_t>> targets(kThreads);
+    for (uint32_t t = n - 1 - 8 * kThreads; t < n - 1; ++t)
+        targets[t % kThreads].push_back(t);
+    gate = true;
+    std::vector<std::vector<double>> gotDist(kThreads);
+    std::vector<std::vector<uint32_t>> gotObs(kThreads);
+    std::vector<uint32_t> settledAfter(kThreads);
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            gotDist[t].resize(targets[t].size());
+            gotObs[t].resize(targets[t].size());
+            rows.get(kSrc, targets[t], std::span<double>(gotDist[t]),
+                     std::span<uint32_t>(gotObs[t]), search, filled,
+                     onPublish);
+            settledAfter[t] = rows.settled(kSrc);
+        });
+    for (std::thread& thread : threads)
+        thread.join();
+
+    EXPECT_FALSE(timedOut.load()) << "a caller waited for another's copy";
+    EXPECT_GE(extensions.load(), 1u);
+    EXPECT_LE(extensions.load(), kThreads);
+    EXPECT_GE(rows.settled(kSrc), 2 * narrow);
+    for (unsigned t = 0; t < kThreads; ++t) {
+        SCOPED_TRACE("thread " + std::to_string(t));
+        EXPECT_GE(settledAfter[t], 2 * narrow);
+        EXPECT_GE(rows.settled(kSrc), settledAfter[t]);
+        for (size_t i = 0; i < targets[t].size(); ++i) {
+            const uint32_t target = targets[t][i];
+            EXPECT_EQ(std::bit_cast<uint64_t>(gotDist[t][i]),
+                      std::bit_cast<uint64_t>(refDist[target]))
+                << target;
+            EXPECT_EQ(gotObs[t][i], refObs[target]) << target;
+        }
+    }
 }
 
 } // namespace
