@@ -31,10 +31,11 @@ struct DecodingEdge
  * (p = p1 + p2 - 2 p1 p2) and edge weights are the standard
  * log-likelihood ratios ln((1-p)/p).
  *
- * This is the shared substrate of all decoder backends: the matching
- * decoders and union-find fill their shortest-path rows with its one
- * shortest-path search (settle, or shortestPaths run to completion),
- * and union-find grows clusters directly on its CSR adjacency. Every
+ * This is the shared substrate of all decoder backends: each decoder's
+ * MatchingPaths fills its boundary table and shortest-path rows with
+ * the graph's one shortest-path search (settle, or shortestPaths run to
+ * completion), and union-find and sparse blossom grow directly on its
+ * CSR adjacency. Every
  * weight is positive, so the search settles nodes from a circular
  * bucket queue (Dial's algorithm) whose buckets are narrower than the
  * lightest edge, and can stop after any bucket with every node settled

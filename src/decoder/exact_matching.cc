@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "util/logging.h"
 
@@ -146,6 +147,85 @@ matchDefectsExact(std::span<const double> pairWeight,
         result.boundaryMatches = search.bestBnds;
     }
     return result;
+}
+
+MatchingPaths::MatchingPaths(DecodingGraph graph)
+    : graph_(std::move(graph)),
+      boundaryDist_(graph_.numNodes()),
+      boundaryObs_(graph_.numNodes()),
+      rows_(graph_.numNodes())
+{
+    graph_.shortestPaths(graph_.boundaryNode(), /*viaBoundary=*/true,
+                         boundaryDist_, boundaryObs_);
+}
+
+void
+MatchingPaths::pairPaths(uint32_t src, std::span<const uint32_t> targets,
+                         std::span<double> dist,
+                         std::span<uint32_t> obs) const
+{
+    rows_.get(src, targets, dist, obs,
+              [this](uint32_t s, std::span<const uint32_t> t,
+                     uint32_t minSettled,
+                     const DecodingGraph::Frontier* from) {
+                  return graph_.settle(s, /*viaBoundary=*/false, t,
+                                       minSettled, from);
+              });
+}
+
+ExactMatching
+MatchingPaths::match(std::span<const uint32_t> defects) const
+{
+    constexpr size_t kMax = kMatchingPathsMaxDefects;
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const size_t k = defects.size();
+    VLQ_ASSERT(k <= kMax, "MatchingPaths::match takes at most 16 defects");
+    // Lone defect: the boundary table's chain is the matching.
+    if (k == 1) {
+        const double b = boundaryDist_[defects[0]];
+        if (!std::isfinite(b))
+            return {};
+        return {true, b, boundaryObs_[defects[0]], 0, 1};
+    }
+    // Defect pair: one compare, no tables.
+    if (k == 2) {
+        double w = kInf;
+        uint32_t o = 0;
+        pairPaths(defects[0], defects.subspan(1), std::span<double>(&w, 1),
+                  std::span<uint32_t>(&o, 1));
+        const double b = boundaryDist_[defects[0]] + boundaryDist_[defects[1]];
+        if (w < b)
+            return {true, w, o, 1, 0};
+        if (!std::isfinite(b))
+            return {};
+        return {true, b,
+                boundaryObs_[defects[0]] ^ boundaryObs_[defects[1]], 0, 2};
+    }
+    // The diagonal stays unset: matchDefectsExact never reads it.
+    std::array<double, kMax * kMax> pairW;
+    std::array<uint32_t, kMax * kMax> pairObs;
+    std::array<double, kMax> bndW;
+    std::array<uint32_t, kMax> bndObs;
+    for (size_t i = 0; i < k; ++i) {
+        bndW[i] = boundaryDist_[defects[i]];
+        bndObs[i] = boundaryObs_[defects[i]];
+    }
+    for (size_t i = 0; i + 1 < k; ++i) {
+        // Row i of the tables, right of the diagonal, then mirrored.
+        const size_t row = i * k + i + 1;
+        pairPaths(defects[i], defects.subspan(i + 1),
+                  std::span<double>(pairW).subspan(row, k - i - 1),
+                  std::span<uint32_t>(pairObs).subspan(row, k - i - 1));
+        for (size_t j = i + 1; j < k; ++j) {
+            pairW[j * k + i] = pairW[i * k + j];
+            pairObs[j * k + i] = pairObs[i * k + j];
+        }
+    }
+    return matchDefectsExact(
+        std::span<const double>(pairW.data(), k * k),
+        std::span<const uint32_t>(pairObs.data(), k * k),
+        std::span<const double>(bndW.data(), k),
+        std::span<const uint32_t>(bndObs.data(), k));
 }
 
 } // namespace vlq

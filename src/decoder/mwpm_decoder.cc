@@ -1,18 +1,17 @@
 #include "decoder/mwpm_decoder.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
+#include <tuple>
 #include <vector>
 
-#include "decoder/exact_matching.h"
 #include "obs/obs.h"
 #include "util/logging.h"
 
 namespace vlq {
 
 MwpmDecoder::MwpmDecoder(const DetectorErrorModel& dem)
-    : graph_(MatchingGraph::build(dem)), matcher_(graph_.decodingGraph())
+    : paths_(DecodingGraph::build(dem)), matcher_(paths_.graph())
 {
 }
 
@@ -29,7 +28,11 @@ MwpmDecoder::decodeShot(std::span<const uint32_t> events,
                 obs::Counter::get("mwpm.decode.exact");
             exact.add(1);
         }
-        return decodeExact(events);
+        const ExactMatching match = paths_.match(events);
+        // The sparse matcher fails the same way on a syndrome no
+        // matching explains.
+        VLQ_ASSERT(match.found, "graph admits no perfect matching");
+        return match.observables;
     }
     // The matcher is timed into a histogram only: a trace span per shot
     // would swamp the timeline.
@@ -49,50 +52,8 @@ MwpmDecoder::decodeShot(std::span<const uint32_t> events,
     return prediction;
 }
 
-uint32_t
-MwpmDecoder::decodeExact(std::span<const uint32_t> events) const
-{
-    constexpr size_t kMax = kExactMatchingMaxDefects;
-    const size_t k = events.size();
-    const uint32_t boundary = graph_.boundaryNode();
-    std::array<double, kMax * kMax> pairW{};
-    std::array<uint32_t, kMax * kMax> pairObs{};
-    std::array<double, kMax> bndW{};
-    std::array<uint32_t, kMax> bndObs{};
-    // Events ascend, so each pair reads the smaller event's row, at the
-    // later events and then the boundary.
-    std::array<uint32_t, kMax> targets{};
-    std::array<float, kMax> dist{};
-    std::array<uint8_t, kMax> pathObs{};
-    for (size_t i = 0; i < k; ++i) {
-        const size_t later = k - i - 1;
-        std::copy(events.begin() + static_cast<std::ptrdiff_t>(i + 1),
-                  events.end(), targets.begin());
-        targets[later] = boundary;
-        graph_.paths(events[i],
-                     std::span<const uint32_t>(targets.data(), later + 1),
-                     std::span<float>(dist.data(), later + 1),
-                     std::span<uint8_t>(pathObs.data(), later + 1));
-        bndW[i] = dist[later];
-        bndObs[i] = pathObs[later];
-        for (size_t j = i + 1; j < k; ++j) {
-            pairW[i * k + j] = pairW[j * k + i] = dist[j - i - 1];
-            pairObs[i * k + j] = pairObs[j * k + i] = pathObs[j - i - 1];
-        }
-    }
-    const ExactMatching match = matchDefectsExact(
-        std::span<const double>(pairW.data(), k * k),
-        std::span<const uint32_t>(pairObs.data(), k * k),
-        std::span<const double>(bndW.data(), k),
-        std::span<const uint32_t>(bndObs.data(), k));
-    // The sparse matcher fails the same way on a syndrome no matching
-    // explains.
-    VLQ_ASSERT(match.found, "graph admits no perfect matching");
-    return match.observables;
-}
-
 GreedyDecoder::GreedyDecoder(const DetectorErrorModel& dem)
-    : graph_(MatchingGraph::build(dem))
+    : paths_(DecodingGraph::build(dem))
 {
 }
 
@@ -103,7 +64,6 @@ GreedyDecoder::decodeShot(std::span<const uint32_t> events,
     const size_t m = events.size();
     if (m == 0)
         return 0;
-    const uint32_t boundary = graph_.boundaryNode();
 
     struct Cand
     {
@@ -111,27 +71,23 @@ GreedyDecoder::decodeShot(std::span<const uint32_t> events,
         uint32_t i;
         uint32_t j; // j == i means boundary
     };
-    // Event i's row at the later events and then the boundary: m - i
-    // entries from offset[i], the ones the candidates below read.
-    static thread_local std::vector<uint32_t> targets;
+    // Event i's row at the later events: m - i - 1 entries from
+    // offset[i].
     static thread_local std::vector<size_t> offset;
-    static thread_local std::vector<float> dist;
-    static thread_local std::vector<uint8_t> pathObs;
+    static thread_local std::vector<double> dist;
+    static thread_local std::vector<uint32_t> pathObs;
     static thread_local std::vector<Cand> cands;
     offset.resize(m + 1);
     offset[0] = 0;
     for (size_t i = 0; i < m; ++i)
-        offset[i + 1] = offset[i] + (m - i);
+        offset[i + 1] = offset[i] + (m - i - 1);
     dist.resize(offset[m]);
     pathObs.resize(offset[m]);
-    for (size_t i = 0; i < m; ++i) {
-        targets.assign(events.begin() + static_cast<std::ptrdiff_t>(i + 1),
-                       events.end());
-        targets.push_back(boundary);
-        graph_.paths(events[i], targets,
-                     std::span<float>(dist).subspan(offset[i], m - i),
-                     std::span<uint8_t>(pathObs).subspan(offset[i], m - i));
-    }
+    for (size_t i = 0; i + 1 < m; ++i)
+        paths_.pairPaths(
+            events[i], events.subspan(i + 1),
+            std::span<double>(dist).subspan(offset[i], m - i - 1),
+            std::span<uint32_t>(pathObs).subspan(offset[i], m - i - 1));
     auto at = [](uint32_t i, uint32_t j) { return offset[i] + (j - i - 1); };
     cands.clear();
     for (uint32_t i = 0; i < m; ++i) {
@@ -140,12 +96,14 @@ GreedyDecoder::decodeShot(std::span<const uint32_t> events,
             if (std::isfinite(w))
                 cands.push_back(Cand{w, i, j});
         }
-        double wb = dist[offset[i + 1] - 1];
+        double wb = paths_.boundaryDistance(events[i]);
         if (std::isfinite(wb))
             cands.push_back(Cand{wb, i, i});
     }
-    std::sort(cands.begin(), cands.end(),
-              [](const Cand& a, const Cand& b) { return a.w < b.w; });
+    // Ties go by index, so the order does not depend on the sort.
+    std::sort(cands.begin(), cands.end(), [](const Cand& a, const Cand& b) {
+        return std::tie(a.w, a.i, a.j) < std::tie(b.w, b.i, b.j);
+    });
 
     static thread_local std::vector<uint8_t> used;
     used.assign(m, 0);
@@ -155,7 +113,7 @@ GreedyDecoder::decodeShot(std::span<const uint32_t> events,
             continue;
         used[c.i] = 1;
         if (c.j == c.i) {
-            obs ^= pathObs[offset[c.i + 1] - 1];
+            obs ^= paths_.boundaryObservables(events[c.i]);
         } else {
             used[c.j] = 1;
             obs ^= pathObs[at(c.i, c.j)];

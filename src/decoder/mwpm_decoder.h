@@ -5,7 +5,7 @@
 #include <span>
 
 #include "decoder/decoder.h"
-#include "decoder/matching_graph.h"
+#include "decoder/exact_matching.h"
 #include "decoder/sparse_blossom.h"
 #include "dem/detector_model.h"
 
@@ -21,10 +21,9 @@ namespace vlq {
  * paths is the correction's effect on the logicals.
  *
  * Syndromes of at most kExactMatchingMaxDefects events -- nearly every
- * shot below threshold -- are solved by matchDefectsExact, the
- * branch-and-bound union-find's fast path also uses, on a table read
- * from the events' shortest-path rows (MatchingGraph fills each on
- * first use and shares it across threads). Larger syndromes go to the
+ * shot below threshold -- are solved by MatchingPaths::match, the
+ * small-syndrome matcher union-find runs too, on the decoder's
+ * shortest-path rows and boundary table. Larger syndromes go to the
  * sparse-blossom matcher, which grows one region per event on the
  * decoding graph itself and fills no row (SparseBlossom). Both solvers
  * are exact; they differ only in which of several equal-weight
@@ -37,30 +36,31 @@ class MwpmDecoder : public Decoder
   public:
     explicit MwpmDecoder(const DetectorErrorModel& dem);
 
-    const MatchingGraph& graph() const { return graph_; }
+    const DecodingGraph& graph() const { return paths_.graph(); }
 
   private:
     /** Heralds are ignored: they carry no weight in the matching. */
     uint32_t decodeShot(std::span<const uint32_t> events,
                         std::span<const uint32_t> erasureSites)
         const override;
-    uint32_t decodeExact(std::span<const uint32_t> events) const;
 
-    MatchingGraph graph_;
+    MatchingPaths paths_;
     SparseBlossom matcher_;
 };
 
 /**
  * Greedy matching decoder: repeatedly matches the closest available
- * pair (or event-boundary). Used as a decoder-quality ablation; it is
- * strictly weaker than MWPM and lowers the threshold.
+ * pair (or event-boundary), reading its own MatchingPaths as MWPM
+ * does; equal weights go to the lower event index first. Used as a
+ * decoder-quality ablation; it is strictly weaker than MWPM and lowers
+ * the threshold.
  */
 class GreedyDecoder : public Decoder
 {
   public:
     explicit GreedyDecoder(const DetectorErrorModel& dem);
 
-    const MatchingGraph& graph() const { return graph_; }
+    const DecodingGraph& graph() const { return paths_.graph(); }
 
   private:
     /** Heralds are ignored, as in MwpmDecoder. */
@@ -68,7 +68,7 @@ class GreedyDecoder : public Decoder
                         std::span<const uint32_t> erasureSites)
         const override;
 
-    MatchingGraph graph_;
+    MatchingPaths paths_;
 };
 
 } // namespace vlq

@@ -16,9 +16,9 @@
 namespace vlq {
 
 /**
- * A decoder's single-source shortest-path rows, shared by every thread
- * decoding through the decoder. Each row settles only as far from its
- * source as its readers reach.
+ * The single-source shortest-path rows of a decoder (MatchingPaths
+ * holds them), shared by every thread decoding through the decoder.
+ * Each row settles only as far from its source as its readers reach.
  *
  * Row `src` holds, for the nodes its search settled, the shortest-path
  * weight from src and the XOR of observable masks along that path. A
@@ -47,8 +47,13 @@ namespace vlq {
  * The entries a reader sees depend only on the graph, src and the node
  * read, never on the order of requests or which thread filled which
  * copy; only the extent does (docs/ARCHITECTURE.md invariant 9).
+ *
+ * While obs metrics are enabled the table records its own work: the
+ * `rows.fill` histogram times every search and copy, including copies
+ * that lose the race; `rows.nodes` counts the nodes those searches
+ * settled; `rows.filled` counts rows published for the first time and
+ * `rows.extended` wider copies that replaced a published one.
  */
-template <typename Dist, typename Obs>
 class ShortestPathRows
 {
   public:
@@ -59,13 +64,8 @@ class ShortestPathRows
     {
     }
 
-    ShortestPathRows(ShortestPathRows&&) = default;
-    ShortestPathRows& operator=(ShortestPathRows&&) = delete;
-
     ~ShortestPathRows()
     {
-        if (!published_)
-            return; // moved from
         for (uint32_t i = 0; i < numRows_; ++i) {
             const Data* d = published_[i].load(std::memory_order_relaxed);
             while (d != nullptr) {
@@ -88,21 +88,17 @@ class ShortestPathRows
      * from src with those arguments: `from` is the published copy's
      * frontier, or null when there is none. The caller publishes a copy
      * of the result unless another thread published one at least as
-     * large first. While obs metrics are enabled, `filled(ns, nodes)`
-     * runs after every search and copy, including copies that lose the
-     * race, with their wall time and the nodes the search settled.
-     * `published(extended)` runs once per published copy, in the
-     * thread whose copy it is; `extended` tells whether the copy
-     * replaced a narrower one.
+     * large first. MatchingPaths searches with settle(); tests pass a
+     * reference or a blocking search.
      */
-    template <typename Search, typename Filled, typename Published>
+    template <typename Search>
     void get(uint32_t src, std::span<const uint32_t> targets,
-             std::span<Dist> dist, std::span<Obs> obs, const Search& search,
-             const Filled& filled, const Published& published) const
+             std::span<double> dist, std::span<uint32_t> obs,
+             const Search& search) const
     {
         const Data* row = published_[src].load(std::memory_order_acquire);
         if (row == nullptr || !row->read(targets, dist, obs)) [[unlikely]] {
-            row = extend(src, row, targets, search, filled, published);
+            row = extend(src, row, targets, search);
             row->read(targets, dist, obs);
         }
     }
@@ -128,8 +124,8 @@ class ShortestPathRows
         // indexed by node (infinite and 0 where unreachable) once it is
         // complete, so a complete row reads like a plain array.
         std::vector<uint32_t> nodes;
-        std::vector<Dist> dist;
-        std::vector<Obs> obs;
+        std::vector<double> dist;
+        std::vector<uint32_t> obs;
         uint32_t settled = 0;
         bool complete = false;
         // Where the search stopped, for the next extension: the
@@ -142,8 +138,8 @@ class ShortestPathRows
         const Data* superseded = nullptr; // the copy this one replaced
 
         /** The entries at `targets`; false when one is unsettled. */
-        bool read(std::span<const uint32_t> targets, std::span<Dist> d,
-                  std::span<Obs> o) const
+        bool read(std::span<const uint32_t> targets, std::span<double> d,
+                  std::span<uint32_t> o) const
         {
             if (complete) {
                 for (size_t i = 0; i < targets.size(); ++i) {
@@ -181,15 +177,15 @@ class ShortestPathRows
         d->settled = static_cast<uint32_t>(old + s.nodes.size());
         d->complete = s.complete;
         if (s.complete) {
-            d->dist.assign(numRows_, std::numeric_limits<Dist>::infinity());
-            d->obs.assign(numRows_, Obs{0});
+            d->dist.assign(numRows_, std::numeric_limits<double>::infinity());
+            d->obs.assign(numRows_, 0);
             for (size_t i = 0; i < old; ++i) {
                 d->dist[seen->nodes[i]] = seen->dist[i];
                 d->obs[seen->nodes[i]] = seen->obs[i];
             }
             for (const uint32_t t : s.nodes) {
-                d->dist[t] = static_cast<Dist>(s.dist[t]);
-                d->obs[t] = static_cast<Obs>(s.obs[t]);
+                d->dist[t] = s.dist[t];
+                d->obs[t] = s.obs[t];
             }
             return d;
         }
@@ -224,8 +220,8 @@ class ShortestPathRows
                     (w << 6) + static_cast<uint32_t>(std::countr_zero(word));
                 takeOld(t);
                 d->nodes[out] = t;
-                d->dist[out] = static_cast<Dist>(s.dist[t]);
-                d->obs[out] = static_cast<Obs>(s.obs[t]);
+                d->dist[out] = s.dist[t];
+                d->obs[out] = s.obs[t];
                 ++out;
             }
             fresh[w] = 0;
@@ -242,11 +238,10 @@ class ShortestPathRows
         return d;
     }
 
-    template <typename Search, typename Filled, typename Published>
+    template <typename Search>
     const Data* extend(uint32_t src, const Data* seen,
                        std::span<const uint32_t> targets,
-                       const Search& search, const Filled& filled,
-                       const Published& published) const
+                       const Search& search) const
     {
         const bool timed = obs::metricsEnabled();
         const uint64_t start = timed ? obs::traceNowNs() : 0;
@@ -264,14 +259,14 @@ class ShortestPathRows
             src, targets, minSettled, seen != nullptr ? &from : nullptr);
         std::unique_ptr<Data> mine = merge(seen, s);
         if (timed)
-            filled(obs::traceNowNs() - start,
-                   static_cast<uint32_t>(s.nodes.size()));
+            countFill(obs::traceNowNs() - start, s.nodes.size());
         for (;;) {
             mine->superseded = seen;
             if (published_[src].compare_exchange_strong(
                     seen, mine.get(), std::memory_order_acq_rel,
                     std::memory_order_acquire)) {
-                published(mine->superseded != nullptr);
+                if (timed)
+                    countPublished(mine->superseded != nullptr);
                 return mine.release(); // owned through the row's chain
             }
             // Another thread published `seen` first. Extents of one
@@ -280,6 +275,21 @@ class ShortestPathRows
             if (seen->settled >= mine->settled)
                 return seen; // `mine` is dropped
         }
+    }
+
+    static void countFill(uint64_t ns, size_t nodes)
+    {
+        static const obs::Histogram fillNs = obs::Histogram::get("rows.fill");
+        static const obs::Counter settled = obs::Counter::get("rows.nodes");
+        fillNs.record(ns);
+        settled.add(nodes);
+    }
+
+    static void countPublished(bool extended)
+    {
+        static const obs::Counter filled = obs::Counter::get("rows.filled");
+        static const obs::Counter grown = obs::Counter::get("rows.extended");
+        (extended ? grown : filled).add(1);
     }
 
     uint32_t numRows_ = 0;

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <limits>
 
-#include "decoder/exact_matching.h"
 #include "obs/obs.h"
 #include "util/logging.h"
 
@@ -75,11 +73,6 @@ struct Scratch
     std::vector<uint32_t> bfsVerts;
     std::vector<uint32_t> order;
     std::vector<uint32_t> parentEdge;
-    // Exact-matching workspace (persists across shots of a batch).
-    std::vector<double> pairW;
-    std::vector<uint32_t> pairObs;
-    std::vector<double> bndW;
-    std::vector<uint32_t> bndObs;
     uint64_t counter = 0; // stamp source; never reset
     uint64_t epoch = 0;   // decoder whose capacities `edge` carries
 
@@ -173,7 +166,7 @@ UnionFindDecoder::UnionFindDecoder(const DetectorErrorModel& dem,
     // weight. Outcomes with empty signatures (the I branch, or Paulis
     // the detectors cannot see) have no edge to seed and are skipped.
     erasureSiteEdges_.resize(dem.numErasureSites());
-    const uint32_t boundary = graph_.boundaryNode();
+    const uint32_t boundary = graph().boundaryNode();
     for (const auto& ch : dem.channels()) {
         if (ch.erasureSite < 0)
             continue;
@@ -182,9 +175,9 @@ UnionFindDecoder::UnionFindDecoder(const DetectorErrorModel& dem,
         for (const auto& o : ch.outcomes) {
             int32_t e = -1;
             if (o.detectors.size() == 1)
-                e = graph_.findEdge(o.detectors[0], boundary);
+                e = graph().findEdge(o.detectors[0], boundary);
             else if (o.detectors.size() == 2)
-                e = graph_.findEdge(o.detectors[0], o.detectors[1]);
+                e = graph().findEdge(o.detectors[0], o.detectors[1]);
             if (e < 0)
                 continue;
             uint32_t eu = static_cast<uint32_t>(e);
@@ -196,62 +189,23 @@ UnionFindDecoder::UnionFindDecoder(const DetectorErrorModel& dem,
 
 UnionFindDecoder::UnionFindDecoder(DecodingGraph graph,
                                    UnionFindOptions options)
-    : graph_(std::move(graph)),
-      exactSyndromeThreshold_(
-          std::min<uint32_t>(options.exactSyndromeThreshold, 16)),
-      pairRows_(graph_.numNodes())
+    : paths_(std::move(graph)),
+      exactSyndromeThreshold_(std::min(options.exactSyndromeThreshold,
+                                       kMatchingPathsMaxDefects))
 {
     static std::atomic<uint64_t> nextEpoch{1};
     scratchEpoch_ = nextEpoch.fetch_add(1, std::memory_order_relaxed);
-    const double minW = graph_.minWeight();
-    capacity_.resize(graph_.edges().size());
+    const DecodingGraph& g = paths_.graph();
+    const double minW = g.minWeight();
+    capacity_.resize(g.edges().size());
     for (size_t i = 0; i < capacity_.size(); ++i) {
         double ticks = minW > 0.0
-            ? graph_.edges()[i].weight / minW
+            ? g.edges()[i].weight / minW
                 * static_cast<double>(kGranularity)
             : static_cast<double>(kGranularity);
         capacity_[i] = static_cast<uint16_t>(
             std::clamp<long long>(std::llround(ticks), 1, 60000));
     }
-
-    // One search from the boundary gives every detector's global
-    // shortest boundary path (weight and observables) -- the matching's
-    // defect-to-boundary option, for free at decode time.
-    boundaryDist_.resize(graph_.numNodes());
-    boundaryObs_.resize(graph_.numNodes());
-    graph_.shortestPaths(graph_.boundaryNode(), /*viaBoundary=*/true,
-                         boundaryDist_, boundaryObs_);
-}
-
-void
-UnionFindDecoder::pairPaths(uint32_t src, std::span<const uint32_t> targets,
-                            std::span<double> dist,
-                            std::span<uint32_t> pathObs) const
-{
-    pairRows_.get(
-        src, targets, dist, pathObs,
-        [this](uint32_t s, std::span<const uint32_t> t, uint32_t minSettled,
-               const DecodingGraph::Frontier* from) {
-            return graph_.settle(s, /*viaBoundary=*/false, t, minSettled,
-                                 from);
-        },
-        [](uint64_t ns, uint32_t nodes) {
-            static const obs::Histogram fillNs =
-                obs::Histogram::get("uf.row_fill");
-            static const obs::Counter settled =
-                obs::Counter::get("uf.row_nodes");
-            fillNs.record(ns);
-            settled.add(nodes);
-        },
-        [](bool extended) {
-            if (obs::metricsEnabled()) {
-                static const obs::Counter filled =
-                    obs::Counter::get("uf.rows_filled");
-                static const obs::Counter grown =
-                    obs::Counter::get("uf.rows_extended");
-                (extended ? grown : filled).add(1);
-            }
-        });
 }
 
 uint32_t
@@ -362,90 +316,25 @@ UnionFindDecoder::decodeEvents(std::span<const uint32_t> events,
         return 0;
     const bool hasErasures = !erasedEdges.empty();
 
-    const uint32_t n = graph_.numNodes();
-    const uint32_t numEdges = static_cast<uint32_t>(graph_.edges().size());
-    const uint32_t boundary = graph_.boundaryNode();
-    const DecodingGraph::SoA& g = graph_.soa();
+    const uint32_t n = graph().numNodes();
+    const uint32_t numEdges = static_cast<uint32_t>(graph().edges().size());
+    const uint32_t boundary = graph().boundaryNode();
+    const DecodingGraph::SoA& g = graph().soa();
 
     Scratch& s = scratch();
     s.ensure(n, numEdges, scratchEpoch_, capacity_);
 
-    constexpr double kInf = std::numeric_limits<double>::infinity();
     uint32_t obs = 0;
     uint32_t matchedPairs = 0;
     uint32_t boundaryMatches = 0;
-    auto& pairW = s.pairW;
-    auto& pairObs = s.pairObs;
-    auto& bndW = s.bndW;
-    auto& bndObs = s.bndObs;
 
-    /**
-     * Exact minimum-weight matching of one defect set (boundary
-     * optional) over global shortest-path distances. Used for whole
-     * small syndromes (fast path) and for small grown clusters: this
-     * fills the pair and boundary tables that matchDefectsExact
-     * solves.
-     *
-     * Defect-pair distances come from the decoder's shared rows, which
-     * never route through the boundary node -- boundary pairing is a
-     * separate option, exactly as in MWPM's formulation. Defects
-     * ascend (events are extracted in index order and clusters collect
-     * them in that order), so each pair reads the smaller defect's
-     * row, which settles as far as the later defects, and the answer
-     * cannot depend on which thread filled which row.
-     */
+    // Exact minimum-weight matching of one defect set over global
+    // shortest paths, MWPM's formulation (MatchingPaths::match): whole
+    // small syndromes (fast path) and small grown clusters. Defects
+    // ascend: events are extracted in index order and clusters collect
+    // them in that order.
     auto matchExact = [&](std::span<const uint32_t> defects) {
-        const size_t k = defects.size();
-        // Lone defect: the precomputed boundary chain is the matching.
-        if (k == 1) {
-            if (std::isfinite(boundaryDist_[defects[0]])) {
-                obs ^= boundaryObs_[defects[0]];
-                ++boundaryMatches;
-            }
-            return;
-        }
-        // Defect pair: one compare, no arrays. Ties prefer the
-        // boundary, matching the branch-and-bound's order.
-        if (k == 2) {
-            double w = kInf;
-            uint32_t o = 0;
-            pairPaths(defects[0], defects.subspan(1),
-                      std::span<double>(&w, 1), std::span<uint32_t>(&o, 1));
-            double b = boundaryDist_[defects[0]] + boundaryDist_[defects[1]];
-            if (w < b) {
-                obs ^= o;
-                ++matchedPairs;
-            } else if (std::isfinite(b)) {
-                obs ^= boundaryObs_[defects[0]] ^ boundaryObs_[defects[1]];
-                boundaryMatches += 2;
-            } else if (std::isfinite(w)) {
-                obs ^= o;
-                ++matchedPairs;
-            }
-            return;
-        }
-        pairW.assign(k * k, kInf);
-        pairObs.assign(k * k, 0);
-        bndW.resize(k);
-        bndObs.resize(k);
-        for (size_t i = 0; i < k; ++i) {
-            bndW[i] = boundaryDist_[defects[i]];
-            bndObs[i] = boundaryObs_[defects[i]];
-        }
-        for (size_t i = 0; i + 1 < k; ++i) {
-            // Row i of the tables, right of the diagonal, then mirrored.
-            const size_t row = i * k + i + 1;
-            pairPaths(defects[i], defects.subspan(i + 1),
-                      std::span<double>(pairW).subspan(row, k - i - 1),
-                      std::span<uint32_t>(pairObs).subspan(row, k - i - 1));
-            for (size_t j = i + 1; j < k; ++j) {
-                pairW[j * k + i] = pairW[i * k + j];
-                pairObs[j * k + i] = pairObs[i * k + j];
-            }
-        }
-
-        const ExactMatching m =
-            matchDefectsExact(pairW, pairObs, bndW, bndObs);
+        const ExactMatching m = paths_.match(defects);
         if (m.found) {
             obs ^= m.observables;
             matchedPairs += m.pairs;
@@ -757,8 +646,8 @@ UnionFindDecoder::decodeEvents(std::span<const uint32_t> events,
             if (hasExit) {
                 obs ^= exitObs;
                 ++boundaryMatches;
-            } else if (std::isfinite(boundaryDist_[root])) {
-                obs ^= boundaryObs_[root];
+            } else if (std::isfinite(paths_.boundaryDistance(root))) {
+                obs ^= paths_.boundaryObservables(root);
                 ++boundaryMatches;
             }
         }

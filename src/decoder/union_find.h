@@ -8,7 +8,6 @@
 #include "decoder/decoder.h"
 #include "decoder/decoding_graph.h"
 #include "decoder/exact_matching.h"
-#include "decoder/shortest_path_rows.h"
 #include "dem/detector_model.h"
 
 namespace vlq {
@@ -20,12 +19,13 @@ struct UnionFindOptions
      * Syndromes with at most this many detection events skip cluster
      * growth entirely and get one exact minimum-weight matching of
      * all defects over global shortest-path distances -- the same
-     * formulation as the MWPM decoder, solved by matchDefectsExact
-     * (the solver MwpmDecoder uses below the same event count), so
+     * formulation as the MWPM decoder, solved by MatchingPaths::match
+     * (the matcher MwpmDecoder uses below the same event count), so
      * small syndromes (the bulk of every below-threshold shot) are
      * decoded MWPM-exactly at a fraction of the growth path's cost.
      * 0 disables the fast path (tests of the growth machinery do
-     * this); values are clamped to 16 to bound the branch-and-bound.
+     * this); values are clamped to kMatchingPathsMaxDefects (16) to
+     * bound the branch-and-bound.
      */
     uint32_t exactSyndromeThreshold = kExactMatchingMaxDefects;
 };
@@ -52,15 +52,9 @@ struct UnionFindOptions
  * Each finished cluster is then peeled independently. Small clusters
  * -- the bulk of the work below threshold -- get an exact
  * minimum-weight matching of their defects over global shortest-path
- * distances: the defect-to-boundary option comes from a table built by
- * one DecodingGraph::shortestPaths search from the boundary at
- * construction, and defect-pair distances from the decoder's
- * shortest-path rows (ShortestPathRows), each settled by a
- * boundary-excluded search (timed by the `uf.row_fill` histogram) only
- * as far as the defects a thread reads it at, published without
- * blocking, and shared by every thread after that. Every pair is read
- * from the smaller defect's row, so no answer depends on which thread
- * filled which row or how far. Large clusters fall back to the classic
+ * distances (MatchingPaths::match, MWPM's small-syndrome matcher: a
+ * boundary table plus boundary-free rows that settle only as far as
+ * their readers reach). Large clusters fall back to the classic
  * linear peel of a spanning forest of their grown edges. The XOR of
  * observable masks along the chosen paths is the correction. It agrees
  * with MWPM on small syndromes up to genuine weight degeneracy, but it
@@ -137,7 +131,7 @@ class UnionFindDecoder : public Decoder
         return erasureSiteEdges_;
     }
 
-    const DecodingGraph& graph() const { return graph_; }
+    const DecodingGraph& graph() const { return paths_.graph(); }
 
     /** Growth ticks of edge e (the quantized weight). */
     uint32_t edgeCapacity(uint32_t e) const { return capacity_[e]; }
@@ -161,29 +155,11 @@ class UnionFindDecoder : public Decoder
     void mapErasureSites(std::span<const uint32_t> sites,
                          std::vector<uint32_t>& edges) const;
 
-    using Rows = ShortestPathRows<double, uint32_t>;
-
-    /**
-     * Defect-pair shortest paths from src to every node of `targets`
-     * (see ShortestPathRows::get), from a row settled by a search that
-     * never routes through the boundary node (boundary pairing is the
-     * matching's separate option): first when a thread asks for the
-     * row, and further when a target lies outside its extent.
-     */
-    void pairPaths(uint32_t src, std::span<const uint32_t> targets,
-                   std::span<double> dist,
-                   std::span<uint32_t> pathObs) const;
-
-    DecodingGraph graph_;
+    MatchingPaths paths_;
     /** Edge indices seeded by each heralded-erasure site. */
     std::vector<std::vector<uint32_t>> erasureSiteEdges_;
     uint32_t exactSyndromeThreshold_ = 0;
     std::vector<uint16_t> capacity_;
-    // Global shortest path to the boundary per detector (one search
-    // at construction) -- the boundary option of the cluster matching.
-    std::vector<double> boundaryDist_;
-    std::vector<uint32_t> boundaryObs_;
-    Rows pairRows_;
     // Distinguishes this instance in the per-thread scratch, whose
     // edge records carry a copy of capacity_.
     uint64_t scratchEpoch_ = 0;

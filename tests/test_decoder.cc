@@ -1,17 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <memory>
 #include <numeric>
+#include <span>
 #include <vector>
 
-#include "blossom_oracle.h"
 #include "core/generator_common.h"
 #include "decoder/decoder_factory.h"
 #include "decoder/exact_matching.h"
-#include "decoder/matching_graph.h"
 #include "decoder/mwpm_decoder.h"
+#include "decoder/union_find.h"
+#include "distance_oracle.h"
 #include "dem/detector_model.h"
 #include "dem/sampler.h"
 #include "obs/metrics.h"
@@ -35,17 +37,30 @@ configFor(int d, double p, ExtractionSchedule sched,
     return cfg;
 }
 
+/** One entry of the decoder's pair rows: the a-b path weight. */
+double
+pairDistance(const MatchingPaths& g, uint32_t a, uint32_t b)
+{
+    double d = 0.0;
+    uint32_t o = 0;
+    g.pairPaths(a, std::span<const uint32_t>(&b, 1), std::span<double>(&d, 1),
+                std::span<uint32_t>(&o, 1));
+    return d;
+}
+
+// The matching graph: the decoding graph as the decoders' matching
+// reads it, through MatchingPaths.
 TEST(MatchingGraphTest, BuildsFromBaseline)
 {
     GeneratorConfig cfg = configFor(3, 2e-3,
                                     ExtractionSchedule::AllAtOnce);
     GeneratedCircuit gen = generateBaselineMemory(cfg);
     DetectorErrorModel dem = DetectorErrorModel::build(gen.circuit);
-    MatchingGraph g = MatchingGraph::build(dem);
-    EXPECT_EQ(g.numNodes(), dem.numDetectors());
-    EXPECT_GT(g.numEdges(), 0u);
+    const MatchingPaths g(DecodingGraph::build(dem));
+    EXPECT_EQ(g.graph().numDetectors(), dem.numDetectors());
+    EXPECT_GT(g.graph().edges().size(), 0u);
     // Every detector should reach the boundary.
-    for (uint32_t i = 0; i < g.numNodes(); ++i)
+    for (uint32_t i = 0; i < g.graph().numDetectors(); ++i)
         EXPECT_TRUE(std::isfinite(g.boundaryDistance(i))) << i;
 }
 
@@ -55,12 +70,13 @@ TEST(MatchingGraphTest, DistanceIsMetricLike)
                                     ExtractionSchedule::AllAtOnce);
     GeneratedCircuit gen = generateBaselineMemory(cfg);
     DetectorErrorModel dem = DetectorErrorModel::build(gen.circuit);
-    MatchingGraph g = MatchingGraph::build(dem);
-    for (uint32_t a = 0; a < g.numNodes(); ++a) {
-        EXPECT_EQ(g.distance(a, a), 0.0f);
-        for (uint32_t b = a + 1; b < std::min(g.numNodes(), a + 5); ++b) {
-            EXPECT_FLOAT_EQ(g.distance(a, b), g.distance(b, a));
-            EXPECT_GT(g.distance(a, b), 0.0);
+    const MatchingPaths g(DecodingGraph::build(dem));
+    const uint32_t n = g.graph().numDetectors();
+    for (uint32_t a = 0; a < n; ++a) {
+        EXPECT_EQ(pairDistance(g, a, a), 0.0);
+        for (uint32_t b = a + 1; b < std::min(n, a + 5); ++b) {
+            EXPECT_DOUBLE_EQ(pairDistance(g, a, b), pairDistance(g, b, a));
+            EXPECT_GT(pairDistance(g, a, b), 0.0);
         }
     }
 }
@@ -245,9 +261,9 @@ TEST(MatchingGraphTest, CompactGraphAlsoGraphlike)
                                     ExtractionSchedule::Interleaved);
     GeneratedCircuit gen = generateCompactMemory(cfg);
     DetectorErrorModel dem = DetectorErrorModel::build(gen.circuit);
-    MatchingGraph g = MatchingGraph::build(dem);
-    EXPECT_EQ(g.stats().forcedPairings, 0u);
-    for (uint32_t i = 0; i < g.numNodes(); ++i)
+    const MatchingPaths g(DecodingGraph::build(dem));
+    EXPECT_EQ(g.graph().stats().forcedPairings, 0u);
+    for (uint32_t i = 0; i < g.graph().numDetectors(); ++i)
         EXPECT_TRUE(std::isfinite(g.boundaryDistance(i)));
 }
 
@@ -261,63 +277,71 @@ TEST(MatchingGraphTest, FewForcedPairings)
         GeneratedCircuit gen = generateMemoryCircuit(
             static_cast<EmbeddingKind>(embInt), cfg);
         DetectorErrorModel dem = DetectorErrorModel::build(gen.circuit);
-        MatchingGraph g = MatchingGraph::build(dem);
-        EXPECT_EQ(g.stats().forcedPairings, 0u)
+        EXPECT_EQ(DecodingGraph::build(dem).stats().forcedPairings, 0u)
             << "embedding " << embInt;
     }
 }
 
-TEST(MatchingGraphDeathTest, RejectsObservablesAboveBitSeven)
-{
-    // Rows keep 8 mask bits per path; a 9th observable would decode
-    // wrong silently, so building -- which fills no row -- must
-    // refuse it.
-    DecodingGraph g(2);
-    g.addContribution(0, 1, 0.01, 1u << 7);
-    g.addContribution(1, g.boundaryNode(), 0.01, 0);
-    g.addContribution(0, g.boundaryNode(), 0.02, 1u << 8);
-    g.finalize();
-    EXPECT_DEATH(MatchingGraph::build(g), "8 bits");
-
-    DecodingGraph ok(2);
-    ok.addContribution(0, 1, 0.01, 1u << 7);
-    ok.addContribution(1, ok.boundaryNode(), 0.01, 0);
-    ok.finalize();
-    MatchingGraph built = MatchingGraph::build(ok);
-    EXPECT_EQ(built.pathObservables(0, 1), 1u << 7);
-}
-
 /**
- * Rows may route through the boundary, so no detector pair is dearer
- * than both detectors exiting there (up to float rounding). The dense
- * reference below relies on this when it gives every event a private
- * boundary copy; a Dijkstra that excluded the boundary, as
- * union-find's does, would break it.
+ * Masks hold all 32 observable bits: on a hand-built graph whose edges
+ * flip observables 7, 12, 20 and 31, the pair rows, the boundary table,
+ * the matcher and union-find built on the graph return them intact.
  */
-void
-expectPairsNoDearerThanBoundary(const MatchingGraph& g)
+TEST(MatchingGraphTest, ObservableBitsAboveSevenSurvive)
 {
-    for (uint32_t a = 0; a < g.numNodes(); ++a) {
-        for (uint32_t b = 0; b < g.numNodes(); ++b)
-            EXPECT_LE(g.distance(a, b), g.boundaryDistance(a)
-                                            + g.boundaryDistance(b) + 1e-4)
-                << a << "-" << b;
-    }
+    DecodingGraph graph(3);
+    const uint32_t B = graph.boundaryNode();
+    graph.addContribution(0, 1, 0.01, 1u << 20);
+    graph.addContribution(1, 2, 0.01, 1u << 12);
+    graph.addContribution(2, B, 0.01, 1u << 7);
+    graph.addContribution(0, B, 0.001, 1u << 31);
+    graph.finalize();
+    const MatchingPaths g(graph);
+
+    const std::vector<uint32_t> targets = {1, 2};
+    std::vector<double> dist(2);
+    std::vector<uint32_t> pathObs(2);
+    g.pairPaths(0, targets, std::span<double>(dist),
+                std::span<uint32_t>(pathObs));
+    EXPECT_EQ(pathObs[0], 1u << 20);
+    EXPECT_EQ(pathObs[1], (1u << 20) ^ (1u << 12));
+    EXPECT_EQ(g.boundaryObservables(0), 1u << 31);
+    EXPECT_EQ(g.boundaryObservables(1), (1u << 12) ^ (1u << 7));
+    EXPECT_EQ(g.boundaryObservables(2), 1u << 7);
+
+    // Pair 0-1 and send 2 to the boundary: every other matching is
+    // dearer.
+    const std::vector<uint32_t> all = {0, 1, 2};
+    const ExactMatching m = g.match(all);
+    ASSERT_TRUE(m.found);
+    EXPECT_EQ(m.observables, (1u << 20) ^ (1u << 7));
+    EXPECT_EQ(m.pairs, 1u);
+    EXPECT_EQ(m.boundaryMatches, 1u);
+    EXPECT_EQ(g.match(std::vector<uint32_t>{0}).observables, 1u << 31);
+    EXPECT_EQ(g.match(std::vector<uint32_t>{0, 1}).observables, 1u << 20);
+
+    const UnionFindDecoder uf(graph);
+    BitVec det(3);
+    for (const uint32_t v : all)
+        det.flip(v);
+    EXPECT_EQ(uf.decode(det), (1u << 20) ^ (1u << 7));
 }
 
 /**
- * Rows are filled on first use, not at build: building a d=13 MWPM
- * decoder fills none, and on a d=3 graph every row agrees with the
- * point API and is filled exactly once however often it is read. Rows
- * of Baseline and Compact-Interleaved graphs never price a pair above
- * two boundary exits.
+ * Building a decoder fills no row: a d=13 MWPM decoder publishes none.
+ * On a d=3 graph every detector's row read at every node equals the
+ * boundary-free complete search bit for bit, and equals one-node reads
+ * of a second table, which extend its rows one target at a time. A row
+ * read whole is published once however often it is read. The dense
+ * oracle of Baseline and Compact-Interleaved graphs never prices a pair
+ * above two boundary exits.
  */
 TEST(MatchingGraphTest, BuildFillsNoRowAndRowsMatchPointApi)
 {
     const bool wasEnabled = obs::metricsEnabled();
     obs::setMetricsEnabled(true);
     auto rowsFilled = [] {
-        return obs::snapshotMetrics().counter("matching.rows_filled");
+        return obs::snapshotMetrics().counter("rows.filled");
     };
 
     const DetectorErrorModel large = DetectorErrorModel::build(
@@ -333,142 +357,66 @@ TEST(MatchingGraphTest, BuildFillsNoRowAndRowsMatchPointApi)
         generateBaselineMemory(
             configFor(3, 2e-3, ExtractionSchedule::AllAtOnce))
             .circuit);
-    const MatchingGraph g = MatchingGraph::build(dem);
-    std::vector<uint32_t> everyNode(g.numNodes());
+    const MatchingPaths g(DecodingGraph::build(dem));
+    const MatchingPaths points(DecodingGraph::build(dem));
+    const uint32_t n = g.graph().numNodes();
+    std::vector<uint32_t> everyNode(n);
     std::iota(everyNode.begin(), everyNode.end(), 0u);
+    std::vector<double> dist(n);
+    std::vector<uint32_t> pathObs(n);
+    std::vector<double> refDist(n);
+    std::vector<uint32_t> refObs(n);
     before = rowsFilled();
-    everyNode.push_back(g.boundaryNode());
-    std::vector<float> dist(everyNode.size());
-    std::vector<uint8_t> pathObs(everyNode.size());
-    for (uint32_t a = 0; a < g.numNodes(); ++a) {
-        g.paths(a, everyNode, dist, pathObs);
-        for (uint32_t b = 0; b < g.numNodes(); ++b) {
-            EXPECT_EQ(dist[b], g.distance(a, b)) << a << "-" << b;
-            EXPECT_EQ(pathObs[b], g.pathObservables(a, b)) << a << "-" << b;
-        }
-        EXPECT_EQ(dist.back(), g.boundaryDistance(a)) << a;
-        EXPECT_EQ(pathObs.back(), g.boundaryObservables(a)) << a;
+    for (uint32_t a = 0; a + 1 < n; ++a) {
+        for (int pass = 0; pass < 2; ++pass)
+            g.pairPaths(a, everyNode, std::span<double>(dist),
+                        std::span<uint32_t>(pathObs));
+        g.graph().shortestPaths(a, /*viaBoundary=*/false, refDist, refObs);
+        EXPECT_EQ(dist, refDist) << a;
+        EXPECT_EQ(pathObs, refObs) << a;
+        EXPECT_TRUE(std::isinf(dist.back())) << a;
     }
-    expectPairsNoDearerThanBoundary(g);
-    EXPECT_EQ(rowsFilled() - before, g.numNodes());
+    EXPECT_EQ(rowsFilled() - before, n - 1);
+    for (uint32_t a = 0; a + 1 < n; ++a) {
+        g.graph().shortestPaths(a, /*viaBoundary=*/false, refDist, refObs);
+        for (uint32_t b = 0; b < n; ++b) {
+            double d = 0.0;
+            uint32_t o = 0;
+            points.pairPaths(a, std::span<const uint32_t>(&b, 1),
+                             std::span<double>(&d, 1),
+                             std::span<uint32_t>(&o, 1));
+            EXPECT_EQ(std::bit_cast<uint64_t>(d),
+                      std::bit_cast<uint64_t>(refDist[b]))
+                << a << "-" << b;
+            EXPECT_EQ(o, refObs[b]) << a << "-" << b;
+        }
+    }
     obs::setMetricsEnabled(wasEnabled);
 
+    expectPairsNoDearerThanBoundary(DenseDistances(g.graph()));
     expectPairsNoDearerThanBoundary(
-        MatchingGraph::build(DetectorErrorModel::build(
+        DenseDistances(DecodingGraph::build(DetectorErrorModel::build(
             generateCompactMemory(
                 configFor(3, 2e-3, ExtractionSchedule::Interleaved))
-                .circuit)));
-}
-
-/** A matching's total weight and the XOR of its observable masks. */
-struct MatchingAnswer
-{
-    double weight = 0.0;
-    uint32_t observables = 0;
-};
-
-/**
- * Dense blossom reference (the oracle in tests/blossom_oracle.h),
- * independent of both of the decoder's solvers:
- * the complete-graph formulation over the decoder's own distance table
- * with a private boundary copy per event (copies joined at zero
- * weight), solved with the uniform-start maxWeightMatching on
- * complemented weights rather than the warm-started
- * minWeightPerfectMatching.
- */
-MatchingAnswer
-blossomReference(const MatchingGraph& g,
-                 const std::vector<uint32_t>& events)
-{
-    const int m = static_cast<int>(events.size());
-    std::vector<MatchEdge> edges;
-    for (int i = 0; i < m; ++i) {
-        const uint32_t ei = events[static_cast<size_t>(i)];
-        for (int j = i + 1; j < m; ++j) {
-            double w = g.distance(ei, events[static_cast<size_t>(j)]);
-            if (std::isfinite(w))
-                edges.push_back(MatchEdge{i, j, w});
-        }
-        if (std::isfinite(g.boundaryDistance(ei)))
-            edges.push_back(MatchEdge{i, m + i, g.boundaryDistance(ei)});
-        for (int j = i + 1; j < m; ++j)
-            edges.push_back(MatchEdge{m + i, m + j, 0.0});
-    }
-    double maxw = 0.0;
-    for (const MatchEdge& e : edges)
-        maxw = std::max(maxw, e.weight);
-    for (MatchEdge& e : edges)
-        e.weight = maxw + 1.0 - e.weight;
-    std::vector<int> mate = maxWeightMatching(2 * m, edges, true);
-    for (int v = 0; v < 2 * m; ++v)
-        EXPECT_GE(mate[static_cast<size_t>(v)], 0) << "unmatched " << v;
-    MatchingAnswer ref;
-    for (int i = 0; i < m; ++i) {
-        const uint32_t ei = events[static_cast<size_t>(i)];
-        const int j = mate[static_cast<size_t>(i)];
-        if (j == m + i) {
-            ref.weight += g.boundaryDistance(ei);
-            ref.observables ^= g.boundaryObservables(ei);
-        } else if (j > i && j < m) {
-            const uint32_t ej = events[static_cast<size_t>(j)];
-            ref.weight += g.distance(ei, ej);
-            ref.observables ^= g.pathObservables(ei, ej);
-        }
-    }
-    return ref;
-}
-
-/** Every event-pair / event-boundary matching, as (weight, mask). */
-void
-enumerateMatchings(const MatchingGraph& g,
-                   const std::vector<uint32_t>& events,
-                   std::vector<bool>& used, MatchingAnswer partial,
-                   std::vector<MatchingAnswer>& out)
-{
-    size_t i = 0;
-    while (i < events.size() && used[i])
-        ++i;
-    if (i == events.size()) {
-        out.push_back(partial);
-        return;
-    }
-    used[i] = true;
-    if (std::isfinite(g.boundaryDistance(events[i])))
-        enumerateMatchings(
-            g, events, used,
-            {partial.weight + g.boundaryDistance(events[i]),
-             partial.observables ^ g.boundaryObservables(events[i])},
-            out);
-    for (size_t j = i + 1; j < events.size(); ++j) {
-        const double w = g.distance(events[i], events[j]);
-        if (used[j] || !std::isfinite(w))
-            continue;
-        used[j] = true;
-        enumerateMatchings(
-            g, events, used,
-            {partial.weight + w,
-             partial.observables
-                 ^ g.pathObservables(events[i], events[j])},
-            out);
-        used[j] = false;
-    }
-    used[i] = false;
+                .circuit))));
 }
 
 /**
- * MwpmDecoder's prediction against the blossom reference: the same
- * mask, or (on a small syndrome, where the exact matcher answers and
+ * MwpmDecoder's prediction against the blossom reference over the
+ * dense oracle `dense` of the decoder's graph: the same mask, or (on a
+ * small syndrome, where the exact matcher answers and
  * may pick another of several optima) the mask of a matching whose
  * weight equals the reference's up to blossom's 2^-20 weight scaling.
  * Larger syndromes reach the sparse-blossom matcher, which can differ
  * from the reference only in the choice among equal-weight matchings
  * and on near-ties that its integer edge weights order differently
- * from the float rows; no seeded shot here hits either, so they must
+ * from the real weights; no seeded shot here hits either, so they must
  * agree exactly. tests/test_sparse_blossom.cc checks the matcher's
  * weight exactly, in its own integer metric.
  */
 ::testing::AssertionResult
-agreesWithBlossom(const MwpmDecoder& mwpm, const BitVec& det)
+agreesWithBlossom(const MwpmDecoder& mwpm, const DenseDistances& dense,
+                  const BitVec& det)
 {
     const std::vector<uint32_t> events = det.onesIndices();
     const uint32_t got = mwpm.decode(det);
@@ -476,17 +424,14 @@ agreesWithBlossom(const MwpmDecoder& mwpm, const BitVec& det)
         return got == 0 ? ::testing::AssertionSuccess()
                         : ::testing::AssertionFailure()
                               << "empty syndrome predicted " << got;
-    const MatchingAnswer ref = blossomReference(mwpm.graph(), events);
+    const MatchingAnswer ref = blossomReference(dense, events);
     if (got == ref.observables)
         return ::testing::AssertionSuccess();
     if (events.size() > kExactMatchingMaxDefects)
         return ::testing::AssertionFailure()
             << events.size() << " events: predicted " << got
             << ", blossom " << ref.observables;
-    std::vector<MatchingAnswer> all;
-    std::vector<bool> used(events.size(), false);
-    enumerateMatchings(mwpm.graph(), events, used, {}, all);
-    for (const MatchingAnswer& a : all)
+    for (const MatchingAnswer& a : enumerateMatchings(dense, events))
         if (a.observables == got && a.weight <= ref.weight + 1e-4)
             return ::testing::AssertionSuccess();
     return ::testing::AssertionFailure()
@@ -502,6 +447,7 @@ TEST(MwpmDecoderTest, AgreesWithBlossomOnEveryFaultPairAtDistanceThree)
     GeneratedCircuit gen = generateBaselineMemory(cfg);
     DetectorErrorModel dem = DetectorErrorModel::build(gen.circuit);
     MwpmDecoder mwpm(dem);
+    const DenseDistances dense(mwpm.graph());
 
     int singles = 0;
     for (const auto& ch : dem.channels()) {
@@ -509,7 +455,7 @@ TEST(MwpmDecoderTest, AgreesWithBlossomOnEveryFaultPairAtDistanceThree)
             BitVec det(dem.numDetectors());
             for (uint32_t d : o.detectors)
                 det.flip(d);
-            ASSERT_TRUE(agreesWithBlossom(mwpm, det))
+            ASSERT_TRUE(agreesWithBlossom(mwpm, dense, det))
                 << "op " << ch.opIndex;
             ++singles;
         }
@@ -525,7 +471,7 @@ TEST(MwpmDecoderTest, AgreesWithBlossomOnEveryFaultPairAtDistanceThree)
                 det.flip(d);
             for (uint32_t d : chs[j].outcomes.front().detectors)
                 det.flip(d);
-            ASSERT_TRUE(agreesWithBlossom(mwpm, det))
+            ASSERT_TRUE(agreesWithBlossom(mwpm, dense, det))
                 << "pair " << i << "," << j;
             ++pairs;
         }
@@ -548,6 +494,7 @@ checkSampledShots(int d, double p, int shots, uint64_t seed)
     DetectorErrorModel dem = DetectorErrorModel::build(gen.circuit);
     FaultSampler sampler(dem);
     MwpmDecoder mwpm(dem);
+    const DenseDistances dense(mwpm.graph());
     Rng root(seed);
     BitVec det(dem.numDetectors());
     uint32_t obsFlips = 0;
@@ -555,7 +502,7 @@ checkSampledShots(int d, double p, int shots, uint64_t seed)
     for (int s = 0; s < shots; ++s) {
         Rng rng = root.split(static_cast<uint64_t>(s));
         sampler.sampleInto(rng, det, obsFlips);
-        EXPECT_TRUE(agreesWithBlossom(mwpm, det))
+        EXPECT_TRUE(agreesWithBlossom(mwpm, dense, det))
             << "d=" << d << " p=" << p << " shot " << s;
         const size_t events = det.onesIndices().size();
         if (events > kExactMatchingMaxDefects)

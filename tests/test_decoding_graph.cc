@@ -18,6 +18,7 @@
 #include "decoder/shortest_path_rows.h"
 #include "dem/detector_model.h"
 #include "mc/memory_experiment.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace vlq {
@@ -127,6 +128,70 @@ pointLabel(EmbeddingKind embedding, const GeneratorConfig& cfg, double p)
         + " d=" + std::to_string(cfg.distance) + " p=" + std::to_string(p)
         + " "
         + (cfg.memoryBasis == CheckBasis::X ? "X" : "Z");
+}
+
+/**
+ * Fewest decoding-graph edges whose faults flip observable 0 without
+ * firing a detector: a breadth-first search over (node, observable-0
+ * parity) from the boundary at even parity to the boundary at odd
+ * parity. -1 when no such path exists.
+ */
+int
+circuitDistance(const DecodingGraph& g)
+{
+    const uint32_t boundary = g.boundaryNode();
+    std::vector<int> depth(2 * size_t{g.numNodes()}, -1);
+    std::vector<uint32_t> queue = {2 * boundary};
+    depth[2 * boundary] = 0;
+    for (size_t qi = 0; qi < queue.size(); ++qi) {
+        const uint32_t v = queue[qi] / 2;
+        const uint32_t parity = queue[qi] % 2;
+        for (const uint32_t e : g.incidentEdges(v)) {
+            const uint32_t next = 2 * g.otherEndpoint(e, v)
+                + (parity ^ (g.edges()[e].observables & 1u));
+            if (depth[next] < 0) {
+                depth[next] = depth[queue[qi]] + 1;
+                queue.push_back(next);
+            }
+        }
+    }
+    return depth[2 * boundary + 1];
+}
+
+/**
+ * Every registered embedding x schedule x basis at d 3/5/7 decodes on a
+ * graph whose shortest undetectable logical error is the patch's
+ * distance in the memory basis, as the backend's shape resolves it:
+ * the column count for memory-X, the row count for memory-Z (d, except
+ * compact-rect's default 3-column patch). Every fault outcome maps onto
+ * the graph's edges without a forced pairing or an observable conflict.
+ */
+TEST(CircuitDistance, EveryRegisteredSetupHasItsPatchDistance)
+{
+    int cases = 0;
+    for (const GeneratorBackend& backend : generatorRegistry()) {
+        std::vector<ExtractionSchedule> schedules = {
+            ExtractionSchedule::AllAtOnce};
+        if (backend.virtualized)
+            schedules.push_back(ExtractionSchedule::Interleaved);
+        for (const ExtractionSchedule schedule : schedules)
+            for (const CheckBasis basis : {CheckBasis::Z, CheckBasis::X})
+                for (const int d : {3, 5, 7}) {
+                    const GeneratorConfig cfg =
+                        pointConfig(d, 3e-3, schedule, basis);
+                    const DecodingGraph g = graphFor(backend.kind, cfg);
+                    const auto [dx, dz] = backend.shape(d, 0, 0);
+                    const std::string label =
+                        pointLabel(backend.kind, cfg, 3e-3);
+                    EXPECT_EQ(circuitDistance(g),
+                              basis == CheckBasis::X ? dx : dz)
+                        << label;
+                    EXPECT_EQ(g.stats().forcedPairings, 0u) << label;
+                    EXPECT_EQ(g.stats().observableConflicts, 0u) << label;
+                    ++cases;
+                }
+    }
+    EXPECT_EQ(cases, 42);
 }
 
 TEST(ShortestPaths, RowsMatchReferenceOnEveryEmbeddingAndBasis)
@@ -280,9 +345,12 @@ expectRowTableMatchesReference(const DecodingGraph& g,
     constexpr uint32_t kRequests = 200;
     const uint32_t n = g.numNodes();
     Rng rng(seed);
-    uint64_t extensions = 0;
+    const bool wasEnabled = obs::metricsEnabled();
+    obs::setMetricsEnabled(true);
+    const uint64_t extendedBefore =
+        obs::snapshotMetrics().counter("rows.extended");
     for (const bool viaBoundary : {true, false}) {
-        ShortestPathRows<double, uint32_t> rows(n);
+        ShortestPathRows rows(n);
         std::vector<uint32_t> sources(std::min<uint32_t>(n, 12));
         for (uint32_t& src : sources)
             src = static_cast<uint32_t>(rng.nextBelow(n));
@@ -327,9 +395,7 @@ expectRowTableMatchesReference(const DecodingGraph& g,
             dist.assign(targets.size(), -1.0);
             obs.assign(targets.size(), ~0u);
             rows.get(src, targets, std::span<double>(dist),
-                     std::span<uint32_t>(obs), search,
-                     [](uint64_t, uint32_t) {},
-                     [&](bool extended) { extensions += extended; });
+                     std::span<uint32_t>(obs), search);
             for (size_t i = 0; i < targets.size(); ++i) {
                 const uint32_t t = targets[i];
                 const bool differs = std::bit_cast<uint64_t>(dist[i])
@@ -347,6 +413,9 @@ expectRowTableMatchesReference(const DecodingGraph& g,
         EXPECT_EQ(mismatches, 0u) << label << ", first at " << first;
         EXPECT_EQ(shrinks, 0u) << label;
     }
+    const uint64_t extensions =
+        obs::snapshotMetrics().counter("rows.extended") - extendedBefore;
+    obs::setMetricsEnabled(wasEnabled);
     return extensions;
 }
 

@@ -612,11 +612,11 @@ TEST(DecoderDigest, PredictionsMatchCommittedDigests)
           0x2c8c7f840c407ea5ULL},
          0x3c6ebadecb6e09a5ULL},
         {0, 5, 'Z', 0, 3e-03,
-         {0xcabe68ed4fb751e5ULL, 0x64daa520157011c5ULL,
+         {0xcabe68ed4fb751e5ULL, 0x6668ad202c2a73a5ULL,
           0xcabe68ed4fb751e5ULL},
          0x603f3305b97290e5ULL},
         {0, 5, 'X', 0, 3e-03,
-         {0x69d28ee7f41bd3a5ULL, 0xaede12bde05c9fc5ULL,
+         {0x69d28ee7f41bd3a5ULL, 0xc9b350b9efc4ede5ULL,
           0x69d28ee7f41bd3a5ULL},
          0xed8546843328ece5ULL},
         {1, 3, 'Z', 0, 3e-03,
@@ -632,7 +632,7 @@ TEST(DecoderDigest, PredictionsMatchCommittedDigests)
           0x7fb52279602d1c25ULL},
          0x319dd85f769b30a5ULL},
         {1, 5, 'X', 0, 3e-03,
-         {0x4f249149d6cc82a5ULL, 0xbb7ea02cc8c7ae45ULL,
+         {0x4f249149d6cc82a5ULL, 0xd21680b93a4d9e45ULL,
           0x4f249149d6cc82a5ULL},
          0xd624d1f7983a3f05ULL},
         {2, 3, 'Z', 0, 3e-03,
@@ -648,7 +648,7 @@ TEST(DecoderDigest, PredictionsMatchCommittedDigests)
           0x8013c4cf290b0c85ULL},
          0xe6db7d7f692e0b65ULL},
         {2, 5, 'X', 0, 3e-03,
-         {0xe89aee685f0f8305ULL, 0x4ffda234e13422e5ULL,
+         {0xe89aee685f0f8305ULL, 0x421cd24874cec725ULL,
           0xe89aee685f0f8305ULL},
          0x1427059e96bf9685ULL},
         {3, 3, 'Z', 0, 3e-03,
@@ -660,11 +660,11 @@ TEST(DecoderDigest, PredictionsMatchCommittedDigests)
           0xa9c2264455559f65ULL},
          0x3aac46a36c139c05ULL},
         {3, 5, 'Z', 0, 3e-03,
-         {0xf57afac1ba481245ULL, 0xcdea201b39538145ULL,
+         {0xf57afac1ba481245ULL, 0x7a8b4a34b034ef65ULL,
           0xf57afac1ba481245ULL},
          0x9603110b591f2065ULL},
         {3, 5, 'X', 0, 3e-03,
-         {0x04b93a5f23885fe5ULL, 0xc7544600757f7b25ULL,
+         {0x04b93a5f23885fe5ULL, 0xf2e3c6d6b86b2505ULL,
           0x04b93a5f23885fe5ULL},
          0xeb5aa7883a681e25ULL},
         {4, 3, 'Z', 0, 3e-03,
@@ -692,23 +692,23 @@ TEST(DecoderDigest, PredictionsMatchCommittedDigests)
           0x44819ccfa8daf1a5ULL},
          0x61e7e7246cfbe2a5ULL},
         {0, 7, 'Z', 0, 8e-03,
-         {0x0270b0ea30bb11c5ULL, 0x1218b50fda908485ULL,
+         {0x0270b0ea30bb11c5ULL, 0x662c5802d799cf65ULL,
           0x172b595f4047b505ULL},
          0xe720dd49f4b8c0e5ULL},
         {0, 7, 'X', 0, 8e-03,
-         {0xba48b1eb6a2e3005ULL, 0xf8c0775b56325d25ULL,
+         {0xba48b1eb6a2e3005ULL, 0x7e16c15549be5ca5ULL,
           0x25cb50cc74127005ULL},
          0x1b722378cea2b565ULL},
         {4, 7, 'Z', 0, 8e-03,
-         {0x89a8041e8c7a61c5ULL, 0x28133001fd6065e5ULL,
+         {0x89a8041e8c7a61c5ULL, 0xbeba9ab352134fc5ULL,
           0x8c877ad27c6069c5ULL},
          0xd04db71a7c7c6cc5ULL},
         {4, 7, 'X', 0, 8e-03,
-         {0x66a53552be505aa5ULL, 0x12b23553d2a39e85ULL,
+         {0x66a53552be505aa5ULL, 0xdc1a790466fee065ULL,
           0xa23fcb53546f83a5ULL},
          0x1efd2240c37e97e5ULL},
         {0, 11, 'Z', 0, 8e-03,
-         {0xe398c4d2e0ee2945ULL, 0xf97acf63fadeb645ULL,
+         {0xe398c4d2e0ee2945ULL, 0xe52d9ed9d7a61385ULL,
           0x46965973d83d3ee5ULL},
          0x5ff56cb15f229ca5ULL},
         {0, 5, 'Z', 3, 5e-03,

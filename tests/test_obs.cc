@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/generator_common.h"
+#include "decoder/decoder_factory.h"
 #include "decoder/union_find.h"
 #include "dem/detector_model.h"
 #include "dem/sampler.h"
@@ -368,30 +369,22 @@ TEST(ObsReport, DecodePathTimersRecordEveryPathShotAndMoveNoCount)
 
 TEST(ObsReport, RowFillTimersRecordEveryFillAndMoveNoCount)
 {
-    // uf.row_fill and matching.row_fill time every shortest-path row
-    // fill, including copies that lose the publish race: at least one
-    // sample per published copy (a row's first, counted by
-    // rows_filled, or for union-find a wider one, counted by
-    // uf.rows_extended), exactly one with a single worker. The counts
+    // rows.fill times every shortest-path row fill, including copies
+    // that lose the publish race: at least one sample per published
+    // copy (a row's first, counted by rows.filled, or a wider one,
+    // counted by rows.extended), exactly one with a single worker.
+    // Union-find and MWPM fill rows through the same table. The counts
     // of a seeded run do not move (invariant 7).
-    struct Rows
-    {
-        DecoderKind decoder;
-        const char* counter;
-        const char* extended; // null: the rows never extend
-        const char* histogram;
-    };
     GeneratorConfig cfg = obsConfig(5, 9e-3);
-    for (const Rows& rows :
-         {Rows{DecoderKind::UnionFind, "uf.rows_filled",
-               "uf.rows_extended", "uf.row_fill"},
-          Rows{DecoderKind::Mwpm, "matching.rows_filled", nullptr,
-               "matching.row_fill"}}) {
+    for (const DecoderKind decoder :
+         {DecoderKind::UnionFind, DecoderKind::Mwpm}) {
         for (const unsigned threads : {1u, 4u}) {
+            SCOPED_TRACE(std::string(decoderKindName(decoder)) + ", "
+                         + std::to_string(threads) + " threads");
             McOptions options;
             options.trials = 256;
             options.seed = 29;
-            options.decoder = rows.decoder;
+            options.decoder = decoder;
             options.batchSize = 16;
             options.threads = threads;
             ASSERT_FALSE(obs::metricsEnabled());
@@ -405,24 +398,23 @@ TEST(ObsReport, RowFillTimersRecordEveryFillAndMoveNoCount)
             obs::setMetricsEnabled(false);
             const obs::MetricsSnapshot after = obs::snapshotMetrics();
 
-            EXPECT_EQ(on.trials, off.trials) << rows.histogram;
-            EXPECT_EQ(on.successes, off.successes) << rows.histogram;
-            const uint64_t first =
-                after.counter(rows.counter) - before.counter(rows.counter);
-            EXPECT_GT(first, 0u) << rows.counter;
-            const uint64_t published = rows.extended == nullptr
-                ? first
-                : first + after.counter(rows.extended)
-                    - before.counter(rows.extended);
-            const obs::HistogramSnapshot* h = after.histogram(rows.histogram);
-            ASSERT_NE(h, nullptr) << rows.histogram;
+            EXPECT_EQ(on.trials, off.trials);
+            EXPECT_EQ(on.successes, off.successes);
+            auto delta = [&](const char* counter) {
+                return after.counter(counter) - before.counter(counter);
+            };
+            const uint64_t first = delta("rows.filled");
+            EXPECT_GT(first, 0u);
+            const uint64_t published = first + delta("rows.extended");
+            const obs::HistogramSnapshot* h = after.histogram("rows.fill");
+            ASSERT_NE(h, nullptr);
             const obs::HistogramSnapshot* prev =
-                before.histogram(rows.histogram);
+                before.histogram("rows.fill");
             const uint64_t fills = h->count - (prev ? prev->count : 0);
             if (threads == 1)
-                EXPECT_EQ(fills, published) << rows.histogram;
+                EXPECT_EQ(fills, published);
             else
-                EXPECT_GE(fills, published) << rows.histogram;
+                EXPECT_GE(fills, published);
         }
     }
 }

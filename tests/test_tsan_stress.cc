@@ -317,10 +317,8 @@ TEST(TsanStress, DecoderRowsAreSharedAndFillerIndependent)
         for (DecoderKind kind : {DecoderKind::UnionFind, DecoderKind::Mwpm,
                                  DecoderKind::Greedy}) {
             SCOPED_TRACE(setup.name() + " " + decoderKindName(kind));
-            const char* counter = kind == DecoderKind::UnionFind
-                ? "uf.rows_filled" : "matching.rows_filled";
-            auto rowsFilled = [counter] {
-                return obs::snapshotMetrics().counter(counter);
+            auto rowsFilled = [] {
+                return obs::snapshotMetrics().counter("rows.filled");
             };
             using Predictions = std::vector<std::vector<uint32_t>>;
 
@@ -379,20 +377,25 @@ TEST(TsanStress, RowTableNeverMakesAThreadWait)
     constexpr unsigned kThreads = 4;
     constexpr uint32_t kLength = 16;
     constexpr uint32_t kSrc = 3;
-    using Rows = ShortestPathRows<double, uint32_t>;
-    const Rows rows(kLength);
+    const bool wasEnabled = obs::metricsEnabled();
+    obs::setMetricsEnabled(true);
+    auto published = [] {
+        const obs::MetricsSnapshot m = obs::snapshotMetrics();
+        return m.counter("rows.filled") + m.counter("rows.extended");
+    };
+    const uint64_t publishedBefore = published();
+    const ShortestPathRows rows(kLength);
     std::vector<uint32_t> nodes(kLength);
     std::vector<double> dist(kLength);
-    std::vector<uint32_t> obs(kLength);
+    std::vector<uint32_t> masks(kLength);
     for (uint32_t t = 0; t < kLength; ++t) {
         nodes[t] = t;
         dist[t] = kSrc + 0.5 * t;
-        obs[t] = kSrc ^ t;
+        masks[t] = kSrc ^ t;
     }
-    const DecodingGraph::Settled whole{nodes, dist, obs, {}, 1, true};
+    const DecodingGraph::Settled whole{nodes, dist, masks, {}, 1, true};
     std::latch allFilling(kThreads);
     std::atomic<unsigned> fills{0};
-    std::atomic<unsigned> published{0};
     std::atomic<bool> timedOut{false};
     auto search = [&](uint32_t, std::span<const uint32_t>, uint32_t,
                       const DecodingGraph::Frontier*) {
@@ -409,8 +412,6 @@ TEST(TsanStress, RowTableNeverMakesAThreadWait)
         }
         return whole;
     };
-    auto filled = [](uint64_t, uint32_t) {};
-    auto onPublish = [&](bool) { published.fetch_add(1); };
 
     const uint32_t target = kLength - 1;
     std::vector<double> gotDist(kThreads);
@@ -420,15 +421,14 @@ TEST(TsanStress, RowTableNeverMakesAThreadWait)
         threads.emplace_back([&, t] {
             rows.get(kSrc, std::span<const uint32_t>(&target, 1),
                      std::span<double>(&gotDist[t], 1),
-                     std::span<uint32_t>(&gotObs[t], 1), search, filled,
-                     onPublish);
+                     std::span<uint32_t>(&gotObs[t], 1), search);
         });
     for (std::thread& thread : threads)
         thread.join();
 
     EXPECT_FALSE(timedOut.load()) << "a caller waited for the filler";
     EXPECT_EQ(fills.load(), kThreads);
-    EXPECT_EQ(published.load(), 1u);
+    EXPECT_EQ(published() - publishedBefore, 1u);
     for (unsigned t = 0; t < kThreads; ++t) {
         EXPECT_EQ(gotDist[t], kSrc + 0.5 * target) << "thread " << t;
         EXPECT_EQ(gotObs[t], kSrc ^ target) << "thread " << t;
@@ -442,11 +442,12 @@ TEST(TsanStress, RowTableNeverMakesAThreadWait)
             const DecodingGraph::Frontier*) {
             ADD_FAILURE() << "published row filled again";
             return whole;
-        },
-        filled,
-        [](bool) { ADD_FAILURE() << "published row published again"; });
+        });
+    EXPECT_EQ(published() - publishedBefore, 1u)
+        << "published row published again";
     EXPECT_EQ(again, dist);
-    EXPECT_EQ(againObs, obs);
+    EXPECT_EQ(againObs, masks);
+    obs::setMetricsEnabled(wasEnabled);
 }
 
 /**
@@ -473,12 +474,15 @@ TEST(TsanStress, RowTableExtendsARowFromFourThreadsAtOnce)
     std::vector<uint32_t> refObs(n);
     graph.shortestPaths(kSrc, /*viaBoundary=*/false, refDist, refObs);
 
-    using Rows = ShortestPathRows<double, uint32_t>;
-    const Rows rows(n);
+    const bool wasEnabled = obs::metricsEnabled();
+    obs::setMetricsEnabled(true);
+    auto extended = [] {
+        return obs::snapshotMetrics().counter("rows.extended");
+    };
+    const ShortestPathRows rows(n);
     std::latch allFilling(kThreads);
     std::atomic<bool> gate{false};
     std::atomic<bool> timedOut{false};
-    std::atomic<unsigned> extensions{0};
     auto search = [&](uint32_t src, std::span<const uint32_t> targets,
                       uint32_t minSettled,
                       const DecodingGraph::Frontier* from) {
@@ -497,8 +501,6 @@ TEST(TsanStress, RowTableExtendsARowFromFourThreadsAtOnce)
         return graph.settle(src, /*viaBoundary=*/false, targets,
                             minSettled, from);
     };
-    auto filled = [](uint64_t, uint32_t) {};
-    auto onPublish = [&](bool extended) { extensions += extended; };
 
     // A narrow first copy: the source's nearest neighbour.
     uint32_t near = 1;
@@ -509,10 +511,11 @@ TEST(TsanStress, RowTableExtendsARowFromFourThreadsAtOnce)
     uint32_t nearObs = 0;
     rows.get(kSrc, std::span<const uint32_t>(&near, 1),
              std::span<double>(&nearDist, 1),
-             std::span<uint32_t>(&nearObs, 1), search, filled, onPublish);
+             std::span<uint32_t>(&nearObs, 1), search);
     ASSERT_FALSE(rows.complete(kSrc));
     ASSERT_EQ(nearDist, refDist[near]);
     const uint32_t narrow = rows.settled(kSrc);
+    const uint64_t extendedBefore = extended();
 
     // Each thread's far targets: every fourth detector of the last
     // rounds, the far end of the index range.
@@ -529,16 +532,16 @@ TEST(TsanStress, RowTableExtendsARowFromFourThreadsAtOnce)
             gotDist[t].resize(targets[t].size());
             gotObs[t].resize(targets[t].size());
             rows.get(kSrc, targets[t], std::span<double>(gotDist[t]),
-                     std::span<uint32_t>(gotObs[t]), search, filled,
-                     onPublish);
+                     std::span<uint32_t>(gotObs[t]), search);
             settledAfter[t] = rows.settled(kSrc);
         });
     for (std::thread& thread : threads)
         thread.join();
 
     EXPECT_FALSE(timedOut.load()) << "a caller waited for another's copy";
-    EXPECT_GE(extensions.load(), 1u);
-    EXPECT_LE(extensions.load(), kThreads);
+    const uint64_t extensions = extended() - extendedBefore;
+    EXPECT_GE(extensions, 1u);
+    EXPECT_LE(extensions, kThreads);
     EXPECT_GE(rows.settled(kSrc), 2 * narrow);
     for (unsigned t = 0; t < kThreads; ++t) {
         SCOPED_TRACE("thread " + std::to_string(t));
@@ -552,6 +555,7 @@ TEST(TsanStress, RowTableExtendsARowFromFourThreadsAtOnce)
             EXPECT_EQ(gotObs[t][i], refObs[target]) << target;
         }
     }
+    obs::setMetricsEnabled(wasEnabled);
 }
 
 } // namespace

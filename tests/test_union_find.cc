@@ -8,11 +8,11 @@
 
 #include "core/generator_common.h"
 #include "decoder/decoder_factory.h"
-#include "decoder/matching_graph.h"
 #include "decoder/mwpm_decoder.h"
 #include "decoder/union_find.h"
 #include "dem/detector_model.h"
 #include "dem/sampler.h"
+#include "distance_oracle.h"
 #include "mc/monte_carlo.h"
 #include "util/rng.h"
 
@@ -48,80 +48,6 @@ syndromeOf(std::initializer_list<uint32_t> detectors, uint32_t numDetectors)
     return syndromeOf(
         std::span<const uint32_t>(detectors.begin(), detectors.size()),
         numDetectors);
-}
-
-/**
- * Enumerate every pairing of the events (event-event via shortest
- * paths, or event-boundary) and record its (weight, observable mask).
- * This is the exact search MWPM optimizes over, so it defines the
- * ground truth for "equal-weight correction" acceptance.
- */
-void
-enumeratePairings(const std::vector<uint32_t>& events,
-                  const MatchingGraph& g, std::vector<bool>& used,
-                  double w, uint32_t obs,
-                  std::vector<std::pair<double, uint32_t>>& out)
-{
-    size_t i = 0;
-    while (i < events.size() && used[i])
-        ++i;
-    if (i == events.size()) {
-        out.push_back({w, obs});
-        return;
-    }
-    used[i] = true;
-    double wb = g.boundaryDistance(events[i]);
-    if (std::isfinite(wb))
-        enumeratePairings(events, g, used, w + wb,
-                          obs ^ g.boundaryObservables(events[i]), out);
-    for (size_t j = i + 1; j < events.size(); ++j) {
-        if (used[j])
-            continue;
-        double wij = g.distance(events[i], events[j]);
-        if (!std::isfinite(wij))
-            continue;
-        used[j] = true;
-        enumeratePairings(events, g, used, w + wij,
-                          obs ^ g.pathObservables(events[i], events[j]),
-                          out);
-        used[j] = false;
-    }
-    used[i] = false;
-}
-
-/**
- * Accept a union-find prediction when some pairing achieving it is
- * within `relTol` of the minimum pairing weight: either the decoders
- * agree, or the syndrome is (near-)degenerate and both corrections are
- * minimum-weight. The tolerance absorbs the UF weight quantization
- * (1/granularity per edge); genuinely wrong pairings differ by at
- * least one full edge weight and stay rejected.
- */
-::testing::AssertionResult
-ufPredictionIsMinWeight(uint32_t ufObs,
-                        const std::vector<uint32_t>& events,
-                        const MatchingGraph& g, double relTol = 0.05)
-{
-    std::vector<std::pair<double, uint32_t>> pairings;
-    std::vector<bool> used(events.size(), false);
-    enumeratePairings(events, g, used, 0.0, 0, pairings);
-    if (pairings.empty())
-        return ::testing::AssertionFailure() << "no pairing exists";
-    double best = pairings[0].first;
-    for (const auto& [w, o] : pairings)
-        best = std::min(best, w);
-    double bestForUf = -1.0;
-    for (const auto& [w, o] : pairings)
-        if (o == ufObs && (bestForUf < 0.0 || w < bestForUf))
-            bestForUf = w;
-    if (bestForUf < 0.0)
-        return ::testing::AssertionFailure()
-            << "no pairing yields uf obs " << ufObs;
-    if (bestForUf > best * (1.0 + relTol) + 1e-9)
-        return ::testing::AssertionFailure()
-            << "uf obs " << ufObs << " costs " << bestForUf
-            << " but optimum costs " << best;
-    return ::testing::AssertionSuccess();
 }
 
 // ---------------------------------------------------------------------------
@@ -161,27 +87,25 @@ TEST(DecodingGraphTest, HandBuiltAccumulation)
     EXPECT_NEAR(g.minWeight(), w03, 1e-12);
 }
 
-TEST(DecodingGraphTest, DemBuildMatchesMatchingGraph)
+TEST(DecodingGraphTest, DemBuildEdgesBoundShortestPaths)
 {
     GeneratorConfig cfg = configFor(3, 2e-3,
                                     ExtractionSchedule::AllAtOnce);
     GeneratedCircuit gen = generateBaselineMemory(cfg);
     DetectorErrorModel dem = DetectorErrorModel::build(gen.circuit);
     DecodingGraph sparse = DecodingGraph::build(dem);
-    MatchingGraph dense = MatchingGraph::build(sparse);
+    const DenseDistances dense(sparse);
 
     EXPECT_EQ(sparse.numDetectors(), dem.numDetectors());
+    EXPECT_EQ(dense.numDetectors(), dem.numDetectors());
     EXPECT_GT(sparse.edges().size(), 0u);
-    EXPECT_EQ(dense.numEdges(), sparse.edges().size());
-    EXPECT_EQ(dense.stats().forcedPairings,
-              sparse.stats().forcedPairings);
 
     // Every single edge is itself a shortest-path upper bound.
     for (const DecodingEdge& e : sparse.edges()) {
         double d = e.b == sparse.boundaryNode()
             ? dense.boundaryDistance(e.a)
             : dense.distance(e.a, e.b);
-        EXPECT_LE(d, e.weight + 1e-5);
+        EXPECT_LE(d, e.weight);
         EXPECT_GT(d, 0.0);
     }
 }
@@ -443,6 +367,7 @@ TEST(UnionFindAgreementTest, AllSingleFaultsAtDistanceThree)
         DetectorErrorModel dem = DetectorErrorModel::build(gen.circuit);
         MwpmDecoder mwpm(dem);
         UnionFindDecoder uf(dem);
+        const DenseDistances dense(uf.graph());
         int checked = 0;
         for (const auto& ch : dem.channels()) {
             for (const auto& o : ch.outcomes) {
@@ -451,8 +376,8 @@ TEST(UnionFindAgreementTest, AllSingleFaultsAtDistanceThree)
                 uint32_t predicted = uf.decode(det);
                 if (predicted != mwpm.decode(det)) {
                     std::vector<uint32_t> events = det.onesIndices();
-                    EXPECT_TRUE(ufPredictionIsMinWeight(
-                        predicted, events, mwpm.graph()))
+                    EXPECT_TRUE(
+                        ufPredictionIsMinWeight(predicted, events, dense))
                         << "embedding " << embInt << " op "
                         << ch.opIndex;
                 }
@@ -471,6 +396,7 @@ TEST(UnionFindAgreementTest, AllFaultPairsAtDistanceThree)
     DetectorErrorModel dem = DetectorErrorModel::build(gen.circuit);
     MwpmDecoder mwpm(dem);
     UnionFindDecoder uf(dem);
+    const DenseDistances dense(uf.graph());
 
     const auto& chs = dem.channels();
     // The full cross product: cheap because the equal-weight
@@ -488,8 +414,7 @@ TEST(UnionFindAgreementTest, AllFaultPairsAtDistanceThree)
             if (predicted != mwpm.decode(det)) {
                 ++disagreements;
                 std::vector<uint32_t> events = det.onesIndices();
-                ASSERT_TRUE(ufPredictionIsMinWeight(predicted, events,
-                                                    mwpm.graph()))
+                ASSERT_TRUE(ufPredictionIsMinWeight(predicted, events, dense))
                     << "pair " << i << "," << j;
             }
             ++checked;
@@ -508,6 +433,7 @@ TEST(UnionFindAgreementTest, FaultPairsAtDistanceFive)
     DetectorErrorModel dem = DetectorErrorModel::build(gen.circuit);
     MwpmDecoder mwpm(dem);
     UnionFindDecoder uf(dem);
+    const DenseDistances dense(uf.graph());
 
     const auto& chs = dem.channels();
     int checked = 0;
@@ -521,8 +447,7 @@ TEST(UnionFindAgreementTest, FaultPairsAtDistanceFive)
             uint32_t predicted = uf.decode(det);
             if (predicted != mwpm.decode(det)) {
                 std::vector<uint32_t> events = det.onesIndices();
-                ASSERT_TRUE(ufPredictionIsMinWeight(predicted, events,
-                                                    mwpm.graph()))
+                ASSERT_TRUE(ufPredictionIsMinWeight(predicted, events, dense))
                     << "pair " << i << "," << j;
             }
             ++checked;
