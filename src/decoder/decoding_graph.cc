@@ -179,8 +179,7 @@ struct SearchScratch
     std::vector<uint32_t> slot;     // slot of a reached node's live entry
     std::vector<uint8_t> target;    // targets not settled yet
     std::vector<uint32_t> reached;  // nodes with a finite dist
-    std::vector<uint32_t> settled;  // by this call, in settle order
-    std::vector<uint32_t> frontier; // reached, unsettled at the stop
+    std::vector<uint32_t> settled;  // in settle order
     std::vector<std::vector<uint32_t>> buckets; // the circle, by slot
 
     /** Forget the last search and size the arrays for `n` nodes. */
@@ -191,7 +190,6 @@ struct SearchScratch
             dist[t] = kInf;
         reached.clear();
         settled.clear();
-        frontier.clear();
         if (dist.size() < n) {
             dist.resize(n, kInf);
             obs.resize(n);
@@ -223,22 +221,21 @@ DecodingGraph::shortestPaths(uint32_t src, bool viaBoundary,
 DecodingGraph::Settled
 DecodingGraph::settle(uint32_t src, bool viaBoundary,
                       std::span<const uint32_t> targets,
-                      uint32_t minSettled, const Frontier* from) const
+                      uint32_t minSettled) const
 {
     constexpr double kInf = std::numeric_limits<double>::infinity();
     thread_local SearchScratch s;
     const uint32_t n = numNodes();
     const uint32_t boundary = boundaryNode();
     s.begin(n);
-    Settled out;
+    s.dist[src] = 0.0;
+    s.obs[src] = 0;
+    s.reached.push_back(src);
 
     if (bucketMask_ == 0) {
         // Dijkstra with a binary heap, always to completion: nodes
         // settle in (distance, index) order, the contract's reference
         // order.
-        s.dist[src] = 0.0;
-        s.obs[src] = 0;
-        s.reached.push_back(src);
         using QItem = std::pair<double, uint32_t>;
         std::priority_queue<QItem, std::vector<QItem>, std::greater<QItem>>
             pq;
@@ -265,7 +262,6 @@ DecodingGraph::settle(uint32_t src, bool viaBoundary,
                 }
             }
         }
-        out.complete = true;
     } else {
         // Bucket k holds the nodes reached at distances in [k, k + 1)
         // widths; bucket k lives in slot k & mask. A node that improves
@@ -287,42 +283,15 @@ DecodingGraph::settle(uint32_t src, bool viaBoundary,
             s.slot[t] = static_cast<uint32_t>(b & mask);
             ++pending;
         };
-        uint64_t k = 0;
-        size_t settledBefore = 0;
-        if (from == nullptr) {
-            s.dist[src] = 0.0;
-            s.obs[src] = 0;
-            s.reached.push_back(src);
-            enqueue(src, 0);
-        } else {
-            // Resume: earlier settled nodes read as -infinity, so no
-            // relaxation touches them, and every frontier node keeps
-            // its mask on ties through src, whose distance reads the
-            // same.
-            k = from->buckets;
-            settledBefore = from->settled.size();
-            for (const uint32_t t : from->settled) {
-                s.dist[t] = -kInf;
-                s.slot[t] = kSettledSlot;
-                s.reached.push_back(t);
-            }
-            for (size_t i = 0; i < from->nodes.size(); ++i) {
-                const uint32_t t = from->nodes[i];
-                s.dist[t] = from->dist[i];
-                s.obs[t] = from->obs[i];
-                s.pred[t] = src;
-                s.reached.push_back(t);
-                enqueue(t, static_cast<uint64_t>(from->dist[i] * invWidth));
-            }
-        }
+        enqueue(src, 0);
         uint32_t waiting = 0; // distinct targets not settled yet
         for (const uint32_t t : targets) {
-            if (s.target[t] == 0 && s.dist[t] != -kInf) {
+            if (s.target[t] == 0) {
                 s.target[t] = 1;
                 ++waiting;
             }
         }
-        for (; pending > 0; ++k) {
+        for (uint64_t k = 0; pending > 0; ++k) {
             std::vector<uint32_t>& bucket = s.buckets[k & mask];
             // Nothing lands in the bucket being settled (asserted
             // below), so it does not grow while it is walked.
@@ -370,11 +339,9 @@ DecodingGraph::settle(uint32_t src, bool viaBoundary,
             // The stop rule: buckets up to k are settled, so every
             // node in them is final (see the contract). A search past
             // half the graph finishes it for at most what it spent.
-            const size_t total = settledBefore + s.settled.size();
-            if (waiting == 0 && total >= minSettled && 2 * total < n) {
-                ++k;
+            const size_t total = s.settled.size();
+            if (waiting == 0 && total >= minSettled && 2 * total < n)
                 break;
-            }
         }
         if (pending > 0) {
             for (std::vector<uint32_t>& bucket : s.buckets)
@@ -382,18 +349,13 @@ DecodingGraph::settle(uint32_t src, bool viaBoundary,
         }
         for (const uint32_t t : targets)
             s.target[t] = 0; // targets the search never reached
-        for (const uint32_t t : s.reached)
-            if (s.slot[t] != kSettledSlot)
-                s.frontier.push_back(t);
-        out.buckets = k;
-        out.complete = s.frontier.empty();
     }
 
-    out.nodes = s.settled;
-    out.dist = std::span<const double>(s.dist.data(), n);
-    out.obs = std::span<const uint32_t>(s.obs.data(), n);
-    out.frontier = s.frontier;
-    return out;
+    // Stale entries can outlive the stop, so completeness is read off
+    // the reached nodes, not off the queue.
+    return Settled{s.settled, std::span<const double>(s.dist.data(), n),
+                   std::span<const uint32_t>(s.obs.data(), n),
+                   s.settled.size() == s.reached.size()};
 }
 
 DecodingGraph

@@ -39,9 +39,11 @@ struct DecodingEdge
  * weight is positive, so the search settles nodes from a circular
  * bucket queue (Dial's algorithm) whose buckets are narrower than the
  * lightest edge, and can stop after any bucket with every node settled
- * so far final; finalize() sizes the queue, and graphs whose weights
- * span too wide a range for it fall back to a binary-heap Dijkstra.
- * Both give the same rows.
+ * so far final. Every search starts at its source and keeps no state
+ * between calls: a row widens by searching again, further, and the
+ * wider stop settles a superset of the narrower one. finalize() sizes
+ * the queue, and graphs whose weights span too wide a range for it
+ * fall back to a binary-heap Dijkstra. Both give the same rows.
  */
 class DecodingGraph
 {
@@ -98,36 +100,17 @@ class DecodingGraph
                        std::span<uint32_t> obs) const;
 
     /**
-     * Where an unfinished settle() from some source stopped, as a
-     * later settle() from that source resumes it: the buckets settled,
-     * every node settled so far, and the reached but unsettled nodes
-     * with their tentative entries, exactly as the search left them.
-     */
-    struct Frontier
-    {
-        uint64_t buckets = 0;
-        std::span<const uint32_t> settled;
-        std::span<const uint32_t> nodes;
-        std::span<const double> dist; // parallel to `nodes`
-        std::span<const uint32_t> obs;
-    };
-
-    /**
-     * What one settle() call settled and where it stopped. The spans
-     * point into the calling thread's search scratch and stay valid
-     * until that thread's next search.
+     * What one settle() call settled. The spans point into the calling
+     * thread's search scratch and stay valid until that thread's next
+     * search.
      */
     struct Settled
     {
-        /** Nodes this call settled (not those it resumed past). */
+        /** The nodes settled, in settle order. */
         std::span<const uint32_t> nodes;
-        /** By node: final at `nodes`, tentative at `frontier`. */
+        /** By node; final at `nodes`. */
         std::span<const double> dist;
         std::span<const uint32_t> obs;
-        /** Reached, unsettled nodes: empty once complete. */
-        std::span<const uint32_t> frontier;
-        /** Buckets settled in all, resumed ones included. */
-        uint64_t buckets = 0;
         /** Every node reachable from the source is settled. */
         bool complete = false;
     };
@@ -141,9 +124,6 @@ class DecodingGraph
      * completion, which costs it at most what it already spent; so
      * does a target it cannot reach (the boundary with `viaBoundary`
      * false, or a node in another component).
-     * Given `from`, the frontier where an earlier call from the same
-     * source stopped, the search continues from there instead of from
-     * src, and settles each node once across the calls.
      *
      * Every settled entry equals shortestPaths()' entry bit for bit.
      * A bucket is narrower than the lightest edge, so once the search
@@ -151,16 +131,14 @@ class DecodingGraph
      * node's distance and mask are final when its bucket is settled,
      * and the complete search performs the same relaxations up to that
      * bucket (their order within a bucket does not matter; see
-     * shortestPaths()). A resumed search also keeps each frontier
-     * node's mask on ties: its path came from a node settled earlier,
-     * which precedes every node settled now in (distance, index)
-     * order. The settled set is the union of the buckets settled, so
-     * two stops from one source settle nested sets, ordered by size.
-     * The heap fallback (see finalize()) always runs to completion.
+     * shortestPaths()). The settled set is the union of the buckets
+     * settled, so two stops from one source settle nested sets,
+     * ordered by size. The heap fallback (see finalize()) always runs
+     * to completion.
      */
     Settled settle(uint32_t src, bool viaBoundary,
-                   std::span<const uint32_t> targets, uint32_t minSettled,
-                   const Frontier* from = nullptr) const;
+                   std::span<const uint32_t> targets,
+                   uint32_t minSettled) const;
 
     /** Number of detector nodes (excludes the boundary). */
     uint32_t numDetectors() const { return numDetectors_; }

@@ -166,20 +166,20 @@ MatchingPaths::pairPaths(uint32_t src, std::span<const uint32_t> targets,
 {
     rows_.get(src, targets, dist, obs,
               [this](uint32_t s, std::span<const uint32_t> t,
-                     uint32_t minSettled,
-                     const DecodingGraph::Frontier* from) {
+                     uint32_t minSettled) {
                   return graph_.settle(s, /*viaBoundary=*/false, t,
-                                       minSettled, from);
+                                       minSettled);
               });
 }
 
 ExactMatching
 MatchingPaths::match(std::span<const uint32_t> defects) const
 {
-    constexpr size_t kMax = kMatchingPathsMaxDefects;
+    constexpr size_t kMax = kExactMatchingMaxDefects;
     constexpr double kInf = std::numeric_limits<double>::infinity();
     const size_t k = defects.size();
-    VLQ_ASSERT(k <= kMax, "MatchingPaths::match takes at most 16 defects");
+    VLQ_ASSERT(k <= kMax, "MatchingPaths::match takes at most "
+                          "kExactMatchingMaxDefects defects");
     // Lone defect: the boundary table's chain is the matching.
     if (k == 1) {
         const double b = boundaryDist_[defects[0]];

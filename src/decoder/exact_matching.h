@@ -15,12 +15,10 @@ namespace vlq {
  * exactly by MatchingPaths::match instead of by cluster growth
  * (union-find's default UnionFindOptions::exactSyndromeThreshold) or by
  * sparse blossom (MwpmDecoder's cut-over). Below the code's error
- * threshold most shots fit.
+ * threshold most shots fit. It is also the most defects
+ * MatchingPaths::match takes.
  */
 inline constexpr uint32_t kExactMatchingMaxDefects = 10;
-
-/** The most defects MatchingPaths::match takes. */
-inline constexpr uint32_t kMatchingPathsMaxDefects = 16;
 
 /** One minimum-weight matching found by matchDefectsExact. */
 struct ExactMatching
@@ -99,7 +97,7 @@ class MatchingPaths
 
     /**
      * Exact minimum-weight matching of `defects` (ascending, at most
-     * kMatchingPathsMaxDefects) over these paths, each defect paired or
+     * kExactMatchingMaxDefects) over these paths, each defect paired or
      * sent to the boundary: fills matchDefectsExact's tables, each pair
      * from the smaller defect's row, so no answer depends on which
      * thread filled which row or how far. One and two defects are

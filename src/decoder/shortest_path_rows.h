@@ -26,14 +26,15 @@ namespace vlq {
  * DecodingGraph::settle(), so every entry equals the complete search's
  * entry bit for bit (a node is final once its bucket is settled), and
  * extents of one source nest. get(src, targets) reads the row at every
- * target. When the published row misses one, the caller resumes the
- * row's search where it stopped, until the targets and at least twice
- * the published row's nodes are settled (or, past half the graph,
- * every node). So each node of a row is settled once, however far its
- * readers reach, and a row is published O(log n) times. A partial row
- * stores its settled entries in node order plus the search's frontier,
- * so memory follows what readers touch; a complete row is a plain
- * array indexed by node.
+ * target. When the published row misses one, the caller searches again
+ * from src until the targets and at least twice the published row's
+ * nodes are settled (or, past half the graph, every node), and
+ * publishes that search's settled set alone: it contains the old one.
+ * So a row is published O(log n) times, and a wider copy that is not
+ * complete settles at least as many new nodes as it settles again. A
+ * partial row stores its settled entries in node order, so memory
+ * follows what readers touch; a complete row is a plain array indexed
+ * by node.
  *
  * Publication never makes a thread wait. The caller builds a copy of
  * its own and publishes it with one compare-and-swap (release
@@ -51,8 +52,9 @@ namespace vlq {
  * While obs metrics are enabled the table records its own work: the
  * `rows.fill` histogram times every search and copy, including copies
  * that lose the race; `rows.nodes` counts the nodes those searches
- * settled; `rows.filled` counts rows published for the first time and
- * `rows.extended` wider copies that replaced a published one.
+ * settled, a wider copy's re-settled nodes included; `rows.filled`
+ * counts rows published for the first time and `rows.extended` wider
+ * copies that replaced a published one.
  */
 class ShortestPathRows
 {
@@ -83,12 +85,11 @@ class ShortestPathRows
      * may come in any order; ascending ones are found fastest.
      *
      * When the published copy misses a target (or none is published),
-     * the caller runs `search(src, targets, minSettled, from)`, which
-     * must return the DecodingGraph::Settled of DecodingGraph::settle()
-     * from src with those arguments: `from` is the published copy's
-     * frontier, or null when there is none. The caller publishes a copy
-     * of the result unless another thread published one at least as
-     * large first. MatchingPaths searches with settle(); tests pass a
+     * the caller runs `search(src, targets, minSettled)`, which must
+     * return the DecodingGraph::Settled of DecodingGraph::settle() from
+     * src with those arguments. The caller publishes a copy of the
+     * result unless another thread published one at least as large
+     * first. MatchingPaths searches with settle(); tests pass a
      * reference or a blocking search.
      */
     template <typename Search>
@@ -128,13 +129,6 @@ class ShortestPathRows
         std::vector<uint32_t> obs;
         uint32_t settled = 0;
         bool complete = false;
-        // Where the search stopped, for the next extension: the
-        // buckets settled and the frontier with its exact tentative
-        // entries, which no reader sees. Empty once complete.
-        uint64_t buckets = 0;
-        std::vector<uint32_t> frontier;
-        std::vector<double> frontierDist;
-        std::vector<uint32_t> frontierObs;
         const Data* superseded = nullptr; // the copy this one replaced
 
         /** The entries at `targets`; false when one is unsettled. */
@@ -168,21 +162,15 @@ class ShortestPathRows
         }
     };
 
-    /** `seen`'s entries merged with the search's, and its frontier. */
-    std::unique_ptr<Data> merge(const Data* seen,
-                                const DecodingGraph::Settled& s) const
+    /** A copy of the search's settled entries. */
+    std::unique_ptr<Data> copy(const DecodingGraph::Settled& s) const
     {
         auto d = std::make_unique<Data>();
-        const size_t old = seen != nullptr ? seen->nodes.size() : 0;
-        d->settled = static_cast<uint32_t>(old + s.nodes.size());
+        d->settled = static_cast<uint32_t>(s.nodes.size());
         d->complete = s.complete;
         if (s.complete) {
             d->dist.assign(numRows_, std::numeric_limits<double>::infinity());
             d->obs.assign(numRows_, 0);
-            for (size_t i = 0; i < old; ++i) {
-                d->dist[seen->nodes[i]] = seen->dist[i];
-                d->obs[seen->nodes[i]] = seen->obs[i];
-            }
             for (const uint32_t t : s.nodes) {
                 d->dist[t] = s.dist[t];
                 d->obs[t] = s.obs[t];
@@ -190,50 +178,30 @@ class ShortestPathRows
             return d;
         }
 
-        // The search's nodes reach node order through a bitmap, which
+        // The settled nodes reach node order through a bitmap, which
         // the walk below clears again.
-        thread_local std::vector<uint64_t> fresh;
+        thread_local std::vector<uint64_t> bits;
         uint32_t lo = std::numeric_limits<uint32_t>::max();
         uint32_t hi = 0;
         for (const uint32_t t : s.nodes) {
-            if (fresh.size() <= (t >> 6))
-                fresh.resize((t >> 6) + 1, 0);
-            fresh[t >> 6] |= uint64_t{1} << (t & 63);
+            if (bits.size() <= (t >> 6))
+                bits.resize((t >> 6) + 1, 0);
+            bits[t >> 6] |= uint64_t{1} << (t & 63);
             lo = std::min(lo, t);
             hi = std::max(hi, t);
         }
-        d->nodes.resize(d->settled);
-        d->dist.resize(d->settled);
-        d->obs.resize(d->settled);
-        size_t i = 0;
-        size_t out = 0;
-        auto takeOld = [&](uint32_t below) {
-            for (; i < old && seen->nodes[i] < below; ++i, ++out) {
-                d->nodes[out] = seen->nodes[i];
-                d->dist[out] = seen->dist[i];
-                d->obs[out] = seen->obs[i];
-            }
-        };
+        d->nodes.reserve(d->settled);
+        d->dist.reserve(d->settled);
+        d->obs.reserve(d->settled);
         for (uint32_t w = lo >> 6; !s.nodes.empty() && w <= (hi >> 6); ++w) {
-            for (uint64_t word = fresh[w]; word != 0; word &= word - 1) {
+            for (uint64_t word = bits[w]; word != 0; word &= word - 1) {
                 const uint32_t t =
                     (w << 6) + static_cast<uint32_t>(std::countr_zero(word));
-                takeOld(t);
-                d->nodes[out] = t;
-                d->dist[out] = s.dist[t];
-                d->obs[out] = s.obs[t];
-                ++out;
+                d->nodes.push_back(t);
+                d->dist.push_back(s.dist[t]);
+                d->obs.push_back(s.obs[t]);
             }
-            fresh[w] = 0;
-        }
-        takeOld(std::numeric_limits<uint32_t>::max());
-        d->buckets = s.buckets;
-        d->frontier.assign(s.frontier.begin(), s.frontier.end());
-        d->frontierDist.resize(s.frontier.size());
-        d->frontierObs.resize(s.frontier.size());
-        for (size_t f = 0; f < s.frontier.size(); ++f) {
-            d->frontierDist[f] = s.dist[s.frontier[f]];
-            d->frontierObs[f] = s.obs[s.frontier[f]];
+            bits[w] = 0;
         }
         return d;
     }
@@ -245,19 +213,11 @@ class ShortestPathRows
     {
         const bool timed = obs::metricsEnabled();
         const uint64_t start = timed ? obs::traceNowNs() : 0;
-        uint32_t minSettled = 0;
-        DecodingGraph::Frontier from;
-        if (seen != nullptr) {
-            minSettled = static_cast<uint32_t>(std::min<uint64_t>(
-                2ull * seen->settled, std::numeric_limits<uint32_t>::max()));
-            from = DecodingGraph::Frontier{seen->buckets, seen->nodes,
-                                           seen->frontier,
-                                           seen->frontierDist,
-                                           seen->frontierObs};
-        }
-        const DecodingGraph::Settled s = search(
-            src, targets, minSettled, seen != nullptr ? &from : nullptr);
-        std::unique_ptr<Data> mine = merge(seen, s);
+        // A partial row holds under half the graph's nodes, so twice
+        // its extent fits.
+        const DecodingGraph::Settled s =
+            search(src, targets, seen == nullptr ? 0 : 2 * seen->settled);
+        std::unique_ptr<Data> mine = copy(s);
         if (timed)
             countFill(obs::traceNowNs() - start, s.nodes.size());
         for (;;) {

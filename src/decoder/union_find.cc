@@ -191,7 +191,7 @@ UnionFindDecoder::UnionFindDecoder(DecodingGraph graph,
                                    UnionFindOptions options)
     : paths_(std::move(graph)),
       exactSyndromeThreshold_(std::min(options.exactSyndromeThreshold,
-                                       kMatchingPathsMaxDefects))
+                                       kExactMatchingMaxDefects))
 {
     static std::atomic<uint64_t> nextEpoch{1};
     scratchEpoch_ = nextEpoch.fetch_add(1, std::memory_order_relaxed);

@@ -24,8 +24,8 @@ struct UnionFindOptions
      * small syndromes (the bulk of every below-threshold shot) are
      * decoded MWPM-exactly at a fraction of the growth path's cost.
      * 0 disables the fast path (tests of the growth machinery do
-     * this); values are clamped to kMatchingPathsMaxDefects (16) to
-     * bound the branch-and-bound.
+     * this); larger values are clamped to kExactMatchingMaxDefects,
+     * the most MatchingPaths::match takes.
      */
     uint32_t exactSyndromeThreshold = kExactMatchingMaxDefects;
 };

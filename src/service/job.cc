@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "core/generator_registry.h"
@@ -109,9 +110,10 @@ applyKeyValue(ScanJob& job, const std::string& key,
         job.distances.clear();
         for (const std::string& field : splitCommas(value)) {
             auto parsed = parseInt64(field);
-            if (!parsed)
+            if (!parsed || *parsed < std::numeric_limits<int>::min()
+                || *parsed > std::numeric_limits<int>::max())
                 return fail(error, "bad value for 'distances': '" + field
-                            + "' is not an integer");
+                            + "' is not an int");
             job.distances.push_back(static_cast<int>(*parsed));
         }
         return true;

@@ -365,9 +365,8 @@ expectRowTableMatchesReference(const DecodingGraph& g,
         uint64_t shrinks = 0;
         std::string first;
         auto search = [&](uint32_t src, std::span<const uint32_t> t,
-                          uint32_t minSettled,
-                          const DecodingGraph::Frontier* from) {
-            return g.settle(src, viaBoundary, t, minSettled, from);
+                          uint32_t minSettled) {
+            return g.settle(src, viaBoundary, t, minSettled);
         };
         for (uint32_t r = 0; r < kRequests; ++r) {
             const uint32_t src = sources[rng.nextBelow(sources.size())];
@@ -487,12 +486,15 @@ TEST(RowTable, RandomRequestsMatchReferenceOnHeapPathAndHandBuiltGraphs)
 }
 
 /**
- * A search stopped early settles whole buckets: every settled entry
- * matches the complete search, the targets are among them, and
- * resuming from where it stopped settles each remaining node once and
- * ends with exactly the complete search's nodes.
+ * Two stops from one source, the way a row widens: a first search
+ * stops at a target next to the source, and a second asks for twice
+ * its nodes. Both settle whole buckets, so the first set lies inside
+ * the second, every settled entry equals the heap reference bit for
+ * bit, and the targets are settled. A search whose target lies
+ * beyond half the graph runs to completion and reports exactly the
+ * reachable nodes.
  */
-TEST(RowTable, StoppedSearchResumesToTheCompleteRow)
+TEST(RowTable, StopsFromOneSourceNestAndMatchTheReference)
 {
     const GeneratorConfig cfg = pointConfig(
         13, 3e-3, ExtractionSchedule::AllAtOnce, CheckBasis::Z);
@@ -502,50 +504,62 @@ TEST(RowTable, StoppedSearchResumesToTheCompleteRow)
     std::vector<double> refDist;
     std::vector<uint32_t> refObs;
     referenceShortestPaths(g, src, /*viaBoundary=*/true, refDist, refObs);
+    std::vector<uint32_t> reachable;
+    for (uint32_t t = 0; t < n; ++t)
+        if (std::isfinite(refDist[t]))
+            reachable.push_back(t);
+
+    // The settled nodes in node order, each checked against the
+    // reference (the spans die with the next search).
+    auto settledNodes = [&](const DecodingGraph::Settled& s) {
+        std::vector<uint32_t> nodes(s.nodes.begin(), s.nodes.end());
+        for (const uint32_t t : nodes) {
+            EXPECT_EQ(std::bit_cast<uint64_t>(s.dist[t]),
+                      std::bit_cast<uint64_t>(refDist[t]))
+                << t;
+            EXPECT_EQ(s.obs[t], refObs[t]) << t;
+        }
+        std::sort(nodes.begin(), nodes.end());
+        EXPECT_EQ(std::adjacent_find(nodes.begin(), nodes.end()),
+                  nodes.end())
+            << "a node settled twice";
+        return nodes;
+    };
 
     const uint32_t target = src + 1;
     const DecodingGraph::Settled first =
         g.settle(src, /*viaBoundary=*/true,
                  std::span<const uint32_t>(&target, 1), 0);
     ASSERT_FALSE(first.complete);
-    EXPECT_LT(2 * first.nodes.size(), n);
-    std::vector<uint32_t> settled(first.nodes.begin(), first.nodes.end());
-    EXPECT_NE(std::find(settled.begin(), settled.end(), target),
-              settled.end());
-    for (const uint32_t t : settled) {
-        EXPECT_EQ(std::bit_cast<uint64_t>(first.dist[t]),
-                  std::bit_cast<uint64_t>(refDist[t]))
-            << t;
-        EXPECT_EQ(first.obs[t], refObs[t]) << t;
-    }
-    // Copy the stop point out of the search scratch before resuming.
-    std::vector<uint32_t> frontier(first.frontier.begin(),
-                                   first.frontier.end());
-    std::vector<double> frontierDist;
-    std::vector<uint32_t> frontierObs;
-    for (const uint32_t t : frontier) {
-        frontierDist.push_back(first.dist[t]);
-        frontierObs.push_back(first.obs[t]);
-    }
-    const DecodingGraph::Frontier from{first.buckets, settled, frontier,
-                                       frontierDist, frontierObs};
-    const DecodingGraph::Settled rest =
+    const std::vector<uint32_t> near = settledNodes(first);
+    EXPECT_TRUE(std::binary_search(near.begin(), near.end(), target));
+    ASSERT_LT(4 * near.size(), n)
+        << "the first stop leaves no room for a partial second one";
+
+    const DecodingGraph::Settled second =
         g.settle(src, /*viaBoundary=*/true, {},
-                 std::numeric_limits<uint32_t>::max(), &from);
-    EXPECT_TRUE(rest.complete);
-    for (const uint32_t t : rest.nodes) {
-        EXPECT_EQ(std::find(settled.begin(), settled.end(), t),
-                  settled.end())
-            << t << " settled twice";
-        EXPECT_EQ(std::bit_cast<uint64_t>(rest.dist[t]),
-                  std::bit_cast<uint64_t>(refDist[t]))
-            << t;
-        EXPECT_EQ(rest.obs[t], refObs[t]) << t;
-    }
-    uint32_t reachable = 0;
-    for (uint32_t t = 0; t < n; ++t)
-        reachable += std::isfinite(refDist[t]);
-    EXPECT_EQ(settled.size() + rest.nodes.size(), reachable);
+                 static_cast<uint32_t>(2 * near.size()));
+    EXPECT_FALSE(second.complete);
+    const std::vector<uint32_t> wide = settledNodes(second);
+    EXPECT_GE(wide.size(), 2 * near.size());
+    EXPECT_TRUE(std::includes(wide.begin(), wide.end(), near.begin(),
+                              near.end()))
+        << "the wider stop misses nodes the first one settled";
+
+    // A target beyond half the graph: the search that settles it has
+    // settled more than half, so it runs on to completion.
+    std::vector<uint32_t> byDistance = reachable;
+    std::stable_sort(byDistance.begin(), byDistance.end(),
+                     [&](uint32_t a, uint32_t b) {
+                         return refDist[a] < refDist[b];
+                     });
+    const size_t rank = 3 * byDistance.size() / 5;
+    ASSERT_GT(2 * rank, n);
+    const uint32_t far = byDistance[rank];
+    const DecodingGraph::Settled whole = g.settle(
+        src, /*viaBoundary=*/true, std::span<const uint32_t>(&far, 1), 0);
+    EXPECT_TRUE(whole.complete);
+    EXPECT_EQ(settledNodes(whole), reachable);
 }
 
 } // namespace

@@ -177,6 +177,27 @@ TEST(ServiceRequest, BadNumbersAreRejected)
         << "missing id must not parse";
 }
 
+TEST(ServiceRequest, DistancesOutsideIntAreRejected)
+{
+    // 2^32 + 3 must not wrap to d = 3 and pass validation.
+    std::string error;
+    EXPECT_FALSE(service::parseRequestLine(
+                     "submit id=a distances=4294967299,5 trials=10", &error)
+                     .has_value());
+    EXPECT_NE(error.find("bad value for 'distances': '4294967299'"),
+              std::string::npos)
+        << error;
+    EXPECT_FALSE(service::parseRequestLine(
+                     "submit id=a distances=5,-4294967293 trials=10", &error)
+                     .has_value());
+    EXPECT_NE(error.find("'-4294967293'"), std::string::npos) << error;
+
+    auto parsed = service::parseRequestLine(
+        "submit id=a distances=3,5 trials=10", &error);
+    ASSERT_TRUE(parsed.has_value()) << error;
+    EXPECT_EQ(parsed->job.distances, (std::vector<int>{3, 5}));
+}
+
 // ---------------------------------------------------------------------
 // Validation
 

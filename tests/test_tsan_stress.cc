@@ -393,12 +393,11 @@ TEST(TsanStress, RowTableNeverMakesAThreadWait)
         dist[t] = kSrc + 0.5 * t;
         masks[t] = kSrc ^ t;
     }
-    const DecodingGraph::Settled whole{nodes, dist, masks, {}, 1, true};
+    const DecodingGraph::Settled whole{nodes, dist, masks, true};
     std::latch allFilling(kThreads);
     std::atomic<unsigned> fills{0};
     std::atomic<bool> timedOut{false};
-    auto search = [&](uint32_t, std::span<const uint32_t>, uint32_t,
-                      const DecodingGraph::Frontier*) {
+    auto search = [&](uint32_t, std::span<const uint32_t>, uint32_t) {
         fills.fetch_add(1);
         allFilling.count_down();
         const auto deadline =
@@ -438,8 +437,7 @@ TEST(TsanStress, RowTableNeverMakesAThreadWait)
     std::vector<uint32_t> againObs(kLength);
     rows.get(
         kSrc, nodes, std::span<double>(again), std::span<uint32_t>(againObs),
-        [&](uint32_t, std::span<const uint32_t>, uint32_t,
-            const DecodingGraph::Frontier*) {
+        [&](uint32_t, std::span<const uint32_t>, uint32_t) {
             ADD_FAILURE() << "published row filled again";
             return whole;
         });
@@ -453,7 +451,7 @@ TEST(TsanStress, RowTableNeverMakesAThreadWait)
 /**
  * Four threads extend one published row at once: the row first settles
  * only as far as the source's nearest neighbour, then each thread asks
- * for different far targets, and each resumed search blocks until all
+ * for different far targets, and each wider search blocks until all
  * four are inside a search (or ten seconds pass). Every thread reads
  * the complete search's entries bit for bit, at least one wider copy
  * is published, and the published extent never shrinks.
@@ -484,8 +482,7 @@ TEST(TsanStress, RowTableExtendsARowFromFourThreadsAtOnce)
     std::atomic<bool> gate{false};
     std::atomic<bool> timedOut{false};
     auto search = [&](uint32_t src, std::span<const uint32_t> targets,
-                      uint32_t minSettled,
-                      const DecodingGraph::Frontier* from) {
+                      uint32_t minSettled) {
         if (gate.load()) {
             allFilling.count_down();
             const auto deadline = std::chrono::steady_clock::now()
@@ -499,7 +496,7 @@ TEST(TsanStress, RowTableExtendsARowFromFourThreadsAtOnce)
             }
         }
         return graph.settle(src, /*viaBoundary=*/false, targets,
-                            minSettled, from);
+                            minSettled);
     };
 
     // A narrow first copy: the source's nearest neighbour.

@@ -1,12 +1,17 @@
 #!/usr/bin/env python3
-"""Merge disjoint-shard Monte-Carlo checkpoint files.
+"""Merge split-seed Monte-Carlo checkpoint files.
 
 Split-seed cluster runs shard one scan across machines by giving every
-shard the same configuration but a different RNG seed: per-trial RNG
-streams are derived from (seed, trial index), so shards with distinct
-seeds sample disjoint trial streams and their per-point counts simply
-add. This tool merges such shards into one combined checkpoint (for
-reporting: summed trials and failures per point), after verifying that
+shard the same configuration but a different RNG seed, and add their
+per-point counts. The shards are meant to sample disjoint trial
+streams, but today they overlap: Rng::split keys trial t by
+seed ^ (0xdeadbeefcafef00d + t), so nearby seeds draw nearly the same
+trials (seeds 101 and 202 share 2,928 of their first 3,000). Until
+ROADMAP item 2 derives streams from a hash of the whole key, a merged
+file counts shared trials more than once and intervals computed from
+it are too narrow. This tool merges such shards into one combined
+checkpoint (for reporting: summed trials and failures per point), after
+verifying that
 
   * every shard is a structurally valid `vlq-mc-checkpoint 1` file
     (version, fingerprint, end-marker intact; `meta key=value` lines
@@ -127,8 +132,8 @@ def load_shard(path):
 
 def main():
     ap = argparse.ArgumentParser(
-        description="Merge disjoint (split-seed) Monte-Carlo "
-                    "checkpoint shards.")
+        description="Merge split-seed Monte-Carlo checkpoint shards "
+                    "(see the module docstring: shards overlap today).")
     ap.add_argument("--out", required=True,
                     help="path for the merged checkpoint")
     ap.add_argument("shards", nargs="+", help="shard checkpoint files")
