@@ -1,7 +1,5 @@
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <mutex>
 #include <vector>
 
 #include "core/embedding.h"
@@ -11,20 +9,6 @@
 namespace vlq {
 
 namespace {
-
-/** Cache solved schedules per patch shape (the search is not free). */
-const CompactSchedule&
-scheduleFor(const SurfaceLayout& layout)
-{
-    static std::mutex mutex;
-    static std::map<std::pair<int, int>, CompactSchedule> cache;
-    std::lock_guard<std::mutex> lock(mutex);
-    std::pair<int, int> key{layout.width(), layout.height()};
-    auto it = cache.find(key);
-    if (it == cache.end())
-        it = cache.emplace(key, CompactSchedule::solve(layout)).first;
-    return it->second;
-}
 
 /**
  * Slot-engine emission of the Compact extraction schedule for one block
@@ -38,9 +22,8 @@ scheduleFor(const SurfaceLayout& layout)
 class CompactEngine
 {
   public:
-    CompactEngine(const SurfaceLayout& layout, const CompactMerge& merge,
-                  const CompactSchedule& sched)
-        : layout_(layout), merge_(merge), sched_(sched),
+    CompactEngine(const SurfaceLayout& layout, const CompactMerge& merge)
+        : layout_(layout), merge_(merge),
           wireBusy_(2 * static_cast<size_t>(layout.numData())
                         + static_cast<size_t>(merge.numUnmerged),
                     0)
@@ -251,7 +234,7 @@ class CompactEngine
 
     const SurfaceLayout& layout_;
     const CompactMerge& merge_;
-    const CompactSchedule& sched_;
+    const CompactSchedule sched_{};
     // Per-slot lists, reused by every slot.
     std::vector<uint32_t> resets_;   // checks starting
     std::vector<uint32_t> finishes_; // checks measuring
@@ -335,7 +318,7 @@ generateCompactOnPatch(const GeneratorConfig& config, int dx, int dz)
 {
     SurfaceLayout layout(dx, dz);
     CompactMerge merge = CompactMerge::build(layout);
-    CompactEngine engine(layout, merge, scheduleFor(layout));
+    CompactEngine engine(layout, merge);
     const int rounds = config.effectiveRounds();
 
     // The gapless emission's moments: initialization (0 ns), the

@@ -45,19 +45,10 @@ CompactMerge::build(const SurfaceLayout& layout)
 CompactSchedule::Group
 CompactSchedule::groupOf(const Plaquette& p) const
 {
-    bool byColumn = (p.basis == CheckBasis::X) ? xGroupByColumn
-                                               : zGroupByColumn;
-    int coord = byColumn ? p.cx : p.cy;
-    int parity = (coord / 2) % 2;
+    int parity = (p.cx / 2) % 2;
     if (p.basis == CheckBasis::X)
         return parity == 0 ? A : B;
     return parity == 0 ? C : D;
-}
-
-int
-CompactSchedule::slotOfStep(const Plaquette& p, int step) const
-{
-    return startSlot[groupOf(p)] + step;
 }
 
 bool
@@ -207,71 +198,6 @@ CompactSchedule::hookScore() const
     if (lz == std::set<int>{NW, SW} || lz == std::set<int>{NE, SE})
         ++score;
     return score;
-}
-
-CompactSchedule
-CompactSchedule::solve(const SurfaceLayout& layout)
-{
-    CompactMerge merge = CompactMerge::build(layout);
-
-    // All permutations of the four corners.
-    std::array<int, 4> corners{NW, NE, SW, SE};
-    std::vector<std::array<int, 4>> perms;
-    std::array<int, 4> p = corners;
-    std::sort(p.begin(), p.end());
-    do {
-        perms.push_back(p);
-    } while (std::next_permutation(p.begin(), p.end()));
-
-    // Start-slot assignments: X groups take {0,4} and Z groups {2,6}
-    // (or the phase-swapped variant), in either order.
-    std::vector<std::array<int, 4>> starts;
-    for (int swapXZ = 0; swapXZ < 2; ++swapXZ) {
-        for (int flipX = 0; flipX < 2; ++flipX) {
-            for (int flipZ = 0; flipZ < 2; ++flipZ) {
-                int xBase = swapXZ ? 2 : 0;
-                int zBase = swapXZ ? 0 : 2;
-                std::array<int, 4> s{};
-                s[A] = flipX ? xBase + 4 : xBase;
-                s[B] = flipX ? xBase : xBase + 4;
-                s[C] = flipZ ? zBase + 4 : zBase;
-                s[D] = flipZ ? zBase : zBase + 4;
-                starts.push_back(s);
-            }
-        }
-    }
-
-    CompactSchedule best;
-    int bestScore = -1;
-    for (int xByCol = 1; xByCol >= 0; --xByCol) {
-        for (int zByCol = 1; zByCol >= 0; --zByCol) {
-            for (const auto& s : starts) {
-                for (const auto& ox : perms) {
-                    for (const auto& oz : perms) {
-                        CompactSchedule cand;
-                        cand.startSlot = s;
-                        cand.orderX = ox;
-                        cand.orderZ = oz;
-                        cand.xGroupByColumn = xByCol != 0;
-                        cand.zGroupByColumn = zByCol != 0;
-                        if (!cand.conflictFree(layout, merge))
-                            continue;
-                        int score = cand.hookScore();
-                        if (score <= bestScore)
-                            continue;
-                        if (!cand.measuresStabilizers(layout))
-                            continue;
-                        best = cand;
-                        bestScore = score;
-                        if (bestScore == 2)
-                            return best;
-                    }
-                }
-            }
-        }
-    }
-    VLQ_ASSERT(bestScore >= 0, "no valid Compact schedule exists");
-    return best;
 }
 
 } // namespace vlq

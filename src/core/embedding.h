@@ -35,14 +35,16 @@ struct CompactMerge
 };
 
 /**
- * The Compact syndrome-extraction schedule (paper Fig. 10).
+ * The Compact syndrome-extraction schedule (paper Fig. 10): one fixed
+ * table, the same on every patch shape.
  *
- * Plaquettes are split into four groups: A/B partition the X checks and
- * C/D the Z checks along alternating grid columns. Each group starts its
- * four-CNOT window at a fixed slot of the repeating 8-slot cycle
- * (A=0, C=2, B=4, D=6 in the paper's A0D2, A1D3, A2C0, ... sequence),
- * and each check visits its corners in a fixed order. A valid schedule
- * must satisfy three families of constraints:
+ * Plaquettes split into four groups by the parity of their column: A/B
+ * the X checks and C/D the Z checks. Each group starts its four-CNOT
+ * window at a fixed slot of the repeating 8-slot cycle (A=0, C=2, B=4,
+ * D=6 in the paper's A0D2, A1D3, A2C0, ... sequence), and each check
+ * visits its corners in a fixed order: X checks SW, SE, NE, NW and Z
+ * checks NE, SE, SW, NW. A valid schedule satisfies three families of
+ * constraints:
  *
  *  1. no data qubit is touched by two checks in the same slot;
  *  2. no check needs a data qubit loaded into a transmon while that
@@ -50,8 +52,10 @@ struct CompactMerge
  *  3. interleaved neighboring checks still measure the intended
  *     stabilizers (verified by a noiseless tableau run).
  *
- * solve() searches group parity axes, start-slot assignments and corner
- * orders for a schedule satisfying all three, preferring orders whose
+ * conflictFree() checks families 1 and 2 and measuresStabilizers()
+ * family 3; the tests run both on this table across odd patches from
+ * 3x3 to 17x17, and the generator asserts wire-disjointness on every
+ * slot it emits. hookScore() is 2: both orders end on a pair whose
  * ancilla "hook" errors lie perpendicular to the matching logical
  * direction.
  */
@@ -65,18 +69,12 @@ struct CompactSchedule
 
     /** Corner visited at each step by X checks (values are
      *  PlaquetteCorner). */
-    std::array<int, 4> orderX{NW, NE, SW, SE};
+    std::array<int, 4> orderX{SW, SE, NE, NW};
 
     /** Corner visited at each step by Z checks. */
-    std::array<int, 4> orderZ{NW, SW, NE, SE};
+    std::array<int, 4> orderZ{NE, SE, SW, NW};
 
-    /** Group X checks by column parity (true) or row parity (false). */
-    bool xGroupByColumn = true;
-
-    /** Group Z checks by column parity (true) or row parity (false). */
-    bool zGroupByColumn = true;
-
-    /** Group of a plaquette under this schedule. */
+    /** Group of a plaquette: its basis and column parity. */
     Group groupOf(const Plaquette& p) const;
 
     /** Corner order used by a plaquette's basis. */
@@ -84,20 +82,6 @@ struct CompactSchedule
     {
         return basis == CheckBasis::X ? orderX : orderZ;
     }
-
-    /**
-     * Slot (within the 8-slot cycle, may exceed 7 for wrapped windows)
-     * of a check's step-i CNOT: startSlot[group] + i.
-     */
-    int slotOfStep(const Plaquette& p, int step) const;
-
-    /**
-     * Find a valid schedule for the given layout. Results are
-     * deterministic; the solver caches nothing itself (callers do).
-     * Aborts if no valid schedule exists (which would indicate a broken
-     * layout, not user error).
-     */
-    static CompactSchedule solve(const SurfaceLayout& layout);
 
     /**
      * Check constraint families 1 and 2 structurally.

@@ -30,7 +30,8 @@ parseU64Token(std::string_view text, int base, uint64_t& out)
     errno = 0;
     char* end = nullptr;
     unsigned long long parsed = std::strtoull(buf.c_str(), &end, base);
-    if (end == buf.c_str() || *end != '\0' || errno == ERANGE)
+    // The whole token, so an embedded NUL is junk, not its end.
+    if (end != buf.c_str() + buf.size() || errno == ERANGE)
         return false;
     out = static_cast<uint64_t>(parsed);
     return true;

@@ -7,21 +7,74 @@
 namespace vlq {
 namespace obs {
 
+namespace {
+
+/**
+ * Length of the well-formed multi-byte UTF-8 sequence (RFC 3629) that
+ * starts at s[i], or 0 when none does: s[i] is ASCII or a stray
+ * continuation byte, or starts an overlong form, a surrogate, a code
+ * point above U+10FFFF or a truncated sequence.
+ */
+size_t
+utf8SequenceLength(std::string_view s, size_t i)
+{
+    const auto byte = [&](size_t k) {
+        return static_cast<unsigned char>(s[k]);
+    };
+    const unsigned char lead = byte(i);
+    size_t len = 0;
+    unsigned char lo = 0x80; // bounds of the second byte
+    unsigned char hi = 0xBF;
+    if (lead >= 0xC2 && lead <= 0xDF) {
+        len = 2;
+    } else if (lead >= 0xE0 && lead <= 0xEF) {
+        len = 3;
+        if (lead == 0xE0)
+            lo = 0xA0;
+        else if (lead == 0xED)
+            hi = 0x9F;
+    } else if (lead >= 0xF0 && lead <= 0xF4) {
+        len = 4;
+        if (lead == 0xF0)
+            lo = 0x90;
+        else if (lead == 0xF4)
+            hi = 0x8F;
+    } else {
+        return 0;
+    }
+    if (i + len > s.size() || byte(i + 1) < lo || byte(i + 1) > hi)
+        return 0;
+    for (size_t k = i + 2; k < i + len; ++k)
+        if (byte(k) < 0x80 || byte(k) > 0xBF)
+            return 0;
+    return len;
+}
+
+} // namespace
+
 std::string
 jsonQuote(std::string_view s)
 {
     std::string out;
     out.reserve(s.size() + 2);
     out += '"';
-    for (char c : s) {
+    for (size_t i = 0; i < s.size(); ++i) {
+        const char c = s[i];
+        const auto byte = static_cast<unsigned char>(c);
+        // Well-formed UTF-8 passes through; any other byte >= 0x80 is
+        // escaped like a control byte, so the result is valid UTF-8.
+        const size_t utf8 = byte >= 0x80 ? utf8SequenceLength(s, i) : 0;
         if (c == '"' || c == '\\') {
             out += '\\';
             out += c;
         } else if (c == '\n') {
             out += "\\n";
-        } else if (static_cast<unsigned char>(c) < 0x20) {
+        } else if (utf8 > 0) {
+            out.append(s.substr(i, utf8));
+            i += utf8 - 1;
+        } else if (byte < 0x20 || byte >= 0x80) {
             char esc[8];
-            std::snprintf(esc, sizeof esc, "\\u%04x", c);
+            std::snprintf(esc, sizeof esc, "\\u%04x", byte);
             out += esc;
         } else {
             out += c;
@@ -108,6 +161,15 @@ class Lint
                 return true;
             if (static_cast<unsigned char>(c) < 0x20)
                 return fail("raw control character in string");
+            if (static_cast<unsigned char>(c) >= 0x80) {
+                const size_t len = utf8SequenceLength(text_, pos_ - 1);
+                if (len == 0) {
+                    --pos_;
+                    return fail("invalid UTF-8 in string");
+                }
+                pos_ += len - 1;
+                continue;
+            }
             if (c == '\\') {
                 if (eof())
                     return fail("truncated escape");

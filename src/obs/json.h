@@ -7,7 +7,12 @@
 namespace vlq {
 namespace obs {
 
-/** JSON-escape and quote a string ("a\"b" -> "\"a\\\"b\""). */
+/**
+ * JSON-escape and quote a string ("a\"b" -> "\"a\\\"b\""). Control
+ * bytes are escaped, and so is every byte that does not start a
+ * well-formed UTF-8 sequence (RFC 3629), as \u00XX: the result is
+ * valid UTF-8 whatever bytes `s` holds.
+ */
 std::string jsonQuote(std::string_view s);
 
 /**
@@ -18,9 +23,9 @@ std::string jsonNumber(double value);
 
 /**
  * Minimal strict JSON syntax checker (objects, arrays, strings,
- * numbers, true/false/null; rejects trailing garbage). Used by the
- * test suite to validate emitted reports and traces without an
- * external parser dependency.
+ * numbers, true/false/null; rejects trailing garbage and strings that
+ * are not well-formed UTF-8). Used by the test suite to validate
+ * emitted reports and traces without an external parser dependency.
  *
  * @return true when `text` is one well-formed JSON value; on failure
  *         returns false and fills *err (when non-null) with a

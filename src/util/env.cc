@@ -185,12 +185,14 @@ parseInt64(std::string_view text)
     // not, so " 42" and whitespace-only values are rejected here.
     if (std::isspace(static_cast<unsigned char>(text.front())))
         return std::nullopt;
-    // NUL-terminate for strtoll; CLI arguments are short.
+    // NUL-terminate for strtoll; CLI arguments are short. The parse
+    // must consume the whole token: an embedded NUL ("10\0999") stops
+    // strtoll early and is junk, not the end of the value.
     std::string buf(text);
     errno = 0;
     char* end = nullptr;
     long long parsed = std::strtoll(buf.c_str(), &end, 10);
-    if (end == buf.c_str() || *end != '\0' || errno == ERANGE)
+    if (end != buf.c_str() + buf.size() || errno == ERANGE)
         return std::nullopt;
     return static_cast<int64_t>(parsed);
 }

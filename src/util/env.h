@@ -111,8 +111,8 @@ struct NameTable
 /**
  * Strict integer parse for CLI arguments: the whole string must be a
  * base-10 integer (optional sign, no leading whitespace, no trailing
- * junk) that fits int64 -- out-of-range values are rejected, never
- * truncated.
+ * junk, no embedded NUL) that fits int64 -- out-of-range values are
+ * rejected, never truncated.
  * @return std::nullopt on empty/malformed/out-of-range input, so
  *         callers can print a usage message instead of silently
  *         running with atoi's 0.

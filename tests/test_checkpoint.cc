@@ -150,6 +150,18 @@ TEST(Checkpoint, RejectsCorrupt)
                     "end 1\n");
     std::string countErr = c.open(path, "seed=1");
     EXPECT_NE(countErr.find("failures > trials"), std::string::npos);
+
+    // strtoull stops at a NUL, but the token has bytes after it:
+    // "trials=100<NUL>7" is malformed, not 100 trials.
+    using namespace std::string_literals;
+    writeFile(path, header + "point 0000000000000007 trials=100\0" "7"
+                             " failures=2 done=0\nend 1\n"s);
+    EXPECT_NE(c.open(path, "seed=1").find("malformed point line"),
+              std::string::npos);
+    writeFile(path, header + "point 0000000000000007 trials=100"
+                             " failures=2 done=0\nend 1\0" "5\n"s);
+    EXPECT_NE(c.open(path, "seed=1").find("end marker count mismatch"),
+              std::string::npos);
     removeFile(path);
 }
 

@@ -2,6 +2,7 @@
 
 #include <set>
 #include <utility>
+#include <vector>
 
 #include "core/embedding.h"
 #include "core/generator_registry.h"
@@ -54,19 +55,42 @@ TEST_P(MergeTest, TransmonCountMatchesPatchCost)
 INSTANTIATE_TEST_SUITE_P(Distances, MergeTest,
                          ::testing::Values(3, 5, 7, 9));
 
-TEST(CompactScheduleTest, SolverFindsValidSchedule)
+TEST(CompactScheduleTest, ConflictFreeWithBenignHooksOnEveryOddShape)
 {
-    SurfaceLayout layout(3);
-    CompactSchedule sched = CompactSchedule::solve(layout);
-    CompactMerge merge = CompactMerge::build(layout);
-    EXPECT_TRUE(sched.conflictFree(layout, merge));
-    EXPECT_TRUE(sched.measuresStabilizers(layout));
+    // The fixed table is wire-disjoint and merge-safe on every odd patch
+    // from 3x3 to 17x17, and both orders keep their hooks benign.
+    const CompactSchedule sched;
+    EXPECT_EQ(sched.hookScore(), 2);
+    for (int dx = 3; dx <= 17; dx += 2) {
+        for (int dz = 3; dz <= 17; dz += 2) {
+            SurfaceLayout layout(dx, dz);
+            CompactMerge merge = CompactMerge::build(layout);
+            EXPECT_TRUE(sched.conflictFree(layout, merge))
+                << dx << "x" << dz;
+        }
+    }
+}
+
+TEST(CompactScheduleTest, MeasuresStabilizersOnSquaresAndRectangles)
+{
+    // Noiseless quiescence on squares 3..11 and on rectangles of either
+    // orientation: the interleaved windows still measure each check's
+    // stabilizer.
+    const CompactSchedule sched;
+    std::vector<std::pair<int, int>> shapes = {
+        {3, 7}, {7, 3}, {5, 9}, {9, 5}, {3, 11}, {11, 3}};
+    for (int d = 3; d <= 11; d += 2)
+        shapes.emplace_back(d, d);
+    for (const auto& [dx, dz] : shapes) {
+        SurfaceLayout layout(dx, dz);
+        EXPECT_TRUE(sched.measuresStabilizers(layout)) << dx << "x" << dz;
+    }
 }
 
 TEST(CompactScheduleTest, ScheduleValidAtDistanceFive)
 {
     SurfaceLayout layout(5);
-    CompactSchedule sched = CompactSchedule::solve(layout);
+    const CompactSchedule sched;
     CompactMerge merge = CompactMerge::build(layout);
     EXPECT_TRUE(sched.conflictFree(layout, merge));
     EXPECT_TRUE(sched.measuresStabilizers(layout));
@@ -75,38 +99,18 @@ TEST(CompactScheduleTest, ScheduleValidAtDistanceFive)
 TEST(CompactScheduleTest, ScheduleValidAtDistanceSeven)
 {
     SurfaceLayout layout(7);
-    CompactSchedule sched = CompactSchedule::solve(layout);
+    const CompactSchedule sched;
     CompactMerge merge = CompactMerge::build(layout);
     EXPECT_TRUE(sched.conflictFree(layout, merge));
-}
-
-TEST(CompactScheduleTest, SolverPrefersBenignHooks)
-{
-    // A fully hook-optimal schedule (score 2) exists and is found.
-    SurfaceLayout layout(5);
-    CompactSchedule sched = CompactSchedule::solve(layout);
-    EXPECT_EQ(sched.hookScore(), 2);
-}
-
-TEST(CompactScheduleTest, SolvedScheduleIsDeterministic)
-{
-    SurfaceLayout layout(3);
-    CompactSchedule a = CompactSchedule::solve(layout);
-    CompactSchedule b = CompactSchedule::solve(layout);
-    EXPECT_EQ(a.startSlot, b.startSlot);
-    EXPECT_EQ(a.orderX, b.orderX);
-    EXPECT_EQ(a.orderZ, b.orderZ);
-    EXPECT_EQ(a.xGroupByColumn, b.xGroupByColumn);
-    EXPECT_EQ(a.zGroupByColumn, b.zGroupByColumn);
 }
 
 TEST(CompactScheduleTest, WindowConstraintsHold)
 {
     // The merged-data TT partners never need a transmon during its
-    // ancilla window (redundant with conflictFree, but checks the
-    // slotOfStep helper directly).
+    // ancilla window (redundant with conflictFree, but recomputes each
+    // step's slot from the table directly).
     SurfaceLayout layout(5);
-    CompactSchedule sched = CompactSchedule::solve(layout);
+    const CompactSchedule sched;
     CompactMerge merge = CompactMerge::build(layout);
     const auto& plaquettes = layout.plaquettes();
     for (uint32_t c = 0; c < plaquettes.size(); ++c) {
@@ -135,25 +139,18 @@ TEST(CompactScheduleTest, WindowConstraintsHold)
 
 TEST(CompactScheduleTest, GroupStartsMatchPaperPattern)
 {
-    SurfaceLayout layout(3);
-    CompactSchedule sched = CompactSchedule::solve(layout);
-    // X groups and Z groups must occupy distinct phases and the two
-    // groups of one type must be 4 slots apart (the A..B / C..D offsets
-    // of Fig. 10).
-    std::set<int> xs{sched.startSlot[CompactSchedule::A],
-                     sched.startSlot[CompactSchedule::B]};
-    std::set<int> zs{sched.startSlot[CompactSchedule::C],
-                     sched.startSlot[CompactSchedule::D]};
-    EXPECT_EQ(std::abs(*xs.begin() - *xs.rbegin()), 4);
-    EXPECT_EQ(std::abs(*zs.begin() - *zs.rbegin()), 4);
-    for (int x : xs)
-        EXPECT_EQ(zs.count(x), 0u);
+    // Fig. 10: X groups start at slots 0 and 4, Z groups at 2 and 6.
+    const CompactSchedule sched;
+    EXPECT_EQ(sched.startSlot[CompactSchedule::A], 0);
+    EXPECT_EQ(sched.startSlot[CompactSchedule::B], 4);
+    EXPECT_EQ(sched.startSlot[CompactSchedule::C], 2);
+    EXPECT_EQ(sched.startSlot[CompactSchedule::D], 6);
 }
 
 TEST(CompactScheduleTest, SameTypeGroupsPartitionChecks)
 {
     SurfaceLayout layout(5);
-    CompactSchedule sched = CompactSchedule::solve(layout);
+    const CompactSchedule sched;
     int counts[4] = {0, 0, 0, 0};
     for (const auto& p : layout.plaquettes()) {
         CompactSchedule::Group g = sched.groupOf(p);
@@ -169,8 +166,7 @@ TEST(CompactScheduleTest, SameTypeGroupsPartitionChecks)
 
 TEST(CompactScheduleTest, DefaultOrdersContainEachCornerOnce)
 {
-    SurfaceLayout layout(3);
-    CompactSchedule sched = CompactSchedule::solve(layout);
+    const CompactSchedule sched;
     std::set<int> sx(sched.orderX.begin(), sched.orderX.end());
     std::set<int> sz(sched.orderZ.begin(), sched.orderZ.end());
     EXPECT_EQ(sx.size(), 4u);
@@ -230,7 +226,7 @@ TEST_P(RectMergeTest, SolverFindsValidRectSchedule)
 {
     auto [dx, dz] = GetParam();
     SurfaceLayout layout(dx, dz);
-    CompactSchedule sched = CompactSchedule::solve(layout);
+    const CompactSchedule sched;
     CompactMerge merge = CompactMerge::build(layout);
     EXPECT_TRUE(sched.conflictFree(layout, merge));
     EXPECT_TRUE(sched.measuresStabilizers(layout));
@@ -272,13 +268,38 @@ TEST(RectLayoutTest, SquareConstructorMatchesRectangular)
 
 TEST(CompactScheduleTest, BrokenScheduleDetected)
 {
-    // A schedule with both Z groups at the same start cannot be
-    // conflict-free: diagonal same-type neighbors collide.
+    // Each check rejects a variant of the table that breaks what it
+    // guards, so the sweeps above can fail.
     SurfaceLayout layout(5);
-    CompactSchedule bad = CompactSchedule::solve(layout);
-    bad.startSlot[CompactSchedule::D] = bad.startSlot[CompactSchedule::C];
     CompactMerge merge = CompactMerge::build(layout);
-    EXPECT_FALSE(bad.conflictFree(layout, merge));
+
+    // Both Z groups at one start: a neighbor loads a data qubit while
+    // that qubit's transmon is a merged check's ancilla.
+    CompactSchedule sameZStart;
+    sameZStart.startSlot[CompactSchedule::D] =
+        sameZStart.startSlot[CompactSchedule::C];
+    EXPECT_FALSE(sameZStart.conflictFree(layout, merge));
+
+    // Z groups in the X phases: merge conflicts, and the overlapping X
+    // and Z windows no longer measure the stabilizers.
+    CompactSchedule overlapped;
+    overlapped.startSlot = {0, 4, 0, 4};
+    EXPECT_FALSE(overlapped.conflictFree(layout, merge));
+    EXPECT_FALSE(overlapped.measuresStabilizers(layout));
+
+    // Z checks in the X order: conflict-free, but the interleaved
+    // windows no longer measure the stabilizers.
+    CompactSchedule zInXOrder;
+    zInXOrder.orderZ = zInXOrder.orderX;
+    EXPECT_TRUE(zInXOrder.conflictFree(layout, merge));
+    EXPECT_FALSE(zInXOrder.measuresStabilizers(layout));
+
+    // X order NW, SE, NE, SW: still measures the stabilizers, but loads
+    // a data qubit while its transmon serves as an ancilla.
+    CompactSchedule xCrossed;
+    xCrossed.orderX = {NW, SE, NE, SW};
+    EXPECT_FALSE(xCrossed.conflictFree(layout, merge));
+    EXPECT_TRUE(xCrossed.measuresStabilizers(layout));
 }
 
 } // namespace

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstdlib>
 #include <iterator>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -633,6 +634,89 @@ circuitDigest(const GeneratedCircuit& gen)
     return h.value();
 }
 
+/** One pinned circuit: a setup, its patch and its digest. */
+struct Pinned
+{
+    const char* embedding;
+    const char* schedule;
+    char basis;
+    int distance;
+    uint64_t digest;
+    int distanceX = 0; // explicit patch width, 0 = distance
+    int distanceZ = 0; // explicit patch height, 0 = distance
+};
+
+/** Digest of one setup at p = 3e-3 and the default cavity depth. */
+Pinned
+emitPinned(const GeneratorBackend& backend, ExtractionSchedule schedule,
+           CheckBasis basis, int d, int distanceX = 0, int distanceZ = 0)
+{
+    GeneratorConfig cfg;
+    cfg.distance = d;
+    cfg.distanceX = distanceX;
+    cfg.distanceZ = distanceZ;
+    cfg.memoryBasis = basis;
+    cfg.schedule = schedule;
+    cfg.noise = NoiseModel::atPhysicalRate(
+        3e-3, HardwareParams::transmonsWithMemory());
+    return Pinned{backend.name,
+                  schedule == ExtractionSchedule::Interleaved
+                      ? "interleaved"
+                      : "all-at-once",
+                  basis == CheckBasis::Z ? 'Z' : 'X',
+                  d,
+                  circuitDigest(generateMemoryCircuit(backend.kind, cfg)),
+                  distanceX,
+                  distanceZ};
+}
+
+/**
+ * Compare emitted digests with a pinned table row by row; on any
+ * mismatch the failure message prints the table for the current code.
+ */
+void
+expectPinned(std::span<const Pinned> pinned, const std::vector<Pinned>& got)
+{
+    std::ostringstream fresh;
+    bool same = got.size() == pinned.size();
+    for (size_t i = 0; i < got.size(); ++i) {
+        const Pinned& g = got[i];
+        fresh << "        {\"" << g.embedding << "\", \"" << g.schedule
+              << "\", '" << g.basis << "', " << g.distance << ", 0x"
+              << std::hex << g.digest << std::dec << "ULL";
+        if (g.distanceX != 0 || g.distanceZ != 0)
+            fresh << ", " << g.distanceX << ", " << g.distanceZ;
+        fresh << "},\n";
+        if (i < pinned.size()) {
+            const Pinned& p = pinned[i];
+            const bool match = std::string(p.embedding) == g.embedding
+                && std::string(p.schedule) == g.schedule
+                && p.basis == g.basis && p.distance == g.distance
+                && p.distanceX == g.distanceX
+                && p.distanceZ == g.distanceZ && p.digest == g.digest;
+            EXPECT_TRUE(match) << g.embedding << " " << g.schedule << " "
+                               << g.basis << " d=" << g.distance << " "
+                               << g.distanceX << "x" << g.distanceZ;
+            same = same && match;
+        }
+    }
+    EXPECT_EQ(got.size(), pinned.size());
+    if (!same)
+        ADD_FAILURE() << "digest table for the current code:\n"
+                      << fresh.str();
+}
+
+/** Each schedule a backend emits: both when it is virtualized. */
+std::vector<ExtractionSchedule>
+schedulesOf(const GeneratorBackend& backend)
+{
+    std::vector<ExtractionSchedule> schedules = {
+        ExtractionSchedule::AllAtOnce};
+    if (backend.virtualized)
+        schedules.push_back(ExtractionSchedule::Interleaved);
+    return schedules;
+}
+
 /**
  * Pins every registered embedding x schedule x basis at d 3/5/7 (p =
  * 3e-3, the default cavity depth of 10, so every virtualized setup
@@ -643,14 +727,6 @@ circuitDigest(const GeneratedCircuit& gen)
  */
 TEST(CircuitDigest, EveryRegisteredSetupEmitsThePinnedCircuit)
 {
-    struct Pinned
-    {
-        const char* embedding;
-        const char* schedule;
-        char basis;
-        int distance;
-        uint64_t digest;
-    };
     const Pinned pinned[] = {
         {"baseline", "all-at-once", 'Z', 3, 0x136caf3d8ce04ba8ULL},
         {"baseline", "all-at-once", 'Z', 5, 0x9d86a3a5ad99f751ULL},
@@ -696,52 +772,77 @@ TEST(CircuitDigest, EveryRegisteredSetupEmitsThePinnedCircuit)
         {"compact-rect", "interleaved", 'X', 7, 0xf5afff185097f03bULL},
     };
     std::vector<Pinned> got;
-    for (const GeneratorBackend& backend : generatorRegistry()) {
-        std::vector<ExtractionSchedule> schedules = {
-            ExtractionSchedule::AllAtOnce};
-        if (backend.virtualized)
-            schedules.push_back(ExtractionSchedule::Interleaved);
-        for (const ExtractionSchedule schedule : schedules)
+    for (const GeneratorBackend& backend : generatorRegistry())
+        for (const ExtractionSchedule schedule : schedulesOf(backend))
             for (const CheckBasis basis : {CheckBasis::Z, CheckBasis::X})
-                for (const int d : {3, 5, 7}) {
-                    GeneratorConfig cfg;
-                    cfg.distance = d;
-                    cfg.memoryBasis = basis;
-                    cfg.schedule = schedule;
-                    cfg.noise = NoiseModel::atPhysicalRate(
-                        3e-3, HardwareParams::transmonsWithMemory());
-                    got.push_back(Pinned{
-                        backend.name,
-                        schedule == ExtractionSchedule::Interleaved
-                            ? "interleaved"
-                            : "all-at-once",
-                        basis == CheckBasis::Z ? 'Z' : 'X', d,
-                        circuitDigest(
-                            generateMemoryCircuit(backend.kind, cfg))});
-                }
+                for (const int d : {3, 5, 7})
+                    got.push_back(emitPinned(backend, schedule, basis, d));
+    expectPinned(pinned, got);
+}
+
+/**
+ * Pins the Compact generators past d=7 (the large-d workload runs
+ * Compact-Interleaved at d=13): compact and compact-rect, both
+ * schedules and bases, at d 9/11/13, then explicit 5x9 and 9x5 patches
+ * (distanceX x distanceZ, 9 rounds). Same settings as the table above.
+ */
+TEST(CircuitDigest, CompactSetupsPastDistanceSevenEmitThePinnedCircuit)
+{
+    const Pinned pinned[] = {
+        {"compact", "all-at-once", 'Z', 9, 0x76cb0b757b291e46ULL},
+        {"compact", "all-at-once", 'Z', 11, 0x880bebcf1e336e5eULL},
+        {"compact", "all-at-once", 'Z', 13, 0x30602308173de04dULL},
+        {"compact", "all-at-once", 'Z', 9, 0x3f95f5a7b8afbcbdULL, 5, 9},
+        {"compact", "all-at-once", 'Z', 9, 0x68bf64a9855f2c93ULL, 9, 5},
+        {"compact", "all-at-once", 'X', 9, 0x16a4158323e0b149ULL},
+        {"compact", "all-at-once", 'X', 11, 0xdb3a7120cca3db98ULL},
+        {"compact", "all-at-once", 'X', 13, 0xe4d84090ba90349eULL},
+        {"compact", "all-at-once", 'X', 9, 0x4122fe2d1f4e653dULL, 5, 9},
+        {"compact", "all-at-once", 'X', 9, 0x9fa4e1e835ae5ffbULL, 9, 5},
+        {"compact", "interleaved", 'Z', 9, 0xadb668311043aee2ULL},
+        {"compact", "interleaved", 'Z', 11, 0xd1aabfcde4b0f41ULL},
+        {"compact", "interleaved", 'Z', 13, 0xa652c7b2ed0a864bULL},
+        {"compact", "interleaved", 'Z', 9, 0xfb47b14b98c4a73ULL, 5, 9},
+        {"compact", "interleaved", 'Z', 9, 0x8e09aac0c3f3c52aULL, 9, 5},
+        {"compact", "interleaved", 'X', 9, 0x657739d0a33d5fdULL},
+        {"compact", "interleaved", 'X', 11, 0x88f5674ac49b3347ULL},
+        {"compact", "interleaved", 'X', 13, 0xd62b6af263909038ULL},
+        {"compact", "interleaved", 'X', 9, 0xb0edc24a3ef6c8bULL, 5, 9},
+        {"compact", "interleaved", 'X', 9, 0xbf1708fe493e328aULL, 9, 5},
+        {"compact-rect", "all-at-once", 'Z', 9, 0xd73f7f61438d1bbcULL},
+        {"compact-rect", "all-at-once", 'Z', 11, 0x91878c815bc619e2ULL},
+        {"compact-rect", "all-at-once", 'Z', 13, 0xcff740d7519399fdULL},
+        {"compact-rect", "all-at-once", 'Z', 9, 0x3f95f5a7b8afbcbdULL, 5, 9},
+        {"compact-rect", "all-at-once", 'Z', 9, 0x68bf64a9855f2c93ULL, 9, 5},
+        {"compact-rect", "all-at-once", 'X', 9, 0x6cccce8b7ec1014ULL},
+        {"compact-rect", "all-at-once", 'X', 11, 0xc9cf725576c62968ULL},
+        {"compact-rect", "all-at-once", 'X', 13, 0xd2596f43f065be12ULL},
+        {"compact-rect", "all-at-once", 'X', 9, 0x4122fe2d1f4e653dULL, 5, 9},
+        {"compact-rect", "all-at-once", 'X', 9, 0x9fa4e1e835ae5ffbULL, 9, 5},
+        {"compact-rect", "interleaved", 'Z', 9, 0xc8fe88b74cae1635ULL},
+        {"compact-rect", "interleaved", 'Z', 11, 0xf905b7dfbe296d0fULL},
+        {"compact-rect", "interleaved", 'Z', 13, 0x1245233a84b18d77ULL},
+        {"compact-rect", "interleaved", 'Z', 9, 0xfb47b14b98c4a73ULL, 5, 9},
+        {"compact-rect", "interleaved", 'Z', 9, 0x8e09aac0c3f3c52aULL, 9, 5},
+        {"compact-rect", "interleaved", 'X', 9, 0x88b7dd6f39dea145ULL},
+        {"compact-rect", "interleaved", 'X', 11, 0xa7b16ae447a84ab1ULL},
+        {"compact-rect", "interleaved", 'X', 13, 0x69d19fb28495268cULL},
+        {"compact-rect", "interleaved", 'X', 9, 0xb0edc24a3ef6c8bULL, 5, 9},
+        {"compact-rect", "interleaved", 'X', 9, 0xbf1708fe493e328aULL, 9, 5},
+    };
+    std::vector<Pinned> got;
+    for (const EmbeddingKind kind :
+         {EmbeddingKind::Compact, EmbeddingKind::CompactRect}) {
+        const GeneratorBackend& backend = generatorBackend(kind);
+        for (const ExtractionSchedule schedule : schedulesOf(backend))
+            for (const CheckBasis basis : {CheckBasis::Z, CheckBasis::X}) {
+                for (const int d : {9, 11, 13})
+                    got.push_back(emitPinned(backend, schedule, basis, d));
+                got.push_back(emitPinned(backend, schedule, basis, 9, 5, 9));
+                got.push_back(emitPinned(backend, schedule, basis, 9, 9, 5));
+            }
     }
-    std::ostringstream fresh;
-    bool same = got.size() == std::size(pinned);
-    for (size_t i = 0; i < got.size(); ++i) {
-        const Pinned& g = got[i];
-        fresh << "        {\"" << g.embedding << "\", \"" << g.schedule
-              << "\", '" << g.basis << "', " << g.distance << ", 0x"
-              << std::hex << g.digest << std::dec << "ULL},\n";
-        if (i < std::size(pinned)) {
-            const Pinned& p = pinned[i];
-            const bool match = std::string(p.embedding) == g.embedding
-                && std::string(p.schedule) == g.schedule
-                && p.basis == g.basis && p.distance == g.distance
-                && p.digest == g.digest;
-            EXPECT_TRUE(match) << g.embedding << " " << g.schedule << " "
-                               << g.basis << " d=" << g.distance;
-            same = same && match;
-        }
-    }
-    EXPECT_EQ(got.size(), std::size(pinned));
-    if (!same)
-        ADD_FAILURE() << "digest table for the current code:\n"
-                      << fresh.str();
+    expectPinned(pinned, got);
 }
 
 } // namespace

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/generator_common.h"
@@ -562,6 +563,45 @@ TEST(ObsJson, LintAcceptsValidAndRejectsBroken)
     EXPECT_FALSE(obs::jsonLint("{\"a\":}", &err));
     EXPECT_FALSE(obs::jsonLint("{\"a\":1} trailing", &err));
     EXPECT_FALSE(obs::jsonLint("{\"a\":+1}", &err));
+    // Strings must be well-formed UTF-8.
+    EXPECT_TRUE(obs::jsonLint("{\"m\":\"caf\xc3\xa9\"}", &err)) << err;
+    for (const char* bad :
+         {"{\"m\":\"a\xff\"}", "{\"m\":\"\xc0\xaf\"}",
+          "{\"m\":\"\xed\xa0\x80\"}", "{\"m\":\"\xe2\x82\"}",
+          "{\"m\xff\":1}"}) {
+        EXPECT_FALSE(obs::jsonLint(bad, &err)) << bad;
+        EXPECT_NE(err.find("invalid UTF-8"), std::string::npos) << err;
+    }
+}
+
+TEST(ObsJson, QuoteEscapesEveryByteThatIsNotUtf8)
+{
+    // Well-formed sequences of every length pass through unchanged.
+    for (const std::string text : {"caf\xc3\xa9", "\xe2\x82\xac" "5",
+                                   "\xf0\x9f\x98\x80", "\xf4\x8f\xbf\xbf"}) {
+        EXPECT_EQ(obs::jsonQuote(text), "\"" + text + "\"");
+        std::string err;
+        EXPECT_TRUE(obs::jsonLint(obs::jsonQuote(text), &err)) << err;
+    }
+    // RFC 3629 rejects stray and truncated bytes, overlong forms,
+    // surrogates and code points past U+10FFFF: each byte that does not
+    // start a well-formed sequence becomes \u00XX.
+    const std::pair<std::string, std::string> cases[] = {
+        {"a\xff", "\"a\\u00ff\""},
+        {"\x80", "\"\\u0080\""},
+        {"\xc0\xaf", "\"\\u00c0\\u00af\""},
+        {"\xe0\x80\xaf", "\"\\u00e0\\u0080\\u00af\""},
+        {"\xed\xa0\x80", "\"\\u00ed\\u00a0\\u0080\""},
+        {"\xf4\x90\x80\x80", "\"\\u00f4\\u0090\\u0080\\u0080\""},
+        {"\xe2\x82", "\"\\u00e2\\u0082\""},
+        {"\xc3\xa9\xa9", "\"\xc3\xa9\\u00a9\""},
+        {std::string("1\0" "2", 3), "\"1\\u00002\""},
+    };
+    for (const auto& [raw, quoted] : cases) {
+        EXPECT_EQ(obs::jsonQuote(raw), quoted);
+        std::string err;
+        EXPECT_TRUE(obs::jsonLint(quoted, &err)) << err;
+    }
 }
 
 } // namespace

@@ -175,6 +175,19 @@ TEST(ServiceRequest, BadNumbersAreRejected)
     EXPECT_FALSE(service::parseRequestLine("submit trials=5", &error)
                      .has_value())
         << "missing id must not parse";
+
+    // A NUL ends strtoll's parse, not the token: "10<NUL>999" is not 10.
+    using namespace std::string_literals;
+    EXPECT_FALSE(service::parseRequestLine(
+                     "submit id=a trials=10\0" "999"s, &error)
+                     .has_value());
+    EXPECT_NE(error.find("bad value for 'trials'"), std::string::npos)
+        << error;
+    EXPECT_FALSE(service::parseRequestLine(
+                     "submit id=a distances=3\0" "7,5 trials=10"s, &error)
+                     .has_value());
+    EXPECT_NE(error.find("bad value for 'distances'"), std::string::npos)
+        << error;
 }
 
 TEST(ServiceRequest, DistancesOutsideIntAreRejected)
@@ -436,10 +449,14 @@ TEST(ServiceEvents, EveryLineIsValidVersionedJson)
     sink.resumed(job.id);
     sink.done(job.id, 1200, 11, 2);
     sink.error("", "bad_request", "quote \"me\" right");
+    // A rejected request is quoted back: well-formed UTF-8 passes, a
+    // byte that is not UTF-8 becomes \u00XX and a NUL \u0000.
+    using namespace std::string_literals;
+    sink.error("", "bad_request", "id=caf\xc3\xa9 trials=1\xff" "0 n=1\0" "2"s);
 
     std::vector<std::string> lines = splitLines(out.str());
-    ASSERT_EQ(lines.size(), 8u);
-    ASSERT_EQ(sink.eventsEmitted(), 8u);
+    ASSERT_EQ(lines.size(), 9u);
+    ASSERT_EQ(sink.eventsEmitted(), 9u);
     uint64_t prevSeq = 0;
     for (const std::string& line : lines) {
         std::string lintErr;
@@ -454,6 +471,9 @@ TEST(ServiceEvents, EveryLineIsValidVersionedJson)
         << "unknown rate must be JSON null: " << lines[2];
     EXPECT_EQ(field(lines[2], "eta_seconds"), "null");
     EXPECT_EQ(field(lines[4], "reason"), "quantum");
+    EXPECT_NE(lines[8].find("\"id=caf\xc3\xa9 trials=1\\u00ff0 n=1\\u00002\""),
+              std::string::npos)
+        << lines[8];
 }
 
 // ---------------------------------------------------------------------

@@ -311,6 +311,10 @@ TEST(Env, ParseInt64RejectsJunk)
     EXPECT_FALSE(parseInt64(" 42").has_value());
     EXPECT_FALSE(parseInt64("42 ").has_value());
     EXPECT_FALSE(parseInt64("  ").has_value());
+    // strtoll stops at a NUL, but the token has bytes after it.
+    using namespace std::string_view_literals;
+    EXPECT_FALSE(parseInt64("10\0" "999"sv).has_value());
+    EXPECT_FALSE(parseInt64("7\0"sv).has_value());
     // Exact int64 bounds parse; one past either bound does not.
     EXPECT_EQ(parseInt64("9223372036854775807"),
               int64_t{9223372036854775807LL});

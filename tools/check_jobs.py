@@ -2,8 +2,9 @@
 """Validator for vlq-scan-job/1 event streams (scan_server --events).
 
 Checks the guarantees docs/job-protocol.md declares normative, not the
-values: every line is one JSON object carrying the schema tag, seq is
-strictly increasing and t non-decreasing within a session, each job's
+values: every line is valid UTF-8 and one JSON object carrying the
+schema tag, seq is strictly increasing and t non-decreasing within a
+session, each job's
 events follow the lifecycle state machine (queued -> requeued* ->
 started/resumed -> progress*/point_done* -> preempted/resumed cycles
 -> done|error|cancelled),
@@ -162,10 +163,16 @@ class Ctx:
         raise AttributeError(name)
 
 
+def read_lines(path):
+    """The file's lines as bytes, and whether its last line is complete."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return data.splitlines(), data.endswith(b"\n")
+
+
 def check_file(ck, path, history, session_index):
     try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
+        lines, terminated = read_lines(path)
     except OSError as exc:
         ck.fail(f"{path}: {exc}")
         return
@@ -174,7 +181,15 @@ def check_file(ck, path, history, session_index):
     prev_t = 0.0
     session_state = {}        # job -> last event this session
     session_started = set()   # jobs that emitted started/resumed
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # Event lines are UTF-8; only a kill-clipped final line (no
+            # newline) may end mid-sequence.
+            ck.check(lineno == len(lines) and not terminated,
+                     f"{path}:{lineno}: not valid UTF-8 ({exc})")
+            continue
         if not line.strip():
             # Only the final line may be clipped by a kill; an interior
             # blank line means the stream was corrupted.
@@ -315,19 +330,19 @@ def main():
     cached = 0
     for path in args.events:
         try:
-            with open(path) as fh:
-                for line in fh:
-                    try:
-                        obj = json.loads(line)
-                    except json.JSONDecodeError:
-                        continue
-                    if obj.get("event") == "preempted":
-                        preemptions += 1
-                    if obj.get("event") == "point_done" \
-                            and obj.get("cached") is True:
-                        cached += 1
+            lines = read_lines(path)[0]
         except OSError:
-            pass
+            continue
+        for line in lines:
+            try:
+                obj = json.loads(line)
+            except ValueError:  # malformed JSON or not UTF-8
+                continue
+            if obj.get("event") == "preempted":
+                preemptions += 1
+            if obj.get("event") == "point_done" \
+                    and obj.get("cached") is True:
+                cached += 1
 
     ck.check(len(history) >= args.require_jobs,
              f"expected at least {args.require_jobs} jobs, saw "
