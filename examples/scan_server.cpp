@@ -2,9 +2,10 @@
  * @file
  * scan_server: the scan job service as a headless executable. Reads
  * vlq-scan-job/1 request lines (file, FIFO, or stdin), multiplexes
- * the submitted threshold-scan jobs over one warm engine with
- * priority scheduling and batch-boundary preemption, and streams
- * JSONL events (docs/job-protocol.md) to the events file.
+ * the submitted threshold-scan jobs over one process with priority
+ * scheduling and batch-boundary preemption, and streams JSONL events
+ * (docs/job-protocol.md) to the events file. Nothing is kept warm
+ * between points: each builds its circuit, DEM, sampler and decoder.
  *
  * Usage:
  *   scan_server --requests <path|-> --events <path|-> --state-dir <dir>

@@ -18,7 +18,7 @@
  *
  * VLQ_SEED sets the RNG seed (default 0x5eed): split-seed cluster
  * shards run the same scan under different seeds and their checkpoint
- * files merge with tools/merge_checkpoints.py.
+ * files merge with example_merge_checkpoints.
  *
  * Checkpoint/resume: --checkpoint (or VLQ_CHECKPOINT) names a state
  * file; the scan periodically persists the committed trial frontier of

@@ -65,7 +65,7 @@ requireValidConfig(const GeneratorConfig& config)
 NoisyBuilder::NoisyBuilder(uint32_t numWires, std::vector<WireKind> kinds,
                            const CompositeNoiseModel& noise)
     : circuit_(numWires), tracker_(numWires), kinds_(std::move(kinds)),
-      noise_(noise), uniform_(noise.isUniform())
+      noise_(noise)
 {
     VLQ_ASSERT(kinds_.size() == numWires, "wire kind count mismatch");
 }
@@ -77,7 +77,7 @@ NoisyBuilder::emitIdle(uint32_t wire, double durationNs)
     double& budgetField = (kind == WireKind::Transmon)
         ? budget_.idleTransmon : budget_.idleCavity;
     double p = noise_.idleError(kind, durationNs);
-    if (uniform_ || !noise_.bias.enabled()) {
+    if (!noise_.bias.enabled()) {
         circuit_.depolarize1(wire, p);
     } else {
         double px, py, pz;
@@ -106,11 +106,6 @@ NoisyBuilder::emitDamping(uint32_t q, double& budgetField)
 void
 NoisyBuilder::emitGateNoise1(uint32_t q, double p, double& budgetField)
 {
-    if (uniform_) {
-        circuit_.depolarize1(q, p);
-        budgetField += p;
-        return;
-    }
     double pErase = noise_.erasure.enabled()
         ? noise_.erasure.fraction * p : 0.0;
     double pPauli = p - pErase;
@@ -135,11 +130,6 @@ void
 NoisyBuilder::emitGateNoise2(uint32_t a, uint32_t b, double p,
                              double& budgetField)
 {
-    if (uniform_) {
-        circuit_.depolarize2(a, b, p);
-        budgetField += p;
-        return;
-    }
     double pErase = noise_.erasure.enabled()
         ? noise_.erasure.fraction * p : 0.0;
     double pPauli = p - pErase;

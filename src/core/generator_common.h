@@ -138,9 +138,6 @@ struct GeneratedCircuit
     /** Number of load/store operations emitted. */
     int loadStoreCount = 0;
 
-    /** Conflict-serialized CNOTs (Compact scheduler diagnostics). */
-    int deferredCnots = 0;
-
     /** Noise probability mass by physical source. */
     NoiseBudget budget;
 };
@@ -200,7 +197,6 @@ class NoisyBuilder
     MomentTracker tracker_;
     std::vector<WireKind> kinds_;
     CompositeNoiseModel noise_;
-    bool uniform_;
     int loadStoreCount_ = 0;
     NoiseBudget budget_;
 

@@ -1,11 +1,13 @@
 #include "mc/checkpoint.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <vector>
 
@@ -35,6 +37,17 @@ parseU64Token(std::string_view text, int base, uint64_t& out)
         return false;
     out = static_cast<uint64_t>(parsed);
     return true;
+}
+
+/** The whitespace-separated tokens of one line. */
+std::vector<std::string>
+tokensOf(const std::string& line)
+{
+    std::istringstream is(line);
+    std::vector<std::string> tokens;
+    for (std::string token; is >> token;)
+        tokens.push_back(token);
+    return tokens;
 }
 
 /** "key=value" field of a point line, with a strict numeric value. */
@@ -140,136 +153,125 @@ mcRunFingerprintSummary(const McOptions& options)
 std::string
 McCheckpoint::open(const std::string& path, const std::string& summary)
 {
-    path_.clear();
-    entries_.clear();
+    std::ifstream in(path);
+    if (in.is_open())
+        return read(in, path, &summary);
+    // Fresh run: no state yet (a leftover <path>.tmp from a crash
+    // mid-save is deliberately ignored -- its rename never happened,
+    // so it was never the committed state).
+    *this = McCheckpoint();
+    path_ = path;
     summary_ = summary;
     fingerprint_ = fnv1a64(summary);
+    return "";
+}
 
+std::string
+McCheckpoint::load(const std::string& path)
+{
     std::ifstream in(path);
-    if (!in.is_open()) {
-        // Fresh run: no state yet (a leftover <path>.tmp from a crash
-        // mid-save is deliberately ignored -- its rename never
-        // happened, so it was never the committed state).
-        path_ = path;
-        return "";
-    }
+    if (in.is_open())
+        return read(in, path, nullptr);
+    *this = McCheckpoint();
+    return "cannot open checkpoint file '" + path + "'";
+}
 
+std::string
+McCheckpoint::read(std::istream& in, const std::string& path,
+                   const std::string* expected)
+{
+    *this = McCheckpoint();
     std::vector<std::string> lines;
-    std::string line;
-    while (std::getline(in, line))
+    std::vector<std::vector<std::string>> tokens;
+    for (std::string line; std::getline(in, line);) {
+        tokens.push_back(tokensOf(line));
         lines.push_back(line);
-
+    }
+    // Token k of line i; empty past the end of the line.
+    auto token = [&tokens](size_t i, size_t k) {
+        return k < tokens[i].size() ? tokens[i][k] : std::string();
+    };
     auto reject = [&path](const std::string& why) {
         return "checkpoint file '" + path + "' rejected: " + why;
     };
 
     if (lines.empty())
         return reject("empty file");
-
-    // Header: magic + version.
-    {
-        std::istringstream hs(lines[0]);
-        std::string magic;
-        long long version = -1;
-        hs >> magic >> version;
-        if (magic != kMagic)
-            return reject("not a vlq-mc-checkpoint file");
-        if (version != kFormatVersion)
-            return reject("unsupported format version "
-                          + std::to_string(version) + " (expected "
-                          + std::to_string(kFormatVersion) + ")");
-    }
+    if (token(0, 0) != kMagic)
+        return reject("not a vlq-mc-checkpoint file");
+    if (token(0, 1) != std::to_string(kFormatVersion))
+        return reject("unsupported format version '" + token(0, 1)
+                      + "' (expected " + std::to_string(kFormatVersion)
+                      + ")");
+    // Every line but the config line has a fixed number of tokens.
+    for (size_t i = 0; i < lines.size(); ++i)
+        if (i != 2 && tokens[i].size() > (token(i, 0) == "point" ? 5u : 2u))
+            return reject("trailing junk on line " + std::to_string(i + 1));
     if (lines.size() < 4)
         return reject("truncated file (missing header or end marker)");
 
-    // Fingerprint line.
-    {
-        std::istringstream fs(lines[1]);
-        std::string tag;
-        std::string hexValue;
-        fs >> tag >> hexValue;
-        uint64_t fileFingerprint = 0;
-        if (tag != "fingerprint"
-            || !parseU64Token(hexValue, 16, fileFingerprint))
-            return reject("malformed fingerprint line");
-        if (lines[2].rfind("config ", 0) != 0)
-            return reject("malformed config line");
-        if (fileFingerprint != fingerprint_) {
-            return reject(
-                "config fingerprint mismatch -- the file records a "
-                "different run\n  file:    " + lines[2].substr(7)
-                + "\n  current: " + summary
-                + "\nDelete the file (or point --checkpoint elsewhere) "
-                  "to start fresh.");
-        }
+    // The fingerprint hashes the config line, and open() also requires
+    // it to hash the caller's summary.
+    uint64_t fileFingerprint = 0;
+    if (token(1, 0) != "fingerprint"
+        || !parseU64Token(token(1, 1), 16, fileFingerprint))
+        return reject("malformed fingerprint line");
+    if (lines[2].rfind("config ", 0) != 0)
+        return reject("malformed config line");
+    const std::string config = lines[2].substr(7);
+    if (fileFingerprint != fnv1a64(config))
+        return reject("fingerprint does not match config line (corrupt "
+                      "or hand-edited file)");
+    if (expected && fileFingerprint != fnv1a64(*expected)) {
+        return reject(
+            "config fingerprint mismatch -- the file records a "
+            "different run\n  file:    " + config
+            + "\n  current: " + *expected
+            + "\nDelete the file (or point --checkpoint elsewhere) "
+              "to start fresh.");
     }
 
     // Body: point lines, closed by the end marker. Meta lines from
     // older builds are checked for shape and dropped.
     size_t i = 3;
-    for (; i < lines.size(); ++i) {
-        std::istringstream ps(lines[i]);
-        std::string tag;
-        ps >> tag;
-        if (tag == "end")
-            break;
-        if (tag == "meta") {
-            std::string kv;
-            std::string extra;
-            ps >> kv;
-            if (ps >> extra)
-                return reject("trailing junk on line "
-                              + std::to_string(i + 1));
-            size_t eq = kv.find('=');
+    for (; i < lines.size() && token(i, 0) != "end"; ++i) {
+        const std::string line = std::to_string(i + 1);
+        if (token(i, 0) == "meta") {
+            const size_t eq = token(i, 1).find('=');
             if (eq == 0 || eq == std::string::npos)
-                return reject("malformed meta line "
-                              + std::to_string(i + 1));
+                return reject("malformed meta line " + line);
             continue;
         }
-        if (tag != "point")
-            return reject("malformed line " + std::to_string(i + 1)
-                          + ": '" + lines[i] + "'");
-        std::string keyText;
-        std::string trialsText;
-        std::string failuresText;
-        std::string doneText;
-        std::string extra;
-        ps >> keyText >> trialsText >> failuresText >> doneText;
-        if (ps >> extra)
-            return reject("trailing junk on line " + std::to_string(i + 1));
+        if (token(i, 0) != "point")
+            return reject("malformed line " + line + ": '" + lines[i] + "'");
         uint64_t key = 0;
         CheckpointEntry entry;
         uint64_t doneValue = 0;
-        if (!parseU64Token(keyText, 16, key)
-            || !parseField(trialsText, "trials", entry.trialsDone)
-            || !parseField(failuresText, "failures", entry.failures)
-            || !parseField(doneText, "done", doneValue) || doneValue > 1)
-            return reject("malformed point line " + std::to_string(i + 1));
+        if (!parseU64Token(token(i, 1), 16, key)
+            || !parseField(token(i, 2), "trials", entry.trialsDone)
+            || !parseField(token(i, 3), "failures", entry.failures)
+            || !parseField(token(i, 4), "done", doneValue) || doneValue > 1)
+            return reject("malformed point line " + line);
         entry.done = doneValue != 0;
         if (entry.failures > entry.trialsDone)
-            return reject("corrupt counts on line " + std::to_string(i + 1)
+            return reject("corrupt counts on line " + line
                           + " (failures > trials)");
         if (!entries_.emplace(key, entry).second)
-            return reject("duplicate point key " + keyText);
+            return reject("duplicate point key " + token(i, 1));
     }
     if (i >= lines.size())
         return reject("truncated file (no end marker)");
-    {
-        std::istringstream es(lines[i]);
-        std::string tag;
-        std::string countText;
-        es >> tag >> countText;
-        uint64_t count = 0;
-        if (!parseU64Token(countText, 10, count)
-            || count != entries_.size())
-            return reject("end marker count mismatch (file truncated or "
-                          "edited)");
-    }
+    uint64_t count = 0;
+    if (!parseU64Token(token(i, 1), 10, count) || count != entries_.size())
+        return reject("end marker count mismatch (file truncated or "
+                      "edited)");
     for (size_t j = i + 1; j < lines.size(); ++j)
         if (!lines[j].empty())
             return reject("trailing junk after end marker");
 
     path_ = path;
+    summary_ = config;
+    fingerprint_ = fileFingerprint;
     return "";
 }
 
@@ -322,6 +324,80 @@ McCheckpoint::save() const
         return "failed renaming '" + tmp + "' over '" + path_ + "': "
                + std::strerror(errno);
     return "";
+}
+
+std::string
+mergeCheckpoints(const std::vector<std::string>& shards,
+                 const std::string& out)
+{
+    if (shards.empty())
+        return "no shard files to merge";
+    // Each shard's config as key=value fields, its seed held apart.
+    std::vector<McCheckpoint> loaded(shards.size());
+    std::vector<std::map<std::string, std::string>> fields;
+    std::vector<std::string> seeds;
+    for (size_t s = 0; s < shards.size(); ++s) {
+        if (std::string err = loaded[s].load(shards[s]); !err.empty())
+            return err;
+        std::map<std::string, std::string>& f = fields.emplace_back();
+        for (const std::string& token : tokensOf(loaded[s].summary()))
+            if (const size_t eq = token.find('='); eq != std::string::npos)
+                f[token.substr(0, eq)] = token.substr(eq + 1);
+        seeds.push_back(f.count("seed") ? f["seed"] : "?");
+        f.erase("seed");
+    }
+
+    for (size_t s = 1; s < shards.size(); ++s) {
+        // Sorted by key, so a key whose value differs comes out twice
+        // in a row.
+        std::vector<std::pair<std::string, std::string>> differing;
+        std::set_symmetric_difference(fields[0].begin(), fields[0].end(),
+                                      fields[s].begin(), fields[s].end(),
+                                      std::back_inserter(differing));
+        std::string diff;
+        for (size_t k = 0; k < differing.size(); ++k)
+            if (k == 0 || differing[k].first != differing[k - 1].first)
+                diff += (diff.empty() ? "" : ", ") + differing[k].first;
+        if (!diff.empty())
+            return shards[s] + ": config mismatch vs " + shards[0]
+                   + " (differs in: " + diff + ") -- shards of different "
+                   "runs cannot be merged";
+    }
+
+    // Every run samples each point's trials from 0, so two shards with
+    // the same seed cover overlapping trial ranges.
+    std::map<std::string, std::string> shardOfSeed;
+    std::string seedList;
+    for (size_t s = 0; s < shards.size(); ++s) {
+        auto [it, fresh] = shardOfSeed.emplace(seeds[s], shards[s]);
+        if (!fresh)
+            return shards[s] + ": overlaps " + it->second
+                   + " -- both use seed=" + seeds[s] + ", so their trial "
+                   "ranges overlap and merging would double-count";
+        seedList += (s ? "," : "") + seeds[s];
+    }
+
+    McCheckpoint merged;
+    for (const McCheckpoint& shard : loaded)
+        for (const auto& [key, entry] : shard.points()) {
+            CheckpointEntry& sum =
+                merged.entries_.try_emplace(key, CheckpointEntry{0, 0, true})
+                    .first->second;
+            sum.trialsDone += entry.trialsDone;
+            sum.failures += entry.failures;
+            sum.done = sum.done && entry.done;
+            if (sum.trialsDone < entry.trialsDone)
+                return "trial count of point " + hex16(key)
+                       + " overflows 64 bits";
+        }
+    std::string shared;
+    for (const std::string& token : tokensOf(loaded[0].summary()))
+        if (token.rfind("seed=", 0) != 0)
+            shared += (shared.empty() ? "" : " ") + token;
+    merged.path_ = out;
+    merged.summary_ = "seed=merged:" + seedList + " " + shared;
+    merged.fingerprint_ = fnv1a64(merged.summary_);
+    return merged.save();
 }
 
 } // namespace vlq

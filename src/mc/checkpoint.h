@@ -2,9 +2,11 @@
 #define VLQ_MC_CHECKPOINT_H
 
 #include <cstdint>
+#include <iosfwd>
 #include <map>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/generator_common.h"
 #include "mc/monte_carlo.h"
@@ -38,18 +40,21 @@ namespace vlq {
  * lines between the config line and the points (`meta compute=simd`
  * named the compute backend of the run). The loader still accepts and
  * ignores them, so those files resume; save() never writes them.
+ * Every other line has a fixed number of tokens, and a line with one
+ * more is rejected.
  *
- * The fingerprint is a hash of the canonical config summary (seed,
- * trial budget, batch size, decoder, early-stop target, and -- for grid
- * scans -- embedding, schedule and the distances/ps grid). Opening a
- * file whose fingerprint does not match the current run is a hard
- * error: silently mixing counts from different configurations would
- * corrupt the estimate. Each `point` line is the committed frontier of
- * one (generator config, basis) Monte-Carlo point, keyed by a hash of
- * the full point configuration; `done` marks points whose budget is
- * exhausted (or whose early-stop target fired), which a resumed grid
- * scan skips without regenerating circuits. The trailing `end` line
- * makes truncation detectable.
+ * The fingerprint is the FNV-1a hash of the config line's summary
+ * (seed, trial budget, batch size, decoder, early-stop target, and --
+ * for grid scans -- embedding, schedule and the distances/ps grid). A
+ * file whose fingerprint does not hash its own config line is corrupt
+ * or hand-edited, and opening a file whose fingerprint does not match
+ * the current run is a hard error: silently mixing counts from
+ * different configurations would corrupt the estimate. Each `point`
+ * line is the committed frontier of one (generator config, basis)
+ * Monte-Carlo point, keyed by a hash of the full point configuration;
+ * `done` marks points whose budget is exhausted (or whose early-stop
+ * target fired), which a resumed grid scan skips without regenerating
+ * circuits. The trailing `end` line makes truncation detectable.
  *
  * Checkpoints are also the suspend/resume mechanism of the scan job
  * service (src/service/): cooperative preemption
@@ -73,6 +78,8 @@ struct CheckpointEntry
 
     /** True when the point is finished (budget done or early stop). */
     bool done = false;
+
+    bool operator==(const CheckpointEntry&) const = default;
 };
 
 /** FNV-1a 64-bit hash (the checkpoint key/fingerprint hash). */
@@ -116,11 +123,11 @@ class McCheckpoint
      * Bind to `path` and load any existing file there.
      *
      * A missing file starts an empty checkpoint (fresh run). An
-     * existing file must carry a supported format version, the exact
-     * fingerprint hash of `summary`, and structurally valid contents
-     * through the trailing `end` marker. A leftover `<path>.tmp` from
-     * a crash mid-save is ignored (the rename never happened, so the
-     * main file is the last consistent state).
+     * existing file must carry a supported format version, a
+     * fingerprint that hashes both its config line and `summary`, and
+     * valid contents through the trailing `end` marker. A leftover
+     * `<path>.tmp` from a crash mid-save is ignored (the rename never
+     * happened, so the main file is the last consistent state).
      *
      * @return empty string on success, else a description of why the
      *         file was rejected (corrupt, truncated, version mismatch,
@@ -131,11 +138,28 @@ class McCheckpoint
      */
     std::string open(const std::string& path, const std::string& summary);
 
+    /**
+     * Bind to the existing file at `path`, adopting its config line as
+     * the summary: open()'s checks but the match with a caller's
+     * summary. A missing file is an error, never a fresh run. Returns
+     * the rejection message, empty on success.
+     */
+    std::string load(const std::string& path);
+
     bool enabled() const { return !path_.empty(); }
     const std::string& path() const { return path_; }
 
     /** Fingerprint hash of the bound run configuration. */
     uint64_t fingerprint() const { return fingerprint_; }
+
+    /** The canonical config summary the fingerprint hashes. */
+    const std::string& summary() const { return summary_; }
+
+    /** Every point's committed frontier, sorted by key. */
+    const std::map<uint64_t, CheckpointEntry>& points() const
+    {
+        return entries_;
+    }
 
     /** Look up a point's committed frontier (nullptr when absent). */
     const CheckpointEntry* find(uint64_t pointKey) const;
@@ -159,7 +183,27 @@ class McCheckpoint
     uint64_t fingerprint_ = 0;
     std::string summary_;
     std::map<uint64_t, CheckpointEntry> entries_;
+
+    /** The one parser: open() passes its summary, load() nullptr. */
+    std::string read(std::istream& in, const std::string& path,
+                     const std::string* expected);
+
+    friend std::string mergeCheckpoints(
+        const std::vector<std::string>& shards, const std::string& out);
 };
+
+/**
+ * Merge split-seed shards of one run into a reporting checkpoint at
+ * `out` (not a resume point): per point, trials and failures summed,
+ * done only when every shard's copy is, under the config line
+ * `seed=merged:<s1>,<s2>,... <the shared rest>`. Shards must load,
+ * agree on every config field but `seed=`, and have distinct seeds
+ * (same-seed shards overlap, so summing would double-count). All
+ * checks run before save() writes `out`. Returns the rejection
+ * message naming the shard at fault, empty on success.
+ */
+std::string mergeCheckpoints(const std::vector<std::string>& shards,
+                             const std::string& out);
 
 } // namespace vlq
 

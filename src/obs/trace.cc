@@ -8,6 +8,8 @@
 #include <set>
 #include <vector>
 
+#include "obs/json.h"
+
 namespace vlq {
 namespace obs {
 
@@ -81,34 +83,13 @@ record(const char* name, uint64_t startNs, uint64_t value,
 }
 
 void
-appendJsonString(std::string& out, const char* s)
-{
-    out += '"';
-    for (; *s; ++s) {
-        char c = *s;
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += c;
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            char esc[8];
-            std::snprintf(esc, sizeof esc, "\\u%04x", c);
-            out += esc;
-        } else {
-            out += c;
-        }
-    }
-    out += '"';
-}
-
-void
 appendEvent(std::string& out, const TraceEvent& e, bool& first)
 {
     char buf[160];
     if (!first)
         out += ",\n";
     first = false;
-    out += "{\"name\":";
-    appendJsonString(out, e.name);
+    out += "{\"name\":" + jsonQuote(e.name);
     if (e.kind == EventKind::Span) {
         std::snprintf(buf, sizeof buf,
                       ",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,"

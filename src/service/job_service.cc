@@ -251,7 +251,7 @@ JobService::runJob(const ScanJob& job)
     // corrupt checkpoint is a per-job `error` event -- inside the
     // engine it would be fatal for the whole server.
     McCheckpoint prior;
-    std::string err = prior.open(ckptPath, fingerprint);
+    const std::string err = prior.open(ckptPath, fingerprint);
     if (!err.empty()) {
         events_.error(job.id, kErrCheckpointMismatch, err);
         return Outcome::Error;
@@ -308,15 +308,9 @@ JobService::runJob(const ScanJob& job)
         const uint64_t pointKey =
             checkpointPointKey(setup.embedding, gc);
 
-        // Refresh the frontier view: the engine rewrote the file
-        // after every finished point and periodic save.
-        McCheckpoint cur;
-        err = cur.open(ckptPath, fingerprint);
-        if (!err.empty()) {
-            events_.error(job.id, kErrCheckpointMismatch, err);
-            return Outcome::Error;
-        }
-        const CheckpointEntry* entry = cur.find(pointKey);
+        // The file as it stood when the slice began: the engine has
+        // rewritten only the entries of points this loop has passed.
+        const CheckpointEntry* entry = prior.find(pointKey);
 
         if (entry && entry->done) {
             // Finished in an earlier session or slice: account for it

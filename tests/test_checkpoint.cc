@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -13,6 +16,7 @@
 #include "mc/sensitivity.h"
 #include "mc/threshold.h"
 #include "obs/metrics.h"
+#include "util/rng.h"
 
 namespace vlq {
 namespace {
@@ -44,6 +48,18 @@ writeFile(const std::string& path, const std::string& content)
 {
     std::ofstream out(path, std::ios::trunc);
     out << content;
+}
+
+/** `text` with " <token>" appended to its line `index` (0-based). */
+std::string
+appendToLine(std::string text, size_t index, const std::string& token)
+{
+    size_t begin = 0;
+    for (size_t i = 0; i < index; ++i)
+        begin = text.find('\n', begin) + 1;
+    text.insert(std::min(text.find('\n', begin), text.size()),
+                " " + token);
+    return text;
 }
 
 GeneratorConfig
@@ -161,6 +177,23 @@ TEST(Checkpoint, RejectsCorrupt)
     writeFile(path, header + "point 0000000000000007 trials=100"
                              " failures=2 done=0\nend 1\0" "5\n"s);
     EXPECT_NE(c.open(path, "seed=1").find("end marker count mismatch"),
+              std::string::npos);
+
+    // A token appended to the header (line 1), fingerprint (2) or end
+    // line (5) is junk, as it is on a point line.
+    for (size_t line : {0, 1, 4}) {
+        writeFile(path, appendToLine(text, line, "junk"));
+        EXPECT_NE(c.open(path, "seed=1").find(
+                      "trailing junk on line " + std::to_string(line + 1)),
+                  std::string::npos);
+    }
+    // The fingerprint must hash the file's own config line, even when
+    // it matches the caller's summary.
+    std::string edited = text;
+    edited.replace(edited.find("config seed=1"), 13, "config seed=2");
+    writeFile(path, edited);
+    EXPECT_NE(c.open(path, "seed=1").find(
+                  "fingerprint does not match config line"),
               std::string::npos);
     removeFile(path);
 }
@@ -311,6 +344,255 @@ TEST(Checkpoint, PointKeyCoversCompositeNoiseSources)
     GeneratorConfig damped = base;
     damped.noise.damping.gamma = 1e-3;
     EXPECT_NE(checkpointPointKey(EmbeddingKind::Compact, damped), key);
+}
+
+/** Save a shard with the given config summary and points. */
+void
+writeShard(const std::string& path, const std::string& summary,
+           const std::map<uint64_t, CheckpointEntry>& points)
+{
+    removeFile(path);
+    McCheckpoint shard;
+    ASSERT_EQ(shard.open(path, summary), "");
+    for (const auto& [key, entry] : points)
+        shard.update(key, entry);
+    ASSERT_EQ(shard.save(), "");
+}
+
+/** The points of the merged file at `path`. */
+std::map<uint64_t, CheckpointEntry>
+mergedPoints(const std::string& path)
+{
+    McCheckpoint merged;
+    EXPECT_EQ(merged.load(path), "");
+    return merged.points();
+}
+
+TEST(CheckpointMerge, SumsTrialsAndFailuresPerPoint)
+{
+    const std::string a = tmpPath("merge_sum_a.ckpt");
+    const std::string b = tmpPath("merge_sum_b.ckpt");
+    const std::string out = tmpPath("merge_sum_out.ckpt");
+    writeShard(a, "scan=threshold seed=101 trials=3000",
+               {{1, {3000, 40, true}}, {2, {3000, 7, true}}});
+    writeShard(b, "scan=threshold seed=202 trials=3000",
+               {{1, {3000, 44, true}}, {3, {1000, 2, true}}});
+    ASSERT_EQ(mergeCheckpoints({a, b}, out), "");
+    const std::map<uint64_t, CheckpointEntry> expected{
+        {1, {6000, 84, true}}, {2, {3000, 7, true}}, {3, {1000, 2, true}}};
+    EXPECT_EQ(mergedPoints(out), expected);
+
+    // A sum past 64 bits is rejected, not wrapped.
+    writeShard(b, "scan=threshold seed=202 trials=3000",
+               {{2, {UINT64_MAX, 0, true}}});
+    EXPECT_NE(mergeCheckpoints({a, b}, out).find("overflows"),
+              std::string::npos);
+    removeFile(a);
+    removeFile(b);
+    removeFile(out);
+}
+
+TEST(CheckpointMerge, PointIsDoneOnlyWhenEveryShardsCopyIs)
+{
+    const std::string a = tmpPath("merge_done_a.ckpt");
+    const std::string b = tmpPath("merge_done_b.ckpt");
+    const std::string out = tmpPath("merge_done_out.ckpt");
+    writeShard(a, "seed=1 trials=64",
+               {{1, {64, 1, true}}, {2, {64, 2, true}}});
+    writeShard(b, "seed=2 trials=64",
+               {{1, {32, 1, false}}, {2, {64, 3, true}}});
+    ASSERT_EQ(mergeCheckpoints({a, b}, out), "");
+    const std::map<uint64_t, CheckpointEntry> expected{
+        {1, {96, 2, false}}, {2, {128, 5, true}}};
+    EXPECT_EQ(mergedPoints(out), expected);
+    removeFile(a);
+    removeFile(b);
+    removeFile(out);
+}
+
+TEST(CheckpointMerge, MergedSummaryListsEverySeedFirst)
+{
+    std::vector<std::string> shards;
+    for (const char* seed : {"101", "202", "7"}) {
+        shards.push_back(tmpPath(std::string("merge_seeds_") + seed));
+        writeShard(shards.back(),
+                   std::string("scan=threshold seed=") + seed
+                       + " trials=3000 decoder=mwpm",
+                   {{9, {3000, 5, true}}});
+    }
+    const std::string out = tmpPath("merge_seeds_out.ckpt");
+    ASSERT_EQ(mergeCheckpoints(shards, out), "");
+    const std::string summary =
+        "seed=merged:101,202,7 scan=threshold trials=3000 decoder=mwpm";
+    McCheckpoint merged;
+    ASSERT_EQ(merged.load(out), "");
+    EXPECT_EQ(merged.summary(), summary);
+    EXPECT_EQ(merged.fingerprint(), fnv1a64(summary));
+    EXPECT_EQ(readFile(out),
+              "vlq-mc-checkpoint 1\nfingerprint " + hex16(fnv1a64(summary))
+                  + "\nconfig " + summary
+                  + "\npoint 0000000000000009 trials=9000 failures=15"
+                    " done=1\nend 1\n");
+    for (const std::string& shard : shards)
+        removeFile(shard);
+    removeFile(out);
+}
+
+TEST(CheckpointMerge, RejectsConfigsThatDifferBeyondTheSeed)
+{
+    const std::string a = tmpPath("merge_cfg_a.ckpt");
+    const std::string b = tmpPath("merge_cfg_b.ckpt");
+    const std::string c = tmpPath("merge_cfg_c.ckpt");
+    const std::string out = tmpPath("merge_cfg_out.ckpt");
+    writeShard(a, "seed=101 trials=3000 decoder=mwpm batch=256", {});
+    writeShard(b, "seed=202 trials=3001 decoder=union-find batch=256", {});
+    writeShard(c, "seed=303 trials=3000 decoder=mwpm batch=256 k=10", {});
+    removeFile(out);
+    EXPECT_EQ(mergeCheckpoints({a, b}, out),
+              b + ": config mismatch vs " + a
+                  + " (differs in: decoder, trials) -- shards of "
+                    "different runs cannot be merged");
+    EXPECT_NE(mergeCheckpoints({a, c}, out).find("(differs in: k)"),
+              std::string::npos);
+    EXPECT_FALSE(std::ifstream(out).is_open());
+    removeFile(a);
+    removeFile(b);
+    removeFile(c);
+}
+
+TEST(CheckpointMerge, SameSeedShardsOverlap)
+{
+    const std::string a = tmpPath("merge_overlap_a.ckpt");
+    const std::string b = tmpPath("merge_overlap_b.ckpt");
+    const std::string out = tmpPath("merge_overlap_out.ckpt");
+    writeShard(a, "seed=101 trials=64", {{1, {64, 1, true}}});
+    writeShard(b, "seed=202 trials=64", {{1, {64, 2, true}}});
+    // A rejected merge leaves the output as it was.
+    removeFile(out);
+    writeFile(out, "previous merge\n");
+    const std::string err = mergeCheckpoints({a, b, a}, out);
+    EXPECT_EQ(err, a + ": overlaps " + a + " -- both use seed=101, so "
+                   "their trial ranges overlap and merging would "
+                   "double-count");
+    EXPECT_EQ(readFile(out), "previous merge\n");
+    EXPECT_FALSE(std::ifstream(out + ".tmp").is_open());
+    removeFile(a);
+    removeFile(b);
+    removeFile(out);
+}
+
+TEST(CheckpointMerge, MetaLineShardMergesToTheSameBytes)
+{
+    const std::string a = tmpPath("merge_meta_a.ckpt");
+    const std::string b = tmpPath("merge_meta_b.ckpt");
+    const std::string bMeta = tmpPath("merge_meta_b_meta.ckpt");
+    const std::string out = tmpPath("merge_meta_out.ckpt");
+    const std::string outMeta = tmpPath("merge_meta_out_meta.ckpt");
+    writeShard(a, "seed=101 trials=64", {{1, {64, 1, true}}});
+    writeShard(b, "seed=202 trials=64", {{1, {64, 2, true}}});
+    std::string text = readFile(b);
+    text.insert(text.find('\n', text.find("\nconfig ") + 1) + 1,
+                "meta compute=simd\n");
+    writeFile(bMeta, text);
+    ASSERT_EQ(mergeCheckpoints({a, b}, out), "");
+    ASSERT_EQ(mergeCheckpoints({a, bMeta}, outMeta), "");
+    EXPECT_EQ(readFile(out), readFile(outMeta));
+    for (const std::string& path : {a, b, bMeta, out, outMeta})
+        removeFile(path);
+}
+
+TEST(CheckpointMerge, MissingShardIsAnError)
+{
+    const std::string a = tmpPath("merge_missing_a.ckpt");
+    const std::string missing = tmpPath("merge_missing_none.ckpt");
+    const std::string out = tmpPath("merge_missing_out.ckpt");
+    writeShard(a, "seed=101 trials=64", {{1, {64, 1, true}}});
+    removeFile(missing);
+    removeFile(out);
+    // load() never starts fresh, unlike open().
+    McCheckpoint shard;
+    EXPECT_NE(shard.load(missing), "");
+    EXPECT_FALSE(shard.enabled());
+    EXPECT_NE(mergeCheckpoints({a, missing}, out).find(missing),
+              std::string::npos);
+    EXPECT_FALSE(std::ifstream(out).is_open());
+    removeFile(a);
+}
+
+TEST(CheckpointFuzz, MutantsAreRejectedOrRoundTrip)
+{
+    // Corpus: a small scan's saved file, and the same file with the
+    // meta line older builds wrote.
+    ThresholdScanConfig cfg;
+    cfg.distances = {3};
+    cfg.physicalPs = {8e-3, 2e-2};
+    cfg.mc.trials = 64;
+    cfg.mc.seed = 5;
+    cfg.mc.checkpointPath = tmpPath("fuzz_corpus.ckpt");
+    removeFile(cfg.mc.checkpointPath);
+    scanThreshold(EvaluationSetup{EmbeddingKind::Baseline2D,
+                                  ExtractionSchedule::AllAtOnce},
+                  cfg);
+    std::vector<std::string> corpus{readFile(cfg.mc.checkpointPath)};
+    removeFile(cfg.mc.checkpointPath);
+    std::string meta = corpus[0];
+    meta.insert(meta.find('\n', meta.find("\nconfig ") + 1) + 1,
+                "meta compute=simd\n");
+    corpus.push_back(meta);
+
+    const std::string path = tmpPath("fuzz_mutant.ckpt");
+    const char* const tokens[] = {"junk", "0", "trials=5", "end"};
+    Rng rng(0xf022);
+    int loaded = 0;
+    for (int iter = 0; iter < 4000; ++iter) {
+        const std::string& base = corpus[rng.nextBelow(corpus.size())];
+        std::string mutant = base;
+        bool appended = false;
+        switch (rng.nextBelow(4)) {
+        case 0: // byte flip
+            mutant[rng.nextBelow(mutant.size())] ^=
+                static_cast<char>(1 + rng.nextBelow(255));
+            break;
+        case 1: // truncation
+            mutant.resize(rng.nextBelow(mutant.size()));
+            break;
+        case 2: { // splice: a prefix of one file, a suffix of another
+            const std::string& other =
+                corpus[rng.nextBelow(corpus.size())];
+            mutant = base.substr(0, rng.nextBelow(base.size() + 1))
+                   + other.substr(rng.nextBelow(other.size() + 1));
+            break;
+        }
+        default: { // a token appended to a random line
+            const auto lines = static_cast<uint64_t>(
+                std::count(base.begin(), base.end(), '\n'));
+            mutant = appendToLine(base, rng.nextBelow(lines),
+                                  tokens[rng.nextBelow(4)]);
+            appended = true;
+        }
+        }
+        removeFile(path);
+        writeFile(path, mutant);
+        McCheckpoint c;
+        const std::string err = c.load(path);
+        // No line has an optional field, so a line with one more token
+        // is never a file save() wrote.
+        if (appended) {
+            EXPECT_NE(err, "") << "loaded:\n" << mutant;
+        }
+        if (!err.empty()) {
+            EXPECT_NE(err.find(path), std::string::npos) << err;
+            continue;
+        }
+        ++loaded;
+        ASSERT_EQ(c.save(), "") << mutant;
+        McCheckpoint back;
+        ASSERT_EQ(back.load(path), "") << mutant;
+        EXPECT_EQ(back.summary(), c.summary());
+        EXPECT_EQ(back.points(), c.points()) << mutant;
+    }
+    EXPECT_GT(loaded, 0);
+    removeFile(path);
 }
 
 /** Progress snapshots of an uninterrupted run = every possible kill

@@ -625,7 +625,7 @@ circuitDigest(const GeneratedCircuit& gen)
     h.addDouble(gen.activeDurationNs);
     h.addDouble(gen.totalDurationNs);
     h.add(static_cast<uint64_t>(gen.loadStoreCount));
-    h.add(static_cast<uint64_t>(gen.deferredCnots));
+    h.add(uint64_t{0}); // a retired field's slot: keeps the pinned digests
     for (double mass : {gen.budget.gateTT, gen.budget.gateTM, gen.budget.gate1,
                         gen.budget.loadStore, gen.budget.measurement,
                         gen.budget.resetErr, gen.budget.idleTransmon,

@@ -222,6 +222,11 @@ TEST(ObsTrace, TimelineJsonIsSchemaValid)
         obs::StageTimer span("test.obs.span");
     }
     obs::traceCounter("test.obs.counter", 42);
+    {
+        // A name holding a quote, a backslash and a control byte is
+        // escaped, not copied raw into the timeline.
+        obs::StageTimer span("test.obs.\"quoted\\name\x01");
+    }
     // Worker spans land on per-worker lanes (w+1).
     ThreadPool pool(3);
     pool.parallelFor(3, [](uint64_t, uint64_t, unsigned) {
@@ -235,6 +240,8 @@ TEST(ObsTrace, TimelineJsonIsSchemaValid)
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(json.find("test.obs.span"), std::string::npos);
     EXPECT_NE(json.find("test.obs.worker_span"), std::string::npos);
+    EXPECT_NE(json.find("test.obs.\\\"quoted\\\\name\\u0001"),
+              std::string::npos);
     EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
     EXPECT_NE(json.find("thread_name"), std::string::npos);
