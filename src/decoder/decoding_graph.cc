@@ -21,6 +21,9 @@ namespace {
  */
 constexpr double kMaxBuckets = 1024.0;
 
+/** An empty slot of the edge table. */
+constexpr uint32_t kNoEdge = std::numeric_limits<uint32_t>::max();
+
 /** Independent-flip combination of two probabilities. */
 double
 combineP(double a, double b)
@@ -56,31 +59,59 @@ DecodingGraph::DecodingGraph(uint32_t numDetectors)
 {
 }
 
+size_t
+DecodingGraph::edgeSlot(uint32_t a, uint32_t b) const
+{
+    const size_t mask = edgeTable_.size() - 1;
+    size_t i = static_cast<size_t>(
+                   (pairKey(a, b) * 0x9e3779b97f4a7c15ULL) >> 32)
+        & mask;
+    for (;; i = (i + 1) & mask) {
+        const uint32_t e = edgeTable_[i];
+        if (e == kNoEdge || (edges_[e].a == a && edges_[e].b == b))
+            return i;
+    }
+}
+
+void
+DecodingGraph::reserveEdges(size_t n)
+{
+    edges_.reserve(n);
+    bestContribution_.reserve(n);
+    const size_t size = std::bit_ceil(std::max<size_t>(2 * n, 16));
+    if (size <= edgeTable_.size())
+        return;
+    edgeTable_.assign(size, kNoEdge);
+    for (uint32_t e = 0; e < edges_.size(); ++e)
+        edgeTable_[edgeSlot(edges_[e].a, edges_[e].b)] = e;
+}
+
 int32_t
 DecodingGraph::findEdge(uint32_t a, uint32_t b) const
 {
     if (a > b)
         std::swap(a, b);
-    uint64_t key = (static_cast<uint64_t>(a) << 32) | b;
-    auto it = edgeIndex_.find(key);
-    return it == edgeIndex_.end() ? -1
-                                  : static_cast<int32_t>(it->second);
+    if (edgeTable_.empty())
+        return -1;
+    const uint32_t e = edgeTable_[edgeSlot(a, b)];
+    return e == kNoEdge ? -1 : static_cast<int32_t>(e);
 }
 
 uint32_t
 DecodingGraph::edgeIndexFor(uint32_t a, uint32_t b)
 {
-    uint64_t key = (static_cast<uint64_t>(a) << 32) | b;
-    auto [it, inserted] =
-        edgeIndex_.try_emplace(key, static_cast<uint32_t>(edges_.size()));
-    if (inserted) {
+    if (2 * (edges_.size() + 1) > edgeTable_.size())
+        reserveEdges(2 * edges_.size() + 1);
+    uint32_t& slot = edgeTable_[edgeSlot(a, b)];
+    if (slot == kNoEdge) {
+        slot = static_cast<uint32_t>(edges_.size());
         DecodingEdge e;
         e.a = a;
         e.b = b;
         edges_.push_back(e);
         bestContribution_.push_back(0.0);
     }
-    return it->second;
+    return slot;
 }
 
 void
@@ -363,6 +394,9 @@ DecodingGraph::build(const DetectorErrorModel& dem)
 {
     DecodingGraph g(dem.numDetectors());
     const uint32_t boundary = g.boundaryNode();
+    // A circuit-level surface-code graph has about five edges per
+    // detector (5.2 at d=13); more only grows the table.
+    g.reserveEdges(8 * size_t{g.numNodes()});
 
     // Pass 1, only when some outcome flips more than two detectors:
     // note the pairs/boundary hits that known fault outcomes produce,

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "dem/detector_model.h"
@@ -216,10 +215,19 @@ class DecodingGraph
     uint32_t bucketMask_ = 0;
     BuildStats stats_;
 
-
+    /** Index of edge (a, b), a <= b; a new edge takes the next index. */
     uint32_t edgeIndexFor(uint32_t a, uint32_t b);
-    // Map from packed (a << 32 | b) key to edge index.
-    std::unordered_map<uint64_t, uint32_t> edgeIndex_;
+    /** Slot of edge (a, b), a <= b, in edgeTable_, or the empty slot
+     *  it would take. */
+    size_t edgeSlot(uint32_t a, uint32_t b) const;
+    /** Room for `n` edges: the table at most half full, and the edge
+     *  arrays reserved. */
+    void reserveEdges(size_t n);
+    // Edges are numbered in the order their first contribution
+    // arrives. This flat open-addressing table holds each edge's index
+    // in a slot found by hashing its endpoints and probing linearly;
+    // empty slots hold kNoEdge.
+    std::vector<uint32_t> edgeTable_;
 };
 
 } // namespace vlq

@@ -85,50 +85,156 @@ clear(Signature& s)
 }
 
 /**
+ * Every XOR of up to four base signatures, over the union of their
+ * word ranges: combination `code` XORs the bases whose bits are set in
+ * it (bit i selects base i), so combination 0 flips nothing. A fault
+ * channel's outcomes are such combinations of its qubits' X and Z
+ * sensitivities; computing all of them at once costs one word XOR per
+ * combination and word, where XORing each outcome's parts anew reads
+ * every part once per outcome.
+ */
+class Combinations
+{
+  public:
+    explicit Combinations(size_t numWords) : words_(16 * numWords) {}
+
+    /**
+     * Combine `bases` (at most four). Returns false when every base is
+     * empty (no detector, no observable): then so is every combination.
+     */
+    bool set(std::initializer_list<const Signature*> bases)
+    {
+        const Signature* const* base = bases.begin();
+        const auto n = static_cast<uint32_t>(bases.size());
+        lo_ = std::numeric_limits<uint32_t>::max();
+        hi_ = 0;
+        uint32_t anyObservable = 0;
+        for (uint32_t i = 0; i < n; ++i) {
+            if (base[i]->lo < base[i]->hi) {
+                lo_ = std::min(lo_, base[i]->lo);
+                hi_ = std::max(hi_, base[i]->hi);
+            }
+            anyObservable |= base[i]->observables;
+        }
+        const bool anyDetector = hi_ > 0;
+        if (!anyDetector)
+            lo_ = 0;
+        const uint32_t width = hi_ - lo_;
+        std::fill(words_.begin(), words_.begin() + width, uint64_t{0});
+        observables_[0] = 0;
+        // Each combination is the one without its lowest base, XOR
+        // that base. A base's words outside its range are zero.
+        for (uint32_t code = 1; code < (1u << n); ++code) {
+            const uint32_t rest = code & (code - 1);
+            const Signature& b =
+                *base[static_cast<uint32_t>(std::countr_zero(code))];
+            uint64_t* dst = words_.data() + code * width;
+            const uint64_t* src = words_.data() + rest * width;
+            for (uint32_t w = 0; w < width; ++w)
+                dst[w] = src[w] ^ b.words[lo_ + w];
+            observables_[code] = observables_[rest] ^ b.observables;
+        }
+        return anyDetector || anyObservable != 0;
+    }
+
+    /** First detector word of every combination. */
+    uint32_t lo() const { return lo_; }
+    /** Detector words per combination. */
+    uint32_t width() const { return hi_ - lo_; }
+    const uint64_t* words(uint32_t code) const
+    {
+        return words_.data() + code * width();
+    }
+    uint32_t observables(uint32_t code) const { return observables_[code]; }
+
+  private:
+    std::vector<uint64_t> words_;
+    uint32_t observables_[16] = {};
+    uint32_t lo_ = 0;
+    uint32_t hi_ = 0;
+};
+
+/** Most outcomes the channel of `op` can have (0: not a channel). */
+size_t
+maxOutcomes(const Operation& op)
+{
+    switch (op.code) {
+      case OpCode::MEASURE_Z:
+        return op.p > 0.0 ? 1 : 0;
+      case OpCode::DEPOLARIZE1:
+      case OpCode::PAULI_CHANNEL_1:
+        return 3;
+      case OpCode::DEPOLARIZE2:
+        return 15;
+      case OpCode::X_ERROR:
+      case OpCode::Y_ERROR:
+      case OpCode::Z_ERROR:
+        return 1;
+      case OpCode::HERALDED_ERASE:
+        return 4;
+      default:
+        return 0;
+    }
+}
+
+/**
  * Appends channels and outcomes straight into the model's flat arrays.
- * Spans are set by finish(), once the arrays stop growing; until then
- * each outcome's and channel's end offset is kept on the side.
+ * The channel and outcome arrays are reserved for the most the
+ * circuit's channels can produce, so they never move: a channel's
+ * span into the outcome array is set when it closes. The pool is
+ * reserved for two detectors per outcome; past that it grows and every
+ * outcome's span is re-pointed at the new buffer.
  */
 class ModelWriter
 {
   public:
+    ModelWriter(const Circuit& circuit, std::vector<FaultChannel>& channels,
+                std::vector<FaultOutcome>& outcomes,
+                std::vector<uint32_t>& pool)
+        : channels_(channels), outcomes_(outcomes), pool_(pool)
+    {
+        size_t maxChannels = 0;
+        size_t maxOutcomeCount = 0;
+        for (const Operation& op : circuit.ops()) {
+            const size_t n = maxOutcomes(op);
+            maxChannels += n > 0 ? 1 : 0;
+            maxOutcomeCount += n;
+        }
+        channels_.reserve(maxChannels);
+        outcomes_.reserve(maxOutcomeCount);
+        pool_.reserve(2 * maxOutcomeCount);
+    }
+
     /**
-     * Append the outcome "the XOR of `parts` flips", unless it flips
-     * nothing and `keepEmpty` is false. Detectors are read off the
-     * union of the parts' word ranges, ascending.
+     * Append the outcome "combination `code` of `c` flips", unless it
+     * flips nothing and `keepEmpty` is false. Detectors ascend.
      */
-    void outcome(double probability,
-                 std::initializer_list<const Signature*> parts,
+    void outcome(double probability, const Combinations& c, uint32_t code,
                  bool keepEmpty = false)
     {
-        uint32_t lo = std::numeric_limits<uint32_t>::max();
-        uint32_t hi = 0;
-        uint32_t observables = 0;
-        for (const Signature* s : parts) {
-            if (s->lo < s->hi) {
-                lo = std::min(lo, s->lo);
-                hi = std::max(hi, s->hi);
-            }
-            observables ^= s->observables;
-        }
-        const size_t begin = pool_.size();
-        for (uint32_t w = lo; w < hi; ++w) {
-            uint64_t bits = 0;
-            for (const Signature* s : parts)
-                bits ^= s->words[w];
-            while (bits != 0) {
-                pool_.push_back(
-                    w * 64 + static_cast<uint32_t>(std::countr_zero(bits)));
-                bits &= bits - 1;
-            }
-        }
-        if (pool_.size() == begin && observables == 0 && !keepEmpty)
+        const uint64_t* words = c.words(code);
+        const uint32_t width = c.width();
+        size_t n = 0;
+        for (uint32_t w = 0; w < width; ++w)
+            n += static_cast<size_t>(std::popcount(words[w]));
+        const uint32_t observables = c.observables(code);
+        if (n == 0 && observables == 0 && !keepEmpty)
             return;
+        VLQ_ASSERT(outcomes_.size() < outcomes_.capacity(),
+                   "fault channel has more outcomes than its op allows");
+        reservePool(n);
+        const size_t begin = pool_.size();
+        for (uint32_t w = 0; w < width; ++w) {
+            const uint32_t base = (c.lo() + w) * 64;
+            for (uint64_t bits = words[w]; bits != 0; bits &= bits - 1)
+                pool_.push_back(
+                    base + static_cast<uint32_t>(std::countr_zero(bits)));
+        }
         FaultOutcome o;
         o.probability = probability;
+        o.detectors = std::span<const uint32_t>(pool_.data() + begin, n);
         o.observables = observables;
         outcomes_.push_back(o);
-        detectorEnds_.push_back(static_cast<uint32_t>(pool_.size()));
     }
 
     /** Close the channel of op `opIndex`; dropped if it has no outcome. */
@@ -139,44 +245,34 @@ class ModelWriter
         FaultChannel ch;
         ch.opIndex = static_cast<uint32_t>(opIndex);
         ch.heralded = heralded;
+        ch.outcomes = std::span<const FaultOutcome>(
+            outcomes_.data() + channelBegin_,
+            outcomes_.size() - channelBegin_);
         channels_.push_back(ch);
-        channelBegin_ = static_cast<uint32_t>(outcomes_.size());
-        channelEnds_.push_back(channelBegin_);
-    }
-
-    /**
-     * Hand the arrays over, point every span at them, and put the
-     * channels (written in reverse circuit order) in circuit order.
-     */
-    void finish(std::vector<FaultChannel>& channels,
-                std::vector<FaultOutcome>& outcomes,
-                std::vector<uint32_t>& pool)
-    {
-        pool = std::move(pool_);
-        outcomes = std::move(outcomes_);
-        channels = std::move(channels_);
-        uint32_t begin = 0;
-        for (size_t i = 0; i < outcomes.size(); ++i) {
-            outcomes[i].detectors = std::span<const uint32_t>(
-                pool.data() + begin, detectorEnds_[i] - begin);
-            begin = detectorEnds_[i];
-        }
-        begin = 0;
-        for (size_t i = 0; i < channels.size(); ++i) {
-            channels[i].outcomes = std::span<const FaultOutcome>(
-                outcomes.data() + begin, channelEnds_[i] - begin);
-            begin = channelEnds_[i];
-        }
-        std::reverse(channels.begin(), channels.end());
+        channelBegin_ = outcomes_.size();
     }
 
   private:
-    std::vector<FaultChannel> channels_;
-    std::vector<FaultOutcome> outcomes_;
-    std::vector<uint32_t> pool_;
-    std::vector<uint32_t> detectorEnds_; // per outcome
-    std::vector<uint32_t> channelEnds_;  // per channel
-    uint32_t channelBegin_ = 0;
+    /** Make room for `n` more pool entries. */
+    void reservePool(size_t n)
+    {
+        if (pool_.capacity() - pool_.size() >= n)
+            return;
+        pool_.reserve(std::max(2 * pool_.capacity(), pool_.size() + n));
+        // The pool moved. Outcomes fill it in order, so each one's run
+        // starts where the previous one's ends.
+        size_t begin = 0;
+        for (FaultOutcome& o : outcomes_) {
+            o.detectors = std::span<const uint32_t>(pool_.data() + begin,
+                                                    o.detectors.size());
+            begin += o.detectors.size();
+        }
+    }
+
+    std::vector<FaultChannel>& channels_;
+    std::vector<FaultOutcome>& outcomes_;
+    std::vector<uint32_t>& pool_;
+    size_t channelBegin_ = 0;
 };
 
 } // namespace
@@ -220,6 +316,7 @@ DetectorErrorModel::build(const Circuit& circuit)
         static_cast<uint32_t>(circuit.observables().size());
     VLQ_ASSERT(dem.numObservables_ <= 32, "too many observables");
 
+    dem.meta_.reserve(dem.numDetectors_);
     for (const auto& d : circuit.detectors())
         dem.meta_.push_back(DetectorMeta{d.basis, d.x, d.y, d.t});
 
@@ -244,25 +341,31 @@ DetectorErrorModel::build(const Circuit& circuit)
             measObs[m] ^= 1u << o;
 
     // Backward sensitivity sets: dx[q] = what an X error on q at the
-    // current (reverse) position flips; dz likewise. Two more arena
-    // slots back `identity`, which stays empty, and `record`, which
-    // holds one measurement's record flip at a time.
+    // current (reverse) position flips; dz likewise. One more arena
+    // slot backs `record`, which holds one measurement's record flip at
+    // a time.
     const uint32_t nQubits = circuit.numQubits();
     const size_t numWords = (dem.numDetectors_ + 63) / 64;
-    std::vector<uint64_t> arena((2 * size_t{nQubits} + 2) * numWords, 0);
+    std::vector<uint64_t> arena((2 * size_t{nQubits} + 1) * numWords, 0);
     std::vector<Signature> dx(nQubits);
     std::vector<Signature> dz(nQubits);
     for (uint32_t q = 0; q < nQubits; ++q) {
         dx[q].words = arena.data() + (2 * size_t{q}) * numWords;
         dz[q].words = arena.data() + (2 * size_t{q} + 1) * numWords;
     }
-    Signature identity;
-    identity.words = arena.data() + 2 * size_t{nQubits} * numWords;
     Signature record;
-    record.words = identity.words + numWords;
+    record.words = arena.data() + 2 * size_t{nQubits} * numWords;
 
+    // A channel's outcomes are combinations of its qubits' sensitivity
+    // sets. One-qubit channels combine (X, Z): code 1 is X, 2 is Z and
+    // 3 is Y. DEPOLARIZE2 combines (X q1, Z q1, X q0, Z q0), so code
+    // 4a + b is Pauli a on q0 and b on q1, in the same 1 = X, 2 = Z,
+    // 3 = Y numbering. A channel whose every base is empty has no
+    // outcome and is skipped, unless heralded.
     const auto& ops = circuit.ops();
-    ModelWriter out;
+    Combinations comb(numWords);
+    ModelWriter out(circuit, dem.channels_, dem.outcomes_,
+                    dem.detectorPool_);
     for (size_t idx = ops.size(); idx-- > 0;) {
         const Operation& op = ops[idx];
         switch (op.code) {
@@ -278,8 +381,8 @@ DetectorErrorModel::build(const Circuit& circuit)
             trim(record);
             record.observables = measObs[m];
             xorInto(dx[op.q0], record);
-            if (op.p > 0.0) {
-                out.outcome(op.p, {&record});
+            if (op.p > 0.0 && comb.set({&record})) {
+                out.outcome(op.p, comb, 1);
                 out.endChannel(idx);
             }
             clear(record);
@@ -310,72 +413,66 @@ DetectorErrorModel::build(const Circuit& circuit)
             std::swap(dz[op.q0], dz[op.q1]);
             break;
           case OpCode::DEPOLARIZE1: {
+            if (!comb.set({&dx[op.q0], &dz[op.q0]}))
+                break;
             const double p3 = op.p / 3.0;
-            const Signature* x = &dx[op.q0];
-            const Signature* z = &dz[op.q0];
-            out.outcome(p3, {x});
-            out.outcome(p3, {x, z}); // Y
-            out.outcome(p3, {z});
+            out.outcome(p3, comb, 1); // X
+            out.outcome(p3, comb, 3); // Y
+            out.outcome(p3, comb, 2); // Z
             out.endChannel(idx);
             break;
           }
           case OpCode::DEPOLARIZE2: {
+            if (!comb.set({&dx[op.q1], &dz[op.q1], &dx[op.q0], &dz[op.q0]}))
+                break;
             const double p15 = op.p / 15.0;
-            const Signature* id = &identity;
-            for (int code = 1; code < 16; ++code) {
-                const int pa = code >> 2;
-                const int pb = code & 3;
-                out.outcome(p15, {(pa & 1) ? &dx[op.q0] : id,
-                                  (pa & 2) ? &dz[op.q0] : id,
-                                  (pb & 1) ? &dx[op.q1] : id,
-                                  (pb & 2) ? &dz[op.q1] : id});
-            }
+            for (uint32_t code = 1; code < 16; ++code)
+                out.outcome(p15, comb, code);
             out.endChannel(idx);
             break;
           }
           case OpCode::X_ERROR:
-            out.outcome(op.p, {&dx[op.q0]});
-            out.endChannel(idx);
+          case OpCode::Z_ERROR:
+            if (comb.set({op.code == OpCode::X_ERROR ? &dx[op.q0]
+                                                     : &dz[op.q0]})) {
+                out.outcome(op.p, comb, 1);
+                out.endChannel(idx);
+            }
             break;
           case OpCode::Y_ERROR:
-            out.outcome(op.p, {&dx[op.q0], &dz[op.q0]});
-            out.endChannel(idx);
+            if (comb.set({&dx[op.q0], &dz[op.q0]})) {
+                out.outcome(op.p, comb, 3);
+                out.endChannel(idx);
+            }
             break;
-          case OpCode::Z_ERROR:
-            out.outcome(op.p, {&dz[op.q0]});
-            out.endChannel(idx);
-            break;
-          case OpCode::PAULI_CHANNEL_1: {
-            const Signature* x = &dx[op.q0];
-            const Signature* z = &dz[op.q0];
+          case OpCode::PAULI_CHANNEL_1:
+            if (!comb.set({&dx[op.q0], &dz[op.q0]}))
+                break;
             if (op.p > 0.0)
-                out.outcome(op.p, {x});
+                out.outcome(op.p, comb, 1);
             if (op.py > 0.0)
-                out.outcome(op.py, {x, z});
+                out.outcome(op.py, comb, 3);
             if (op.pz > 0.0)
-                out.outcome(op.pz, {z});
+                out.outcome(op.pz, comb, 2);
             out.endChannel(idx);
             break;
-          }
           case OpCode::HERALDED_ERASE: {
             // The erased qubit is replaced by the maximally mixed state:
             // uniform I/X/Y/Z, each p/4. Empty signatures (always the I
             // branch, possibly more) are KEPT so the channel fires --
             // and the herald raises -- with the full probability p.
             const double p4 = op.p / 4.0;
-            const Signature* x = &dx[op.q0];
-            const Signature* z = &dz[op.q0];
-            out.outcome(p4, {&identity}, true);
-            out.outcome(p4, {x}, true);
-            out.outcome(p4, {x, z}, true);
-            out.outcome(p4, {z}, true);
+            comb.set({&dx[op.q0], &dz[op.q0]});
+            for (uint32_t code : {0u, 1u, 3u, 2u})
+                out.outcome(p4, comb, code, true);
             out.endChannel(idx, true);
             break;
           }
         }
     }
 
-    out.finish(dem.channels_, dem.outcomes_, dem.detectorPool_);
+    // Channels were written in reverse circuit order.
+    std::reverse(dem.channels_.begin(), dem.channels_.end());
     for (auto& ch : dem.channels_)
         if (ch.heralded)
             ch.erasureSite =

@@ -72,8 +72,10 @@ struct DetectorMeta
  * channel's outcomes (one contiguous run per channel), and one pool
  * holding every outcome's detector indices back to back. A channel's
  * `outcomes` and an outcome's `detectors` are spans into those arrays,
- * so building a model allocates only as those arrays grow, never per
- * outcome, and the sampler and decoding graph read it in place.
+ * and the sampler and decoding graph read them in place. Building a
+ * model allocates each array once: the channel and outcome arrays for
+ * the most the circuit's noise ops can produce, the pool for two
+ * detectors per outcome (it grows only past that).
  *
  * Built by backward sensitivity propagation: walking the circuit in
  * reverse while maintaining, per qubit, the set of detectors an X or Z
@@ -82,7 +84,10 @@ struct DetectorMeta
  * own mask. A fault reaches only the detectors of the next round or
  * two, so the range stays a few words wide and each gate, and each
  * outcome appended to the pool, costs O(range) instead of
- * O(detectors/64). Exact for Clifford+Pauli circuits. The forward
+ * O(detectors/64). A channel's outcomes are XORs of its qubits' X and
+ * Z sets, all computed at once per channel; a channel whose sets are
+ * all empty (observables included) is skipped outright. Exact for
+ * Clifford+Pauli circuits. The forward
  * Pauli-frame simulator provides an independent implementation used to
  * cross-validate this builder in the test suite.
  *

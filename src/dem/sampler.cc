@@ -13,49 +13,36 @@ namespace vlq {
 FaultSampler::FaultSampler(const DetectorErrorModel& dem)
     : numDetectors_(dem.numDetectors()),
       numObservables_(dem.numObservables()),
-      numErasureSites_(dem.numErasureSites())
+      numErasureSites_(dem.numErasureSites()),
+      modelChannels_(dem.channels()),
+      outcomes_(dem.outcomes())
 {
-    // Outcomes keep their detector ranges: the pool is copied whole.
-    const std::span<const uint32_t> pool = dem.detectorPool();
-    detectorIndices_.assign(pool.begin(), pool.end());
-    channels_.reserve(dem.channels().size());
-    outcomes_.reserve(dem.outcomes().size());
-    for (const FaultChannel& ch : dem.channels()) {
-        FlatChannel fc;
-        fc.erasureSite = ch.erasureSite;
-        fc.begin = static_cast<uint32_t>(outcomes_.size());
-        double cum = 0.0;
-        for (const FaultOutcome& o : ch.outcomes) {
-            cum += o.probability;
-            const auto begin =
-                static_cast<uint32_t>(o.detectors.data() - pool.data());
-            outcomes_.push_back(FlatOutcome{
-                cum, begin,
-                begin + static_cast<uint32_t>(o.detectors.size()),
-                o.observables});
-        }
-        fc.end = static_cast<uint32_t>(outcomes_.size());
-        fc.total = cum;
-        channels_.push_back(fc);
-    }
-
     // Group channels by firing probability for the skip-sampling path:
-    // ascending probability, channel order within a group, which keeps
+    // ascending probability, circuit order within a group, which keeps
     // the sampled stream deterministic for a given model. Noise models
-    // use a handful of distinct rates, so the group count is small.
-    for (uint32_t c = 0; c < channels_.size(); ++c)
-        if (channels_[c].total > 0.0)
-            groupChannels_.push_back(c);
-    std::stable_sort(groupChannels_.begin(), groupChannels_.end(),
-                     [this](uint32_t a, uint32_t b) {
-                         return channels_[a].total < channels_[b].total;
-                     });
-    for (uint32_t begin = 0; begin < groupChannels_.size();) {
-        const double p = channels_[groupChannels_[begin]].total;
-        uint32_t end = begin + 1;
-        while (end < groupChannels_.size()
-               && channels_[groupChannels_[end]].total == p)
-            ++end;
+    // use a handful of distinct rates (7 or 8 at every paper point), so
+    // the sorted rates are found by binary search and the channels are
+    // placed by one counting pass; k distinct rates cost
+    // O(channels log k + k^2).
+    std::vector<double> rates;
+    std::vector<uint32_t> next; // channels per rate, then placement slot
+    for (const FaultChannel& ch : modelChannels_) {
+        const double total = ch.totalProbability();
+        if (!(total > 0.0))
+            continue;
+        const auto it = std::lower_bound(rates.begin(), rates.end(), total);
+        const auto rank = it - rates.begin();
+        if (it == rates.end() || *it != total) {
+            rates.insert(it, total);
+            next.insert(next.begin() + rank, 0);
+        }
+        ++next[static_cast<size_t>(rank)];
+    }
+    uint32_t begin = 0;
+    groups_.reserve(rates.size());
+    for (size_t r = 0; r < rates.size(); ++r) {
+        const double p = rates[r];
+        const uint32_t end = begin + next[r];
         ChannelGroup g;
         g.probability = p;
         g.alwaysFires = p >= 1.0;
@@ -67,7 +54,23 @@ FaultSampler::FaultSampler(const DetectorErrorModel& dem)
         g.begin = begin;
         g.end = end;
         groups_.push_back(g);
+        next[r] = begin;
         begin = end;
+    }
+    channels_.resize(begin);
+    for (const FaultChannel& ch : modelChannels_) {
+        const double total = ch.totalProbability();
+        if (!(total > 0.0))
+            continue;
+        const auto rank =
+            std::lower_bound(rates.begin(), rates.end(), total)
+            - rates.begin();
+        const auto first =
+            static_cast<uint32_t>(ch.outcomes.data() - outcomes_.data());
+        channels_[next[static_cast<size_t>(rank)]++] = FlatChannel{
+            total, first,
+            first + static_cast<uint32_t>(ch.outcomes.size()),
+            ch.erasureSite};
     }
 }
 
@@ -98,18 +101,20 @@ FaultSampler::sampleInto(Rng& rng, BitVec& detectors,
     detectors.clear();
     observables = 0;
     erasures.clear();
-    for (const auto& ch : channels_) {
-        double u = rng.nextDouble();
-        if (u >= ch.total)
-            continue;
-        if (ch.erasureSite >= 0)
-            erasures.set(static_cast<uint32_t>(ch.erasureSite), true);
-        // Linear scan: channels have at most 15 outcomes.
-        for (uint32_t i = ch.begin; i < ch.end; ++i) {
-            const FlatOutcome& o = outcomes_[i];
-            if (u < o.cumulative) {
-                for (uint32_t j = o.begin; j < o.end; ++j)
-                    detectors.flip(detectorIndices_[j]);
+    for (const FaultChannel& ch : modelChannels_) {
+        const double u = rng.nextDouble();
+        // Linear scan: channels have at most 15 outcomes. The channel
+        // fires when u falls below some outcome's cumulative bound,
+        // that is, below the channel's total.
+        double cumulative = 0.0;
+        for (const FaultOutcome& o : ch.outcomes) {
+            cumulative += o.probability;
+            if (u < cumulative) {
+                if (ch.erasureSite >= 0)
+                    erasures.set(static_cast<uint32_t>(ch.erasureSite),
+                                 true);
+                for (const uint32_t d : o.detectors)
+                    detectors.flip(d);
                 observables ^= o.observables;
                 break;
             }
@@ -130,12 +135,13 @@ FaultSampler::fireChannel(const FlatChannel& ch, double u,
     // last outcome also catches u rounding up to exactly ch.total --
     // the skip already committed this channel to firing, so falling
     // through without applying anything would skew the distribution.
+    double cumulative = 0.0;
     for (uint32_t i = ch.begin; i < ch.end; ++i) {
-        const FlatOutcome& o = outcomes_[i];
-        if (u < o.cumulative || i + 1 == ch.end) {
-            for (uint32_t j = o.begin; j < o.end; ++j)
-                batch.detectorRow(detectorIndices_[j])[laneWord] ^=
-                    laneBit;
+        const FaultOutcome& o = outcomes_[i];
+        cumulative += o.probability;
+        if (u < cumulative || i + 1 == ch.end) {
+            for (const uint32_t d : o.detectors)
+                batch.detectorRow(d)[laneWord] ^= laneBit;
             uint32_t mask = o.observables;
             while (mask) {
                 uint32_t b =
@@ -166,8 +172,7 @@ FaultSampler::sampleBatchInto(const Rng& root, ShotBatch& batch) const
         for (const ChannelGroup& g : groups_) {
             if (g.alwaysFires) {
                 for (uint32_t i = g.begin; i < g.end; ++i) {
-                    const FlatChannel& ch =
-                        channels_[groupChannels_[i]];
+                    const FlatChannel& ch = channels_[i];
                     fireChannel(ch, rng.nextDouble() * ch.total,
                                 laneBit, laneWord, batch);
                 }
@@ -191,7 +196,7 @@ FaultSampler::sampleBatchInto(const Rng& root, ShotBatch& batch) const
                 if (!(k < static_cast<double>(g.end - i)))
                     break;
                 i += static_cast<uint32_t>(k);
-                const FlatChannel& ch = channels_[groupChannels_[i]];
+                const FlatChannel& ch = channels_[i];
                 fireChannel(ch, rng.nextDouble() * ch.total, laneBit,
                             laneWord, batch);
                 ++i;

@@ -2,6 +2,7 @@
 #define VLQ_DEM_SAMPLER_H
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "dem/detector_model.h"
@@ -22,9 +23,11 @@ namespace vlq {
  * the Pauli-frame simulator; the equivalence is checked statistically in
  * the test suite.
  *
- * Two sampling paths share the channel tables:
+ * Two sampling paths read the model's outcomes and detector pool in
+ * place:
  *
- * - sampleInto(): the reference path; one uniform draw per channel.
+ * - sampleInto(): the reference path; one uniform draw per channel, in
+ *   circuit order.
  * - sampleBatchInto(): the Monte-Carlo hot path. Channels are grouped
  *   by firing probability at construction, and each trial visits only
  *   the channels that actually fire, found by geometric skip-sampling
@@ -34,11 +37,16 @@ namespace vlq {
  *   trial draws from its own RNG stream split from the root, so
  *   results are a pure function of (root seed, trial index): batching
  *   and threading cannot change what any trial samples.
+ *
+ * The sampler copies none of the model's arrays, so the model must
+ * outlive it (moving the model is fine: its arrays keep their
+ * buffers). A temporary model does not compile.
  */
 class FaultSampler
 {
   public:
     explicit FaultSampler(const DetectorErrorModel& dem);
+    explicit FaultSampler(const DetectorErrorModel&& dem) = delete;
 
     /** Result of one sampled trial. */
     struct Shot
@@ -77,16 +85,10 @@ class FaultSampler
     uint32_t numErasureSites() const { return numErasureSites_; }
 
   private:
-    struct FlatOutcome
-    {
-        double cumulative; // upper cumulative bound within the channel
-        uint32_t begin;    // range into detectorIndices_
-        uint32_t end;
-        uint32_t observables;
-    };
+    /** A channel that can fire, as the batch path visits it. */
     struct FlatChannel
     {
-        double total;      // total visible probability
+        double total;      // total probability, the outcomes' sum
         uint32_t begin;    // range into outcomes_
         uint32_t end;
         int32_t erasureSite = -1; // herald bit set on fire, or -1
@@ -97,7 +99,7 @@ class FaultSampler
         double probability;  // shared channel total, in (0, 1)
         double invLogOneMinusP; // 1 / log1p(-probability), < 0
         double fullExitU;    // P(some channel of the group fires)
-        uint32_t begin;      // range into groupChannels_
+        uint32_t begin;      // range into channels_
         uint32_t end;
         bool alwaysFires;    // probability >= 1: no skipping
     };
@@ -108,11 +110,12 @@ class FaultSampler
     uint32_t numDetectors_ = 0;
     uint32_t numObservables_ = 0;
     uint32_t numErasureSites_ = 0;
+    /** The model's channels (circuit order) and outcomes. */
+    std::span<const FaultChannel> modelChannels_;
+    std::span<const FaultOutcome> outcomes_;
+    /** Channels of positive probability, by group. */
     std::vector<FlatChannel> channels_;
-    std::vector<FlatOutcome> outcomes_;
-    std::vector<uint32_t> detectorIndices_;
     std::vector<ChannelGroup> groups_;
-    std::vector<uint32_t> groupChannels_; // channel indices by group
 };
 
 } // namespace vlq

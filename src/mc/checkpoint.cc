@@ -378,6 +378,7 @@ mergeCheckpoints(const std::vector<std::string>& shards,
     }
 
     McCheckpoint merged;
+    std::map<uint64_t, size_t> copies; // shards holding each point
     for (const McCheckpoint& shard : loaded)
         for (const auto& [key, entry] : shard.points()) {
             CheckpointEntry& sum =
@@ -386,10 +387,15 @@ mergeCheckpoints(const std::vector<std::string>& shards,
             sum.trialsDone += entry.trialsDone;
             sum.failures += entry.failures;
             sum.done = sum.done && entry.done;
+            ++copies[key];
             if (sum.trialsDone < entry.trialsDone)
                 return "trial count of point " + hex16(key)
                        + " overflows 64 bits";
         }
+    // A shard that never reached a point (one killed early) still owes
+    // it trials, so the merged point is partial.
+    for (auto& [key, sum] : merged.entries_)
+        sum.done = sum.done && copies[key] == loaded.size();
     std::string shared;
     for (const std::string& token : tokensOf(loaded[0].summary()))
         if (token.rfind("seed=", 0) != 0)

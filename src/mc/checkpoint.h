@@ -195,7 +195,8 @@ class McCheckpoint
 /**
  * Merge split-seed shards of one run into a reporting checkpoint at
  * `out` (not a resume point): per point, trials and failures summed,
- * done only when every shard's copy is, under the config line
+ * done only when every shard holds the point and every copy is done,
+ * under the config line
  * `seed=merged:<s1>,<s2>,... <the shared rest>`. Shards must load,
  * agree on every config field but `seed=`, and have distinct seeds
  * (same-seed shards overlap, so summing would double-count). All

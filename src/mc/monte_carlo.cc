@@ -293,7 +293,11 @@ estimateLogicalErrorBasis(EmbeddingKind embedding,
         }
     }
 
-    // Set-up: everything the point builds before its first shot.
+    // Set-up: everything the point builds before its first shot. It
+    // runs on this thread, so this thread's page faults are its own.
+    const bool metrics = obs::metricsEnabled();
+    const uint64_t setupFaultsStart =
+        metrics ? obs::threadMinorFaults() : 0;
     const auto setupStart = std::chrono::steady_clock::now();
     const GeneratedCircuit gen = timedStage("point.generate", [&] {
         return generateMemoryCircuit(embedding, config);
@@ -309,6 +313,8 @@ estimateLogicalErrorBasis(EmbeddingKind embedding,
         });
     const double setupSeconds = std::chrono::duration<double>(
         std::chrono::steady_clock::now() - setupStart).count();
+    const uint64_t setupFaults =
+        metrics ? obs::threadMinorFaults() - setupFaultsStart : 0;
 
     // Distinguish the two bases in the trial RNG stream.
     uint64_t baseSeed = options.seed
@@ -423,6 +429,7 @@ estimateLogicalErrorBasis(EmbeddingKind embedding,
             ? static_cast<double>(pr.sessionTrials) / pr.wallSeconds
             : 0.0;
         pr.setupSeconds = setupSeconds;
+        pr.setupMinorFaults = setupFaults;
         obs::reportPoint(pr);
     }
     if (checkpoint.enabled()) {

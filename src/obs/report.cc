@@ -50,6 +50,28 @@ processCpuSeconds()
 #endif
 }
 
+} // namespace
+
+uint64_t
+threadMinorFaults()
+{
+#if defined(__unix__) || defined(__APPLE__)
+#ifdef RUSAGE_THREAD
+    const int who = RUSAGE_THREAD;
+#else
+    const int who = RUSAGE_SELF;
+#endif
+    struct rusage usage;
+    if (getrusage(who, &usage) != 0)
+        return 0;
+    return static_cast<uint64_t>(usage.ru_minflt);
+#else
+    return 0;
+#endif
+}
+
+namespace {
+
 void
 appendHistogram(std::string& out, const HistogramSnapshot& h)
 {
@@ -122,7 +144,8 @@ buildReportJson()
                 + std::to_string(p.sessionTrials) + ",\"wall_seconds\":"
                 + jsonNumber(p.wallSeconds) + ",\"shots_per_sec\":"
                 + jsonNumber(p.shotsPerSec) + ",\"setup_seconds\":"
-                + jsonNumber(p.setupSeconds) + "}";
+                + jsonNumber(p.setupSeconds) + ",\"setup_minor_faults\":"
+                + std::to_string(p.setupMinorFaults) + "}";
         }
     }
     out += "\n],\n";

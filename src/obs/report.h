@@ -23,7 +23,8 @@ namespace obs {
  *            "hardware_threads", "trace_dropped_events"},
  *    "points": [{"embedding", "distance", "p", "basis", "trials",
  *                "failures", "session_trials", "wall_seconds",
- *                "shots_per_sec", "setup_seconds"}],
+ *                "shots_per_sec", "setup_seconds",
+ *                "setup_minor_faults"}],
  *    "counters": {name: value},
  *    "gauges": {name: value},
  *    "histograms": {name: {"unit": "ns", "count", "sum", "mean",
@@ -48,7 +49,17 @@ struct PointReport
      *  (stages point.generate, point.dem, point.sampler and
      *  point.decoder). */
     double setupSeconds = 0.0;
+    /** Minor page faults (ru_minflt) taken during the set-up: fresh
+     *  pages it touched first. */
+    uint64_t setupMinorFaults = 0;
 };
+
+/**
+ * Minor page faults the calling thread has taken so far (ru_minflt;
+ * the whole process's where the platform counts no per-thread figure,
+ * 0 where it counts none). Read it only when metrics are on.
+ */
+uint64_t threadMinorFaults();
 
 /**
  * Append one point (thread-safe). The MC engine calls this for every

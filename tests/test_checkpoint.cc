@@ -378,8 +378,9 @@ TEST(CheckpointMerge, SumsTrialsAndFailuresPerPoint)
     writeShard(b, "scan=threshold seed=202 trials=3000",
                {{1, {3000, 44, true}}, {3, {1000, 2, true}}});
     ASSERT_EQ(mergeCheckpoints({a, b}, out), "");
+    // Points 2 and 3 are each missing from one shard, so not done.
     const std::map<uint64_t, CheckpointEntry> expected{
-        {1, {6000, 84, true}}, {2, {3000, 7, true}}, {3, {1000, 2, true}}};
+        {1, {6000, 84, true}}, {2, {3000, 7, false}}, {3, {1000, 2, false}}};
     EXPECT_EQ(mergedPoints(out), expected);
 
     // A sum past 64 bits is rejected, not wrapped.
@@ -404,6 +405,25 @@ TEST(CheckpointMerge, PointIsDoneOnlyWhenEveryShardsCopyIs)
     ASSERT_EQ(mergeCheckpoints({a, b}, out), "");
     const std::map<uint64_t, CheckpointEntry> expected{
         {1, {96, 2, false}}, {2, {128, 5, true}}};
+    EXPECT_EQ(mergedPoints(out), expected);
+    removeFile(a);
+    removeFile(b);
+    removeFile(out);
+}
+
+TEST(CheckpointMerge, PointMissingFromAShardIsNotDone)
+{
+    // Shard b was killed before it reached point 2: the merged point
+    // holds only a's trials, so it is not done.
+    const std::string a = tmpPath("merge_missing_a.ckpt");
+    const std::string b = tmpPath("merge_missing_b.ckpt");
+    const std::string out = tmpPath("merge_missing_out.ckpt");
+    writeShard(a, "seed=1 trials=64",
+               {{1, {64, 1, true}}, {2, {64, 2, true}}});
+    writeShard(b, "seed=2 trials=64", {{1, {64, 3, true}}});
+    ASSERT_EQ(mergeCheckpoints({a, b}, out), "");
+    const std::map<uint64_t, CheckpointEntry> expected{
+        {1, {128, 4, true}}, {2, {64, 2, false}}};
     EXPECT_EQ(mergedPoints(out), expected);
     removeFile(a);
     removeFile(b);

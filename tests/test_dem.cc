@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <type_traits>
 
 #include "core/generator_common.h"
 #include "decoder/decoder_factory.h"
@@ -338,6 +339,14 @@ TEST(Sampler, ZeroNoiseSamplesNothing)
     EXPECT_EQ(shot.observables, 0u);
 }
 
+// The sampler reads its model's arrays in place, so it cannot be built
+// from a temporary model, which would die first.
+static_assert(
+    std::is_constructible_v<FaultSampler, const DetectorErrorModel&>);
+static_assert(!std::is_constructible_v<FaultSampler, DetectorErrorModel>);
+static_assert(
+    !std::is_constructible_v<FaultSampler, const DetectorErrorModel&&>);
+
 /** FNV-1a over 64-bit values: an order-sensitive fingerprint. */
 class Digest
 {
@@ -479,9 +488,10 @@ struct DigestCase
 /**
  * Guards the fault model's bit-identity: any change to a channel, an
  * outcome's probability bits or detector list, a decoding-graph edge or
- * a sampled shot changes a digest. Regenerate the table only for an
- * intentional change to the model; the failure message prints the new
- * rows.
+ * a sampled shot changes a digest. Every setup is pinned at d 3 and 5;
+ * Baseline and Compact-Interleaved also at d 7 and 13, where set-up
+ * costs the most. Regenerate the table only for an intentional change
+ * to the model; the failure message prints the new rows.
  */
 TEST(DemDigest, FaultModelGraphAndShotsMatchCommittedDigests)
 {
@@ -530,6 +540,26 @@ TEST(DemDigest, FaultModelGraphAndShotsMatchCommittedDigests)
          0xc7c23d6689017edcULL, 0x7a082a515f05fa7eULL},
         {4, 3, 'X', 2, 0x7c9f9d49ad3bffd7ULL,
          0xda6352e4069c6ebdULL, 0x98d8790b6cf24236ULL},
+        {0, 7, 'Z', 0, 0x9cafdefcc4f15a08ULL,
+         0x0c18886a19154649ULL, 0xd8f1476eb567ee60ULL},
+        {0, 7, 'X', 0, 0x2d93f16dbceeffa0ULL,
+         0xe0038796f04cc062ULL, 0x0c88293668024c0aULL},
+        {4, 7, 'Z', 0, 0x598f130a0d354525ULL,
+         0x2dc28ca75c22245bULL, 0xf4d6db48c4672dd6ULL},
+        {4, 7, 'X', 0, 0x518eaca7f9cbb308ULL,
+         0x81dcf8ba16cbae5dULL, 0xea25f6f68dce6f47ULL},
+        {0, 13, 'Z', 0, 0xfa10cd521234f33eULL,
+         0x49a577c888c1269dULL, 0xa9a59787747badc8ULL},
+        {0, 13, 'X', 0, 0x97d33f2b1f8bebd5ULL,
+         0x36429a06506410eaULL, 0x305655f08a3bf7f6ULL},
+        {4, 13, 'Z', 0, 0x63913842e7349c05ULL,
+         0x04c01ca672b4c1e8ULL, 0xd7e96820d4be5bf4ULL},
+        {4, 13, 'X', 0, 0x0b3a3a31c96b347cULL,
+         0x12f155b83b10313eULL, 0x277c429335c9076fULL},
+        {0, 7, 'Z', 1, 0x417083f9af6aa9cbULL,
+         0x23fe374510a8dc15ULL, 0x2693269e0df529dfULL},
+        {4, 7, 'X', 2, 0xd2dd6a71609b66fcULL,
+         0x8887fc8b8ad1e56cULL, 0x6585d722ade0e5daULL},
     };
     const std::vector<EvaluationSetup> setups = paperSetups();
     std::string fresh;

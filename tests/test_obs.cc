@@ -294,6 +294,7 @@ TEST(ObsReport, EndOfRunReportIsValidJsonWithPipelineMetrics)
     EXPECT_NE(json.find("\"uf_fastpath_hit_rate\""), std::string::npos);
     EXPECT_NE(json.find("\"sampler.sample_batch\""), std::string::npos);
     EXPECT_NE(json.find("\"setup_seconds\""), std::string::npos);
+    EXPECT_NE(json.find("\"setup_minor_faults\""), std::string::npos);
 }
 
 TEST(ObsReport, MwpmCountsExactAndBlossomShots)

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <map>
 #include <sstream>
 #include <streambuf>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "mc/checkpoint.h"
@@ -17,6 +19,7 @@
 #include "service/job_service.h"
 #include "service/job_validation.h"
 #include "service/scheduler.h"
+#include "util/rng.h"
 
 namespace vlq {
 namespace {
@@ -209,6 +212,87 @@ TEST(ServiceRequest, DistancesOutsideIntAreRejected)
         "submit id=a distances=3,5 trials=10", &error);
     ASSERT_TRUE(parsed.has_value()) << error;
     EXPECT_EQ(parsed->job.distances, (std::vector<int>{3, 5}));
+}
+
+/** True for a line parseRequestLine must skip: no token, or a first
+ *  token that starts with '#'. Tokens split on ASCII whitespace. */
+bool
+blankOrComment(const std::string& line)
+{
+    const auto first =
+        std::find_if(line.begin(), line.end(), [](char c) {
+            return std::string_view(" \t\n\v\f\r").find(c)
+                == std::string_view::npos;
+        });
+    return first == line.end() || *first == '#';
+}
+
+TEST(ServiceRequestFuzz, MutantsAreRejectedSkippedOrRoundTrip)
+{
+    // Corpus: every verb, both setup spellings, a comment.
+    const std::vector<std::string> corpus{
+        smallJob("fuzz_1").requestLine(),
+        "submit id=a.b-c_9 priority=-3 embedding=compact"
+        " schedule=interleaved distances=5,7 ps=0.003,6e-3 trials=1000"
+        " seed=0 decoder=union-find batch=64 target=10 compute=simd",
+        "submit id=j2 setup=0 trials=+400",
+        "cancel id=j1",
+        "requeue id=j2",
+        "shutdown",
+        "# submit id=commented-out",
+    };
+    const char* const tokens[] = {"junk",     "0",  "trials=5", "id=",
+                                  "=",        "#x", "ps=1e-3",  "setup=9",
+                                  "distances=7,", "compute="};
+    Rng rng(0x5e7f);
+    int parsed = 0;
+    for (int iter = 0; iter < 4000; ++iter) {
+        const std::string& base = corpus[rng.nextBelow(corpus.size())];
+        std::string mutant = base;
+        switch (rng.nextBelow(4)) {
+        case 0: // byte flip
+            mutant[rng.nextBelow(mutant.size())] ^=
+                static_cast<char>(1 + rng.nextBelow(255));
+            break;
+        case 1: // truncation
+            mutant.resize(rng.nextBelow(mutant.size()));
+            break;
+        case 2: { // splice: a prefix of one line, a suffix of another
+            const std::string& other =
+                corpus[rng.nextBelow(corpus.size())];
+            mutant = base.substr(0, rng.nextBelow(base.size() + 1))
+                   + other.substr(rng.nextBelow(other.size() + 1));
+            break;
+        }
+        default: // a token appended
+            mutant += std::string(" ")
+                + tokens[rng.nextBelow(std::size(tokens))];
+        }
+        std::string error = "stale";
+        const auto request = service::parseRequestLine(mutant, &error);
+        if (!request) {
+            // Rejected with a reason, or skipped as blank or comment.
+            EXPECT_EQ(error.empty(), blankOrComment(mutant))
+                << "line: " << mutant << "\nerror: " << error;
+            continue;
+        }
+        ++parsed;
+        EXPECT_EQ(error, "") << mutant;
+        EXPECT_FALSE(blankOrComment(mutant)) << mutant;
+        if (request->kind == service::Request::Kind::Cancel
+            || request->kind == service::Request::Kind::Requeue) {
+            EXPECT_FALSE(request->targetId.empty()) << mutant;
+        }
+        if (request->kind != service::Request::Kind::Submit)
+            continue;
+        const std::string line = request->job.requestLine();
+        const auto back = service::parseRequestLine(line, &error);
+        ASSERT_TRUE(back.has_value())
+            << "mutant: " << mutant << "\nline: " << line
+            << "\nerror: " << error;
+        EXPECT_EQ(back->job.requestLine(), line) << mutant;
+    }
+    EXPECT_GT(parsed, 0);
 }
 
 // ---------------------------------------------------------------------

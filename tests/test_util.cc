@@ -5,8 +5,10 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <set>
 #include <sstream>
+#include <string_view>
 
 #include "util/csv.h"
 #include "util/env.h"
@@ -322,6 +324,71 @@ TEST(Env, ParseInt64RejectsJunk)
               std::numeric_limits<int64_t>::min());
     EXPECT_FALSE(parseInt64("9223372036854775808").has_value());
     EXPECT_FALSE(parseInt64("-9223372036854775809").has_value());
+}
+
+/** The value of `text` if it is an optional sign followed only by
+ *  decimal digits and within int64 range; nothing otherwise. */
+std::optional<int64_t>
+decimalInt64(std::string_view text)
+{
+    size_t i = 0;
+    const bool negative = !text.empty() && text[0] == '-';
+    if (!text.empty() && (text[0] == '+' || text[0] == '-'))
+        ++i;
+    if (i == text.size())
+        return std::nullopt;
+    const uint64_t limit = negative ? uint64_t{1} << 63
+                                    : (uint64_t{1} << 63) - 1;
+    uint64_t magnitude = 0;
+    for (; i < text.size(); ++i) {
+        if (text[i] < '0' || text[i] > '9')
+            return std::nullopt;
+        const auto digit = static_cast<uint64_t>(text[i] - '0');
+        if (magnitude > (limit - digit) / 10)
+            return std::nullopt;
+        magnitude = magnitude * 10 + digit;
+    }
+    if (!negative)
+        return static_cast<int64_t>(magnitude);
+    return magnitude == uint64_t{1} << 63
+        ? std::numeric_limits<int64_t>::min()
+        : -static_cast<int64_t>(magnitude);
+}
+
+TEST(EnvFuzz, ParseInt64MutantsAreNothingOrTheirDecimalValue)
+{
+    const std::vector<std::string> corpus{
+        "0", "42", "-7", "+19", "007", "1000000",
+        "9223372036854775807", "-9223372036854775808"};
+    const char* const tokens[] = {"0", "9", "-", "+", " ", "x", "e3"};
+    Rng rng(0x1764);
+    int parsed = 0;
+    for (int iter = 0; iter < 4000; ++iter) {
+        const std::string& base = corpus[rng.nextBelow(corpus.size())];
+        std::string mutant = base;
+        switch (rng.nextBelow(4)) {
+        case 0: // byte flip
+            mutant[rng.nextBelow(mutant.size())] ^=
+                static_cast<char>(1 + rng.nextBelow(255));
+            break;
+        case 1: // truncation
+            mutant.resize(rng.nextBelow(mutant.size()));
+            break;
+        case 2: { // splice: a prefix of one number, a suffix of another
+            const std::string& other =
+                corpus[rng.nextBelow(corpus.size())];
+            mutant = base.substr(0, rng.nextBelow(base.size() + 1))
+                   + other.substr(rng.nextBelow(other.size() + 1));
+            break;
+        }
+        default: // a token appended
+            mutant += tokens[rng.nextBelow(std::size(tokens))];
+        }
+        const std::optional<int64_t> got = parseInt64(mutant);
+        EXPECT_EQ(got, decimalInt64(mutant)) << "'" << mutant << "'";
+        parsed += got.has_value() ? 1 : 0;
+    }
+    EXPECT_GT(parsed, 0);
 }
 
 TEST(Env, ParseInt64RoundTripsBoundaryValues)

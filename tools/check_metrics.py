@@ -36,15 +36,18 @@ class Checker:
             self.fail(msg)
         return cond
 
-    def number(self, obj, ctx, key, minimum=None):
-        """Require obj[key] to be a number; return it (or None)."""
+    def number(self, obj, ctx, key, minimum=None, integer=False):
+        """Require obj[key] to be a number (an integer when `integer`);
+        return it (or None)."""
         if not self.check(key in obj, f"{ctx}: missing key '{key}'"):
             return None
         value = obj[key]
-        if not self.check(isinstance(value, (int, float))
+        kinds = int if integer else (int, float)
+        if not self.check(isinstance(value, kinds)
                           and not isinstance(value, bool),
-                          f"{ctx}.{key}: expected a number, got "
-                          f"{type(value).__name__}"):
+                          f"{ctx}.{key}: expected "
+                          f"{'an integer' if integer else 'a number'}, "
+                          f"got {type(value).__name__}"):
             return None
         if minimum is not None:
             self.check(value >= minimum,
@@ -92,6 +95,7 @@ def check_point(ck, i, pt):
     ck.number(pt, ctx, "wall_seconds", minimum=0)
     ck.number(pt, ctx, "shots_per_sec", minimum=0)
     ck.number(pt, ctx, "setup_seconds", minimum=0)
+    ck.number(pt, ctx, "setup_minor_faults", minimum=0, integer=True)
     if trials is not None and failures is not None:
         ck.check(failures <= trials,
                  f"{ctx}: failures {failures} > trials {trials}")
