@@ -7,6 +7,7 @@
  * and the baseline has neither.
  */
 #include <iostream>
+#include <limits>
 
 #include "core/generator_common.h"
 #include "mc/memory_experiment.h"
@@ -20,7 +21,11 @@ main(int argc, char** argv)
 {
     if (!requireNoArgs(argc, argv))
         return 1;
-    int d = static_cast<int>(envInt("VLQ_DISTANCE", 5));
+    const auto distance = envBounded("VLQ_DISTANCE", 5, 3,
+                                     std::numeric_limits<int>::max());
+    if (!distance)
+        return 1;
+    const int d = static_cast<int>(*distance);
     double p = envDouble("VLQ_P", 2e-3);
 
     std::cout << "=== Noise budget per memory-Z block (d = " << d

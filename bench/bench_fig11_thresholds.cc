@@ -11,7 +11,7 @@
  * Environment knobs:
  *   VLQ_TRIALS  trials per (d, p, basis) point     [default 400]
  *   VLQ_FULL=1  use distances {3,5,7,9,11} and a denser sweep
- *   VLQ_POINTS  number of p values                 [default 6]
+ *   VLQ_POINTS  number of p values                 [default 7]
  *   VLQ_SCALE_COHERENCE=1  scale coherence with p too (ablation A2;
  *                          default 0 = Table-I coherence, which is the
  *                          reading consistent with the paper's plots;
@@ -44,6 +44,7 @@
  * flag must fail fast, not silently run the full bench with defaults.
  */
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "decoder/decoder_factory.h"
@@ -75,8 +76,13 @@ main(int argc, char** argv)
     ThresholdScanConfig cfg;
     cfg.distances = full ? std::vector<int>{3, 5, 7, 9, 11}
                          : std::vector<int>{3, 5, 7};
-    int points = static_cast<int>(envInt("VLQ_POINTS", full ? 9 : 7));
-    cfg.physicalPs = logspace(3.5e-3, 2e-2, points);
+    const auto points = envBounded("VLQ_POINTS", full ? 9 : 7, 1,
+                                   std::numeric_limits<int>::max());
+    const auto batch = envBounded("VLQ_BATCH", 256, 1,
+                                  std::numeric_limits<uint32_t>::max());
+    if (!points || !batch)
+        return 1;
+    cfg.physicalPs = logspace(3.5e-3, 2e-2, static_cast<int>(*points));
     cfg.cavityDepth = 10;
     cfg.scaleCoherence = envInt("VLQ_SCALE_COHERENCE", 0) != 0;
     cfg.gapModel = envInt("VLQ_GAP_PER_ROUND", 0) != 0
@@ -84,8 +90,7 @@ main(int argc, char** argv)
     cfg.mc.trials = envU64("VLQ_TRIALS", full ? 4000 : 2000);
     cfg.mc.seed = envU64("VLQ_SEED", 0x5eed);
     cfg.mc.decoder = decoderKindFromEnv(DecoderKind::Mwpm);
-    cfg.mc.batchSize =
-        static_cast<uint32_t>(envU64("VLQ_BATCH", 256));
+    cfg.mc.batchSize = static_cast<uint32_t>(*batch);
     cfg.mc.targetFailures = envU64("VLQ_TARGET_FAILURES", 0);
     cfg.mc.checkpointEveryTrials = envU64("VLQ_CHECKPOINT_EVERY", 0);
 

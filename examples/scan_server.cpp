@@ -30,6 +30,7 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -123,17 +124,15 @@ main(int argc, char** argv)
             *out = argv[++i];
             return true;
         };
-        auto count = [&](uint64_t* out) {
+        // A count in 0..max, the range of the field it is stored in.
+        auto count = [&](uint64_t* out,
+                         int64_t max = std::numeric_limits<int64_t>::max()) {
             std::string text;
             if (!value(&text))
                 return false;
-            auto parsed = parseInt64(text);
-            if (!parsed || *parsed < 0) {
-                std::cerr << "error: " << arg
-                          << " expects a non-negative integer, got '"
-                          << text << "'\n";
+            auto parsed = parseBounded(arg, text, 0, max);
+            if (!parsed)
                 return false;
-            }
             *out = static_cast<uint64_t>(*parsed);
             return true;
         };
@@ -153,7 +152,7 @@ main(int argc, char** argv)
             if (!count(&config.quantumTrials))
                 return usage(std::cerr, argv[0]);
         } else if (arg == "--threads") {
-            if (!count(&n))
+            if (!count(&n, std::numeric_limits<unsigned>::max()))
                 return usage(std::cerr, argv[0]);
             config.threads = static_cast<unsigned>(n);
         } else if (arg == "--progress-every") {

@@ -48,6 +48,7 @@
  * any thread count or batch size.
  */
 #include <iostream>
+#include <limits>
 #include <vector>
 
 #include "core/generator_registry.h"
@@ -146,7 +147,11 @@ main(int argc, char** argv)
     cfg.mc.trials = trials;
     cfg.mc.seed = envU64("VLQ_SEED", cfg.mc.seed);
     cfg.mc.decoder = decoderKindFromEnv(DecoderKind::Mwpm);
-    cfg.mc.batchSize = static_cast<uint32_t>(envU64("VLQ_BATCH", 256));
+    const auto batch = envBounded("VLQ_BATCH", 256, 1,
+                                  std::numeric_limits<uint32_t>::max());
+    if (!batch)
+        return 1;
+    cfg.mc.batchSize = static_cast<uint32_t>(*batch);
     cfg.mc.targetFailures = envU64("VLQ_TARGET_FAILURES", 0);
     cfg.mc.checkpointPath = checkpointPath;
     cfg.mc.checkpointEveryTrials = envU64("VLQ_CHECKPOINT_EVERY", 0);

@@ -13,55 +13,16 @@ generateBaselineMemory(const GeneratorConfig& config)
 {
     requireValidConfig(config);
     SurfaceLayout layout(config.effectiveDx(), config.effectiveDz());
-    const int rounds = config.effectiveRounds();
-
-    const uint32_t nData = static_cast<uint32_t>(layout.numData());
-    const uint32_t nChecks = static_cast<uint32_t>(layout.numChecks());
-    const uint32_t nWires = nData + nChecks;
-
-    std::vector<WireKind> kinds(nWires, WireKind::Transmon);
-    NoisyBuilder builder(nWires, kinds, config.noise);
-
-    StandardRoundWires wires;
-    for (uint32_t q = 0; q < nData; ++q)
-        wires.dataWires.push_back(q);
-    for (uint32_t c = 0; c < nChecks; ++c)
-        wires.ancWires.push_back(nData + c);
-
-    // Idealized initialization boundary: data arrive in the quiescent
-    // state of the chosen basis (see DESIGN.md Sec. 5).
-    builder.momentBegin(0.0);
-    for (uint32_t q = 0; q < nData; ++q) {
-        builder.resetIdeal(wires.dataWires[q]);
-        if (config.memoryBasis == CheckBasis::X)
-            builder.hIdeal(wires.dataWires[q]);
-        builder.setLive(wires.dataWires[q], true);
-    }
-    builder.momentEnd();
-
-    DetectorBook book(layout, config.memoryBasis);
-    for (int r = 0; r < rounds; ++r)
-        emitStandardRound(builder, layout, wires, book, r);
-
-    // Idealized final readout of all data in the memory basis.
-    builder.momentBegin(0.0);
-    std::vector<uint32_t> dataMeas(nData);
-    for (uint32_t q = 0; q < nData; ++q) {
-        if (config.memoryBasis == CheckBasis::X)
-            builder.hIdeal(wires.dataWires[q]);
-        dataMeas[q] = builder.measureIdeal(wires.dataWires[q]);
-    }
-    builder.momentEnd();
-
-    book.finish(builder.circuit(), dataMeas, rounds);
-
-    GeneratedCircuit out;
-    out.activeDurationNs = builder.now();
-    out.totalDurationNs = builder.now();
-    out.loadStoreCount = builder.loadStoreCount();
-    out.budget = builder.budget();
-    out.circuit = std::move(builder.circuit());
-    return out;
+    const StandardRoundWires wires = StandardRoundWires::transmonGrid(layout);
+    const uint32_t numWires = static_cast<uint32_t>(
+        wires.dataWires.size() + wires.ancWires.size());
+    return emitMemoryExperiment(
+        config, layout, numWires, 0, WireKind::Transmon,
+        [&](NoisyBuilder& builder, DetectorBook& book) {
+            for (int r = 0; r < config.effectiveRounds(); ++r)
+                emitStandardRound(builder, layout, wires, book, r);
+            return 0.0;
+        });
 }
 
 } // namespace vlq

@@ -81,11 +81,12 @@ class CompactEngine
         for (int g = 0; g < slots; ++g) {
             gatherSlot(g, numRounds);
 
-            // One fully-pipelined moment per slot (see DESIGN.md:
-            // loads are prefetched and stores/measures drain into the
-            // following slot on otherwise-idle wires, so the slot
-            // advances the wall clock by one two-qubit gate time; all
-            // error channels are still applied).
+            // One moment per slot, one two-qubit gate long: the slot
+            // is pipelined. Its loads are prefetched during the slot
+            // before, and its stores and measurements drain into the
+            // slot after on wires idle there, so only the CNOTs set
+            // the pace. Every operation's error channel is applied;
+            // only the idle time a serial slot would add is not.
             builder.momentBegin(std::max(hw.tGate2, hw.tGateTm));
 
             for (uint32_t q : stores_)
@@ -246,106 +247,28 @@ class CompactEngine
     std::vector<uint8_t> wireBusy_; // wires a CNOT of this slot uses
 };
 
-GeneratedCircuit
-emitCompact(const GeneratorConfig& config, const SurfaceLayout& layout,
-            CompactEngine& engine, double gapBeforeBlockNs,
-            double gapPerRoundNs)
-{
-    const int rounds = config.effectiveRounds();
-    const uint32_t nData = static_cast<uint32_t>(layout.numData());
-    // Wires: data transmons, unmerged ancilla transmons, data modes.
-    const uint32_t nWires = engine.modeWire(nData);
-
-    std::vector<WireKind> kinds(nWires, WireKind::Transmon);
-    for (uint32_t q = 0; q < nData; ++q)
-        kinds[engine.modeWire(q)] = WireKind::CavityMode;
-    NoisyBuilder builder(nWires, kinds, config.noise);
-
-    DetectorBook book(layout, config.memoryBasis);
-
-    // Idealized initialization: data arrive stored, in the quiescent
-    // state of the chosen basis.
-    builder.momentBegin(0.0);
-    for (uint32_t q = 0; q < nData; ++q) {
-        builder.resetIdeal(engine.modeWire(q));
-        if (config.memoryBasis == CheckBasis::X)
-            builder.hIdeal(engine.modeWire(q));
-        builder.setLive(engine.modeWire(q), true);
-    }
-    builder.momentEnd();
-
-    const bool interleaved =
-        config.schedule == ExtractionSchedule::Interleaved;
-    builder.wait(gapBeforeBlockNs);
-    if (interleaved) {
-        for (int r = 0; r < rounds; ++r) {
-            builder.wait(gapPerRoundNs);
-            engine.emitBlock(builder, book, 1, r);
-        }
-    } else {
-        engine.emitBlock(builder, book, rounds, 0);
-    }
-
-    // Idealized final readout from the cavity modes.
-    builder.momentBegin(0.0);
-    std::vector<uint32_t> dataMeas(nData);
-    for (uint32_t q = 0; q < nData; ++q) {
-        if (config.memoryBasis == CheckBasis::X)
-            builder.hIdeal(engine.modeWire(q));
-        dataMeas[q] = builder.measureIdeal(engine.modeWire(q));
-    }
-    builder.momentEnd();
-    book.finish(builder.circuit(), dataMeas, rounds);
-
-    GeneratedCircuit out;
-    double gaps = gapBeforeBlockNs + gapPerRoundNs * rounds;
-    out.totalDurationNs = builder.now();
-    out.activeDurationNs = builder.now() - gaps;
-    out.loadStoreCount = builder.loadStoreCount();
-    out.budget = builder.budget();
-    out.circuit = std::move(builder.circuit());
-    return out;
-}
-
-/**
- * Gap-calibrated emission shared by the square and rectangular Compact
- * backends: the active service durations are summed moment by moment,
- * as a gapless emission's clock would sum them, and the paging gap
- * dictated by the gap model is charged on the one emission.
- */
+/** The Compact embedding on a dx x dz patch (square or rectangular). */
 GeneratedCircuit
 generateCompactOnPatch(const GeneratorConfig& config, int dx, int dz)
 {
     SurfaceLayout layout(dx, dz);
     CompactMerge merge = CompactMerge::build(layout);
     CompactEngine engine(layout, merge);
-    const int rounds = config.effectiveRounds();
-
-    // The gapless emission's moments: initialization (0 ns), the
-    // blocks, the final readout (0 ns).
-    double blockDur = 0.0;
-    blockDur += 0.0;
-    if (config.schedule == ExtractionSchedule::Interleaved) {
-        for (int r = 0; r < rounds; ++r)
-            engine.advanceBlock(1, config.noise.hw, blockDur);
-    } else {
-        engine.advanceBlock(rounds, config.noise.hw, blockDur);
-    }
-    blockDur += 0.0;
-    double roundDur = blockDur / rounds;
-    double waiters = config.cavityDepth - 1;
-
-    double gapBlock = 0.0;
-    double gapRound = 0.0;
-    if (config.gapModel == PagingGapModel::BlockOnce) {
-        gapBlock = waiters * roundDur;
-    } else if (config.schedule == ExtractionSchedule::Interleaved) {
-        gapRound = waiters * roundDur;
-    } else {
-        gapBlock = waiters * blockDur;
-    }
-    return emitCompact(config, layout, engine, std::max(gapBlock, 0.0),
-                       std::max(gapRound, 0.0));
+    const HardwareParams& hw = config.noise.hw;
+    // Wires: data transmons, unmerged ancilla transmons, data modes.
+    const uint32_t nData = static_cast<uint32_t>(layout.numData());
+    return emitMemoryExperiment(
+        config, layout, engine.modeWire(nData), engine.modeWire(0),
+        WireKind::CavityMode, [&](NoisyBuilder& builder, DetectorBook& book) {
+            return emitPagedRounds(
+                builder, config,
+                [&](int numRounds, int firstRound) {
+                    engine.emitBlock(builder, book, numRounds, firstRound);
+                },
+                [&](int numRounds, double& clockNs) {
+                    engine.advanceBlock(numRounds, hw, clockNs);
+                });
+        });
 }
 
 } // namespace
@@ -361,13 +284,8 @@ generateCompactMemory(const GeneratorConfig& config)
 std::pair<int, int>
 compactRectPatchShape(int distance, int distanceX, int distanceZ)
 {
-    // Biased-noise default: when the config does not ask for a
-    // specific rectangle, keep the full memory-Z distance but shrink
-    // the patch to the minimum memory-X protection -- the shape that
-    // pays off when one Pauli dominates the physical noise.
-    if (distanceX == 0 && distanceZ == 0)
-        return {3, distance};
-    return squarePatchShape(distance, distanceX, distanceZ);
+    return compactRectPatchShape(distance, distanceX, distanceZ,
+                                 BiasedPauliSource{});
 }
 
 std::pair<int, int>
@@ -376,8 +294,10 @@ compactRectPatchShape(int distance, int distanceX, int distanceZ,
 {
     if (distanceX != 0 || distanceZ != 0)
         return squarePatchShape(distance, distanceX, distanceZ);
+    // Uniform noise keeps the full memory-Z distance but shrinks the
+    // patch to the minimum memory-X protection.
     if (!bias.enabled())
-        return {3, distance}; // the historical uniform-bias default
+        return {3, distance};
     const double sum = bias.rX + bias.rY + bias.rZ;
     const double mXY = (bias.rX + bias.rY) / sum;
     const double mZ = bias.rZ / sum;

@@ -1,5 +1,6 @@
 #include "core/generator_common.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "util/logging.h"
@@ -301,6 +302,19 @@ DetectorBook::finish(Circuit& circuit, const std::vector<uint32_t>& dataMeas,
         circuit.observableInclude(obs, dataMeas[q]);
 }
 
+StandardRoundWires
+StandardRoundWires::transmonGrid(const SurfaceLayout& layout)
+{
+    const uint32_t nData = static_cast<uint32_t>(layout.numData());
+    const uint32_t nChecks = static_cast<uint32_t>(layout.numChecks());
+    StandardRoundWires wires;
+    for (uint32_t q = 0; q < nData; ++q)
+        wires.dataWires.push_back(q);
+    for (uint32_t c = 0; c < nChecks; ++c)
+        wires.ancWires.push_back(nData + c);
+    return wires;
+}
+
 void
 emitStandardRound(NoisyBuilder& builder, const SurfaceLayout& layout,
                   const StandardRoundWires& wires, DetectorBook& book,
@@ -364,6 +378,92 @@ advanceStandardRound(const HardwareParams& hw, double& clockNs)
         clockNs += hw.tGate2;
     clockNs += hw.tGate1;
     clockNs += hw.tMeasure;
+}
+
+GeneratedCircuit
+emitMemoryExperiment(
+    const GeneratorConfig& config, const SurfaceLayout& layout,
+    uint32_t numWires, uint32_t firstHomeWire, WireKind homeKind,
+    const std::function<double(NoisyBuilder&, DetectorBook&)>& emitRounds)
+{
+    const uint32_t nData = static_cast<uint32_t>(layout.numData());
+    const bool memoryX = config.memoryBasis == CheckBasis::X;
+    std::vector<WireKind> kinds(numWires, WireKind::Transmon);
+    for (uint32_t q = 0; q < nData; ++q)
+        kinds[firstHomeWire + q] = homeKind;
+    NoisyBuilder builder(numWires, std::move(kinds), config.noise);
+    DetectorBook book(layout, config.memoryBasis);
+
+    builder.momentBegin(0.0);
+    for (uint32_t q = 0; q < nData; ++q) {
+        builder.resetIdeal(firstHomeWire + q);
+        if (memoryX)
+            builder.hIdeal(firstHomeWire + q);
+        builder.setLive(firstHomeWire + q, true);
+    }
+    builder.momentEnd();
+
+    const double gapNs = emitRounds(builder, book);
+
+    builder.momentBegin(0.0);
+    std::vector<uint32_t> dataMeas(nData);
+    for (uint32_t q = 0; q < nData; ++q) {
+        if (memoryX)
+            builder.hIdeal(firstHomeWire + q);
+        dataMeas[q] = builder.measureIdeal(firstHomeWire + q);
+    }
+    builder.momentEnd();
+    book.finish(builder.circuit(), dataMeas, config.effectiveRounds());
+
+    GeneratedCircuit out;
+    out.totalDurationNs = builder.now();
+    out.activeDurationNs = builder.now() - gapNs;
+    out.loadStoreCount = builder.loadStoreCount();
+    out.budget = builder.budget();
+    out.circuit = std::move(builder.circuit());
+    return out;
+}
+
+double
+emitPagedRounds(
+    NoisyBuilder& builder, const GeneratorConfig& config,
+    const std::function<void(int numRounds, int firstRound)>& emitBlock,
+    const std::function<void(int numRounds, double& clockNs)>& advanceBlock)
+{
+    const int rounds = config.effectiveRounds();
+    const bool interleaved =
+        config.schedule == ExtractionSchedule::Interleaved;
+    double blockDur = 0.0;
+    if (interleaved) {
+        for (int r = 0; r < rounds; ++r)
+            advanceBlock(1, blockDur);
+    } else {
+        advanceBlock(rounds, blockDur);
+    }
+    const double roundDur = blockDur / rounds;
+    const double waiters = config.cavityDepth - 1;
+
+    double gapBlock = 0.0;
+    double gapRound = 0.0;
+    if (config.gapModel == PagingGapModel::BlockOnce)
+        gapBlock = waiters * roundDur;
+    else if (interleaved)
+        gapRound = waiters * roundDur;
+    else
+        gapBlock = waiters * blockDur;
+    gapBlock = std::max(gapBlock, 0.0);
+    gapRound = std::max(gapRound, 0.0);
+
+    builder.wait(gapBlock);
+    if (interleaved) {
+        for (int r = 0; r < rounds; ++r) {
+            builder.wait(gapRound);
+            emitBlock(1, r);
+        }
+    } else {
+        emitBlock(rounds, 0);
+    }
+    return gapBlock + gapRound * rounds;
 }
 
 } // namespace vlq

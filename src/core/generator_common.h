@@ -2,6 +2,7 @@
 #define VLQ_CORE_GENERATOR_COMMON_H
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -15,16 +16,17 @@ namespace vlq {
 
 /**
  * How the cavity paging gap (the wait while the other k-1 stack
- * residents receive their service) is charged to a trial.
+ * residents receive their service) is charged to a trial;
+ * emitPagedRounds charges it.
  *
  * BlockOnce is the paper-calibrated model: one dose of
  * (k-1) x round-duration of cavity idle per decoded block. It is the
  * only reading consistent with all of the paper's quantitative claims
  * at once (thresholds ~= baseline for every variant, "very minor"
- * cavity-size effect at the operating point, crossover near k ~ 150);
- * see DESIGN.md Sec. 5. PerRound is the stricter steady-state
- * accounting -- every round (Interleaved) or block (AAO) waits for the
- * full rotation of the stack -- and is exposed as an ablation.
+ * cavity-size effect at the operating point, crossover near k ~ 150).
+ * PerRound is the stricter steady-state accounting -- every round
+ * (Interleaved) or block (AAO) waits for the full rotation of the
+ * stack -- and is exposed as an ablation.
  */
 enum class PagingGapModel : uint8_t { BlockOnce, PerRound };
 
@@ -251,6 +253,12 @@ struct StandardRoundWires
 
     /** Ancilla wire per plaquette (indexed by plaquette index). */
     std::vector<uint32_t> ancWires;
+
+    /**
+     * The transmon grid of paper Fig. 2: data transmons on wires
+     * 0..numData-1, then one ancilla transmon per plaquette.
+     */
+    static StandardRoundWires transmonGrid(const SurfaceLayout& layout);
 };
 
 /**
@@ -270,6 +278,49 @@ void emitStandardRound(NoisyBuilder& builder, const SurfaceLayout& layout,
  * before it emits anything.
  */
 void advanceStandardRound(const HardwareParams& hw, double& clockNs);
+
+/**
+ * Emit the memory experiment around a generator's rounds on `numWires`
+ * wires. Data qubit q rests on its home wire `firstHomeWire + q`, of
+ * kind `homeKind`, before the first round and after the last; every
+ * other wire is a transmon. `emitRounds` emits every round and returns
+ * the paging gap it charged (ns), which the active duration excludes.
+ *
+ * The boundary is idealized: each data qubit starts on its home wire
+ * in the quiescent state of the memory basis and is read there, all
+ * noiselessly and in 0-ns moments. A trial then counts the logical
+ * error of its rounds and paging gaps alone, as one block of a longer
+ * computation that neither prepares nor destroys the patch, and every
+ * embedding is charged for the same thing: a noisy readout from a
+ * cavity would add a load that the baseline does not pay.
+ */
+GeneratedCircuit emitMemoryExperiment(
+    const GeneratorConfig& config, const SurfaceLayout& layout,
+    uint32_t numWires, uint32_t firstHomeWire, WireKind homeKind,
+    const std::function<double(NoisyBuilder&, DetectorBook&)>& emitRounds);
+
+/**
+ * The paging-gap model of the cavity embeddings: emit the config's
+ * rounds as service blocks, with the waits the patch spends while the
+ * other k-1 residents of its stack are serviced (k =
+ * `config.cavityDepth`), and return the gap charged (ns).
+ *
+ * `emitBlock(n, first)` emits one block of n rounds, from loading the
+ * patch to storing it back, numbering its detectors from round
+ * `first`; `advanceBlock(n, clockNs)` adds that block's moments to
+ * `clockNs` one at a time in emission order, so the sum rounds as the
+ * builder's clock does. AllAtOnce is one R-round block, Interleaved R
+ * one-round blocks; their gapless durations are summed first, and
+ * roundDur is the sum over R. BlockOnce waits (k-1) x roundDur once,
+ * before the first block; PerRound waits (k-1) x roundDur before every
+ * Interleaved block, or (k-1) x the whole block before the AllAtOnce
+ * one. Every wait is emitted, zero-length ones included.
+ */
+double emitPagedRounds(
+    NoisyBuilder& builder, const GeneratorConfig& config,
+    const std::function<void(int numRounds, int firstRound)>& emitBlock,
+    const std::function<void(int numRounds, double& clockNs)>&
+        advanceBlock);
 
 /**
  * Dispatch: generate the memory circuit for any evaluation setup.

@@ -86,20 +86,19 @@ std::span<const GeneratorBackend> generatorRegistry();
 const GeneratorBackend& generatorBackend(EmbeddingKind kind);
 
 /**
- * The compact-rect shape policy: explicit overrides win; with neither
- * set, narrow to 3 columns x `distance` rows (minimum memory-X
- * protection, full memory-Z protection -- the biased-noise default).
- * This 3-arg form is the registry shape hook (resource estimation has
- * no noise model in hand); the generator itself uses the bias-aware
- * overload below.
+ * The compact-rect registry shape hook: the bias-aware policy below
+ * under uniform noise (a default, disabled BiasedPauliSource), since
+ * resource estimation has no noise model in hand. Explicit overrides
+ * win; with neither set, 3 columns x `distance` rows.
  */
 std::pair<int, int> compactRectPatchShape(int distance, int distanceX,
                                           int distanceZ);
 
 /**
- * Bias-aware compact-rect default: explicit overrides still win, and
- * a uniform bias (disabled source) keeps the historical {3, distance}
- * default bit-identically. With bias enabled, the default column
+ * The compact-rect shape policy: explicit overrides win. With neither
+ * set, uniform noise (a disabled source) narrows the patch to 3
+ * columns x `distance` rows: minimum memory-X protection, full
+ * memory-Z protection. With bias enabled, the default column
  * count is derived from the Pauli mass ratios: equal logical
  * suppression under the ~(p/pth)^(d/2) scaling needs side lengths
  * proportional to the log error masses, so dx ~= distance * ln(mZ) /

@@ -398,18 +398,15 @@ DecodingGraph::build(const DetectorErrorModel& dem)
     // detector (5.2 at d=13); more only grows the table.
     g.reserveEdges(8 * size_t{g.numNodes()});
 
-    // Pass 1, only when some outcome flips more than two detectors:
-    // note the pairs/boundary hits that known fault outcomes produce,
-    // as sorted arrays, so those correlated outcomes can be decomposed
-    // into edges the graph already understands.
+    // Pass 1, only when some outcome flips more than two detectors (the
+    // model records its widest as it is built): note the pairs/boundary
+    // hits that known fault outcomes produce, as sorted arrays, so
+    // those correlated outcomes can be decomposed into edges the graph
+    // already understands.
     std::vector<uint64_t> knownPairs; // (a << 32) | b, a < b
     std::vector<uint32_t> knownBoundary;
-    const auto outcomes = dem.outcomes();
-    if (std::any_of(outcomes.begin(), outcomes.end(),
-                    [](const FaultOutcome& o) {
-                        return o.detectors.size() > 2;
-                    })) {
-        for (const FaultOutcome& o : outcomes) {
+    if (dem.maxOutcomeDetectors() > 2) {
+        for (const FaultOutcome& o : dem.outcomes()) {
             if (o.detectors.size() == 1)
                 knownBoundary.push_back(o.detectors[0]);
             else if (o.detectors.size() == 2)

@@ -235,7 +235,11 @@ class ModelWriter
         o.detectors = std::span<const uint32_t>(pool_.data() + begin, n);
         o.observables = observables;
         outcomes_.push_back(o);
+        widest_ = std::max(widest_, n);
     }
+
+    /** Most detectors any outcome written so far flips. */
+    size_t widest() const { return widest_; }
 
     /** Close the channel of op `opIndex`; dropped if it has no outcome. */
     void endChannel(size_t opIndex, bool heralded = false)
@@ -273,6 +277,7 @@ class ModelWriter
     std::vector<FaultOutcome>& outcomes_;
     std::vector<uint32_t>& pool_;
     size_t channelBegin_ = 0;
+    size_t widest_ = 0;
 };
 
 } // namespace
@@ -281,6 +286,7 @@ DetectorErrorModel::DetectorErrorModel(const DetectorErrorModel& other)
     : numDetectors_(other.numDetectors_),
       numObservables_(other.numObservables_),
       numErasureSites_(other.numErasureSites_),
+      maxOutcomeDetectors_(other.maxOutcomeDetectors_),
       channels_(other.channels_),
       outcomes_(other.outcomes_),
       detectorPool_(other.detectorPool_),
@@ -470,6 +476,8 @@ DetectorErrorModel::build(const Circuit& circuit)
           }
         }
     }
+
+    dem.maxOutcomeDetectors_ = static_cast<uint32_t>(out.widest());
 
     // Channels were written in reverse circuit order.
     std::reverse(dem.channels_.begin(), dem.channels_.end());

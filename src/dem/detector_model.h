@@ -113,6 +113,9 @@ class DetectorErrorModel
     /** Number of heralded-erasure sites (bits in a shot erasure mask). */
     uint32_t numErasureSites() const { return numErasureSites_; }
 
+    /** Most detectors any one outcome flips (0 when there is none). */
+    uint32_t maxOutcomeDetectors() const { return maxOutcomeDetectors_; }
+
     const std::vector<FaultChannel>& channels() const { return channels_; }
 
     /** Every channel's outcomes, one contiguous run per channel (the
@@ -131,6 +134,7 @@ class DetectorErrorModel
     uint32_t numDetectors_ = 0;
     uint32_t numObservables_ = 0;
     uint32_t numErasureSites_ = 0;
+    uint32_t maxOutcomeDetectors_ = 0;
     std::vector<FaultChannel> channels_;
     std::vector<FaultOutcome> outcomes_;
     std::vector<uint32_t> detectorPool_;

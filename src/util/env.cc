@@ -197,4 +197,29 @@ parseInt64(std::string_view text)
     return static_cast<int64_t>(parsed);
 }
 
+std::optional<int64_t>
+parseBounded(std::string_view name, std::string_view text, int64_t lo,
+             int64_t hi)
+{
+    const std::optional<int64_t> parsed = parseInt64(text);
+    if (parsed && *parsed >= lo && *parsed <= hi)
+        return parsed;
+    std::fprintf(stderr,
+                 "error: %.*s must be an integer in %lld..%lld, got "
+                 "'%.*s'\n",
+                 static_cast<int>(name.size()), name.data(),
+                 static_cast<long long>(lo), static_cast<long long>(hi),
+                 static_cast<int>(text.size()), text.data());
+    return std::nullopt;
+}
+
+std::optional<int64_t>
+envBounded(const char* name, int64_t fallback, int64_t lo, int64_t hi)
+{
+    const char* v = std::getenv(name);
+    if (!v || !*v)
+        return fallback;
+    return parseBounded(name, v, lo, hi);
+}
+
 } // namespace vlq

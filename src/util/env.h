@@ -119,6 +119,26 @@ struct NameTable
  */
 std::optional<int64_t> parseInt64(std::string_view text);
 
+/**
+ * Strict parse (parseInt64's rules) of a value that must lie in
+ * [lo, hi], the range of the field it is stored in: a count that does
+ * not fit is rejected, never narrowed by a cast. On failure prints
+ * "error: <name> must be an integer in <lo>..<hi>, got '<text>'" to
+ * stderr, naming the flag or variable `text` came from, and returns
+ * std::nullopt.
+ */
+std::optional<int64_t> parseBounded(std::string_view name,
+                                    std::string_view text, int64_t lo,
+                                    int64_t hi);
+
+/**
+ * parseBounded of environment variable `name`, or `fallback` when it
+ * is unset or empty. Unlike envInt, a malformed value is rejected as
+ * well, not replaced by the fallback.
+ */
+std::optional<int64_t> envBounded(const char* name, int64_t fallback,
+                                  int64_t lo, int64_t hi);
+
 /** One "--flag <value>" option of a CLI flag set. */
 struct FlagSpec
 {

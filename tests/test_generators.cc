@@ -644,12 +644,27 @@ struct Pinned
     uint64_t digest;
     int distanceX = 0; // explicit patch width, 0 = distance
     int distanceZ = 0; // explicit patch height, 0 = distance
+    PagingGapModel gapModel = PagingGapModel::BlockOnce;
+    int cavityDepth = 10;
+    int rounds = 0; // 0 = distance
+
+    /** True when the gap-model fields are not the config defaults. */
+    bool pinsGap() const
+    {
+        return gapModel != PagingGapModel::BlockOnce || cavityDepth != 10
+            || rounds != 0;
+    }
 };
 
-/** Digest of one setup at p = 3e-3 and the default cavity depth. */
+/**
+ * Digest of one setup at p = 3e-3; by default at the default cavity
+ * depth, gap model and round count.
+ */
 Pinned
 emitPinned(const GeneratorBackend& backend, ExtractionSchedule schedule,
-           CheckBasis basis, int d, int distanceX = 0, int distanceZ = 0)
+           CheckBasis basis, int d, int distanceX = 0, int distanceZ = 0,
+           PagingGapModel gapModel = PagingGapModel::BlockOnce,
+           int cavityDepth = 10, int rounds = 0)
 {
     GeneratorConfig cfg;
     cfg.distance = d;
@@ -657,6 +672,9 @@ emitPinned(const GeneratorBackend& backend, ExtractionSchedule schedule,
     cfg.distanceZ = distanceZ;
     cfg.memoryBasis = basis;
     cfg.schedule = schedule;
+    cfg.gapModel = gapModel;
+    cfg.cavityDepth = cavityDepth;
+    cfg.rounds = rounds;
     cfg.noise = NoiseModel::atPhysicalRate(
         3e-3, HardwareParams::transmonsWithMemory());
     return Pinned{backend.name,
@@ -667,7 +685,10 @@ emitPinned(const GeneratorBackend& backend, ExtractionSchedule schedule,
                   d,
                   circuitDigest(generateMemoryCircuit(backend.kind, cfg)),
                   distanceX,
-                  distanceZ};
+                  distanceZ,
+                  gapModel,
+                  cavityDepth,
+                  rounds};
 }
 
 /**
@@ -684,8 +705,13 @@ expectPinned(std::span<const Pinned> pinned, const std::vector<Pinned>& got)
         fresh << "        {\"" << g.embedding << "\", \"" << g.schedule
               << "\", '" << g.basis << "', " << g.distance << ", 0x"
               << std::hex << g.digest << std::dec << "ULL";
-        if (g.distanceX != 0 || g.distanceZ != 0)
+        if (g.distanceX != 0 || g.distanceZ != 0 || g.pinsGap())
             fresh << ", " << g.distanceX << ", " << g.distanceZ;
+        if (g.pinsGap())
+            fresh << ",\n         PagingGapModel::"
+                  << (g.gapModel == PagingGapModel::PerRound ? "PerRound"
+                                                             : "BlockOnce")
+                  << ", " << g.cavityDepth << ", " << g.rounds;
         fresh << "},\n";
         if (i < pinned.size()) {
             const Pinned& p = pinned[i];
@@ -693,10 +719,14 @@ expectPinned(std::span<const Pinned> pinned, const std::vector<Pinned>& got)
                 && std::string(p.schedule) == g.schedule
                 && p.basis == g.basis && p.distance == g.distance
                 && p.distanceX == g.distanceX
-                && p.distanceZ == g.distanceZ && p.digest == g.digest;
+                && p.distanceZ == g.distanceZ && p.gapModel == g.gapModel
+                && p.cavityDepth == g.cavityDepth && p.rounds == g.rounds
+                && p.digest == g.digest;
             EXPECT_TRUE(match) << g.embedding << " " << g.schedule << " "
                                << g.basis << " d=" << g.distance << " "
-                               << g.distanceX << "x" << g.distanceZ;
+                               << g.distanceX << "x" << g.distanceZ
+                               << " k=" << g.cavityDepth
+                               << " rounds=" << g.rounds;
             same = same && match;
         }
     }
@@ -841,6 +871,138 @@ TEST(CircuitDigest, CompactSetupsPastDistanceSevenEmitThePinnedCircuit)
                 got.push_back(emitPinned(backend, schedule, basis, 9, 5, 9));
                 got.push_back(emitPinned(backend, schedule, basis, 9, 9, 5));
             }
+    }
+    expectPinned(pinned, got);
+}
+
+/**
+ * Pins the paging-gap model itself: natural and compact, both
+ * schedules and bases, at d 3/5, under BlockOnce at cavity depth 1 (no
+ * gap), PerRound at depth 4, and PerRound at depth 4 over 2 rounds
+ * (fewer than d, so a block is shorter than d rounds). The tables above
+ * hold only BlockOnce at depth 10 over d rounds.
+ */
+TEST(CircuitDigest, EveryPagingGapModelEmitsThePinnedCircuit)
+{
+    const Pinned pinned[] = {
+        {"natural", "all-at-once", 'Z', 3, 0x28a1118a5ea98fb8ULL, 0, 0,
+         PagingGapModel::BlockOnce, 1, 0},
+        {"natural", "all-at-once", 'Z', 3, 0x62ff94c838a8fb2eULL, 0, 0,
+         PagingGapModel::PerRound, 4, 0},
+        {"natural", "all-at-once", 'Z', 3, 0xc47959c17c0fc016ULL, 0, 0,
+         PagingGapModel::PerRound, 4, 2},
+        {"natural", "all-at-once", 'Z', 5, 0x8bed2808e1193b25ULL, 0, 0,
+         PagingGapModel::BlockOnce, 1, 0},
+        {"natural", "all-at-once", 'Z', 5, 0xf655f970284ff798ULL, 0, 0,
+         PagingGapModel::PerRound, 4, 0},
+        {"natural", "all-at-once", 'Z', 5, 0x2aa06c8dbe217c59ULL, 0, 0,
+         PagingGapModel::PerRound, 4, 2},
+        {"natural", "all-at-once", 'X', 3, 0xe61e388756899b22ULL, 0, 0,
+         PagingGapModel::BlockOnce, 1, 0},
+        {"natural", "all-at-once", 'X', 3, 0xda49704655ad4c74ULL, 0, 0,
+         PagingGapModel::PerRound, 4, 0},
+        {"natural", "all-at-once", 'X', 3, 0x247b323d7c657e34ULL, 0, 0,
+         PagingGapModel::PerRound, 4, 2},
+        {"natural", "all-at-once", 'X', 5, 0xd028e0d3d31b5ce1ULL, 0, 0,
+         PagingGapModel::BlockOnce, 1, 0},
+        {"natural", "all-at-once", 'X', 5, 0xf348db3c52e4fe24ULL, 0, 0,
+         PagingGapModel::PerRound, 4, 0},
+        {"natural", "all-at-once", 'X', 5, 0x35f133aaf42bbb65ULL, 0, 0,
+         PagingGapModel::PerRound, 4, 2},
+        {"natural", "interleaved", 'Z', 3, 0x675bcd7d915cb6f2ULL, 0, 0,
+         PagingGapModel::BlockOnce, 1, 0},
+        {"natural", "interleaved", 'Z', 3, 0x3f7b26935be2ef3bULL, 0, 0,
+         PagingGapModel::PerRound, 4, 0},
+        {"natural", "interleaved", 'Z', 3, 0xbb455530e1697b3ULL, 0, 0,
+         PagingGapModel::PerRound, 4, 2},
+        {"natural", "interleaved", 'Z', 5, 0x8d960ae3bcdfbfd0ULL, 0, 0,
+         PagingGapModel::BlockOnce, 1, 0},
+        {"natural", "interleaved", 'Z', 5, 0xe45e238192670eabULL, 0, 0,
+         PagingGapModel::PerRound, 4, 0},
+        {"natural", "interleaved", 'Z', 5, 0xf4cc199c7939ad69ULL, 0, 0,
+         PagingGapModel::PerRound, 4, 2},
+        {"natural", "interleaved", 'X', 3, 0xd3a952cd85148bacULL, 0, 0,
+         PagingGapModel::BlockOnce, 1, 0},
+        {"natural", "interleaved", 'X', 3, 0x7005b3ad02f851d5ULL, 0, 0,
+         PagingGapModel::PerRound, 4, 0},
+        {"natural", "interleaved", 'X', 3, 0xc9f81ce8a5937251ULL, 0, 0,
+         PagingGapModel::PerRound, 4, 2},
+        {"natural", "interleaved", 'X', 5, 0x9beeac0d052e73bcULL, 0, 0,
+         PagingGapModel::BlockOnce, 1, 0},
+        {"natural", "interleaved", 'X', 5, 0xf1eafbc2047a2fbfULL, 0, 0,
+         PagingGapModel::PerRound, 4, 0},
+        {"natural", "interleaved", 'X', 5, 0x4c57334cd462420dULL, 0, 0,
+         PagingGapModel::PerRound, 4, 2},
+        {"compact", "all-at-once", 'Z', 3, 0xd0e638e092cca441ULL, 0, 0,
+         PagingGapModel::BlockOnce, 1, 0},
+        {"compact", "all-at-once", 'Z', 3, 0x1fd384192de99eb4ULL, 0, 0,
+         PagingGapModel::PerRound, 4, 0},
+        {"compact", "all-at-once", 'Z', 3, 0xc2272a201a30045fULL, 0, 0,
+         PagingGapModel::PerRound, 4, 2},
+        {"compact", "all-at-once", 'Z', 5, 0x8e6176309bcbf974ULL, 0, 0,
+         PagingGapModel::BlockOnce, 1, 0},
+        {"compact", "all-at-once", 'Z', 5, 0x87c3e3b9d6c49f59ULL, 0, 0,
+         PagingGapModel::PerRound, 4, 0},
+        {"compact", "all-at-once", 'Z', 5, 0xd578356e503bd879ULL, 0, 0,
+         PagingGapModel::PerRound, 4, 2},
+        {"compact", "all-at-once", 'X', 3, 0xeac3845c130fa197ULL, 0, 0,
+         PagingGapModel::BlockOnce, 1, 0},
+        {"compact", "all-at-once", 'X', 3, 0x372308623e58d776ULL, 0, 0,
+         PagingGapModel::PerRound, 4, 0},
+        {"compact", "all-at-once", 'X', 3, 0x57c8fe086e026cc1ULL, 0, 0,
+         PagingGapModel::PerRound, 4, 2},
+        {"compact", "all-at-once", 'X', 5, 0x64b940833f39a5d4ULL, 0, 0,
+         PagingGapModel::BlockOnce, 1, 0},
+        {"compact", "all-at-once", 'X', 5, 0x8d5b698978875121ULL, 0, 0,
+         PagingGapModel::PerRound, 4, 0},
+        {"compact", "all-at-once", 'X', 5, 0x76048e1e3b737d69ULL, 0, 0,
+         PagingGapModel::PerRound, 4, 2},
+        {"compact", "interleaved", 'Z', 3, 0xd7fbc38c29a129e4ULL, 0, 0,
+         PagingGapModel::BlockOnce, 1, 0},
+        {"compact", "interleaved", 'Z', 3, 0xacdbe62152defc09ULL, 0, 0,
+         PagingGapModel::PerRound, 4, 0},
+        {"compact", "interleaved", 'Z', 3, 0xb9ab493570aac85dULL, 0, 0,
+         PagingGapModel::PerRound, 4, 2},
+        {"compact", "interleaved", 'Z', 5, 0xf8caa22b372d115bULL, 0, 0,
+         PagingGapModel::BlockOnce, 1, 0},
+        {"compact", "interleaved", 'Z', 5, 0x8f294206e3a2824cULL, 0, 0,
+         PagingGapModel::PerRound, 4, 0},
+        {"compact", "interleaved", 'Z', 5, 0x2dab13158491b07fULL, 0, 0,
+         PagingGapModel::PerRound, 4, 2},
+        {"compact", "interleaved", 'X', 3, 0xb2e87f2be0ede662ULL, 0, 0,
+         PagingGapModel::BlockOnce, 1, 0},
+        {"compact", "interleaved", 'X', 3, 0x189d9b5ab10ff467ULL, 0, 0,
+         PagingGapModel::PerRound, 4, 0},
+        {"compact", "interleaved", 'X', 3, 0x42c57c93018603d7ULL, 0, 0,
+         PagingGapModel::PerRound, 4, 2},
+        {"compact", "interleaved", 'X', 5, 0xc75321d7258bccbbULL, 0, 0,
+         PagingGapModel::BlockOnce, 1, 0},
+        {"compact", "interleaved", 'X', 5, 0xcf353dcc0e61a58ULL, 0, 0,
+         PagingGapModel::PerRound, 4, 0},
+        {"compact", "interleaved", 'X', 5, 0xe95bea7d5c647b2bULL, 0, 0,
+         PagingGapModel::PerRound, 4, 2},
+    };
+    struct Gap
+    {
+        PagingGapModel model;
+        int cavityDepth;
+        int rounds;
+    };
+    const Gap gaps[] = {{PagingGapModel::BlockOnce, 1, 0},
+                        {PagingGapModel::PerRound, 4, 0},
+                        {PagingGapModel::PerRound, 4, 2}};
+    std::vector<Pinned> got;
+    for (const EmbeddingKind kind :
+         {EmbeddingKind::Natural, EmbeddingKind::Compact}) {
+        const GeneratorBackend& backend = generatorBackend(kind);
+        for (const ExtractionSchedule schedule : schedulesOf(backend))
+            for (const CheckBasis basis : {CheckBasis::Z, CheckBasis::X})
+                for (const int d : {3, 5})
+                    for (const Gap& gap : gaps)
+                        got.push_back(emitPinned(backend, schedule, basis, d,
+                                                 0, 0, gap.model,
+                                                 gap.cavityDepth,
+                                                 gap.rounds));
     }
     expectPinned(pinned, got);
 }

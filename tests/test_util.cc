@@ -402,6 +402,69 @@ TEST(Env, ParseInt64RoundTripsBoundaryValues)
     }
 }
 
+TEST(Env, ParseBoundedRejectsCountsThatDoNotFitTheirField)
+{
+    // example_scan_server --threads lands in an unsigned: 2^32 once
+    // became 0 (every core) and 2^32 + 1 one worker.
+    constexpr int64_t kThreads = std::numeric_limits<unsigned>::max();
+    EXPECT_EQ(parseBounded("--threads", "0", 0, kThreads), 0);
+    EXPECT_EQ(parseBounded("--threads", "4294967295", 0, kThreads),
+              kThreads);
+    testing::internal::CaptureStderr();
+    for (const char* text : {"4294967296", "4294967297", "-1", "4x", ""})
+        EXPECT_FALSE(parseBounded("--threads", text, 0, kThreads)) << text;
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("error: --threads must be an integer in "
+                       "0..4294967295, got '4294967297'"),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find("got '-1'"), std::string::npos) << err;
+}
+
+TEST(Env, EnvBoundedNamesTheVariableItRejects)
+{
+    // The bounded reads of example_threshold_scan and
+    // bench_fig11_thresholds (VLQ_BATCH, VLQ_POINTS) and of
+    // bench_error_budget (VLQ_DISTANCE): one past either end of the
+    // field, or junk, is rejected by name. VLQ_BATCH=4294967296 once
+    // ran one-trial batches.
+    constexpr int64_t kU32 = std::numeric_limits<uint32_t>::max();
+    constexpr int64_t kInt = std::numeric_limits<int>::max();
+    struct Read
+    {
+        const char* name;
+        int64_t lo;
+        int64_t hi;
+    };
+    for (const Read& read : {Read{"VLQ_BATCH", 1, kU32},
+                             Read{"VLQ_POINTS", 1, kInt},
+                             Read{"VLQ_DISTANCE", 3, kInt}}) {
+        unsetenv(read.name);
+        EXPECT_EQ(envBounded(read.name, 5, read.lo, read.hi), 5);
+        setenv(read.name, std::to_string(read.hi).c_str(), 1);
+        EXPECT_EQ(envBounded(read.name, 5, read.lo, read.hi), read.hi);
+        setenv(read.name, std::to_string(read.lo).c_str(), 1);
+        EXPECT_EQ(envBounded(read.name, 5, read.lo, read.hi), read.lo);
+
+        for (const std::string& text :
+             {std::to_string(read.hi + 1), std::to_string(read.lo - 1),
+              std::string("abc")}) {
+            setenv(read.name, text.c_str(), 1);
+            testing::internal::CaptureStderr();
+            EXPECT_FALSE(envBounded(read.name, 5, read.lo, read.hi))
+                << read.name << "=" << text;
+            const std::string err = testing::internal::GetCapturedStderr();
+            EXPECT_NE(err.find(std::string("error: ") + read.name
+                               + " must be an integer in "),
+                      std::string::npos)
+                << err;
+            EXPECT_NE(err.find("got '" + text + "'"), std::string::npos)
+                << err;
+        }
+        unsetenv(read.name);
+    }
+}
+
 TEST(Flags, ParsesKnownFlagPairs)
 {
     std::string csv;
