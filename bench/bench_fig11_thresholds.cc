@@ -9,16 +9,20 @@
  * pth = 0.009 / 0.009 / 0.008 / 0.008 / 0.008.
  *
  * Environment knobs:
- *   VLQ_TRIALS  trials per (d, p, basis) point     [default 400]
+ *   VLQ_TRIALS  trials per (d, p, basis) point
+ *               [default 2000, 4000 with VLQ_FULL=1]
  *   VLQ_FULL=1  use distances {3,5,7,9,11} and a denser sweep
- *   VLQ_POINTS  number of p values                 [default 7]
+ *   VLQ_POINTS  number of p values  [default 7, 9 with VLQ_FULL=1]
  *   VLQ_SCALE_COHERENCE=1  scale coherence with p too (ablation A2;
  *                          default 0 = Table-I coherence, which is the
  *                          reading consistent with the paper's plots;
  *                          ROADMAP.md item 3 tracks the fidelity work)
- *   VLQ_SEED    RNG seed
+ *   VLQ_GAP_PER_ROUND=1    charge the paging gap per round (the
+ *                          PerRound ablation; default BlockOnce)
+ *   VLQ_SEED    RNG seed                           [default 0x5eed]
  *   VLQ_DECODER decoder backend: mwpm (default), union-find/uf, greedy
- *   VLQ_BATCH   shots per Monte-Carlo batch        [default 256]
+ *   VLQ_BATCH   shots per Monte-Carlo batch at most, split evenly
+ *               into whole waves of workers        [default 256]
  *   VLQ_TARGET_FAILURES  early-stop each point after this many
  *                        failures (0 = run every trial)
  *   VLQ_CHECKPOINT       checkpoint/resume state-file base path (the
@@ -29,6 +33,7 @@
  *                        bit-identically
  *   VLQ_CHECKPOINT_EVERY committed trials between checkpoint saves
  *                        within a point [default 65536]
+ *   VLQ_CSV     directory for one fig11_setup<i>.csv per setup
  * Flags:
  *   --csv <path>  emit all curves as machine-readable CSV
  *                 (record,setup,distance,p,value rows; the CI

@@ -142,6 +142,9 @@ class Circuit
     void heraldedErase(uint32_t q, double p);
     /** @} */
 
+    /** Make room for `count` ops in all, so appends up to it never copy. */
+    void reserveOps(size_t count) { ops_.reserve(count); }
+
     /** Register a detector; returns its index. */
     uint32_t addDetector(Detector detector);
 

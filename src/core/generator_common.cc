@@ -246,8 +246,8 @@ NoisyBuilder::measure(uint32_t q)
 }
 
 DetectorBook::DetectorBook(const SurfaceLayout& layout,
-                           CheckBasis memoryBasis)
-    : layout_(layout), basis_(memoryBasis),
+                           CheckBasis memoryBasis, int rounds)
+    : layout_(layout), basis_(memoryBasis), rounds_(rounds),
       prevMeas_(layout.plaquettes().size(), -1)
 {
 }
@@ -256,6 +256,21 @@ void
 DetectorBook::recordRound(Circuit& circuit, uint32_t check, uint32_t meas,
                           int round)
 {
+    if (round == roundsSeen_ && round < 2) {
+        ++roundsSeen_;
+        const size_t ops = circuit.ops().size();
+        if (round == 0) {
+            firstRecordOps_ = ops;
+        } else {
+            // Past this record come R-2 more rounds and the end of the
+            // last, at most R-1 rounds' ops, then the readout: an H and
+            // a measurement per data qubit.
+            const size_t perRound = ops - firstRecordOps_;
+            circuit.reserveOps(
+                ops + static_cast<size_t>(rounds_ - 1) * perRound
+                + 2 * static_cast<size_t>(layout_.numData()));
+        }
+    }
     const Plaquette& p = layout_.plaquettes()[check];
     if (p.basis == basis_) {
         Detector det;
@@ -392,7 +407,7 @@ emitMemoryExperiment(
     for (uint32_t q = 0; q < nData; ++q)
         kinds[firstHomeWire + q] = homeKind;
     NoisyBuilder builder(numWires, std::move(kinds), config.noise);
-    DetectorBook book(layout, config.memoryBasis);
+    DetectorBook book(layout, config.memoryBasis, config.effectiveRounds());
 
     builder.momentBegin(0.0);
     for (uint32_t q = 0; q < nData; ++q) {

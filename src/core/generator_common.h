@@ -218,11 +218,19 @@ class NoisyBuilder
 /**
  * Tracks per-check measurement records across rounds and emits the
  * detectors and the logical observable of a memory experiment.
+ *
+ * It also sizes the circuit's op list from the round structure: every
+ * round of a memory experiment emits the same ops, so the ops between
+ * the first records of rounds 0 and 1 are one round's, and at round
+ * 1's first record the book reserves room for all `rounds` of them and
+ * the readout. The list then grows at most once more, where a
+ * generator's first round is shorter than the rest.
  */
 class DetectorBook
 {
   public:
-    DetectorBook(const SurfaceLayout& layout, CheckBasis memoryBasis);
+    DetectorBook(const SurfaceLayout& layout, CheckBasis memoryBasis,
+                 int rounds);
 
     /**
      * Record the round-r syndrome measurement of a check; emits the
@@ -242,7 +250,12 @@ class DetectorBook
   private:
     const SurfaceLayout& layout_;
     CheckBasis basis_;
+    int rounds_;
     std::vector<int64_t> prevMeas_;
+    /** Rounds whose first record was seen, while sizing (0, 1, 2). */
+    int roundsSeen_ = 0;
+    /** Ops in the circuit at round 0's first record. */
+    size_t firstRecordOps_ = 0;
 };
 
 /** Wire assignment consumed by the standard extraction round. */

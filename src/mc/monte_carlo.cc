@@ -1,14 +1,17 @@
 #include "mc/monte_carlo.h"
 
 #include <algorithm>
-#include <atomic>
+#include <array>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "core/generator_registry.h"
@@ -66,6 +69,131 @@ timedStage(const char* stage, const Build& build)
 }
 
 /**
+ * How one point's session splits into batches. The point runs on
+ * `threads` workers, or on fewer when its session needs fewer batches
+ * of `batchSize` trials, and the trials between the resume frontier and
+ * the budget go into the smallest multiple of that worker count of
+ * near-equal batches none larger than `batchSize`: every worker samples
+ * whole waves and none idles through a short last one. (A session too
+ * short for that takes one trial per batch.) Batch k's range is a pure
+ * function of (frontier, trials, batchSize, threads), read by the
+ * hand-out and the sequencer alike.
+ */
+class BatchPlan
+{
+  public:
+    BatchPlan(uint64_t resumeTrials, uint64_t trials, uint32_t batchSize,
+              unsigned threads)
+        : first_(resumeTrials), session_(trials - resumeTrials)
+    {
+        const uint64_t needed =
+            session_ / batchSize + (session_ % batchSize != 0);
+        workers_ =
+            static_cast<unsigned>(std::min<uint64_t>(threads, needed));
+        const uint64_t waves = needed / workers_ + (needed % workers_ != 0);
+        batches_ = std::min(session_, waves * workers_);
+    }
+
+    unsigned workers() const { return workers_; }
+    uint64_t batches() const { return batches_; }
+
+    /** First trial of batch k; begin(batches()) is the budget. */
+    uint64_t begin(uint64_t k) const
+    {
+        const uint64_t size = session_ / batches_;
+        const uint64_t longer = session_ % batches_;
+        return first_ + k * size + std::min(k, longer);
+    }
+
+  private:
+    const uint64_t first_;
+    const uint64_t session_;
+    unsigned workers_ = 0;
+    uint64_t batches_ = 0;
+};
+
+/**
+ * Hands one point's batch indices to its workers, in order, until the
+ * last is out or the sequencer closes the hand-out (early stop or
+ * preemption). It also tells the calling thread when no batch of the
+ * point will be sampled again: from then on the workers read only the
+ * decoder, so the DEM and the sampler can go.
+ */
+class BatchHandOut
+{
+  public:
+    explicit BatchHandOut(uint64_t batches) : batches_(batches) {}
+
+    /**
+     * The next batch to sample, or nothing once the hand-out is
+     * closed. A worker that gets one calls sampled() when its shots
+     * are drawn.
+     */
+    std::optional<uint64_t> take()
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (closed_ != Closed::Open)
+            return std::nullopt;
+        const uint64_t b = next_++;
+        if (next_ == batches_)
+            closed_ = Closed::Finish;
+        ++sampling_;
+        return b;
+    }
+
+    void sampled()
+    {
+        bool wake = false;
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            wake = --sampling_ == 0 && closed_ != Closed::Open;
+        }
+        if (wake)
+            cv_.notify_all();
+    }
+
+    /** Stop handing out batches: the early stop or `preempt` fired. */
+    void close(bool preempt)
+    {
+        bool wake = false;
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            if (closed_ != Closed::Open)
+                return;
+            closed_ = preempt ? Closed::Preempt : Closed::Finish;
+            wake = sampling_ == 0;
+        }
+        if (wake)
+            cv_.notify_all();
+    }
+
+    /**
+     * Block until the hand-out is closed and no worker is sampling.
+     * True when it closed on the budget or the early stop, so the point
+     * finishes; false when `preempt` closed it, which may suspend it.
+     */
+    bool waitUntilSampled()
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        cv_.wait(lock, [this] {
+            return closed_ != Closed::Open && sampling_ == 0;
+        });
+        return closed_ != Closed::Preempt;
+    }
+
+  private:
+    /** Finish: the last batch is out, or the early stop fired. */
+    enum class Closed { Open, Finish, Preempt };
+
+    const uint64_t batches_;
+    std::mutex mutex_;
+    std::condition_variable cv_;
+    uint64_t next_ = 0;
+    unsigned sampling_ = 0;
+    Closed closed_ = Closed::Open;
+};
+
+/**
  * Commits batch results strictly in batch-index order, regardless of
  * which worker finished them first. This is what makes the running
  * failure stream, the progress callbacks, and -- crucially -- the
@@ -74,39 +202,31 @@ timedStage(const char* stage, const Build& build)
  * outcomes alone, never of thread scheduling or batch size.
  *
  * A run resumed from a checkpoint starts with the checkpoint's
- * committed frontier (resumeTrials/resumeFailures): batch 0 then
- * covers trials [resumeTrials, resumeTrials + batchSize), and all
- * counts stay global to the full budget, so the committed stream is
- * the exact suffix of the uninterrupted run's stream.
+ * committed frontier (resumeFailures and the plan's first trial), and
+ * all counts stay global to the full budget, so the committed stream
+ * is the exact suffix of the uninterrupted run's stream.
  *
  * Preemption drains rather than discards: once McOptions::preempt
- * returns true, workers stop pulling batches, but every batch already
- * pulled -- in flight or finished out of order -- still commits in
- * order. Pulled batches are a contiguous index range (one shared
- * counter hands them out), so the drained frontier is a batch
- * boundary at or after the preempting commit, and still a prefix of
- * the uninterrupted trial sequence.
+ * returns true, the hand-out closes, but every batch already pulled --
+ * in flight or finished out of order -- still commits in order.
+ * Pulled batches are a contiguous index range, so the drained frontier
+ * is a batch boundary at or after the preempting commit, and still a
+ * prefix of the uninterrupted trial sequence.
  */
 class BatchSequencer
 {
   public:
-    BatchSequencer(uint64_t trials, uint32_t batchSize,
-                   const McOptions& options, uint64_t resumeTrials,
-                   uint64_t resumeFailures,
-                   std::function<void(uint64_t, uint64_t)> commitHook)
-        : trials_(trials), batchSize_(batchSize),
-          resumeTrials_(resumeTrials), target_(options.targetFailures),
-          progress_(options.progress), preempt_(options.preempt),
-          commitHook_(std::move(commitHook)), failures_(resumeFailures),
-          trialsDone_(resumeTrials),
+    BatchSequencer(const BatchPlan& plan, uint64_t trials,
+                   const McOptions& options, uint64_t resumeFailures,
+                   std::function<void(uint64_t, uint64_t)> commitHook,
+                   BatchHandOut& handOut)
+        : plan_(plan), trials_(trials), resumeTrials_(plan.begin(0)),
+          target_(options.targetFailures), progress_(options.progress),
+          preempt_(options.preempt), commitHook_(std::move(commitHook)),
+          handOut_(handOut), failures_(resumeFailures),
+          trialsDone_(resumeTrials_),
           start_(std::chrono::steady_clock::now())
     {
-    }
-
-    /** Workers poll this (lock-free) to stop pulling new batches. */
-    bool stopped() const
-    {
-        return stopFlag_.load(std::memory_order_relaxed);
     }
 
     /**
@@ -126,19 +246,13 @@ class BatchSequencer
             pending_.erase(it);
             const uint64_t prevTrials = trialsDone_;
             const uint64_t prevFailures = failures_;
-            uint64_t batchEnd =
-                std::min(trials_, resumeTrials_
-                                      + (nextToCommit_ + 1)
-                                            * static_cast<uint64_t>(
-                                                batchSize_));
             if (target_ > 0) {
                 for (uint64_t t : fails) {
                     ++failures_;
                     if (failures_ >= target_) {
                         trialsDone_ = t + 1;
                         targetReached_ = true;
-                        stopFlag_.store(true,
-                                        std::memory_order_relaxed);
+                        handOut_.close(false);
                         break;
                     }
                 }
@@ -146,7 +260,7 @@ class BatchSequencer
                 failures_ += fails.size();
             }
             if (!targetReached_)
-                trialsDone_ = batchEnd;
+                trialsDone_ = plan_.begin(nextToCommit_ + 1);
             ++nextToCommit_;
             if (obs::metricsEnabled()) {
                 static const obs::Counter batches =
@@ -191,12 +305,12 @@ class BatchSequencer
             // suspend save must not resume behind it.
             if (commitHook_ && !targetReached_)
                 commitHook_(trialsDone_, failures_);
-            // Preemption boundary: the first true stops the hand-out
-            // of batches; the hook is never polled again. Batches
-            // already pulled keep committing here as they arrive.
+            // Preemption boundary: the first true closes the hand-out;
+            // the hook is never polled again. Batches already pulled
+            // keep committing here as they arrive.
             if (!draining_ && preempt_ && preempt_()) {
                 draining_ = true;
-                stopFlag_.store(true, std::memory_order_relaxed);
+                handOut_.close(true);
             }
         }
         if (targetReached_)
@@ -225,13 +339,14 @@ class BatchSequencer
         return targetReached_ || trialsDone_ >= trials_;
     }
 
+    const BatchPlan& plan_;
     const uint64_t trials_;
-    const uint32_t batchSize_;
     const uint64_t resumeTrials_;
     const uint64_t target_;
     const std::function<void(const McProgress&)>& progress_;
     const std::function<bool()>& preempt_;
     const std::function<void(uint64_t, uint64_t)> commitHook_;
+    BatchHandOut& handOut_;
 
     std::mutex mutex_;
     std::map<uint64_t, std::vector<uint64_t>> pending_;
@@ -240,90 +355,112 @@ class BatchSequencer
     uint64_t trialsDone_ = 0;
     bool targetReached_ = false;
     bool draining_ = false;
-    std::atomic<bool> stopFlag_{false};
     const std::chrono::steady_clock::time_point start_;
 };
 
-} // namespace
+/** Persist one point's frontier; a failed save is fatal. */
+void
+saveEntry(McCheckpoint& checkpoint, uint64_t key, const CheckpointEntry& entry)
+{
+    checkpoint.update(key, entry);
+    const std::string err = checkpoint.save();
+    if (!err.empty())
+        VLQ_FATAL(err.c_str());
+}
 
-BinomialEstimate
-estimateLogicalErrorBasis(EmbeddingKind embedding,
-                          const GeneratorConfig& config,
-                          const McOptions& options)
+/** One (embedding, config) point of a run, and its estimate. */
+struct McPoint
+{
+    EmbeddingKind embedding = EmbeddingKind::Baseline2D;
+    GeneratorConfig config;
+    BinomialEstimate result;
+};
+
+/**
+ * What a point's workers read. A worker reads the DEM and the sampler
+ * (which reads the DEM's arrays in place) only between taking a batch
+ * and sampling it, so both go as soon as the point's last batch is
+ * sampled; the decoder owns its graph and lives until the last commit.
+ */
+struct PointModel
+{
+    std::unique_ptr<DetectorErrorModel> dem;
+    std::unique_ptr<FaultSampler> sampler;
+    std::unique_ptr<Decoder> decoder;
+    double setupSeconds = 0.0;
+    uint64_t setupFaults = 0;
+};
+
+/**
+ * Set-up: everything a point builds before its first shot. It runs on
+ * the calling thread, never on a worker, so its page faults are that
+ * thread's own and its arrays stay in that thread's malloc arena, where
+ * the next set-up reuses them; the circuit goes as soon as its DEM is
+ * built.
+ */
+std::unique_ptr<PointModel>
+buildModel(const McPoint& point, DecoderKind decoder)
+{
+    auto model = std::make_unique<PointModel>();
+    const bool metrics = obs::metricsEnabled();
+    const uint64_t faultsStart = metrics ? obs::threadMinorFaults() : 0;
+    const auto start = std::chrono::steady_clock::now();
+    {
+        const GeneratedCircuit gen = timedStage("point.generate", [&] {
+            return generateMemoryCircuit(point.embedding, point.config);
+        });
+        model->dem = timedStage("point.dem", [&] {
+            return std::make_unique<DetectorErrorModel>(
+                DetectorErrorModel::build(gen.circuit));
+        });
+    }
+    model->sampler = timedStage("point.sampler", [&] {
+        return std::make_unique<FaultSampler>(*model->dem);
+    });
+    model->decoder = timedStage("point.decoder", [&] {
+        return makeDecoder(decoder, *model->dem);
+    });
+    model->setupSeconds = std::chrono::duration<double>(
+        std::chrono::steady_clock::now() - start).count();
+    model->setupFaults =
+        metrics ? obs::threadMinorFaults() - faultsStart : 0;
+    return model;
+}
+
+/** A point's committed frontier when the run starts. */
+struct Frontier
+{
+    uint64_t key = 0;
+    uint64_t trials = 0;
+    uint64_t failures = 0;
+    bool done = false;
+};
+
+/**
+ * Sample one point's session on its own workers and commit it in
+ * order. Once no batch of the point will be sampled again on its budget
+ * or early stop, this thread frees the DEM and the sampler and calls
+ * `buildNext` (when set) while the workers decode the last batches.
+ * The finished frontier is reported and saved done; a suspended one is
+ * saved not done, and the function returns true.
+ */
+bool
+runPoint(McPoint& point, const Frontier& frontier, PointModel& model,
+         const McOptions& options, McCheckpoint& checkpoint,
+         const std::function<void()>& buildNext)
 {
     const uint64_t trials = options.trials;
-    if (trials == 0)
-        return BinomialEstimate{};
-
-    // Checkpoint/resume: bind the state file (validating its config
-    // fingerprint), and look up this point's committed frontier. Done
-    // points return their stored counts without even generating the
-    // circuit, so a resumed grid scan skips completed points entirely.
-    McCheckpoint checkpoint;
-    uint64_t pointKey = 0;
-    uint64_t resumeTrials = 0;
-    uint64_t resumeFailures = 0;
-    if (!options.checkpointPath.empty()) {
-        pointKey = checkpointPointKey(embedding, config);
-        std::string err = checkpoint.open(
-            options.checkpointPath,
-            options.checkpointFingerprint.empty()
-                ? mcRunFingerprintSummary(options)
-                : options.checkpointFingerprint);
-        if (!err.empty())
-            VLQ_FATAL(err.c_str());
-        if (const CheckpointEntry* entry = checkpoint.find(pointKey)) {
-            BinomialEstimate est;
-            est.successes = entry->failures;
-            est.trials = entry->trialsDone;
-            if (entry->done)
-                return est;
-            resumeTrials = entry->trialsDone;
-            resumeFailures = entry->failures;
-            if (resumeTrials >= trials) {
-                // The frontier already covers the budget (killed
-                // between the last commit and the done flag).
-                checkpoint.update(pointKey, {resumeTrials, resumeFailures,
-                                             true});
-                std::string saveErr = checkpoint.save();
-                if (!saveErr.empty())
-                    VLQ_FATAL(saveErr.c_str());
-                return est;
-            }
-        }
-    }
-
-    // Set-up: everything the point builds before its first shot. It
-    // runs on this thread, so this thread's page faults are its own.
-    const bool metrics = obs::metricsEnabled();
-    const uint64_t setupFaultsStart =
-        metrics ? obs::threadMinorFaults() : 0;
-    const auto setupStart = std::chrono::steady_clock::now();
-    const GeneratedCircuit gen = timedStage("point.generate", [&] {
-        return generateMemoryCircuit(embedding, config);
-    });
-    const DetectorErrorModel dem = timedStage("point.dem", [&] {
-        return DetectorErrorModel::build(gen.circuit);
-    });
-    const FaultSampler sampler =
-        timedStage("point.sampler", [&] { return FaultSampler(dem); });
-    const std::unique_ptr<Decoder> decoder =
-        timedStage("point.decoder", [&] {
-            return makeDecoder(options.decoder, dem);
-        });
-    const double setupSeconds = std::chrono::duration<double>(
-        std::chrono::steady_clock::now() - setupStart).count();
-    const uint64_t setupFaults =
-        metrics ? obs::threadMinorFaults() - setupFaultsStart : 0;
+    const BatchPlan plan(
+        frontier.trials, trials, std::max<uint32_t>(1, options.batchSize),
+        options.threads > 0
+            ? options.threads
+            : std::max(1u, std::thread::hardware_concurrency()));
+    const unsigned workers = plan.workers();
 
     // Distinguish the two bases in the trial RNG stream.
-    uint64_t baseSeed = options.seed
-        ^ (config.memoryBasis == CheckBasis::X ? 0xbadc0ffee0ddf00dULL : 0);
-    const Rng root(baseSeed);
-
-    const uint32_t batchSize = std::max<uint32_t>(1, options.batchSize);
-    const uint64_t numBatches =
-        (trials - resumeTrials + batchSize - 1) / batchSize;
+    const Rng root(options.seed
+                   ^ (point.config.memoryBasis == CheckBasis::X
+                          ? 0xbadc0ffee0ddf00dULL : 0));
 
     // Periodic frontier persistence, throttled to checkpointEveryTrials
     // committed trials; runs in commit order under the sequencer lock.
@@ -331,69 +468,69 @@ estimateLogicalErrorBasis(EmbeddingKind embedding,
     if (checkpoint.enabled()) {
         const uint64_t every = options.checkpointEveryTrials > 0
             ? options.checkpointEveryTrials : uint64_t{65536};
-        commitHook = [&checkpoint, pointKey, every,
-                      lastSaved = resumeTrials](uint64_t trialsDone,
-                                                uint64_t failures)
+        commitHook = [&checkpoint, key = frontier.key, every,
+                      lastSaved = frontier.trials](uint64_t trialsDone,
+                                                   uint64_t failures)
             mutable {
             if (trialsDone - lastSaved < every)
                 return;
-            checkpoint.update(pointKey, {trialsDone, failures, false});
-            std::string err = checkpoint.save();
-            if (!err.empty())
-                VLQ_FATAL(err.c_str());
+            saveEntry(checkpoint, key, {trialsDone, failures, false});
             lastSaved = trialsDone;
         };
     }
 
-    BatchSequencer sequencer(trials, batchSize, options, resumeTrials,
-                             resumeFailures, std::move(commitHook));
-    std::atomic<uint64_t> nextBatch{0};
-
-    ThreadPool pool(options.threads);
-    unsigned workers = static_cast<unsigned>(std::min<uint64_t>(
-        pool.numThreads(), numBatches));
-    const auto pointStart = std::chrono::steady_clock::now();
+    BatchHandOut handOut(plan.batches());
+    BatchSequencer sequencer(plan, trials, options, frontier.failures,
+                             std::move(commitHook), handOut);
     if (obs::metricsEnabled()) {
         static const obs::Gauge threadsGauge =
             obs::Gauge::get("mc.threads");
         static const obs::Gauge batchGauge =
             obs::Gauge::get("mc.batch_size");
         threadsGauge.set(workers);
-        batchGauge.set(batchSize);
+        batchGauge.set(static_cast<double>(plan.begin(1) - plan.begin(0)));
     }
-    // Each worker pulls batch indices from a shared counter (dynamic
-    // load balancing; under early stop, low indices -- the ones that
-    // decide the stop point -- are processed first).
-    pool.parallelFor(workers, [&](uint64_t wBegin, uint64_t wEnd,
-                                  unsigned) {
-        (void)wBegin;
-        (void)wEnd;
+    const auto pointStart = std::chrono::steady_clock::now();
+    std::vector<std::chrono::steady_clock::time_point> workerEnds(workers);
+    ThreadPool pool(workers, [&](unsigned w) {
         ShotBatch batch;
         std::vector<uint32_t> predictions;
         std::vector<uint64_t> failingTrials;
-        while (!sequencer.stopped()) {
-            uint64_t b = nextBatch.fetch_add(1,
-                                             std::memory_order_relaxed);
-            if (b >= numBatches)
-                break;
+        // Workers take batch indices in order from the hand-out
+        // (dynamic load balancing; under early stop, low indices --
+        // the ones that decide the stop point -- are processed first).
+        while (const std::optional<uint64_t> b = handOut.take()) {
             obs::StageTimer batchTimer("mc.batch");
-            uint64_t begin = resumeTrials + b * batchSize;
-            uint32_t count = static_cast<uint32_t>(
-                std::min<uint64_t>(batchSize, trials - begin));
+            const uint64_t begin = plan.begin(*b);
+            const uint32_t count =
+                static_cast<uint32_t>(plan.begin(*b + 1) - begin);
+            const DetectorErrorModel& dem = *model.dem;
             batch.reset(dem.numDetectors(), dem.numObservables(), count,
                         begin, dem.numErasureSites());
-            sampler.sampleBatchInto(root, batch);
+            model.sampler->sampleBatchInto(root, batch);
+            handOut.sampled();
             predictions.resize(count);
-            decoder->decodeBatch(batch, std::span<uint32_t>(predictions));
+            model.decoder->decodeBatch(batch,
+                                       std::span<uint32_t>(predictions));
             failingTrials.clear();
             for (uint32_t s = 0; s < count; ++s)
                 if (predictions[s] != batch.observables(s))
                     failingTrials.push_back(begin + s);
-            sequencer.submit(b, failingTrials);
+            sequencer.submit(*b, failingTrials);
         }
+        workerEnds[w] = std::chrono::steady_clock::now();
     });
+    // A hand-out closed by `preempt` may suspend the point, so the next
+    // one is built only once this one is known to finish.
+    if (buildNext && handOut.waitUntilSampled()) {
+        model.sampler.reset();
+        model.dem.reset();
+        buildNext();
+    }
+    pool.join();
 
-    BinomialEstimate est = sequencer.result();
+    point.result = sequencer.result();
+    const BinomialEstimate& est = point.result;
     if (sequencer.preempted()) {
         // Suspend, don't finish: every pulled batch has committed, so
         // persist the drained frontier with done=false and a later run
@@ -403,61 +540,141 @@ estimateLogicalErrorBasis(EmbeddingKind embedding,
         // completes.
         if (options.preempted)
             *options.preempted = true;
-        if (checkpoint.enabled()) {
-            checkpoint.update(pointKey, {est.trials, est.successes,
-                                         false});
-            std::string err = checkpoint.save();
-            if (!err.empty())
-                VLQ_FATAL(err.c_str());
-        }
-        return est;
+        if (checkpoint.enabled())
+            saveEntry(checkpoint, frontier.key,
+                      {est.trials, est.successes, false});
+        return true;
     }
     if (obs::metricsEnabled()) {
         obs::PointReport pr;
-        pr.embedding = embeddingKindName(embedding);
-        pr.distance = config.distance;
-        pr.physicalP = config.noise.p2;
-        pr.basis = config.memoryBasis == CheckBasis::X ? 'X' : 'Z';
+        pr.embedding = embeddingKindName(point.embedding);
+        pr.distance = point.config.distance;
+        pr.physicalP = point.config.noise.p2;
+        pr.basis = point.config.memoryBasis == CheckBasis::X ? 'X' : 'Z';
         pr.trials = est.trials;
         pr.failures = est.successes;
-        pr.sessionTrials = est.trials - resumeTrials;
-        pr.wallSeconds =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - pointStart)
-                .count();
+        pr.sessionTrials = est.trials - frontier.trials;
+        // The point's wall ends when its last worker does, not when
+        // this thread, busy with the next set-up, joins them.
+        pr.wallSeconds = std::chrono::duration<double>(
+            *std::max_element(workerEnds.begin(), workerEnds.end())
+            - pointStart).count();
         pr.shotsPerSec = pr.wallSeconds > 0.0
             ? static_cast<double>(pr.sessionTrials) / pr.wallSeconds
             : 0.0;
-        pr.setupSeconds = setupSeconds;
-        pr.setupMinorFaults = setupFaults;
+        pr.setupSeconds = model.setupSeconds;
+        pr.setupMinorFaults = model.setupFaults;
         obs::reportPoint(pr);
     }
-    if (checkpoint.enabled()) {
-        // The point is finished (budget exhausted or early stop fired):
-        // persist the final frontier with the done flag.
-        checkpoint.update(pointKey, {est.trials, est.successes, true});
-        std::string err = checkpoint.save();
+    // The point is finished (budget exhausted or early stop fired):
+    // persist the final frontier with the done flag.
+    if (checkpoint.enabled())
+        saveEntry(checkpoint, frontier.key,
+                  {est.trials, est.successes, true});
+    return false;
+}
+
+/**
+ * The one runner behind both entry points: estimate `points` in order,
+ * each with its own sequencer, trial streams, early stop, progress,
+ * preemption and checkpoint frontier, under one checkpoint file. Each
+ * point's set-up is built on this thread while the previous point's
+ * workers decode their last batches, and its workers start after that
+ * point's last commit. A preempted point ends the run: the points
+ * after it are neither built nor written, and keep empty estimates.
+ */
+void
+runPoints(std::span<McPoint> points, const McOptions& options)
+{
+    const uint64_t trials = options.trials;
+    if (trials == 0)
+        return;
+
+    // Checkpoint/resume: bind the state file (validating its config
+    // fingerprint), and look up every point's committed frontier. Done
+    // points return their stored counts without even generating the
+    // circuit, so a resumed grid scan skips completed points entirely.
+    McCheckpoint checkpoint;
+    std::vector<Frontier> frontiers(points.size());
+    if (!options.checkpointPath.empty()) {
+        std::string err = checkpoint.open(
+            options.checkpointPath,
+            options.checkpointFingerprint.empty()
+                ? mcRunFingerprintSummary(options)
+                : options.checkpointFingerprint);
         if (!err.empty())
             VLQ_FATAL(err.c_str());
+        for (size_t i = 0; i < points.size(); ++i) {
+            Frontier& f = frontiers[i];
+            f.key = checkpointPointKey(points[i].embedding,
+                                       points[i].config);
+            if (const CheckpointEntry* entry = checkpoint.find(f.key))
+                f = {f.key, entry->trialsDone, entry->failures,
+                     entry->done};
+        }
     }
-    return est;
+    auto toSample = [&](size_t i) {
+        return !frontiers[i].done && frontiers[i].trials < trials;
+    };
+
+    std::unique_ptr<PointModel> model;
+    for (size_t i = 0; i < points.size(); ++i) {
+        const Frontier& f = frontiers[i];
+        if (!toSample(i)) {
+            points[i].result.successes = f.failures;
+            points[i].result.trials = f.trials;
+            // A frontier that is not done already covers the budget
+            // (killed between the last commit and the done flag).
+            if (!f.done)
+                saveEntry(checkpoint, f.key, {f.trials, f.failures, true});
+            continue;
+        }
+        if (!model)
+            model = buildModel(points[i], options.decoder);
+        size_t next = i + 1;
+        while (next < points.size() && !toSample(next))
+            ++next;
+        std::unique_ptr<PointModel> nextModel;
+        std::function<void()> buildNext;
+        if (next < points.size())
+            buildNext = [&] {
+                nextModel = buildModel(points[next], options.decoder);
+            };
+        const bool preempted =
+            runPoint(points[i], f, *model, options, checkpoint, buildNext);
+        model = std::move(nextModel);
+        if (preempted)
+            return;
+    }
+}
+
+} // namespace
+
+BinomialEstimate
+estimateLogicalErrorBasis(EmbeddingKind embedding,
+                          const GeneratorConfig& config,
+                          const McOptions& options)
+{
+    McPoint point{embedding, config, {}};
+    runPoints(std::span<McPoint>(&point, 1), options);
+    return point.result;
 }
 
 LogicalErrorPoint
 estimateLogicalError(EmbeddingKind embedding, const GeneratorConfig& config,
                      const McOptions& options)
 {
+    std::array<McPoint, 2> points{McPoint{embedding, config, {}},
+                                  McPoint{embedding, config, {}}};
+    points[0].config.memoryBasis = CheckBasis::Z;
+    points[1].config.memoryBasis = CheckBasis::X;
+    runPoints(points, options);
+
     LogicalErrorPoint point;
     point.distance = config.distance;
     point.physicalP = config.noise.p2;
-
-    GeneratorConfig cz = config;
-    cz.memoryBasis = CheckBasis::Z;
-    point.basisZ = estimateLogicalErrorBasis(embedding, cz, options);
-
-    GeneratorConfig cx = config;
-    cx.memoryBasis = CheckBasis::X;
-    point.basisX = estimateLogicalErrorBasis(embedding, cx, options);
+    point.basisZ = points[0].result;
+    point.basisX = points[1].result;
     return point;
 }
 

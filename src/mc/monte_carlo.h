@@ -59,9 +59,11 @@ struct McOptions
     DecoderKind decoder = DecoderKind::Mwpm;
 
     /**
-     * Shots per work unit: each batch is sampled into a transposed
-     * ShotBatch and decoded with Decoder::decodeBatch. Batches shard
-     * across the thread pool. Size is a pure throughput knob -- every
+     * Shots per work unit, at most: a point's trials are split evenly
+     * into whole waves, the smallest multiple of its worker count of
+     * near-equal batches none larger than this. Each batch is sampled
+     * into a transposed ShotBatch and decoded with
+     * Decoder::decodeBatch. Size is a pure throughput knob -- every
      * trial samples from its own RNG stream, so failure counts are
      * bit-identical for any batchSize and thread count.
      */
@@ -170,7 +172,14 @@ struct LogicalErrorPoint
 /**
  * Run the full pipeline for one configuration: generate the memory
  * circuit for both bases, build detector error models, sample and
- * decode whole batches of shots, and count logical failures.
+ * decode batches of shots (at most batchSize each, split evenly into
+ * whole waves of workers), and count logical failures.
+ *
+ * The Z point runs first and then the X point, each as
+ * estimateLogicalErrorBasis would run it, with the same counts; the X
+ * point's set-up is built while the Z point's last batches decode. A
+ * preempted Z point ends the call: X is neither built nor
+ * checkpointed, and basisX stays empty.
  *
  * Trials are reproducible: trial i uses an RNG derived from
  * (seed, basis, i) regardless of thread count or batch size, and

@@ -159,7 +159,8 @@ struct MetricsSnapshot
 /**
  * Merge retired and live shards into one consistent snapshot. Safe to
  * call at any time; for exact totals call it with worker threads
- * joined (the MC driver always has -- ThreadPool::parallelFor joins).
+ * joined (the MC driver always has: a point returns after its
+ * ThreadPool joins).
  */
 MetricsSnapshot snapshotMetrics();
 

@@ -15,8 +15,8 @@ namespace obs {
  *
  * Events buffer into lock-free thread-local vectors; each pipeline
  * thread renders as one timeline lane ("tid"): lane 0 is the main
- * thread, and ThreadPool assigns worker w lane w+1, so successive
- * parallelFor generations of pool threads share stable lanes and the
+ * thread, and ThreadPool assigns worker w lane w+1, so the pool
+ * threads of successive points share stable lanes and the
  * sample/gather/decode/commit spans of one batch read as one row.
  * Event names must be string literals (they are stored by pointer).
  *

@@ -45,8 +45,9 @@ struct JobServiceConfig
  * over one process and one event stream, instead of one process per
  * CLI run. Nothing is kept warm between points: every point (and every
  * resume of a preempted point) rebuilds its circuit, DEM, sampler and
- * decoder, whose shortest-path rows then start cold, and runs on a
- * ThreadPool of its own.
+ * decoder (whose shortest-path rows then start cold) on the caller's
+ * thread, then samples on a ThreadPool of its own, started once that
+ * set-up is built and joined after the point's last commit.
  *
  * Lifecycle of a job (full wire protocol: docs/job-protocol.md):
  * submit -> validateJob (reject with `error` before any engine work)
@@ -74,7 +75,8 @@ struct JobServiceConfig
  *
  * Threading: runUntilDrained executes jobs sequentially on the
  * caller's thread (each point fans out over its own ThreadPool of
- * `threads` workers -- the pool, not the job count, is the
+ * up to `threads` workers, its trials split into whole waves of
+ * near-equal batches -- the pool, not the job count, is the
  * parallelism);
  * submit/submitLine/requestShutdown are safe to call concurrently
  * from other threads and take effect at the next batch boundary.

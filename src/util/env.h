@@ -26,8 +26,9 @@ int64_t envInt(const char* name, int64_t fallback);
 double envDouble(const char* name, double fallback);
 
 /**
- * Unsigned count knob (trials, shots, batch sizes, seeds): envInt
- * clamped at zero, so "VLQ_TRIALS=-5" cannot underflow a uint64_t.
+ * Unsigned count knob (trials, shots, batch sizes, seeds): envInt's
+ * read, with a negative value taken as malformed (a warning and the
+ * fallback), so "VLQ_TRIALS=-5" cannot underflow a uint64_t.
  */
 uint64_t envU64(const char* name, uint64_t fallback);
 std::string envString(const char* name, const std::string& fallback);

@@ -1,50 +1,37 @@
 #include "util/threadpool.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "obs/trace.h"
 
 namespace vlq {
 
-ThreadPool::ThreadPool(unsigned numThreads)
-    : numThreads_(numThreads)
+ThreadPool::ThreadPool(unsigned workers, std::function<void(unsigned)> body)
+    : body_(std::move(body))
 {
-    if (numThreads_ == 0) {
-        numThreads_ = std::max(1u, std::thread::hardware_concurrency());
+    threads_.reserve(workers);
+    for (unsigned w = 0; w < workers; ++w) {
+        threads_.emplace_back([this, w] {
+            // Worker w always renders on trace lane w+1, so the
+            // short-lived workers of successive points share stable
+            // timeline lanes.
+            obs::traceSetThreadLane(w + 1);
+            body_(w);
+        });
     }
 }
 
-void
-ThreadPool::parallelFor(
-    uint64_t n,
-    const std::function<void(uint64_t, uint64_t, unsigned)>& body) const
+ThreadPool::~ThreadPool()
 {
-    if (n == 0)
-        return;
-    unsigned workers = static_cast<unsigned>(
-        std::min<uint64_t>(numThreads_, n));
-    if (workers <= 1) {
-        body(0, n, 0);
-        return;
-    }
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    uint64_t chunk = (n + workers - 1) / workers;
-    for (unsigned w = 0; w < workers; ++w) {
-        uint64_t begin = static_cast<uint64_t>(w) * chunk;
-        uint64_t end = std::min(n, begin + chunk);
-        if (begin >= end)
-            break;
-        threads.emplace_back([&body, begin, end, w] {
-            // Worker w always renders on trace lane w+1 (lane 0 is the
-            // main thread), so successive parallelFor generations of
-            // short-lived pool threads share stable timeline lanes.
-            obs::traceSetThreadLane(w + 1);
-            body(begin, end, w);
-        });
-    }
-    for (auto& t : threads)
-        t.join();
+    join();
+}
+
+void
+ThreadPool::join()
+{
+    for (std::thread& t : threads_)
+        if (t.joinable())
+            t.join();
 }
 
 } // namespace vlq

@@ -1,7 +1,6 @@
 #ifndef VLQ_UTIL_THREADPOOL_H
 #define VLQ_UTIL_THREADPOOL_H
 
-#include <cstdint>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -9,36 +8,30 @@
 namespace vlq {
 
 /**
- * Minimal fork-join helper for embarrassingly parallel Monte-Carlo work.
- *
- * parallelFor splits [0, n) into contiguous chunks, runs each chunk on
- * its own thread, and joins. Workers receive (begin, end, workerIndex)
- * so they can maintain per-worker accumulators and RNG streams without
- * synchronization. With numThreads == 1 the body runs inline, which is
- * the common case on single-core machines and keeps results trivially
- * deterministic.
+ * The Monte-Carlo engine's workers for one point. The constructor
+ * starts `workers` threads, worker w running body(w) on trace lane w+1
+ * (lane 0 is the calling thread), and returns at once: the calling
+ * thread keeps running beside its workers -- the engine builds the
+ * next point's set-up there -- until join(). The workers share
+ * nothing through the pool; body hands them their work.
  */
 class ThreadPool
 {
   public:
-    /**
-     * @param numThreads worker count; 0 means hardware concurrency.
-     */
-    explicit ThreadPool(unsigned numThreads = 0);
+    ThreadPool(unsigned workers, std::function<void(unsigned)> body);
 
-    /** Number of workers this pool will use. */
-    unsigned numThreads() const { return numThreads_; }
+    /** Joins every worker that join() has not. */
+    ~ThreadPool();
 
-    /**
-     * Run body(begin, end, worker) over a partition of [0, n).
-     * Blocks until all workers finish.
-     */
-    void parallelFor(
-        uint64_t n,
-        const std::function<void(uint64_t, uint64_t, unsigned)>& body) const;
+    ThreadPool(const ThreadPool&) = delete;
+    ThreadPool& operator=(const ThreadPool&) = delete;
+
+    /** Block until every worker has returned from body. */
+    void join();
 
   private:
-    unsigned numThreads_;
+    const std::function<void(unsigned)> body_;
+    std::vector<std::thread> threads_;
 };
 
 } // namespace vlq

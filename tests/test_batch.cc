@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/generator_common.h"
@@ -413,8 +415,104 @@ TEST(BatchedMcTest, ProgressStreamsInOrder)
     }
     EXPECT_EQ(lastTrials, est.trials);
     EXPECT_EQ(lastFailures, est.successes);
-    // One commit per batch, in order.
-    EXPECT_EQ(seen.size(), (700 + 63) / 64u);
+    // One commit per batch, in order: 700 trials need 11 batches of at
+    // most 64, which round up to 12 batches (three waves of 4 workers)
+    // of 58 or 59 trials.
+    EXPECT_EQ(seen.size(), 12u);
+}
+
+TEST(BatchedMcTest, CommitsTileTheBudgetInWholeWaves)
+{
+    // Each point's trials split into the smallest multiple of its
+    // worker count (the thread count, or the batches of the batch size
+    // the trials need when those are fewer) of near-equal batches none
+    // larger than the batch size: one progress call per commit, the
+    // deltas tiling [0, trials).
+    GeneratorConfig cfg = batchConfig(3, 1e-3);
+    for (uint64_t trials : {1u, 63u, 600u, 700u, 1536u, 12000u}) {
+        for (unsigned threads = 1; threads <= 5; ++threads) {
+            for (uint32_t batchSize : {7u, 64u, 256u}) {
+                McOptions opt;
+                opt.trials = trials;
+                opt.threads = threads;
+                opt.batchSize = batchSize;
+                opt.decoder = DecoderKind::UnionFind;
+                std::vector<uint64_t> deltas;
+                uint64_t last = 0;
+                opt.progress = [&](const McProgress& p) {
+                    deltas.push_back(p.trialsDone - last);
+                    last = p.trialsDone;
+                };
+                const BinomialEstimate est = estimateLogicalErrorBasis(
+                    EmbeddingKind::Baseline2D, cfg, opt);
+                const std::string where = std::to_string(trials)
+                    + " trials, " + std::to_string(threads)
+                    + " threads, batch " + std::to_string(batchSize);
+                EXPECT_EQ(est.trials, trials) << where;
+                EXPECT_EQ(last, trials) << where;
+                ASSERT_FALSE(deltas.empty()) << where;
+                const uint64_t needed = (trials + batchSize - 1) / batchSize;
+                const uint64_t workers = std::min<uint64_t>(threads, needed);
+                EXPECT_EQ(deltas.size(),
+                          (needed + workers - 1) / workers * workers)
+                    << where;
+                const auto [lo, hi] =
+                    std::minmax_element(deltas.begin(), deltas.end());
+                EXPECT_GE(*lo, 1u) << where;
+                EXPECT_LE(*hi, batchSize) << where;
+                EXPECT_LE(*hi - *lo, 1u) << where;
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Two points in one run: estimateLogicalError builds its X point's set-up
+// while the Z point's last batches decode
+// ---------------------------------------------------------------------------
+
+TEST(TwoPointRun, EqualsTwoBasisCalls)
+{
+    GeneratorConfig cfg = batchConfig(3, 1.5e-2);
+    bool stoppedEarly = false;
+    for (DecoderKind decoder : {DecoderKind::Mwpm, DecoderKind::UnionFind}) {
+        for (uint64_t target : {uint64_t{0}, uint64_t{4}}) {
+            for (unsigned threads : {1u, 2u, 4u}) {
+                for (uint32_t batchSize : {1u, 7u, 64u, 256u}) {
+                    McOptions opt;
+                    opt.trials = 400;
+                    opt.seed = 23;
+                    opt.decoder = decoder;
+                    opt.targetFailures = target;
+                    opt.threads = threads;
+                    opt.batchSize = batchSize;
+                    const LogicalErrorPoint point = estimateLogicalError(
+                        EmbeddingKind::Baseline2D, cfg, opt);
+                    GeneratorConfig cz = cfg;
+                    cz.memoryBasis = CheckBasis::Z;
+                    GeneratorConfig cx = cfg;
+                    cx.memoryBasis = CheckBasis::X;
+                    const BinomialEstimate z = estimateLogicalErrorBasis(
+                        EmbeddingKind::Baseline2D, cz, opt);
+                    const BinomialEstimate x = estimateLogicalErrorBasis(
+                        EmbeddingKind::Baseline2D, cx, opt);
+                    const std::string where =
+                        std::string(decoderKindName(decoder)) + ", target "
+                        + std::to_string(target) + ", "
+                        + std::to_string(threads) + " threads, batch "
+                        + std::to_string(batchSize);
+                    EXPECT_EQ(point.basisZ.trials, z.trials) << where;
+                    EXPECT_EQ(point.basisZ.successes, z.successes) << where;
+                    EXPECT_EQ(point.basisX.trials, x.trials) << where;
+                    EXPECT_EQ(point.basisX.successes, x.successes) << where;
+                    stoppedEarly = stoppedEarly
+                        || (target > 0 && z.trials < opt.trials
+                            && x.trials < opt.trials);
+                }
+            }
+        }
+    }
+    EXPECT_TRUE(stoppedEarly) << "no early stop cut both points short";
 }
 
 // ---------------------------------------------------------------------------

@@ -759,7 +759,8 @@ TEST(CheckpointResume, OldFileWithMetaLineResumesAndDropsIt)
     EXPECT_GT(reference.successes, 0u);
 
     // Save mid-run: preempt at the third batch commit. One thread, so
-    // no other batch is in flight to drain and the frontier is exact.
+    // no other batch is in flight to drain and the frontier is exact:
+    // 600 trials split into 10 batches of 60.
     std::string path = tmpPath("meta_line.ckpt");
     removeFile(path);
     McOptions cut = options;
@@ -772,7 +773,7 @@ TEST(CheckpointResume, OldFileWithMetaLineResumesAndDropsIt)
     BinomialEstimate partial = estimateLogicalErrorBasis(
         EmbeddingKind::Baseline2D, cfg, cut);
     ASSERT_TRUE(preempted);
-    ASSERT_EQ(partial.trials, 3 * 64u);
+    ASSERT_EQ(partial.trials, 3 * 60u);
 
     std::string text = readFile(path);
     EXPECT_EQ(text.find("\nmeta "), std::string::npos);
@@ -1016,6 +1017,89 @@ TEST(PreemptDrain, DrainThatReachesTheBudgetFinishesThePoint)
     const CheckpointEntry saved = savedEntry(path, cut, cfg);
     EXPECT_TRUE(saved.done);
     EXPECT_EQ(saved.trialsDone, options.trials);
+    removeFile(path);
+    obs::setMetricsEnabled(wasEnabled);
+}
+
+TEST(TwoPointRun, PreemptWhileZDrainsSuspendsBeforeX)
+{
+    // estimateLogicalError runs its Z and X points in one run, building
+    // X while Z's last batches decode -- but only once Z's hand-out
+    // closed on its budget or early stop. Preempted mid-Z, the run
+    // drains Z, saves its frontier not done, and never builds, samples
+    // or writes X; resuming reproduces both uninterrupted counts.
+    const bool wasEnabled = obs::metricsEnabled();
+    obs::setMetricsEnabled(true);
+    GeneratorConfig cfg = ckptConfig(3, 6e-3);
+    McOptions options;
+    options.trials = 8192; // 128 batches per point: far more than drain
+    options.seed = 1357;
+    options.threads = 4;
+    options.batchSize = 64;
+    options.decoder = DecoderKind::UnionFind;
+    const LogicalErrorPoint reference =
+        estimateLogicalError(EmbeddingKind::Baseline2D, cfg, options);
+    EXPECT_GT(reference.basisZ.successes, 0u);
+    EXPECT_GT(reference.basisX.successes, 0u);
+
+    std::string path = tmpPath("two_point_preempt.ckpt");
+    removeFile(path);
+    McOptions cut = options;
+    cut.checkpointPath = path;
+    constexpr uint64_t kPreemptCommit = 3;
+    auto generated = [] {
+        const obs::MetricsSnapshot snap = obs::snapshotMetrics();
+        const obs::HistogramSnapshot* h = snap.histogram("point.generate");
+        return h ? h->count : 0;
+    };
+    const uint64_t generatedBefore = generated();
+    const uint64_t shotsBefore =
+        obs::snapshotMetrics().counter("sampler.shots");
+    uint64_t polls = 0;
+    cut.preempt = [&] {
+        if (++polls < kPreemptCommit)
+            return false;
+        // Batches past the committed prefix are sampled: Z drains.
+        waitForSampledShots(shotsBefore,
+                            (kPreemptCommit + 2) * options.batchSize);
+        return true;
+    };
+    bool preempted = false;
+    cut.preempted = &preempted;
+    const LogicalErrorPoint partial =
+        estimateLogicalError(EmbeddingKind::Baseline2D, cfg, cut);
+    ASSERT_TRUE(preempted);
+    EXPECT_EQ(polls, kPreemptCommit) << "polled again after it fired";
+    EXPECT_GT(partial.basisZ.trials, kPreemptCommit * options.batchSize);
+    EXPECT_LT(partial.basisZ.trials, options.trials);
+    EXPECT_EQ(partial.basisX.trials, 0u);
+    EXPECT_EQ(generated() - generatedBefore, 1u)
+        << "the X point was built after Z was preempted";
+
+    GeneratorConfig cz = cfg;
+    cz.memoryBasis = CheckBasis::Z;
+    GeneratorConfig cx = cfg;
+    cx.memoryBasis = CheckBasis::X;
+    McCheckpoint state;
+    ASSERT_EQ(state.open(path, mcRunFingerprintSummary(cut)), "");
+    const CheckpointEntry* z =
+        state.find(checkpointPointKey(EmbeddingKind::Baseline2D, cz));
+    ASSERT_NE(z, nullptr);
+    EXPECT_FALSE(z->done);
+    EXPECT_EQ(z->trialsDone, partial.basisZ.trials);
+    EXPECT_EQ(z->failures, partial.basisZ.successes);
+    EXPECT_EQ(state.find(checkpointPointKey(EmbeddingKind::Baseline2D, cx)),
+              nullptr)
+        << "the X point was written";
+
+    McOptions resumed = options;
+    resumed.checkpointPath = path;
+    const LogicalErrorPoint est =
+        estimateLogicalError(EmbeddingKind::Baseline2D, cfg, resumed);
+    EXPECT_EQ(est.basisZ.trials, reference.basisZ.trials);
+    EXPECT_EQ(est.basisZ.successes, reference.basisZ.successes);
+    EXPECT_EQ(est.basisX.trials, reference.basisX.trials);
+    EXPECT_EQ(est.basisX.successes, reference.basisX.successes);
     removeFile(path);
     obs::setMetricsEnabled(wasEnabled);
 }

@@ -145,14 +145,14 @@ TEST(ObsMetrics, CountersAndHistogramsMergeAcrossPoolThreads)
 
     // Spread adds over short-lived pool threads: their shards retire
     // on thread exit and must still be visible to a later scrape.
-    ThreadPool pool(4);
     const uint64_t items = 64;
-    pool.parallelFor(items, [&](uint64_t begin, uint64_t end, unsigned) {
-        for (uint64_t i = begin; i < end; ++i) {
+    ThreadPool pool(4, [&](unsigned w) {
+        for (uint64_t i = w; i < items; i += 4) {
             counter.add(i + 1);
             hist.record(i + 1);
         }
     });
+    pool.join();
 
     obs::MetricsSnapshot snap = obs::snapshotMetrics();
     const uint64_t expected = items * (items + 1) / 2; // sum 1..64
@@ -228,10 +228,10 @@ TEST(ObsTrace, TimelineJsonIsSchemaValid)
         obs::StageTimer span("test.obs.\"quoted\\name\x01");
     }
     // Worker spans land on per-worker lanes (w+1).
-    ThreadPool pool(3);
-    pool.parallelFor(3, [](uint64_t, uint64_t, unsigned) {
+    ThreadPool pool(3, [](unsigned) {
         obs::StageTimer span("test.obs.worker_span");
     });
+    pool.join();
     obs::setTraceEnabled(false);
 
     std::string json = obs::traceToJson();

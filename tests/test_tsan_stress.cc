@@ -184,17 +184,15 @@ TEST(TsanStress, MetricsShardChurnRacesSnapshots)
                 }
             });
         }
-        // ThreadPool workers are born and joined inside parallelFor:
-        // their shards retire while the raw writers are still alive.
-        ThreadPool pool(3);
-        pool.parallelFor(
-            kAddsPerThread,
-            [](uint64_t begin, uint64_t end, unsigned) {
-                obs::Counter counter =
-                    obs::Counter::get("tsan.stress.increments");
-                for (uint64_t i = begin; i < end; ++i)
-                    counter.add(1);
-            });
+        // ThreadPool workers are born here and joined at the end of
+        // the wave: their shards retire while the raw writers are
+        // still alive.
+        ThreadPool pool(3, [](unsigned w) {
+            obs::Counter counter =
+                obs::Counter::get("tsan.stress.increments");
+            for (uint64_t i = w; i < kAddsPerThread; i += 3)
+                counter.add(1);
+        });
         // Scrape while writers run and shards retire underneath us.
         for (int s = 0; s < 8; ++s)
             (void)obs::snapshotMetrics();

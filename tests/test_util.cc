@@ -1,14 +1,20 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <charconv>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <future>
 #include <limits>
 #include <optional>
+#include <regex>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string_view>
+#include <thread>
 
 #include "util/csv.h"
 #include "util/env.h"
@@ -355,40 +361,205 @@ decimalInt64(std::string_view text)
         : -static_cast<int64_t>(magnitude);
 }
 
+/**
+ * One mutant of a random corpus entry, by one of four mutations: a
+ * byte flip, a truncation, a splice (a prefix of one entry and a suffix
+ * of another), or a token appended.
+ */
+std::string
+mutateNumber(Rng& rng, const std::vector<std::string>& corpus,
+             std::span<const char* const> tokens)
+{
+    const std::string& base = corpus[rng.nextBelow(corpus.size())];
+    std::string mutant = base;
+    switch (rng.nextBelow(4)) {
+    case 0: // byte flip
+        mutant[rng.nextBelow(mutant.size())] ^=
+            static_cast<char>(1 + rng.nextBelow(255));
+        break;
+    case 1: // truncation
+        mutant.resize(rng.nextBelow(mutant.size()));
+        break;
+    case 2: { // splice: a prefix of one number, a suffix of another
+        const std::string& other = corpus[rng.nextBelow(corpus.size())];
+        mutant = base.substr(0, rng.nextBelow(base.size() + 1))
+               + other.substr(rng.nextBelow(other.size() + 1));
+        break;
+    }
+    default: // a token appended
+        mutant += tokens[rng.nextBelow(tokens.size())];
+    }
+    return mutant;
+}
+
+const std::vector<std::string> kIntCorpus{
+    "0", "42", "-7", "+19", "007", "1000000",
+    "9223372036854775807", "-9223372036854775808"};
+const char* const kIntTokens[] = {"0", "9", "-", "+", " ", "x", "e3"};
+
 TEST(EnvFuzz, ParseInt64MutantsAreNothingOrTheirDecimalValue)
 {
-    const std::vector<std::string> corpus{
-        "0", "42", "-7", "+19", "007", "1000000",
-        "9223372036854775807", "-9223372036854775808"};
-    const char* const tokens[] = {"0", "9", "-", "+", " ", "x", "e3"};
     Rng rng(0x1764);
     int parsed = 0;
     for (int iter = 0; iter < 4000; ++iter) {
-        const std::string& base = corpus[rng.nextBelow(corpus.size())];
-        std::string mutant = base;
-        switch (rng.nextBelow(4)) {
-        case 0: // byte flip
-            mutant[rng.nextBelow(mutant.size())] ^=
-                static_cast<char>(1 + rng.nextBelow(255));
-            break;
-        case 1: // truncation
-            mutant.resize(rng.nextBelow(mutant.size()));
-            break;
-        case 2: { // splice: a prefix of one number, a suffix of another
-            const std::string& other =
-                corpus[rng.nextBelow(corpus.size())];
-            mutant = base.substr(0, rng.nextBelow(base.size() + 1))
-                   + other.substr(rng.nextBelow(other.size() + 1));
-            break;
-        }
-        default: // a token appended
-            mutant += tokens[rng.nextBelow(std::size(tokens))];
-        }
+        const std::string mutant = mutateNumber(rng, kIntCorpus, kIntTokens);
         const std::optional<int64_t> got = parseInt64(mutant);
         EXPECT_EQ(got, decimalInt64(mutant)) << "'" << mutant << "'";
         parsed += got.has_value() ? 1 : 0;
     }
     EXPECT_GT(parsed, 0);
+}
+
+/**
+ * Set the fuzz variable to `mutant` and return what getenv will read:
+ * the mutant up to its first NUL (the environment holds C strings).
+ */
+std::string
+setFuzzVariable(const std::string& mutant)
+{
+    setenv("VLQ_TEST_FUZZ", mutant.c_str(), 1);
+    return std::string(mutant.c_str());
+}
+
+TEST(EnvFuzz, EnvIntAndEnvU64MutantsAreTheirDecimalValueOrTheFallback)
+{
+    // A set value is read exactly as the decimal reader reads it, or
+    // replaced by the fallback with a warning; envU64 also takes a
+    // negative value for the fallback, never a wrapped count.
+    constexpr int64_t kFallback = 424242;
+    Rng rng(0x2875);
+    int parsed = 0;
+    int negative = 0;
+    for (int iter = 0; iter < 4000; ++iter) {
+        const std::string value =
+            setFuzzVariable(mutateNumber(rng, kIntCorpus, kIntTokens));
+        const std::optional<int64_t> decimal = decimalInt64(value);
+        testing::internal::CaptureStderr();
+        const int64_t gotInt = envInt("VLQ_TEST_FUZZ", kFallback);
+        const uint64_t gotU64 = envU64("VLQ_TEST_FUZZ", kFallback);
+        const std::string err = testing::internal::GetCapturedStderr();
+        EXPECT_EQ(gotInt, decimal.value_or(kFallback)) << "'" << value << "'";
+        const bool count = decimal && *decimal >= 0;
+        EXPECT_EQ(gotU64, count ? static_cast<uint64_t>(*decimal)
+                                : uint64_t{kFallback})
+            << "'" << value << "'";
+        // One warning per read that fell back on a set value.
+        const size_t warnings = (value.empty() || decimal ? 0 : 2)
+            + (decimal && *decimal < 0 ? 1 : 0);
+        size_t seen = 0;
+        for (size_t at = err.find("warn: "); at != std::string::npos;
+             at = err.find("warn: ", at + 1))
+            ++seen;
+        EXPECT_EQ(seen, warnings) << "'" << value << "': " << err;
+        parsed += decimal ? 1 : 0;
+        negative += decimal && *decimal < 0 ? 1 : 0;
+    }
+    unsetenv("VLQ_TEST_FUZZ");
+    EXPECT_GT(parsed, 0);
+    EXPECT_GT(negative, 0);
+}
+
+TEST(EnvFuzz, EnvDoubleMutantsAreFiniteAndFullyReadOrTheFallback)
+{
+    // A value envDouble returns is finite and reads the whole variable;
+    // a plain decimal (sign, digits, point, exponent) in range is read
+    // to exactly the double std::from_chars gives it.
+    const std::vector<std::string> corpus{
+        "0", "1.5", "-2.25", "+7", "3e-3", "1e6", "0.001", ".5", "2.",
+        "-1E+2", "1e308", "6.02214076e23"};
+    const char* const tokens[] = {"0", "9", ".", "e", "-", " ", "x", "f"};
+    constexpr double kFallback = -4242.5;
+    const std::regex plainDecimal(
+        R"([+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?)");
+    Rng rng(0x3986);
+    int decimals = 0;
+    for (int iter = 0; iter < 4000; ++iter) {
+        const std::string value =
+            setFuzzVariable(mutateNumber(rng, corpus, tokens));
+        testing::internal::CaptureStderr();
+        const double got = envDouble("VLQ_TEST_FUZZ", kFallback);
+        const std::string err = testing::internal::GetCapturedStderr();
+        if (got != kFallback) {
+            EXPECT_TRUE(std::isfinite(got)) << "'" << value << "'";
+            EXPECT_FALSE(value.empty());
+            char* end = nullptr;
+            EXPECT_EQ(std::strtod(value.c_str(), &end), got)
+                << "'" << value << "'";
+            EXPECT_EQ(end, value.c_str() + value.size())
+                << "'" << value << "'";
+            EXPECT_EQ(err, "") << "'" << value << "'";
+        } else {
+            EXPECT_EQ(err.empty(), value.empty()) << "'" << value << "'";
+        }
+        if (!std::regex_match(value, plainDecimal))
+            continue;
+        // from_chars takes no '+'.
+        const size_t skip = value[0] == '+' ? 1 : 0;
+        double expected = 0.0;
+        const auto [ptr, ec] = std::from_chars(
+            value.data() + skip, value.data() + value.size(), expected);
+        ASSERT_EQ(ptr, value.data() + value.size()) << "'" << value << "'";
+        // Past the normal range only the fallback is sure: whether an
+        // underflow reads as a subnormal or is rejected is the C
+        // library's call.
+        constexpr double kTiny = std::numeric_limits<double>::min();
+        if (ec == std::errc::result_out_of_range) {
+            EXPECT_TRUE(got == kFallback || std::fabs(got) < kTiny)
+                << "'" << value << "' read as " << got;
+            continue;
+        }
+        if (expected != 0.0 && std::fabs(expected) < kTiny) {
+            EXPECT_TRUE(got == kFallback || got == expected)
+                << "'" << value << "' read as " << got;
+            continue;
+        }
+        EXPECT_EQ(got, expected) << "'" << value << "'";
+        ++decimals;
+    }
+    unsetenv("VLQ_TEST_FUZZ");
+    EXPECT_GT(decimals, 0);
+}
+
+TEST(EnvFuzz, EnvBoundedMutantsAreInRangeTheFallbackOrNothing)
+{
+    // A set value in the field's range is read exactly; anything else
+    // set is rejected by name; unset or empty is the fallback.
+    const std::vector<std::string> corpus{
+        "1", "64", "256", "4294967295", "4294967296", "0", "-1", "+8"};
+    constexpr int64_t kLo = 1;
+    constexpr int64_t kHi = std::numeric_limits<uint32_t>::max();
+    Rng rng(0x4a97);
+    int inRange = 0;
+    int rejected = 0;
+    unsetenv("VLQ_TEST_FUZZ");
+    EXPECT_EQ(envBounded("VLQ_TEST_FUZZ", 5, kLo, kHi), 5);
+    for (int iter = 0; iter < 4000; ++iter) {
+        const std::string value =
+            setFuzzVariable(mutateNumber(rng, corpus, kIntTokens));
+        const std::optional<int64_t> decimal = decimalInt64(value);
+        testing::internal::CaptureStderr();
+        const std::optional<int64_t> got =
+            envBounded("VLQ_TEST_FUZZ", 5, kLo, kHi);
+        const std::string err = testing::internal::GetCapturedStderr();
+        if (value.empty()) {
+            EXPECT_EQ(got, 5);
+        } else if (decimal && *decimal >= kLo && *decimal <= kHi) {
+            EXPECT_EQ(got, decimal) << "'" << value << "'";
+            ++inRange;
+        } else {
+            EXPECT_FALSE(got.has_value()) << "'" << value << "'";
+            EXPECT_EQ(err.rfind("error: VLQ_TEST_FUZZ must be an integer "
+                                "in 1..4294967295, got '", 0),
+                      0u)
+                << err;
+            ++rejected;
+            continue;
+        }
+        EXPECT_EQ(err, "") << "'" << value << "'";
+    }
+    unsetenv("VLQ_TEST_FUZZ");
+    EXPECT_GT(inRange, 0);
+    EXPECT_GT(rejected, 0);
 }
 
 TEST(Env, ParseInt64RoundTripsBoundaryValues)
@@ -537,36 +708,50 @@ TEST(Env, NameListContains)
 
 TEST(ThreadPool, CoversRangeOnce)
 {
-    ThreadPool pool(4);
+    // Every worker index in [0, 4) runs once, and workers that take
+    // items from a shared counter cover [0, 1000) once between them.
+    std::vector<std::atomic<int>> workers(4);
     std::vector<std::atomic<int>> hits(1000);
-    pool.parallelFor(1000, [&](uint64_t b, uint64_t e, unsigned) {
-        for (uint64_t i = b; i < e; ++i)
+    std::atomic<uint64_t> next{0};
+    ThreadPool pool(4, [&](unsigned w) {
+        workers[w].fetch_add(1);
+        for (uint64_t i = next++; i < hits.size(); i = next++)
             hits[i].fetch_add(1);
     });
+    pool.join();
+    for (const auto& w : workers)
+        EXPECT_EQ(w.load(), 1);
     for (const auto& h : hits)
         EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, SingleThreadInline)
+TEST(ThreadPool, CallingThreadKeepsRunning)
 {
-    ThreadPool pool(1);
-    EXPECT_EQ(pool.numThreads(), 1u);
-    uint64_t sum = 0;
-    pool.parallelFor(100, [&](uint64_t b, uint64_t e, unsigned w) {
+    // The constructor returns while its one worker still waits for the
+    // calling thread: the worker runs beside it, on a thread of its own.
+    // (Run inline, the worker would give up waiting after 10 s.)
+    std::promise<void> go;
+    std::future<void> released = go.get_future();
+    bool wasReleased = false;
+    std::thread::id workerId;
+    ThreadPool pool(1, [&](unsigned w) {
         EXPECT_EQ(w, 0u);
-        for (uint64_t i = b; i < e; ++i)
-            sum += i;
+        wasReleased = released.wait_for(std::chrono::seconds(10))
+            == std::future_status::ready;
+        workerId = std::this_thread::get_id();
     });
-    EXPECT_EQ(sum, 4950u);
+    go.set_value();
+    pool.join();
+    EXPECT_TRUE(wasReleased);
+    EXPECT_NE(workerId, std::this_thread::get_id());
 }
 
 TEST(ThreadPool, EmptyRange)
 {
-    ThreadPool pool(4);
+    // No workers: nothing runs, and join() returns at once.
     bool called = false;
-    pool.parallelFor(0, [&](uint64_t, uint64_t, unsigned) {
-        called = true;
-    });
+    ThreadPool pool(0, [&](unsigned) { called = true; });
+    pool.join();
     EXPECT_FALSE(called);
 }
 
