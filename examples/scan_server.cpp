@@ -9,7 +9,7 @@
  *
  * Usage:
  *   scan_server --requests <path|-> --events <path|-> --state-dir <dir>
- *               [--quantum <trials>] [--threads <n>]
+ *               [--quantum <trials>] [--threads <0..1024>]
  *               [--progress-every <trials>] [--checkpoint-every <trials>]
  *               [--follow] [--metrics-json <path>] [--trace-json <path>]
  *
@@ -48,10 +48,15 @@ usage(std::ostream& os, const char* argv0)
 {
     os << "usage: " << argv0
        << " --requests <path|-> --events <path|-> --state-dir <dir>\n"
-          "  [--quantum <trials>] [--threads <n>]"
-          " [--progress-every <trials>]\n"
+          "  [--quantum <trials>] [--threads <0.."
+       << service::kMaxThreads
+       << ">] [--progress-every <trials>]\n"
           "  [--checkpoint-every <trials>] [--follow]\n"
           "  [--metrics-json <path>] [--trace-json <path>]\n"
+          "\n"
+          "--threads: engine threads per job, 0 for one per core, at most "
+       << service::kMaxThreads
+       << "\n"
           "\n"
           "Request lines (vlq-scan-job/1, see docs/job-protocol.md):\n"
           "  submit id=<id> [priority=<-100..100>] [setup=<0..4>]\n"
@@ -124,7 +129,8 @@ main(int argc, char** argv)
             *out = argv[++i];
             return true;
         };
-        // A count in 0..max, the range of the field it is stored in.
+        // A count in 0..max: the range of the field it is stored in, or
+        // a lower ceiling (--threads).
         auto count = [&](uint64_t* out,
                          int64_t max = std::numeric_limits<int64_t>::max()) {
             std::string text;
@@ -152,7 +158,7 @@ main(int argc, char** argv)
             if (!count(&config.quantumTrials))
                 return usage(std::cerr, argv[0]);
         } else if (arg == "--threads") {
-            if (!count(&n, std::numeric_limits<unsigned>::max()))
+            if (!count(&n, service::kMaxThreads))
                 return usage(std::cerr, argv[0]);
             config.threads = static_cast<unsigned>(n);
         } else if (arg == "--progress-every") {

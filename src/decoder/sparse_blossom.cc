@@ -5,6 +5,7 @@
 #include <limits>
 #include <utility>
 
+#include "decoder/monotone_queue.h"
 #include "util/logging.h"
 
 namespace vlq {
@@ -15,6 +16,7 @@ constexpr int32_t kNone = -1;
 /** A region's mate while it is matched to the boundary. */
 constexpr int32_t kBoundaryMate = -2;
 constexpr int64_t kNever = std::numeric_limits<int64_t>::max();
+constexpr uint64_t kNoKey = std::numeric_limits<uint64_t>::max();
 
 /**
  * A compressed edge: a path between the source events of two regions,
@@ -40,16 +42,13 @@ enum class State : uint8_t
 
 struct Region
 {
-    // radius(t) = radBase + slope * t
-    int64_t radBase = 0;
-    int64_t slope = 0;
     State state = State::Outer;
     int32_t blossomParent = kNone;
     int32_t mate = kNone;       // region, kBoundaryMate, or kNone (a root)
     int32_t treeParent = kNone; // Inner: the outer region above it
     Edge matchEdge;
     Edge treeEdge;              // Inner: the edge to treeParent
-    uint64_t shrinkSeq = 0;     // live shrink event, 0 for none
+    uint32_t shrinkSeq = 0;     // live shrink event, 0 for none
     uint64_t mark = 0;          // stamp for tree walks
     std::vector<int32_t> treeChildren; // Outer: its inner children
     std::vector<uint32_t> shell;       // nodes its own growth reached
@@ -57,47 +56,59 @@ struct Region
     std::vector<Edge> cycleEdges;      // [i] joins cycle[i], cycle[i + 1]
 };
 
-struct NodeState
+/**
+ * A region's radius, radius(t) = radBase + slope t, kept apart from
+ * Region so the neighbour scan reads 16 bytes of it. Every change of
+ * either field takes a new version, unique within the shot. The entry
+ * of kNone, radius 0 at rate 0 and version 0, stands for no region.
+ */
+struct Growth
 {
-    uint64_t stamp = 0;     // shot stamp; a stale one reads as uncovered
-    uint64_t eventSeq = 0;  // live look-at-node event, 0 for none
-    int64_t wrapped = 0;    // local radius = radius(top) + wrapped
-    int64_t dist = 0;       // path weight from the source event
-    int32_t top = kNone;    // covering top-level region, kNone if none
-    int32_t source = kNone; // event the covering path starts at
-    uint32_t observables = 0; // mask along that path
+    int64_t radBase = 0;
+    int32_t slope = 0;
+    uint32_t version = 0;
 };
 
-struct Event
+/**
+ * What the neighbour scan reads of a node. An uncovered node reads as
+ * covered by kNone at local radius 0, so the scan times it without a
+ * branch.
+ */
+struct NodeHot
 {
-    int64_t time;
-    uint64_t seq;
-    uint32_t id;
-    bool shrink; // region `id` loses a node; else look at node `id`
+    int32_t top = kNone; // covering top-level region
+    uint32_t plan = 0;   // top's version when the live event was
+                         // planned; 0 makes it scan again
+    int64_t wrapped = 0; // local radius = radius(top) + wrapped
 };
 
-/** Heap order: earliest time first, then insertion order. */
-struct Later
+/** The rest of a covered node: its covering path and its planned event. */
+struct NodeCold
 {
-    bool operator()(const Event& x, const Event& y) const
-    {
-        return x.time != y.time ? x.time > y.time : x.seq > y.seq;
-    }
+    int64_t dist = 0;          // path weight from the source event
+    int32_t source = kNone;    // event the covering path starts at
+    uint32_t observables = 0;  // mask along that path
+    uint32_t eventSeq = 0;     // live look-at-node event, 0 for none
+    uint32_t planSlot = 0;     // the slot that event was planned for
+    uint32_t planOther = 0;    // the version of its far end's top then
 };
 
 /**
  * One thread's matcher state, shared by every SparseBlossom the thread
- * runs. Vectors keep their capacity from shot to shot; node states are
- * reset lazily by the shot stamp, regions by reuse.
+ * runs. Vectors keep their capacity from shot to shot; a shot uncovers
+ * the nodes it covered when it ends, and regions are reset by reuse.
  */
 struct Scratch
 {
-    std::vector<NodeState> nodes;
+    std::vector<NodeHot> hot;
+    std::vector<NodeCold> cold;
     std::vector<Region> regions;
+    std::vector<Growth> growth{Growth{}}; // kNone's, then the regions'
     size_t numRegions = 0;
-    std::vector<Event> heap;
-    uint64_t stamp = 0; // shot stamps
-    uint64_t seq = 0;   // event and walk stamps
+    MonotoneQueue queue; // id: node << 1, or region << 1 | 1 (shrink)
+    bool dirty = false;   // a shot left covered nodes behind
+    uint32_t version = 0; // Growth versions, per shot
+    uint64_t mark = 0;    // walk stamps
     std::vector<int32_t> pathX;
     std::vector<int32_t> pathY;
     std::vector<int32_t> members;
@@ -133,33 +144,46 @@ class SparseBlossom::Run
     Scratch& s_;
     std::span<const uint32_t> events_;
     int32_t m_;
-    uint64_t stamp_ = 0;
     int64_t now_ = 0;
     int32_t unmatched_ = 0;
 
     Region& reg(int32_t r) { return s_.regions[static_cast<size_t>(r)]; }
-    NodeState& node(uint32_t v) { return s_.nodes[v]; }
-    bool covered(uint32_t v) const
+    Growth& growth(int32_t r)
     {
-        const NodeState& n = s_.nodes[v];
-        return n.stamp == stamp_ && n.top != kNone;
+        return s_.growth[static_cast<size_t>(r + 1)];
     }
+    NodeHot& hot(uint32_t v) { return s_.hot[v]; }
+    NodeCold& cold(uint32_t v) { return s_.cold[v]; }
+    bool covered(uint32_t v) const { return s_.hot[v].top != kNone; }
     int64_t radius(int32_t r)
     {
-        const Region& x = reg(r);
+        const Growth& x = growth(r);
         return x.radBase + x.slope * now_;
     }
-    void setSlope(int32_t r, int64_t slope)
+    void setRadius(int32_t r, int64_t radBase, int32_t slope)
     {
-        const int64_t rad = radius(r);
-        reg(r).slope = slope;
-        reg(r).radBase = rad - slope * now_;
+        VLQ_ASSERT(++s_.version != 0,
+                   "sparse blossom: region versions ran out");
+        growth(r) = Growth{radBase, slope, s_.version};
     }
+    void setSlope(int32_t r, int32_t slope)
+    {
+        setRadius(r, radius(r) - slope * now_, slope);
+    }
+    /** The version of u's covering region, 0 while u is uncovered. */
+    uint32_t coverVersion(uint32_t u) { return growth(hot(u).top).version; }
 
     int32_t newRegion();
-    uint64_t push(int64_t time, uint32_t id, bool shrink);
-    std::pair<int64_t, uint32_t> nextEvent(uint32_t v);
-    void scheduleNode(uint32_t v);
+    /** A node's next event: kNever, or a time and the slot there. */
+    struct Next
+    {
+        int64_t time;
+        uint32_t slot;
+    };
+    template <bool Mark> Next nextEvent(uint32_t v);
+    Next firstEvent(uint32_t v);
+    void plan(uint32_t v, const Next& next);
+    template <bool Mark> void scheduleNode(uint32_t v);
     void scheduleShrink(int32_t r);
     template <typename F> void forEachNode(int32_t r, const F& f);
     void rescheduleNodes(int32_t r);
@@ -193,13 +217,18 @@ SparseBlossom::SparseBlossom(const DecodingGraph& graph)
 {
     const DecodingGraph::SoA& soa = graph.soa();
     begin_ = soa.vertexBegin;
+    VLQ_ASSERT(begin_.size() <= (uint32_t{1} << 31),
+               "sparse blossom: too many nodes for an event id");
     slots_.resize(soa.slotEdge.size());
+    slotObservables_.resize(slots_.size());
     for (size_t i = 0; i < slots_.size(); ++i) {
         const uint32_t e = soa.slotEdge[i];
-        slots_[i] = Slot{integerWeight(soa.edgeWeight[e]), soa.slotOther[i],
-                         soa.edgeObs[e]};
-        VLQ_ASSERT(slots_[i].weight >= 0,
-                   "sparse blossom needs non-negative weights");
+        const int64_t w = integerWeight(soa.edgeWeight[e]);
+        VLQ_ASSERT(w >= 0 && w <= std::numeric_limits<int32_t>::max(),
+                   "sparse blossom needs non-negative weights below 2^31 "
+                   "units");
+        slots_[i] = Slot{soa.slotOther[i], static_cast<int32_t>(w)};
+        slotObservables_[i] = soa.edgeObs[e];
     }
 }
 
@@ -216,11 +245,12 @@ SparseBlossom::match(std::span<const uint32_t> events,
 int32_t
 SparseBlossom::Run::newRegion()
 {
-    if (s_.numRegions == s_.regions.size())
+    if (s_.numRegions == s_.regions.size()) {
         s_.regions.emplace_back();
-    Region& x = s_.regions[s_.numRegions];
-    x.radBase = 0;
-    x.slope = 0;
+        s_.growth.emplace_back();
+    }
+    const int32_t r = static_cast<int32_t>(s_.numRegions++);
+    Region& x = reg(r);
     x.state = State::Outer;
     x.blossomParent = kNone;
     x.mate = kNone;
@@ -231,71 +261,128 @@ SparseBlossom::Run::newRegion()
     x.shell.clear();
     x.cycle.clear();
     x.cycleEdges.clear();
-    return static_cast<int32_t>(s_.numRegions++);
-}
-
-uint64_t
-SparseBlossom::Run::push(int64_t time, uint32_t id, bool shrink)
-{
-    const uint64_t seq = ++s_.seq;
-    s_.heap.push_back(Event{time, seq, id, shrink});
-    std::push_heap(s_.heap.begin(), s_.heap.end(), Later{});
-    return seq;
+    setRadius(r, 0, 0);
+    return r;
 }
 
 /**
  * The earliest time at which an edge of covered node v becomes an
- * event, with the slot of that edge: v's region reaches an uncovered
- * neighbour or the boundary, or touches another top-level region.
- * Local radii add up to at most the edge weight, and the gap closes at
- * the sum of the two growth rates.
+ * event, with the slot of that edge (the first slot among equal
+ * times): v's region reaches an uncovered neighbour or the boundary,
+ * or touches another top-level region. Local radii add up to at most
+ * the edge weight, and the gap closes at the sum of the two growth
+ * rates, 1 or 2; a gap closing at 2 is even. With Mark, the scan is of
+ * a node newly covered or grown faster, which may bring an event of a
+ * neighbour in another region forward: each such neighbour whose gap
+ * to v closes is made to scan again when its planned event fires.
  */
-std::pair<int64_t, uint32_t>
+template <bool Mark>
+SparseBlossom::Run::Next
 SparseBlossom::Run::nextEvent(uint32_t v)
 {
-    const NodeState& n = node(v);
-    const Region& top = reg(n.top);
-    const int64_t rate = top.slope;
-    const int64_t lr = top.radBase + rate * now_ + n.wrapped;
-    int64_t best = kNever;
-    uint32_t bestSlot = 0;
-    for (uint32_t si = g_.begin_[v]; si < g_.begin_[v + 1]; ++si) {
-        const Slot& slot = g_.slots_[si];
-        const uint32_t u = slot.other;
-        int64_t t;
-        if (u == g_.boundary_ || !covered(u)) {
-            if (rate <= 0)
-                continue;
-            VLQ_ASSERT(slot.weight >= lr,
-                       "sparse blossom: a region overran a node");
-            t = now_ + (slot.weight - lr);
-        } else {
-            const NodeState& nu = node(u);
-            if (nu.top == n.top)
-                continue;
-            const Region& other = reg(nu.top);
-            const int64_t rates = rate + other.slope;
-            if (rates <= 0)
-                continue;
-            const int64_t gap = slot.weight - lr
-                - (other.radBase + other.slope * now_ + nu.wrapped);
-            VLQ_ASSERT(gap >= 0 && (rates == 1 || gap % 2 == 0),
-                       "sparse blossom: regions overlap");
-            t = now_ + gap / rates;
-        }
-        if (t < best) {
-            best = t;
-            bestSlot = si;
-        }
+    const NodeHot& n = hot(v);
+    const int32_t top = n.top;
+    const Growth& own = growth(top);
+    const int64_t rate = own.slope;
+    if (rate < 0)
+        return {kNever, 0}; // no rate is above 1: nothing reaches it
+    // v's local radius is base + rate t. Two local radii close the
+    // edge's weight W at (W - base - base') / rates, so the gap left
+    // now is W - base - base' - rates now, and it closes rates times
+    // as fast. v reaches an uncovered neighbour or the boundary, which
+    // is never covered, as if it were a node of base 0 at rate 0.
+    const int64_t base = own.radBase + n.wrapped;
+    const int64_t lone = base + now_;      // base + rates now, rates 1
+    const int64_t pair = base + 2 * now_;  // and rates 2
+    // Each slot's event as one key, (t - now) << 32 | slot offset, so
+    // the least key is the earliest event and the first slot among
+    // equals, and a slot with no event (v's own region, or a gap that
+    // does not close) is the largest key. Local radii are never
+    // negative, so a gap is at most an edge weight, below 2^31.
+    const uint32_t begin = g_.begin_[v];
+    const uint32_t count = g_.begin_[v + 1] - begin;
+    const Slot* slots = g_.slots_.data() + begin;
+    NodeHot* nodes = s_.hot.data();
+    const Growth* regions = s_.growth.data() + 1; // [kNone] is no region
+    uint64_t best = kNoKey;
+    uint64_t overlap = 0;
+    for (uint32_t i = 0; i < count; ++i) {
+        const Slot slot = slots[i];
+        NodeHot& nu = nodes[slot.other];
+        const Growth other = regions[nu.top];
+        const int64_t rates = rate + other.slope;
+        const bool two = rates > 1;
+        const int64_t gap = slot.weight - (other.radBase + nu.wrapped)
+            - (two ? pair : lone);
+        const bool live = (rates > 0) & (nu.top != top);
+        const uint64_t key =
+            live ? static_cast<uint64_t>(gap >> two) << 32 | i : kNoKey;
+        // A live gap is not negative, below 2^31, and even at rate 2.
+        overlap |= live ? static_cast<uint64_t>(gap) >> 31 | (gap & two) : 0;
+        best = std::min(best, key);
+        if constexpr (Mark)
+            nu.plan = live ? 0 : nu.plan;
     }
-    return {best, bestSlot};
+    VLQ_ASSERT(overlap == 0, "sparse blossom: regions overlap");
+    if (best == kNoKey)
+        return {kNever, 0};
+    return {now_ + static_cast<int64_t>(best >> 32),
+            begin + static_cast<uint32_t>(best)};
 }
 
+/**
+ * nextEvent(v) at time 0, when every covered node is an event at
+ * radius 0 growing at rate 1: an edge of weight W to another event
+ * closes at W / 2 (W is even), and reaches an uncovered neighbour or
+ * the boundary at W. Only which neighbours are events is read.
+ */
+SparseBlossom::Run::Next
+SparseBlossom::Run::firstEvent(uint32_t v)
+{
+    const uint32_t begin = g_.begin_[v];
+    const uint32_t count = g_.begin_[v + 1] - begin;
+    const Slot* slots = g_.slots_.data() + begin;
+    const NodeHot* nodes = s_.hot.data();
+    uint64_t best = kNoKey;
+    for (uint32_t i = 0; i < count; ++i) {
+        const Slot slot = slots[i];
+        const bool event = nodes[slot.other].top != kNone;
+        const uint64_t reach = static_cast<uint64_t>(slot.weight) >> event;
+        best = std::min(best, reach << 32 | i);
+    }
+    if (best == kNoKey)
+        return {kNever, 0};
+    return {static_cast<int64_t>(best >> 32),
+            begin + static_cast<uint32_t>(best)};
+}
+
+/**
+ * Queue v's next event, if any, and record what the plan rests on: the
+ * version of v's region and the version of the region covering the
+ * chosen slot's far end. A mark or a change of v's top clears the
+ * record. While it stands, every edge of v keeps its planned time or a
+ * later one, so the event fires at its time for its slot, exactly what
+ * a new scan would find.
+ */
+void
+SparseBlossom::Run::plan(uint32_t v, const Next& next)
+{
+    NodeCold& c = cold(v);
+    if (next.time == kNever) {
+        c.eventSeq = 0;
+        return;
+    }
+    c.eventSeq = s_.queue.push(static_cast<uint64_t>(next.time), v << 1);
+    c.planSlot = next.slot;
+    c.planOther = coverVersion(g_.slots_[next.slot].other);
+    hot(v).plan = growth(hot(v).top).version;
+}
+
+template <bool Mark>
 void
 SparseBlossom::Run::scheduleNode(uint32_t v)
 {
-    const int64_t t = nextEvent(v).first;
-    node(v).eventSeq = t == kNever ? 0 : push(t, v, false);
+    plan(v, nextEvent<Mark>(v));
 }
 
 /**
@@ -310,9 +397,10 @@ SparseBlossom::Run::scheduleShrink(int32_t r)
     Region& x = reg(r);
     const int64_t left = x.shell.empty()
         ? radius(r)
-        : radius(r) + node(x.shell.back()).wrapped;
+        : radius(r) + hot(x.shell.back()).wrapped;
     VLQ_ASSERT(left >= 0, "sparse blossom: an inner region overshrank");
-    x.shrinkSeq = push(now_ + left, static_cast<uint32_t>(r), true);
+    x.shrinkSeq = s_.queue.push(static_cast<uint64_t>(now_ + left),
+                                static_cast<uint32_t>(r) << 1 | 1);
 }
 
 /** Call f on every node covered by r or a region inside it. */
@@ -336,60 +424,65 @@ SparseBlossom::Run::forEachNode(int32_t r, const F& f)
 /**
  * Re-plan every node of r after its growth rate rose. Events planned
  * at a lower rate would come too late; after a fall they come early,
- * and nextEvent re-plans them when they fire.
+ * and the new version of the region makes them scan again when they
+ * fire.
  */
 void
 SparseBlossom::Run::rescheduleNodes(int32_t r)
 {
-    forEachNode(r, [this](uint32_t v) { scheduleNode(v); });
+    forEachNode(r, [this](uint32_t v) { scheduleNode<true>(v); });
 }
 
 uint32_t
 SparseBlossom::Run::solve(std::vector<MatchedPair>* pairs)
 {
-    stamp_ = ++s_.stamp;
-    if (s_.nodes.size() < g_.begin_.size())
-        s_.nodes.resize(g_.begin_.size());
+    if (s_.dirty) // a shot ended early; start from a clean slate
+        std::fill(s_.hot.begin(), s_.hot.end(), NodeHot{});
+    s_.dirty = true;
+    if (s_.hot.size() < g_.begin_.size()) {
+        s_.hot.resize(g_.begin_.size());
+        s_.cold.resize(g_.begin_.size());
+    }
     s_.numRegions = 0;
-    s_.heap.clear();
+    s_.version = 0;
+    s_.queue.clear();
     for (int32_t i = 0; i < m_; ++i) {
         const int32_t r = newRegion();
-        reg(r).slope = 1;
+        setRadius(r, 0, 1);
         const uint32_t v = events_[static_cast<size_t>(i)];
         reg(r).shell.push_back(v);
-        NodeState& n = node(v);
-        n.stamp = stamp_;
-        n.eventSeq = 0;
-        n.wrapped = 0;
-        n.dist = 0;
-        n.top = r;
-        n.source = r;
-        n.observables = 0;
+        hot(v) = NodeHot{r, 0, 0};
+        cold(v) = NodeCold{};
+        cold(v).source = r;
     }
     for (uint32_t v : events_)
-        scheduleNode(v);
+        plan(v, firstEvent(v));
     unmatched_ = m_;
 
     while (unmatched_ > 0) {
-        VLQ_ASSERT(!s_.heap.empty(), "graph admits no perfect matching");
-        std::pop_heap(s_.heap.begin(), s_.heap.end(), Later{});
-        const Event ev = s_.heap.back();
-        s_.heap.pop_back();
-        if (ev.shrink) {
-            const int32_t r = static_cast<int32_t>(ev.id);
+        VLQ_ASSERT(!s_.queue.empty(), "graph admits no perfect matching");
+        const MonotoneQueue::Item ev = s_.queue.pop();
+        const uint32_t id = ev.id >> 1;
+        if (ev.id & 1) {
+            const int32_t r = static_cast<int32_t>(id);
             if (reg(r).shrinkSeq != ev.seq)
                 continue;
-            now_ = ev.time;
+            now_ = static_cast<int64_t>(ev.time);
             reg(r).shrinkSeq = 0;
             shrink(r);
         } else {
-            if (node(ev.id).eventSeq != ev.seq)
+            if (cold(id).eventSeq != ev.seq)
                 continue;
-            now_ = ev.time;
-            node(ev.id).eventSeq = 0;
-            lookAtNode(ev.id);
+            now_ = static_cast<int64_t>(ev.time);
+            cold(id).eventSeq = 0;
+            lookAtNode(id);
         }
     }
+    const int32_t numRegions = static_cast<int32_t>(s_.numRegions);
+    for (int32_t r = 0; r < numRegions; ++r)
+        for (uint32_t v : reg(r).shell)
+            hot(v) = NodeHot{};
+    s_.dirty = false;
 
     // Every top-level region is matched. Each blossom matches the
     // child holding its external edge's endpoint along that edge and
@@ -406,7 +499,6 @@ SparseBlossom::Run::solve(std::vector<MatchedPair>* pairs)
     };
     auto& expand = s_.expand;
     expand.clear();
-    const int32_t numRegions = static_cast<int32_t>(s_.numRegions);
     for (int32_t r = 0; r < numRegions; ++r) {
         const Region& x = reg(r);
         if (x.state == State::Dead || x.blossomParent != kNone)
@@ -443,47 +535,55 @@ SparseBlossom::Run::solve(std::vector<MatchedPair>* pairs)
     return observables;
 }
 
+/**
+ * v's planned event fired: act on the planned slot if the plan still
+ * stands, else on what a new scan finds now, or plan again if that is
+ * later. After acting, plan v's next event unless something on the
+ * way planned it.
+ */
 void
 SparseBlossom::Run::lookAtNode(uint32_t v)
 {
-    if (!covered(v))
-        return;
-    const auto [t, si] = nextEvent(v);
-    if (t == kNever)
-        return;
-    if (t > now_) {
-        node(v).eventSeq = push(t, v, false);
-        return;
+    uint32_t si = cold(v).planSlot;
+    if (hot(v).plan != growth(hot(v).top).version
+        || cold(v).planOther != coverVersion(g_.slots_[si].other)) {
+        const Next next = nextEvent<false>(v);
+        if (next.time == kNever)
+            return;
+        if (next.time > now_) {
+            plan(v, next);
+            return;
+        }
+        VLQ_ASSERT(next.time == now_, "sparse blossom: an event was missed");
+        si = next.slot;
     }
-    VLQ_ASSERT(t == now_, "sparse blossom: an event was missed");
-    const Slot& slot = g_.slots_[si];
+    const Slot slot = g_.slots_[si];
     const uint32_t u = slot.other;
-    const NodeState nv = node(v);
+    const uint32_t observables =
+        cold(v).observables ^ g_.slotObservables_[si];
+    const int32_t top = hot(v).top;
+    const int32_t source = cold(v).source;
+    const int64_t dist = cold(v).dist + slot.weight;
     if (u == g_.boundary_) {
-        hitBoundary(nv.top, Edge{nv.source, kNone,
-                                 nv.observables ^ slot.observables,
-                                 nv.dist + slot.weight});
+        hitBoundary(top, Edge{source, kNone, observables, dist});
     } else if (!covered(u)) {
         // v's region grows into u.
-        NodeState& nu = node(u);
-        nu.stamp = stamp_;
-        nu.eventSeq = 0;
-        nu.top = nv.top;
-        nu.source = nv.source;
-        nu.dist = nv.dist + slot.weight;
-        nu.observables = nv.observables ^ slot.observables;
-        nu.wrapped = nv.wrapped - slot.weight;
-        reg(nv.top).shell.push_back(u);
-        scheduleNode(u);
+        hot(u) = NodeHot{top, 0, hot(v).wrapped - slot.weight};
+        NodeCold& cu = cold(u);
+        cu.eventSeq = 0;
+        cu.source = source;
+        cu.dist = dist;
+        cu.observables = observables;
+        reg(top).shell.push_back(u);
+        scheduleNode<true>(u);
     } else {
-        const NodeState& nu = node(u);
-        collide(nv.top, nu.top,
-                Edge{nv.source, nu.source,
-                     nv.observables ^ slot.observables ^ nu.observables,
-                     nv.dist + slot.weight + nu.dist});
+        collide(top, hot(u).top,
+                Edge{source, cold(u).source,
+                     observables ^ cold(u).observables,
+                     dist + cold(u).dist});
     }
-    if (covered(v) && node(v).eventSeq == 0)
-        scheduleNode(v);
+    if (covered(v) && cold(v).eventSeq == 0)
+        scheduleNode<false>(v);
 }
 
 void
@@ -494,14 +594,13 @@ SparseBlossom::Run::shrink(int32_t r)
     if (!x.shell.empty() && !(trivial && x.shell.size() == 1)) {
         const uint32_t v = x.shell.back();
         x.shell.pop_back();
-        NodeState& nv = node(v);
-        nv.top = kNone;
-        nv.eventSeq = 0;
+        hot(v) = NodeHot{};
+        cold(v).eventSeq = 0;
         // Growing neighbours may now move into v.
         for (uint32_t si = g_.begin_[v]; si < g_.begin_[v + 1]; ++si) {
             const uint32_t u = g_.slots_[si].other;
-            if (u != g_.boundary_ && covered(u))
-                scheduleNode(u);
+            if (covered(u))
+                scheduleNode<false>(u);
         }
         scheduleShrink(r);
     } else if (trivial) {
@@ -672,7 +771,7 @@ SparseBlossom::Run::formBlossom(int32_t x, int32_t y, const Edge& e)
 {
     std::vector<int32_t>& pathX = s_.pathX;
     std::vector<int32_t>& pathY = s_.pathY;
-    const uint64_t mark = ++s_.seq;
+    const uint64_t mark = ++s_.mark;
     pathX.clear();
     for (int32_t r = x;;) {
         pathX.push_back(r);
@@ -724,13 +823,12 @@ SparseBlossom::Run::formBlossom(int32_t x, int32_t y, const Edge& e)
         cycleEdges.push_back(between(cycle.back(), lca));
 
     blossom.state = State::Outer;
-    blossom.slope = 1;
-    blossom.radBase = -now_;
+    setRadius(bl, -now_, 1);
     blossom.mate = reg(lca).mate;
     blossom.matchEdge = reg(lca).matchEdge;
     if (blossom.mate != kNone)
         reg(blossom.mate).mate = bl;
-    const uint64_t inCycle = ++s_.seq;
+    const uint64_t inCycle = ++s_.mark;
     for (int32_t c : cycle)
         reg(c).mark = inCycle;
     for (int32_t c : cycle) {
@@ -752,13 +850,13 @@ SparseBlossom::Run::formBlossom(int32_t x, int32_t y, const Edge& e)
         child.state = State::Internal;
         child.blossomParent = bl;
         child.shrinkSeq = 0;
-        child.slope = 0;
-        child.radBase = rad;
+        setRadius(c, rad, 0);
         child.treeChildren.clear();
         child.treeParent = kNone;
         forEachNode(c, [this, bl, rad](uint32_t v) {
-            node(v).top = bl;
-            node(v).wrapped += rad;
+            hot(v).top = bl;
+            hot(v).plan = 0;
+            hot(v).wrapped += rad;
         });
     }
     // Former inner regions now grow.
@@ -787,8 +885,9 @@ SparseBlossom::Run::shatter(int32_t b)
         const int64_t rad = radius(c);
         reg(c).blossomParent = kNone;
         forEachNode(c, [this, c, rad](uint32_t v) {
-            node(v).top = c;
-            node(v).wrapped -= rad;
+            hot(v).top = c;
+            hot(v).plan = 0;
+            hot(v).wrapped -= rad;
         });
     }
 

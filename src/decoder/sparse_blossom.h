@@ -37,11 +37,26 @@ namespace vlq {
  * ln(1e14) < 33, or 2^27 units, so a path of up to 2^35 edges fits the
  * int64 radii and times.
  *
- * Every per-shot structure lives in per-thread scratch. Node states
- * carry a shot stamp and read as untouched once the stamp is stale, so
- * nothing is cleared in proportion to the graph. Events are processed
- * in (time, insertion) order, so the matching is a pure function of
- * the graph and the event list (docs/ARCHITECTURE.md invariant 9).
+ * Every per-shot structure lives in per-thread scratch. A node's hot
+ * record (covering region, wrapped radius and the version its event
+ * was planned at) is all that the neighbour scan reads of it, and a
+ * region's radius (base, slope and version) sits in a dense array
+ * beside the region, so the scan reads 32 bytes per neighbour, without
+ * a branch; a node's path data and its planned event live in a cold
+ * array. An uncovered node reads as covered by no region at radius 0,
+ * and a shot uncovers what it covered when it ends, so nothing is
+ * cleared in proportion to the graph.
+ *
+ * Events are processed in (time, insertion) order, so the matching is
+ * a pure function of the graph and the event list (docs/ARCHITECTURE.md
+ * invariant 9). Every event is planned at or after the current time
+ * with a larger insertion number than any before it, so the queue is a
+ * monotone one (MonotoneQueue, a radix heap on the time). A node's
+ * event carries the edge it was planned for, and fires without a new
+ * scan when nothing that could move an earlier or tied edge has
+ * changed since: its region's radius, the covering of that edge's far
+ * end, and (through a mark that covering or a faster neighbour leaves)
+ * its other neighbours.
  */
 class SparseBlossom
 {
@@ -76,13 +91,13 @@ class SparseBlossom
     /** One adjacency slot: the neighbour across an edge. */
     struct Slot
     {
-        int64_t weight;
         uint32_t other;
-        uint32_t observables;
+        int32_t weight; // integerWeight of the edge, below 2^31
     };
 
     std::vector<uint32_t> begin_; // node v's slots: [begin_[v], begin_[v+1])
     std::vector<Slot> slots_;
+    std::vector<uint32_t> slotObservables_; // the edge mask, per slot
     uint32_t boundary_ = 0;       // the graph's boundary node
 };
 

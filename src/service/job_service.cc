@@ -6,6 +6,7 @@
 #include "mc/checkpoint.h"
 #include "obs/metrics.h"
 #include "service/job_validation.h"
+#include "util/logging.h"
 
 namespace vlq {
 namespace service {
@@ -54,6 +55,8 @@ JobService::JobService(const JobServiceConfig& config, EventSink& events)
     : config_(config), events_(events),
       scheduler_(config.quantumTrials)
 {
+    VLQ_ASSERT(config.threads <= kMaxThreads,
+               "JobService: threads above kMaxThreads");
 }
 
 std::string

@@ -15,6 +15,15 @@
 namespace vlq {
 namespace service {
 
+/**
+ * The most engine threads per job a session takes (JobService panics
+ * on a config above it; example_scan_server rejects --threads above it
+ * at parse time). A point starts min(threads, batches) workers, so an
+ * unbounded count with a large trial budget would ask for thousands of
+ * threads.
+ */
+constexpr unsigned kMaxThreads = 1024;
+
 /** Knobs of one server session. */
 struct JobServiceConfig
 {
@@ -27,7 +36,8 @@ struct JobServiceConfig
      *  waiter gets a turn (0 = the 65536 default). */
     uint64_t quantumTrials = 0;
 
-    /** Engine threads per running job (0 = hardware concurrency). */
+    /** Engine threads per running job (0 = hardware concurrency),
+     *  at most kMaxThreads. */
     unsigned threads = 0;
 
     /** Emit a `progress` event at most every this many committed

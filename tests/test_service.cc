@@ -600,6 +600,19 @@ TEST(ServiceEndToEnd, RejectionEmitsErrorEventAndRunsNothing)
     EXPECT_NE(lines[0].find("registered decoders"), std::string::npos);
 }
 
+TEST(ServiceEndToEnd, ThreadsAboveTheCeilingPanicBeforeAnyJob)
+{
+    std::ostringstream out;
+    EventSink sink(&out);
+    JobServiceConfig cfg;
+    cfg.stateDir = tmpStateDir();
+    cfg.threads = service::kMaxThreads;
+    JobService atCeiling(cfg, sink);
+    EXPECT_EQ(atCeiling.queueDepth(), 0u);
+    cfg.threads = service::kMaxThreads + 1;
+    EXPECT_DEATH(JobService(cfg, sink), "kMaxThreads");
+}
+
 TEST(ServiceEndToEnd, DuplicateIdIsRejected)
 {
     std::ostringstream out;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cinttypes>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -8,6 +9,7 @@
 #include <limits>
 #include <queue>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "core/generator_registry.h"
 #include "decoder/decoding_graph.h"
 #include "decoder/exact_matching.h"
+#include "decoder/monotone_queue.h"
 #include "decoder/sparse_blossom.h"
 #include "dem/detector_model.h"
 #include "dem/sampler.h"
@@ -444,6 +447,182 @@ TEST(SparseBlossomOracle, EmptySyndromeMatchesNothing)
     std::vector<SparseBlossom::MatchedPair> pairs;
     EXPECT_EQ(SparseBlossom(g).match({}, &pairs), 0u);
     EXPECT_TRUE(pairs.empty());
+}
+
+/**
+ * The matcher's event queue against a binary heap on (time, seq): on
+ * seeded runs of pushes and pops whose times crowd onto a few values
+ * (many pushes land on the current time) and whose clock starts at 0
+ * or just below 2^40, so that times carry across many bits, the queue
+ * hands out seqs 1, 2, ... and pops exactly the heap's sequence. One
+ * queue serves every run, so clear() must restart it.
+ */
+TEST(MonotoneQueue, PopsWhatABinaryHeapOnTimeAndSeqPops)
+{
+    using Key = std::tuple<uint64_t, uint32_t, uint32_t>; // time, seq, id
+    MonotoneQueue queue;
+    uint64_t pops = 0;
+    for (uint64_t seed = 1; seed <= 40; ++seed) {
+        Rng rng(seed);
+        queue.clear();
+        std::priority_queue<Key, std::vector<Key>, std::greater<Key>> heap;
+        const uint64_t start =
+            seed % 2 == 0 ? 0 : (uint64_t{1} << 40) - rng.nextBelow(5000);
+        uint64_t now = start;
+        uint32_t seq = 0;
+        // Steps ahead of now: mostly none or a few, sometimes far.
+        const uint64_t spans[] = {1, 3, 16, 1000, uint64_t{1} << 31};
+        for (int step = 0; step < 3000; ++step) {
+            const bool push = heap.empty() || rng.nextBelow(5) < 3;
+            if (push) {
+                const uint64_t span = spans[rng.nextBelow(5)];
+                const uint64_t time = now + rng.nextBelow(span);
+                const uint32_t id = static_cast<uint32_t>(rng.nextBelow(1000));
+                ASSERT_EQ(queue.push(time, id), ++seq);
+                heap.emplace(time, seq, id);
+                continue;
+            }
+            ASSERT_FALSE(queue.empty());
+            const MonotoneQueue::Item got = queue.pop();
+            const auto [time, wantSeq, id] = heap.top();
+            heap.pop();
+            ASSERT_EQ(got.time, time) << "seed " << seed << " step " << step;
+            ASSERT_EQ(got.seq, wantSeq) << "seed " << seed << " step " << step;
+            ASSERT_EQ(got.id, id);
+            now = got.time;
+            ++pops;
+        }
+        while (!heap.empty()) {
+            ASSERT_FALSE(queue.empty());
+            const MonotoneQueue::Item got = queue.pop();
+            ASSERT_EQ(std::make_tuple(got.time, got.seq, got.id), heap.top());
+            heap.pop();
+            ++pops;
+        }
+        EXPECT_TRUE(queue.empty());
+        EXPECT_GT(now, start);
+    }
+    EXPECT_GT(pops, 40u * 1000);
+}
+
+/** FNV-1a over 64-bit values: an order-sensitive fingerprint. */
+class PairsDigest
+{
+  public:
+    void add(uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h_ ^= (v >> (8 * i)) & 0xff;
+            h_ *= 0x100000001b3ULL;
+        }
+    }
+    uint64_t value() const { return h_; }
+
+  private:
+    uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+/** One pinned matcher configuration and its committed digest. */
+struct PairsDigestCase
+{
+    int setup; // paperSetups() index
+    int distance;
+    double p;
+    char basis; // 'Z' or 'X'
+    uint64_t digest;
+};
+
+/**
+ * Pins the matcher's tie order: every matched pair (both endpoints,
+ * weight and mask, in output order) and the returned mask of 512
+ * sampled shots, on Baseline and Compact-Interleaved in both bases: at
+ * d 9/11/13 near threshold (p = 8e-3), at d 11/13 below it (3e-3,
+ * where pipebench's large-d runs) and at d 9/11 above it (1.3e-2). Two
+ * equal-weight matchings that predict the same observables pass
+ * DecoderDigest but not this test. Regenerate the table only for an
+ * intentional change to which matching the matcher returns; the
+ * failure message prints the new rows.
+ */
+TEST(SparseBlossomDigest, MatchedPairsMatchCommittedDigests)
+{
+    const PairsDigestCase cases[] = {
+        {0, 9, 0.008, 'Z', 0x398b933bcd9e1b9bULL},
+        {0, 9, 0.008, 'X', 0x2e0cfb8c930b6bfcULL},
+        {0, 11, 0.008, 'Z', 0x114d70c97b1f302eULL},
+        {0, 11, 0.008, 'X', 0x0f2a251952c00952ULL},
+        {0, 13, 0.008, 'Z', 0x2e6110dc51c5f403ULL},
+        {0, 13, 0.008, 'X', 0x466fc45c78290cbeULL},
+        {4, 9, 0.008, 'Z', 0x634a21d8847cb432ULL},
+        {4, 9, 0.008, 'X', 0x074eb60e0c2be967ULL},
+        {4, 11, 0.008, 'Z', 0x3890c2e10d657e75ULL},
+        {4, 11, 0.008, 'X', 0x81f229efd8c9a697ULL},
+        {4, 13, 0.008, 'Z', 0x4d75850efd5b1491ULL},
+        {4, 13, 0.008, 'X', 0x85117566dba159a9ULL},
+        {0, 11, 0.003, 'Z', 0x96170e3208c485b6ULL},
+        {0, 11, 0.003, 'X', 0x1c30a00a7f0393b5ULL},
+        {0, 13, 0.003, 'Z', 0x4101f183d6af1e47ULL},
+        {0, 13, 0.003, 'X', 0x5f90908cb1800e2fULL},
+        {4, 11, 0.003, 'Z', 0x58752f32832e5f48ULL},
+        {4, 11, 0.003, 'X', 0x0047e015a824d5b8ULL},
+        {4, 13, 0.003, 'Z', 0x4fa63be3f14eee0bULL},
+        {4, 13, 0.003, 'X', 0xb36d5518fbfc9d71ULL},
+        {0, 9, 0.013, 'Z', 0x7394cfad65bba5ebULL},
+        {0, 9, 0.013, 'X', 0xb65c07a87f89f08dULL},
+        {0, 11, 0.013, 'Z', 0x074ba0939f4b7b84ULL},
+        {0, 11, 0.013, 'X', 0x106e78c9956cdf29ULL},
+        {4, 9, 0.013, 'Z', 0x2ae69e8051986cadULL},
+        {4, 9, 0.013, 'X', 0xea14dfed06e755b3ULL},
+        {4, 11, 0.013, 'Z', 0x0fcaaa4a242a97f1ULL},
+        {4, 11, 0.013, 'X', 0x4a737e14db564d50ULL},
+    };
+    constexpr uint32_t kShots = 512;
+    const std::vector<EvaluationSetup> setups = paperSetups();
+    std::string fresh;
+    std::vector<SparseBlossom::MatchedPair> pairs;
+    for (const PairsDigestCase& c : cases) {
+        const EvaluationSetup& setup = setups[static_cast<size_t>(c.setup)];
+        const DetectorErrorModel dem = DetectorErrorModel::build(
+            generateMemoryCircuit(
+                setup.embedding,
+                pointConfig(c.distance, c.p, setup.schedule,
+                            c.basis == 'X' ? CheckBasis::X : CheckBasis::Z))
+                .circuit);
+        const SparseBlossom matcher(DecodingGraph::build(dem));
+        const FaultSampler sampler(dem);
+        ShotBatch batch;
+        batch.reset(dem.numDetectors(), dem.numObservables(), kShots, 0,
+                    dem.numErasureSites());
+        sampler.sampleBatchInto(Rng(0x9a1c5), batch);
+        BitVec det(dem.numDetectors());
+        PairsDigest h;
+        int large = 0; // shots MwpmDecoder sends to the matcher
+        for (uint32_t s = 0; s < kShots; ++s) {
+            batch.extractShot(s, det);
+            const std::vector<uint32_t> events = det.onesIndices();
+            large += events.size() > kExactMatchingMaxDefects;
+            pairs.clear();
+            h.add(matcher.match(events, &pairs));
+            h.add(pairs.size());
+            for (const SparseBlossom::MatchedPair& p : pairs) {
+                h.add(p.a);
+                h.add(p.b);
+                h.add(static_cast<uint64_t>(p.weight));
+                h.add(p.observables);
+            }
+        }
+        char label[48];
+        std::snprintf(label, sizeof(label), "setup %d d=%d p=%g %c",
+                      c.setup, c.distance, c.p, c.basis);
+        EXPECT_GT(large, 0) << label;
+        EXPECT_EQ(h.value(), c.digest) << label;
+        char row[96];
+        std::snprintf(row, sizeof(row),
+                      "        {%d, %d, %g, '%c', 0x%016" PRIx64 "ULL},\n",
+                      c.setup, c.distance, c.p, c.basis, h.value());
+        fresh += row;
+    }
+    if (HasFailure())
+        ADD_FAILURE() << "digest table for the current code:\n" << fresh;
 }
 
 } // namespace

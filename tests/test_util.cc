@@ -16,6 +16,7 @@
 #include <string_view>
 #include <thread>
 
+#include "service/job_service.h"
 #include "util/csv.h"
 #include "util/env.h"
 #include "util/rng.h"
@@ -575,17 +576,29 @@ TEST(Env, ParseInt64RoundTripsBoundaryValues)
 
 TEST(Env, ParseBoundedRejectsCountsThatDoNotFitTheirField)
 {
-    // example_scan_server --threads lands in an unsigned: 2^32 once
-    // became 0 (every core) and 2^32 + 1 one worker.
-    constexpr int64_t kThreads = std::numeric_limits<unsigned>::max();
+    // A count read into an unsigned stops at its maximum: 2^32 once
+    // became 0 (every core) and 2^32 + 1 one worker. example_scan_server
+    // stops --threads lower, at service::kMaxThreads, since a point
+    // starts min(threads, batches) workers. Nothing here starts one.
+    constexpr int64_t kUnsigned = std::numeric_limits<unsigned>::max();
+    constexpr int64_t kThreads = service::kMaxThreads;
+    EXPECT_EQ(kThreads, 1024);
     EXPECT_EQ(parseBounded("--threads", "0", 0, kThreads), 0);
-    EXPECT_EQ(parseBounded("--threads", "4294967295", 0, kThreads),
-              kThreads);
+    EXPECT_EQ(parseBounded("--threads", "1024", 0, kThreads), kThreads);
+    EXPECT_EQ(parseBounded("--count", "4294967295", 0, kUnsigned),
+              kUnsigned);
     testing::internal::CaptureStderr();
-    for (const char* text : {"4294967296", "4294967297", "-1", "4x", ""})
+    for (const char* text :
+         {"1025", "4294967295", "4294967297", "-1", "4x", ""})
         EXPECT_FALSE(parseBounded("--threads", text, 0, kThreads)) << text;
+    for (const char* text : {"4294967296", "4294967297"})
+        EXPECT_FALSE(parseBounded("--count", text, 0, kUnsigned)) << text;
     const std::string err = testing::internal::GetCapturedStderr();
-    EXPECT_NE(err.find("error: --threads must be an integer in "
+    EXPECT_NE(err.find("error: --threads must be an integer in 0..1024, "
+                       "got '1025'"),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find("error: --count must be an integer in "
                        "0..4294967295, got '4294967297'"),
               std::string::npos)
         << err;

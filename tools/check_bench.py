@@ -21,6 +21,11 @@ the tolerance uses, and is 0 when both values are 0. A bench can pass
 every tolerance while quietly walking toward the edge; the summary
 makes that visible in CI logs before it trips.
 
+Both CSVs must be UTF-8 text: a header, then rows as wide as it whose
+last column is a finite number. Anything else (a NaN or infinite
+value, a ragged row, a byte that is not UTF-8) exits with a
+`path:line:` message before any comparison.
+
 Exit status: 0 when every reference row matches, 1 otherwise.
 
 With --ledger it instead validates the perf ledger (BENCH_pipeline.json):
@@ -46,18 +51,30 @@ and bound, in this order:
 
 Any `worse` verdict fails the check.
 
+With --self-test it fuzzes its own CSV reader: a fixed-seed run of
+4,000 mutants (byte flips, truncations, splices, and a column appended
+to a row) of a small corpus, each of which must be rejected with a
+`path:line:` message or load only finite values; a mutant with an
+appended column must be rejected. NaN and infinite values must be
+rejected too.
+
 Usage:
     check_bench.py reference.csv candidate.csv \
         [--abs-tol A] [--rel-tol R] [--ignore REGEX]
     check_bench.py --ledger BENCH_pipeline.json
+    check_bench.py --self-test
 """
 
 import argparse
 import csv
+import io
 import json
+import math
 import os
+import random
 import re
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LEDGER_SCHEMA = "vlq-bench-ledger/1"
@@ -228,14 +245,26 @@ def check_ledger(ledger_path):
 
 
 def load_rows(path):
-    """Read a CSV as {key tuple: [values]} plus its header."""
+    """Read a CSV as {key tuple: [values]} plus its header; exit with a
+    path:line message unless every value is a finite number."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        sys.exit(f"{path}: {exc.strerror}")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        sys.exit(f"{path}:{lineno}: not UTF-8 text")
     rows = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
         header = next(reader, None)
         if header is None:
-            sys.exit(f"{path}: empty file")
-        for lineno, row in enumerate(reader, start=2):
+            sys.exit(f"{path}:1: empty file")
+        for row in reader:
+            lineno = reader.line_num
             if not row:
                 continue
             if len(row) != len(header):
@@ -247,8 +276,108 @@ def load_rows(path):
             except ValueError:
                 sys.exit(f"{path}:{lineno}: non-numeric value "
                          f"'{row[-1]}'")
+            # NaN compares false with everything and inf widens the
+            # tolerance to infinity: either would pass any check.
+            if not math.isfinite(value):
+                sys.exit(f"{path}:{lineno}: non-finite value "
+                         f"'{row[-1]}'")
             rows.setdefault(key, []).append(value)
+    except csv.Error as exc:
+        sys.exit(f"{path}:{reader.line_num}: {exc}")
     return header, rows
+
+
+# The reader's fuzz corpus: small CSVs in the references' shapes.
+SELF_TEST_CORPUS = (
+    b"record,setup,distance,p,value\n"
+    b"rate,Baseline,3,3.50e-03,0.027325\n"
+    b"rate,Compact-Interleaved,5,5.41e-03,0.012462\n"
+    b"threshold,Baseline,,,0.0089\n",
+    b"record,row,column,value\n"
+    b"protocol,Fast,transmons,1499\n"
+    b"protocol,Fast,cavities,0\n",
+    b"record,\"quoted, key\",value\r\n"
+    b"sens,\"a,b\",-1.5e+02\r\n"
+    b"sens,plain,7\r\n",
+)
+SELF_TEST_SEED = 0x5eed
+SELF_TEST_MUTANTS = 4000
+
+
+def mutate(rng, data):
+    """One mutant of `data` and whether it appended a column to a row."""
+    kind = rng.randrange(4)
+    if kind == 0:  # flip one byte to any value
+        i = rng.randrange(len(data))
+        return data[:i] + bytes([rng.randrange(256)]) + data[i + 1:], False
+    if kind == 1:  # truncate anywhere
+        return data[:rng.randrange(len(data) + 1)], False
+    if kind == 2:  # splice a prefix of one file onto a suffix of another
+        other = rng.choice(SELF_TEST_CORPUS)
+        return (data[:rng.randrange(len(data) + 1)]
+                + other[rng.randrange(len(other) + 1):]), False
+    lines = data.split(b"\n")
+    rows = [i for i in range(1, len(lines)) if lines[i].strip()]
+    i = rng.choice(rows)
+    token = rng.choice((b"x", b"1", b"0.5", b"nan", b""))
+    end = len(lines[i].rstrip(b"\r"))
+    lines[i] = lines[i][:end] + b"," + token + lines[i][end:]
+    return b"\n".join(lines), True
+
+
+def self_test():
+    """Fuzz load_rows; print one line per failure; return exit status."""
+    failures = []
+
+    def load(path, data):
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            return load_rows(path), None
+        except SystemExit as exc:
+            return None, str(exc.code)
+
+    def is_located(message, path):
+        return message is not None and re.match(
+            re.escape(path) + r":\d+: ", message) is not None
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "candidate.csv")
+        for bad in ("nan", "NaN", "inf", "-inf", "Infinity", "1e999"):
+            loaded, message = load(path, b"record,value\nrate," +
+                                   bad.encode() + b"\n")
+            if not is_located(message, path):
+                failures.append(f"value {bad!r} was not rejected with a "
+                                f"path:line message: {message!r}")
+        rng = random.Random(SELF_TEST_SEED)
+        rejected = 0
+        for n in range(SELF_TEST_MUTANTS):
+            data, appended = mutate(rng, rng.choice(SELF_TEST_CORPUS))
+            try:
+                loaded, message = load(path, data)
+            except Exception as exc:  # any escape is a reader bug
+                failures.append(f"mutant {n} {data!r}: {exc!r}")
+                continue
+            if loaded is None:
+                rejected += 1
+                if not is_located(message, path):
+                    failures.append(f"mutant {n} {data!r}: message "
+                                    f"without path:line: {message!r}")
+            elif appended:
+                failures.append(f"mutant {n} {data!r}: a row with an "
+                                f"appended column loaded")
+            elif not all(math.isfinite(v) for values in loaded[1].values()
+                         for v in values):
+                failures.append(f"mutant {n} {data!r}: loaded a "
+                                f"non-finite value")
+    for failure in failures:
+        print(f"FAIL: {failure}")
+    if failures:
+        return 1
+    print(f"OK: {SELF_TEST_MUTANTS} mutants (seed {SELF_TEST_SEED:#x}), "
+          f"{rejected} rejected with path:line, the rest loaded finite "
+          f"values; NaN and infinite values rejected")
+    return 0
 
 
 def main():
@@ -267,8 +396,15 @@ def main():
     ap.add_argument("--ledger", default=None, metavar="FILE",
                     help="validate this perf ledger against "
                          "BENCHMARK.json instead of diffing CSVs")
+    ap.add_argument("--self-test", action="store_true",
+                    help="fuzz the CSV reader with a fixed seed "
+                         "instead of diffing CSVs")
     args = ap.parse_args()
 
+    if args.self_test:
+        if args.reference or args.candidate or args.ledger:
+            ap.error("--self-test takes no other arguments")
+        return self_test()
     if args.ledger:
         if args.reference or args.candidate:
             ap.error("--ledger takes no CSV arguments")
