@@ -60,9 +60,10 @@ struct UnionFindOptions
  * with MWPM on small syndromes up to genuine weight degeneracy, but it
  * is neither the faster nor the more accurate backend at large
  * distance: at d=13, p=3e-3 every shot takes the growth path, at about
- * twice the sparse matcher's cost per shot (93 vs 48 us in a
- * metrics-on run of pipebench's large-d workload on a 4-vCPU Xeon),
- * and it fails about ten times as often.
+ * 3.6 times the sparse matcher's cost per shot (a `uf.growth` mean of
+ * 81 us against 23 us for `mwpm.blossom` in a metrics-on run of
+ * pipebench's large-d grid on a 4-vCPU Xeon), and it fails about ten
+ * times as often.
  *
  * Syndromes below UnionFindOptions::exactSyndromeThreshold events
  * short-circuit growth altogether (see the option's doc): the scratch
@@ -105,7 +106,7 @@ class UnionFindDecoder : public Decoder
 
     /**
      * Erasure-aware decode: `erasures` holds one bit per DEM erasure
-     * site (FaultSampler::Shot::erasures). The edges of heralded sites
+     * site (a shot's ShotBatch::erased bits). The edges of heralded sites
      * are grown to full support at time zero -- erasure costs nothing,
      * the Delfosse-Nickerson zero-weight seeding -- before ordinary
      * weighted growth, and clusters containing erased edges peel on

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
 #include <set>
 #include <span>
 #include <string>
@@ -13,7 +15,9 @@
 #include "dem/detector_model.h"
 #include "dem/sampler.h"
 #include "dem/shot_batch.h"
+#include "mc/memory_experiment.h"
 #include "mc/monte_carlo.h"
+#include "sampler_oracle.h"
 #include "util/rng.h"
 
 namespace vlq {
@@ -157,6 +161,7 @@ TEST(BatchSamplerTest, StatisticallyMatchesScalarSampler)
 {
     DetectorErrorModel dem = buildDem(3, 8e-3);
     FaultSampler sampler(dem);
+    const ReferenceSampler oracle(dem);
     const uint32_t N = 6000;
     const uint32_t D = dem.numDetectors();
 
@@ -170,7 +175,7 @@ TEST(BatchSamplerTest, StatisticallyMatchesScalarSampler)
         uint32_t obs = 0;
         for (uint32_t i = 0; i < N; ++i) {
             Rng rng = root.split(i);
-            sampler.sampleInto(rng, det, obs);
+            oracle.sampleInto(rng, det, obs);
             for (uint32_t d = 0; d < D; ++d)
                 scalarFlips[d] += det.get(d);
             scalarObs += obs != 0;
@@ -213,6 +218,238 @@ TEST(BatchSamplerTest, StatisticallyMatchesScalarSampler)
                 0.05 * std::max(1.0, scalarEvents / N));
     EXPECT_NEAR(static_cast<double>(batchObs) / N,
                 static_cast<double>(scalarObs) / N, 0.02);
+}
+
+/** A configuration at a paper setup, as DemDigest builds it. */
+DetectorErrorModel
+setupDem(int setup, int d, char basis, int noise, double p)
+{
+    const std::vector<EvaluationSetup> setups = paperSetups();
+    GeneratorConfig cfg;
+    cfg.distance = d;
+    cfg.memoryBasis = basis == 'X' ? CheckBasis::X : CheckBasis::Z;
+    cfg.schedule = setups[static_cast<size_t>(setup)].schedule;
+    cfg.noise = NoiseModel::atPhysicalRate(
+        p, HardwareParams::transmonsWithMemory());
+    if (noise == 1)
+        cfg.noise.erasure.fraction = 0.5;
+    else if (noise == 2)
+        cfg.noise.bias.rZ = 10.0;
+    return DetectorErrorModel::build(
+        generateMemoryCircuit(setups[static_cast<size_t>(setup)].embedding,
+                              cfg)
+            .circuit);
+}
+
+/** FNV-1a over every detector, observable and herald row word. */
+uint64_t
+batchDigest(const ShotBatch& batch)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    auto add = [&h](const uint64_t* row, uint32_t words) {
+        for (uint32_t w = 0; w < words; ++w)
+            for (int i = 0; i < 8; ++i) {
+                h ^= (row[w] >> (8 * i)) & 0xff;
+                h *= 0x100000001b3ULL;
+            }
+    };
+    for (uint32_t d = 0; d < batch.numDetectors(); ++d)
+        add(batch.detectorRow(d), batch.wordsPerRow());
+    for (uint32_t o = 0; o < batch.numObservables(); ++o)
+        add(batch.observableRow(o), batch.wordsPerRow());
+    for (uint32_t e = 0; e < batch.numErasureSites(); ++e)
+        add(batch.erasureRow(e), batch.wordsPerRow());
+    return h;
+}
+
+/** One pinned sampler configuration and its committed digests. */
+struct SampleDigestCase
+{
+    int setup;  // paperSetups() index
+    int distance;
+    char basis; // 'Z' or 'X'
+    int noise;  // 0 flat, 1 heralded erasure (fraction 0.5), 2 Z-biased
+    double p;
+    /** The 192-shot batch, then the 250-shot one. */
+    uint64_t shots[2];
+};
+
+/**
+ * Guards the batch sampler's bit-identity on batches shaped as
+ * BatchPlan shapes them: 192 shots (three whole words) and 250 shots
+ * (ending in a partial word), each from a nonzero first trial, on
+ * Baseline and Compact-Interleaved at d 5/7/13, both bases, at
+ * pipebench's rate extremes, plus a heralded-erasure and a Z-biased
+ * row. DemDigest pins one 4096-shot batch at p = 3e-3 only. Regenerate
+ * the table only for an intentional change to what the sampler draws;
+ * the failure message prints the new rows.
+ */
+TEST(SampleDigest, BatchShapesAndRatesMatchCommittedDigests)
+{
+    const SampleDigestCase cases[] = {
+        {0, 5, 'Z', 0, 1e-03,
+         {0x2dd5ea59fa5ef32dULL, 0x6fc5fcad16dc3150ULL}},
+        {0, 5, 'Z', 0, 2e-02,
+         {0x5e1c0e6b622707dcULL, 0xa9dedb7ef36092baULL}},
+        {0, 5, 'X', 0, 1e-03,
+         {0xc04fd7dbf71b9c28ULL, 0xc18db92be9888ea9ULL}},
+        {0, 5, 'X', 0, 2e-02,
+         {0xa1cd5dc49eedc0b4ULL, 0x982f86d16820e686ULL}},
+        {4, 5, 'Z', 0, 1e-03,
+         {0x43ee47aeb47879f9ULL, 0x1074346b5a21d681ULL}},
+        {4, 5, 'Z', 0, 2e-02,
+         {0x768f1749a80aa2e4ULL, 0xffd5c352990f4cb5ULL}},
+        {4, 5, 'X', 0, 1e-03,
+         {0xc2bacf532471c0f4ULL, 0x647c5da414c6a0adULL}},
+        {4, 5, 'X', 0, 2e-02,
+         {0x61519bdf7175819fULL, 0xe66228075096f042ULL}},
+        {0, 7, 'Z', 0, 1e-03,
+         {0xd4887c780f9698deULL, 0xfa421ca4839206f0ULL}},
+        {0, 7, 'Z', 0, 2e-02,
+         {0xda80780f095828eaULL, 0xc4e6d08ae1c96a17ULL}},
+        {0, 7, 'X', 0, 1e-03,
+         {0xc2b4c63e429339aeULL, 0x3f75f6618c8df2c9ULL}},
+        {0, 7, 'X', 0, 2e-02,
+         {0xa14086095e7cf03cULL, 0xfb6de105e1a12cd1ULL}},
+        {4, 7, 'Z', 0, 1e-03,
+         {0xc9e17de90f0759afULL, 0x7597086730efeeecULL}},
+        {4, 7, 'Z', 0, 2e-02,
+         {0x54dae3c89880bbf7ULL, 0xbab099d4d82582adULL}},
+        {4, 7, 'X', 0, 1e-03,
+         {0x46e6b66cdd8e6790ULL, 0x4a13057d841d455cULL}},
+        {4, 7, 'X', 0, 2e-02,
+         {0x45637980237a8323ULL, 0xe2eff1fd81785366ULL}},
+        {0, 13, 'Z', 0, 1e-03,
+         {0x6ecfa704a4dec6c8ULL, 0xda130a4f6da6fb0fULL}},
+        {0, 13, 'Z', 0, 2e-02,
+         {0x3d8d5349c6b802e5ULL, 0xdacbff6da804d7a4ULL}},
+        {0, 13, 'X', 0, 1e-03,
+         {0xd7e2981b46c2fecfULL, 0xf2efd714c2bef41cULL}},
+        {0, 13, 'X', 0, 2e-02,
+         {0xd74ee422452a2abfULL, 0xdf7e6d1d6bc65a2fULL}},
+        {4, 13, 'Z', 0, 1e-03,
+         {0x8815b1150730d965ULL, 0xb93b2341c2a0c5d9ULL}},
+        {4, 13, 'Z', 0, 2e-02,
+         {0xc11cd0d46fd582d0ULL, 0x2ff6051ec656113dULL}},
+        {4, 13, 'X', 0, 1e-03,
+         {0xbebb754d85e3e70bULL, 0x42d61942be7f5c77ULL}},
+        {4, 13, 'X', 0, 2e-02,
+         {0xaf3b559b256a121bULL, 0x8de98f1237871461ULL}},
+        {0, 7, 'Z', 1, 2e-02,
+         {0x50e3c8166ea6136cULL, 0x0d85a01b6b249baaULL}},
+        {4, 7, 'X', 2, 1e-03,
+         {0xd1c187ec28b79a51ULL, 0x44a0ef4a322e8168ULL}},
+    };
+    const struct
+    {
+        uint32_t shots;
+        uint64_t firstTrial;
+    } shapes[2] = {{192, 5 * 192}, {250, 7 * 250}};
+    const Rng root(0x5a3d1e);
+    std::string fresh;
+    for (const SampleDigestCase& c : cases) {
+        const DetectorErrorModel dem =
+            setupDem(c.setup, c.distance, c.basis, c.noise, c.p);
+        if (c.noise == 1) {
+            EXPECT_GT(dem.numErasureSites(), 0u);
+        }
+        const FaultSampler sampler(dem);
+        ShotBatch batch;
+        uint64_t got[2];
+        for (int i = 0; i < 2; ++i) {
+            batch.reset(dem.numDetectors(), dem.numObservables(),
+                        shapes[i].shots, shapes[i].firstTrial,
+                        dem.numErasureSites());
+            sampler.sampleBatchInto(root, batch);
+            got[i] = batchDigest(batch);
+        }
+        const std::string label = "setup " + std::to_string(c.setup)
+            + " d=" + std::to_string(c.distance) + " " + c.basis
+            + " noise " + std::to_string(c.noise) + " p="
+            + std::to_string(c.p);
+        EXPECT_EQ(got[0], c.shots[0]) << label << ": 192 shots";
+        EXPECT_EQ(got[1], c.shots[1]) << label << ": 250 shots";
+        char row[160];
+        std::snprintf(row, sizeof(row),
+                      "        {%d, %d, '%c', %d, %.0e,\n"
+                      "         {0x%016" PRIx64 "ULL, 0x%016" PRIx64
+                      "ULL}},\n",
+                      c.setup, c.distance, c.basis, c.noise, c.p, got[0],
+                      got[1]);
+        fresh += row;
+    }
+    if (HasFailure())
+        ADD_FAILURE() << "digest table for the current code:\n" << fresh;
+}
+
+/**
+ * FaultSampler::skipCount returns exactly floor(log1p(-u) * inv), the
+ * formula it stands in for, at every distinct group rate of the five
+ * setups at p 1e-3, 3e-3 and 2e-2 (plus a heralded-erasure Baseline and
+ * a Z-biased Compact-Interleaved model): on a million seeded draws per
+ * rate, on both sides of each of the count's first 1,000 integer
+ * boundaries with four draws either way, and at the ends of the draw
+ * range. Draws are multiples of 2^-53, as Rng::nextDouble's are.
+ */
+TEST(SkipCount, EqualsTheLog1pFormulaAtEveryGroupRate)
+{
+    // (setup, noise) pairs: every setup flat, then the variants.
+    const int models[][2] = {{0, 0}, {1, 0}, {2, 0}, {3, 0},
+                             {4, 0}, {0, 1}, {4, 2}};
+    std::set<double> rates;
+    for (double p : {1e-3, 3e-3, 2e-2})
+        for (const auto& [setup, noise] : models) {
+            const DetectorErrorModel dem = setupDem(setup, 3, 'Z', noise, p);
+            for (const FaultChannel& ch : dem.channels()) {
+                const double total = ch.totalProbability();
+                if (total > 0.0 && total < 1.0)
+                    rates.insert(total);
+            }
+        }
+    ASSERT_GE(rates.size(), 60u);
+
+    constexpr double kStep = 0x1.0p-53;
+    constexpr uint64_t kDraws = uint64_t{1} << 53;
+    Rng rng(0x5c1b);
+    for (const double p : rates) {
+        const double inv = 1.0 / std::log1p(-p);
+        const auto expected = [inv](double u) {
+            return std::floor(std::log1p(-u) * inv);
+        };
+        // At draw m * 2^-53; false (and one failure) where they differ.
+        const auto agrees = [&](uint64_t m) {
+            const double u = static_cast<double>(m) * kStep;
+            const double got = FaultSampler::skipCount(u, inv);
+            EXPECT_EQ(got, expected(u))
+                << "rate " << p << " u = " << m << " * 2^-53";
+            return got == expected(u);
+        };
+        ASSERT_TRUE(agrees(0));
+        ASSERT_TRUE(agrees(kDraws - 1));
+        for (int i = 0; i < 1000000; ++i) {
+            const double u = rng.nextDouble();
+            if (FaultSampler::skipCount(u, inv) != expected(u)) {
+                ASSERT_TRUE(agrees(static_cast<uint64_t>(u / kStep)));
+            }
+        }
+        // The first draw whose count reaches n, by bisection: the
+        // count is monotone in u.
+        const double top = expected(static_cast<double>(kDraws - 1) * kStep);
+        for (double n = 1.0; n <= std::min(1000.0, top); n += 1.0) {
+            uint64_t lo = 0;            // count below n
+            uint64_t hi = kDraws - 1;   // count at least n
+            while (hi - lo > 1) {
+                const uint64_t mid = lo + (hi - lo) / 2;
+                if (expected(static_cast<double>(mid) * kStep) < n)
+                    lo = mid;
+                else
+                    hi = mid;
+            }
+            for (uint64_t m = hi >= 5 ? hi - 5 : 0;
+                 m <= std::min(hi + 4, kDraws - 1); ++m)
+                ASSERT_TRUE(agrees(m)) << "boundary " << n;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

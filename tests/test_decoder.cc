@@ -15,8 +15,8 @@
 #include "decoder/union_find.h"
 #include "distance_oracle.h"
 #include "dem/detector_model.h"
-#include "dem/sampler.h"
 #include "obs/metrics.h"
+#include "sampler_oracle.h"
 #include "sim/frame.h"
 #include "util/rng.h"
 
@@ -492,7 +492,7 @@ checkSampledShots(int d, double p, int shots, uint64_t seed)
     GeneratorConfig cfg = configFor(d, p, ExtractionSchedule::AllAtOnce);
     GeneratedCircuit gen = generateBaselineMemory(cfg);
     DetectorErrorModel dem = DetectorErrorModel::build(gen.circuit);
-    FaultSampler sampler(dem);
+    const ReferenceSampler sampler(dem);
     MwpmDecoder mwpm(dem);
     const DenseDistances dense(mwpm.graph());
     Rng root(seed);

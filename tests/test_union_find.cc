@@ -14,6 +14,7 @@
 #include "dem/sampler.h"
 #include "distance_oracle.h"
 #include "mc/monte_carlo.h"
+#include "sampler_oracle.h"
 #include "util/rng.h"
 
 namespace vlq {
@@ -462,7 +463,7 @@ TEST(UnionFindAgreementTest, SampledShotsMostlyAgreeWithMwpm)
                                     ExtractionSchedule::AllAtOnce);
     GeneratedCircuit gen = generateBaselineMemory(cfg);
     DetectorErrorModel dem = DetectorErrorModel::build(gen.circuit);
-    FaultSampler sampler(dem);
+    const ReferenceSampler sampler(dem);
     MwpmDecoder mwpm(dem);
     UnionFindDecoder uf(dem);
 
@@ -665,6 +666,7 @@ TEST(UnionFindErasureTest, BatchDecodeMatchesScalarWithErasures)
     GeneratedCircuit gen = generateBaselineMemory(cfg);
     DetectorErrorModel dem = DetectorErrorModel::build(gen.circuit);
     FaultSampler sampler(dem);
+    const ReferenceSampler oracle(dem);
     UnionFindDecoder uf(dem);
 
     const uint32_t shots = 96;
@@ -695,14 +697,14 @@ TEST(UnionFindErasureTest, BatchDecodeMatchesScalarWithErasures)
     // The config is chosen so heralds actually fire in this batch.
     EXPECT_GT(heraldsSeen, 0u);
 
-    // The scalar sampling path raises heralds too (the two paths draw
-    // different streams but the same distribution).
+    // The reference sampler raises heralds too (it draws a different
+    // stream than the batch sampler, from the same distribution).
     BitVec era(dem.numErasureSites());
     uint32_t obs = 0;
     size_t scalarHeralds = 0;
     for (uint32_t s = 0; s < shots; ++s) {
         Rng rng = root.split(s);
-        sampler.sampleInto(rng, det, obs, era);
+        oracle.sampleInto(rng, det, obs, era);
         scalarHeralds += era.popcount();
     }
     EXPECT_GT(scalarHeralds, 0u);
